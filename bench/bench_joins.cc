@@ -101,7 +101,9 @@ void StrategyComparisonOnBgp() {
   std::printf(
       "A3b: the four strategies of [21] on a 3-pattern BGP (LUBM)\n\n");
   rdf::TripleStore store = MakeLubmStore(2);
-  const std::string query = rdf::LubmShapeQuery(rdf::QueryShape::kLinear, 3);
+  auto query = sparql::ParseQuery(
+      rdf::LubmShapeQuery(rdf::QueryShape::kLinear, 3));
+  if (!query.ok()) std::abort();
 
   std::vector<int> widths = {24, 8, 11, 11, 14, 13, 16, 14};
   PrintRow({"Strategy", "rows", "wall_ms", "sim_ms", "shuffle_rec",
@@ -121,34 +123,30 @@ void StrategyComparisonOnBgp() {
     if (!engine.Load(store).ok()) continue;
     // Plan-shape guard: the EXPLAIN tree must show the join strategy the
     // mode is named after.
-    auto plan = engine.ExplainText(query);
-    if (!plan.ok()) {
-      std::fprintf(stderr, "A3b: EXPLAIN failed for %s: %s\n",
-                   systems::HybridModeName(mode),
-                   plan.status().ToString().c_str());
-      std::abort();
-    }
+    std::string plan = MustExplain(&engine, *query,
+                                   std::string("A3b ") +
+                                       systems::HybridModeName(mode));
     bool shape_ok = false;
     switch (mode) {
       case systems::HybridMode::kSparkSqlNaive:
-        shape_ok = plan->find("CartesianProduct") != std::string::npos &&
-                   plan->find("PartitionedHashJoin") == std::string::npos;
+        shape_ok = plan.find("CartesianProduct") != std::string::npos &&
+                   plan.find("PartitionedHashJoin") == std::string::npos;
         break;
       case systems::HybridMode::kRddPartitioned:
-        shape_ok = plan->find("PartitionedHashJoin") != std::string::npos;
+        shape_ok = plan.find("PartitionedHashJoin") != std::string::npos;
         break;
       case systems::HybridMode::kDataFrameAuto:
       case systems::HybridMode::kHybrid:
-        shape_ok = plan->find("BroadcastJoin") != std::string::npos ||
-                   plan->find("PartitionedHashJoin") != std::string::npos;
+        shape_ok = plan.find("BroadcastJoin") != std::string::npos ||
+                   plan.find("PartitionedHashJoin") != std::string::npos;
         break;
     }
     if (!shape_ok) {
       std::fprintf(stderr, "A3b: unexpected plan shape for %s:\n%s",
-                   systems::HybridModeName(mode), plan->c_str());
+                   systems::HybridModeName(mode), plan.c_str());
       std::abort();
     }
-    QueryRun run = RunQuery(&engine, query);
+    QueryRun run = RunQuery(&engine, *query);
     PrintRow({systems::HybridModeName(mode), Fmt(run.rows), Fmt(run.wall_ms),
               Fmt(run.delta.simulated_ms), Fmt(run.delta.shuffle_records),
               Fmt(double(run.delta.shuffle_bytes) / 1024.0),

@@ -44,20 +44,10 @@ std::string FirstScanLine(const std::string& plan) {
   return "";
 }
 
-std::string MustExplain(systems::RdfQueryEngine* engine,
-                        const std::string& query, const char* label) {
-  auto plan = engine->ExplainText(query);
-  if (!plan.ok()) {
-    std::fprintf(stderr, "A7: EXPLAIN failed for %s: %s\n", label,
-                 plan.status().ToString().c_str());
-    std::abort();
-  }
-  return *plan;
-}
-
 void AblationTable() {
   rdf::TripleStore store = MakeLubmStore(2);
-  const std::string query = WorstFirstQuery();
+  auto query = sparql::ParseQuery(WorstFirstQuery());
+  if (!query.ok()) std::abort();
   std::printf(
       "A7: optimizer ablations on a worst-first 4-pattern query (LUBM x2)\n\n");
   std::vector<int> widths = {34, 8, 11, 14, 14, 14};
@@ -67,8 +57,8 @@ void AblationTable() {
   PrintRule(widths);
 
   auto report = [&](const std::string& label,
-                    systems::RdfQueryEngine* engine) {
-    QueryRun run = RunQuery(engine, query);
+                    systems::BgpEngineBase* engine) {
+    QueryRun run = RunQuery(engine, *query);
     PrintRow({label, Fmt(run.rows), Fmt(run.wall_ms),
               Fmt(run.delta.shuffle_records), Fmt(run.delta.join_comparisons),
               Fmt(run.delta.records_processed)},
@@ -90,7 +80,7 @@ void AblationTable() {
       // worst-first `name` pattern — the first scan in the plan has to be a
       // more selective one.
       std::string plan =
-          MustExplain(&engine, query, "SPARQLGX / stats reordering");
+          MustExplain(&engine, *query, "A7 SPARQLGX / stats reordering");
       std::string first = FirstScanLine(plan);
       if (first.empty() || first.find("name") != std::string::npos) {
         std::fprintf(stderr,
@@ -117,7 +107,7 @@ void AblationTable() {
     if (engine.Load(store).ok()) {
       // Plan-shape guard: with ExtVP enabled the plan must actually read
       // extvp_* tables, not plain VP ones.
-      std::string plan = MustExplain(&engine, query, "S2RDF / ExtVP");
+      std::string plan = MustExplain(&engine, *query, "A7 S2RDF / ExtVP");
       if (plan.find("extvp_") == std::string::npos) {
         std::fprintf(stderr,
                      "A7: S2RDF ExtVP plan reads no extvp_ table; plan:\n%s",

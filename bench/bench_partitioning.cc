@@ -52,7 +52,8 @@ void PartitioningTable() {
 
   for (size_t e = 0; e < engines.size(); ++e) {
     auto& engine = engines[e];
-    auto load = engine->Load(store);
+    Result<systems::LoadStats> load = Status::Internal("not loaded");
+    double load_ms = WallMs([&] { load = engine->Load(store); });
     if (!load.ok()) continue;
     spark::Metrics total;
     double sim = 0;
@@ -66,7 +67,7 @@ void PartitioningTable() {
     std::string name = engine->traits().name;
     if (e == engines.size() - 2) name += " (workload-aware)";
     if (e == engines.size() - 1) name += " (semantic [27])";
-    PrintRow({name, engine->traits().partitioning, Fmt(load->wall_ms),
+    PrintRow({name, engine->traits().partitioning, Fmt(load_ms),
               Fmt(load->stored_records), Fmt(total.shuffle_records),
               Fmt(double(total.remote_shuffle_bytes) / 1024.0), Fmt(sim)},
              widths);

@@ -85,17 +85,12 @@ struct QueryRun {
   std::string error;
 };
 
-inline QueryRun RunQuery(systems::RdfQueryEngine* engine,
-                         const std::string& text) {
+inline QueryRun RunQuery(systems::BgpEngineBase* engine,
+                         const sparql::Query& query) {
   QueryRun run;
-  auto query = sparql::ParseQuery(text);
-  if (!query.ok()) {
-    run.error = query.status().ToString();
-    return run;
-  }
   auto before = engine->context()->metrics();
   auto start = std::chrono::steady_clock::now();
-  auto result = engine->Execute(*query);
+  auto result = engine->Execute(query);
   run.wall_ms = std::chrono::duration<double, std::milli>(
                     std::chrono::steady_clock::now() - start)
                     .count();
@@ -107,6 +102,32 @@ inline QueryRun RunQuery(systems::RdfQueryEngine* engine,
   run.ok = true;
   run.rows = result->num_rows();
   return run;
+}
+
+inline QueryRun RunQuery(systems::BgpEngineBase* engine,
+                         const std::string& text) {
+  auto query = sparql::ParseQuery(text);
+  if (!query.ok()) {
+    QueryRun run;
+    run.error = query.status().ToString();
+    return run;
+  }
+  return RunQuery(engine, *query);
+}
+
+/// EXPLAIN of `query`'s top-level BGP, for plan-shape guards: a bench whose
+/// plan does not show the strategy it measures aborts instead of reporting
+/// numbers for the wrong plan.
+inline std::string MustExplain(systems::BgpEngineBase* engine,
+                               const sparql::Query& query,
+                               const std::string& label) {
+  auto root = engine->PlanBgp(query.where.bgp);
+  if (!root.ok()) {
+    std::fprintf(stderr, "EXPLAIN failed for %s: %s\n", label.c_str(),
+                 root.status().ToString().c_str());
+    std::abort();
+  }
+  return systems::plan::Explain(**root);
 }
 
 /// Machine-readable benchmark output. The human tables above are for eyes;

@@ -12,14 +12,15 @@
 // exposition format (what a scrape of the serving layer would see).
 // `.explain` prints the engine's physical plan (EXPLAIN) for the query
 // currently buffered at the prompt, without executing it.
-// `.lint [tiers]` runs the tiered static lint over the buffered query:
-// tier A (QA rules, pure AST), tier B (plan verifier SC/CP/BC/ST/VP
-// rules), tier D (resource envelope RS rules + per-stage byte envelope,
-// see systems/plan/resource.h) — all without executing — then tier C,
-// which executes once inside a happens-before recorder window and
-// appends the race & determinism findings (RC/DT rules, see spark/hb.h).
-// With no argument all four tiers run; `.lint A,B,D` (or `.lint bd`)
-// selects a subset.
+// `.lint [tiers]` runs the dataflow lint tiers over the buffered query,
+// with the letters dataflow_lint's --tier uses: tier A (QA rules, pure
+// AST) and tier D (plan verifier SC/CP/BC/ST/VP rules plus resource
+// envelope RS rules and the per-stage byte envelope, see
+// systems/plan/resource.h) run without executing; tiers B and C share one
+// analyzed execution inside a happens-before recorder window and append
+// its lineage findings (LN rules, spark/lineage.h) and race & determinism
+// findings (RC/DT rules, spark/hb.h). With no argument all four tiers
+// run; `.lint A,B,D` (or `.lint bd`) selects a subset.
 // `.lineage` *executes* the buffered query's BGP, snapshots the RDD
 // lineage DAG it built, and prints the lineage analyzer's findings
 // (LN rules: uncached reuse, redundant shuffle, deep shuffle chains)
@@ -32,6 +33,7 @@
 // `.trace on|off|<file.json>` toggles runtime tracing or exports the
 // collected spans as Chrome chrome://tracing JSON to <file.json>.
 
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -44,12 +46,16 @@
 #include "rdf/ntriples.h"
 #include "rdf/store.h"
 #include "spark/context.h"
+#include "spark/hb.h"
+#include "spark/lineage.h"
 #include "sparql/parser.h"
 #include "systems/engine.h"
 #include "systems/graphframes_engine.h"
 #include "systems/graphx_sm.h"
 #include "systems/haqwa.h"
 #include "systems/hybrid.h"
+#include "systems/plan/analyze.h"
+#include "systems/plan/verifier.h"
 #include "systems/s2rdf.h"
 #include "systems/s2x.h"
 #include "systems/sparkql.h"
@@ -60,7 +66,7 @@ namespace {
 
 using namespace rdfspark;
 
-std::unique_ptr<systems::RdfQueryEngine> MakeEngine(
+std::unique_ptr<systems::BgpEngineBase> MakeEngine(
     const std::string& name, spark::SparkContext* sc) {
   if (name == "haqwa") return std::make_unique<systems::HaqwaEngine>(sc);
   if (name == "sparqlgx") return std::make_unique<systems::SparqlgxEngine>(sc);
@@ -76,7 +82,7 @@ std::unique_ptr<systems::RdfQueryEngine> MakeEngine(
   return nullptr;
 }
 
-void RunQuery(systems::RdfQueryEngine* engine, const rdf::TripleStore& store,
+void RunQuery(systems::BgpEngineBase* engine, const rdf::TripleStore& store,
               const std::string& text) {
   auto parsed = sparql::ParseQuery(text);
   if (!parsed.ok()) {
@@ -124,6 +130,117 @@ void RunQuery(systems::RdfQueryEngine* engine, const rdf::TripleStore& store,
               delta.simulated_ms.ms());
 }
 
+/// `.lint [tiers]` over an already-parsed query; `tiers` holds A-D.
+void Lint(systems::BgpEngineBase* engine, const sparql::Query& query,
+          const bool tiers[4]) {
+  namespace plan = systems::plan;
+  if (tiers[0] || tiers[3]) {
+    std::vector<plan::Diagnostic> diags;
+    std::string envelope;
+    if (tiers[0]) diags = engine->AnalyzeParsedQuery(query);
+    if (tiers[3]) {
+      auto root = engine->PlanBgp(query.where.bgp);
+      if (!root.ok()) {
+        std::printf("tier D error: %s\n", root.status().ToString().c_str());
+        return;
+      }
+      for (auto& d : plan::VerifyPlan(**root, engine->VerifyProfile())) {
+        diags.push_back(std::move(d));
+      }
+      plan::ResourceAnalysis analysis =
+          engine->AnalyzePlanResources(query, **root);
+      for (auto& d : analysis.findings) diags.push_back(std::move(d));
+      envelope = plan::RenderEnvelope(analysis);
+    }
+    std::printf("%s%s", plan::RenderDiagnostics(std::move(diags)).c_str(),
+                envelope.c_str());
+  }
+  if (tiers[1] || tiers[2]) {
+    spark::hb::ScopedRaceCheck window(/*active=*/tiers[2]);
+    spark::LineageGraph graph;
+    auto analyzed = engine->ExecuteAnalyzed(query, &graph);
+    std::vector<plan::Diagnostic> races;
+    if (tiers[2]) races = window.Finish();
+    if (!analyzed.ok()) {
+      std::printf("tier B/C error: %s\n",
+                  analyzed.status().ToString().c_str());
+      return;
+    }
+    if (tiers[1]) {
+      std::printf("tier B (lineage):\n%s",
+                  plan::RenderDiagnostics(graph.Analyze()).c_str());
+    }
+    if (tiers[2]) {
+      std::printf("tier C (happens-before):\n%s",
+                  plan::RenderDiagnostics(std::move(races)).c_str());
+    }
+  }
+}
+
+/// The dot-commands that inspect the buffered query: .explain, .lint,
+/// .lineage, .analyze. Parses the query once for whichever runs.
+void Inspect(systems::BgpEngineBase* engine, const std::string& command,
+             const std::string& text) {
+  std::string name = command.substr(0, command.find(' '));
+  if (TrimWhitespace(text).empty()) {
+    std::printf("usage: type a query first (don't run it), then %s\n",
+                name.c_str());
+    return;
+  }
+  // `.lint` runs every tier; `.lint A,B,D` (or `.lint bd`) a subset.
+  bool tiers[4] = {true, true, true, true};
+  if (name == ".lint" && command.size() > name.size()) {
+    std::string arg(TrimWhitespace(command.substr(name.size())));
+    for (bool& t : tiers) t = arg.empty();
+    for (char c : arg) {
+      char u = (c >= 'a' && c <= 'z') ? static_cast<char>(c - 'a' + 'A') : c;
+      if (u == ',' || u == ' ') continue;
+      if (u < 'A' || u > 'D') {
+        std::printf("usage: .lint [tiers], e.g. `.lint A,B,D`; tiers are "
+                    "A (query), B (lineage), C (races), D (plan + "
+                    "resources)\n");
+        return;
+      }
+      tiers[u - 'A'] = true;
+    }
+  }
+  auto parsed = sparql::ParseQuery(text);
+  if (!parsed.ok()) {
+    std::printf("parse error: %s\n", parsed.status().ToString().c_str());
+    return;
+  }
+  const sparql::Query& query = *parsed;
+  if (name == ".lint") {
+    Lint(engine, query, tiers);
+    return;
+  }
+  if (name == ".explain") {
+    // EXPLAIN covers the top-level basic graph pattern (the distributed
+    // part; FILTER/OPTIONAL/UNION and modifiers run driver-side).
+    auto root = engine->PlanBgp(query.where.bgp);
+    if (!root.ok()) {
+      std::printf("error: %s\n", root.status().ToString().c_str());
+      return;
+    }
+    std::printf("%s", systems::plan::Explain(**root).c_str());
+    return;
+  }
+  spark::LineageGraph graph;
+  auto root = engine->ExecuteAnalyzed(query, &graph);
+  if (!root.ok()) {
+    std::printf("error: %s\n", root.status().ToString().c_str());
+  } else if (name == ".analyze") {
+    std::printf("%s", systems::plan::ExplainAnalyze(**root).c_str());
+  } else if (graph.nodes().empty()) {
+    std::printf("no RDD-backed lineage (engine executes through another "
+                "abstraction)\n");
+  } else {
+    std::printf("%s%s",
+                systems::plan::RenderDiagnostics(graph.Analyze()).c_str(),
+                graph.ToDot().c_str());
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -162,14 +279,18 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "unknown engine '%s'\n", engine_name.c_str());
     return 2;
   }
+  auto load_start = std::chrono::steady_clock::now();
   auto load = engine->Load(store);
+  double load_ms = std::chrono::duration<double, std::milli>(
+                       std::chrono::steady_clock::now() - load_start)
+                       .count();
   if (!load.ok()) {
     std::fprintf(stderr, "load failed: %s\n",
                  load.status().ToString().c_str());
     return 1;
   }
   std::printf("%zu triples loaded into %s (%.1f ms, %llu stored records)\n",
-              store.size(), engine->traits().name.c_str(), load->wall_ms,
+              store.size(), engine->traits().name.c_str(), load_ms,
               static_cast<unsigned long long>(load->stored_records));
   std::printf(
       "enter a SPARQL query, blank line to run; .explain/.lint/.lineage/"
@@ -187,125 +308,10 @@ int main(int argc, char** argv) {
       std::printf(
           "haqwa sparqlgx s2rdf hybrid s2x graphxsm sparkql graphframes "
           "sparkrdf\n");
-    } else if (trimmed == ".explain") {
-      if (TrimWhitespace(pending).empty()) {
-        std::printf(
-            "usage: type a query first (don't run it), then .explain\n");
-      } else {
-        auto explained = engine->ExplainText(pending);
-        if (explained.ok()) {
-          std::printf("%s", explained->c_str());
-        } else {
-          std::printf("error: %s\n", explained.status().ToString().c_str());
-        }
-      }
-    } else if (trimmed == ".lint" || trimmed.rfind(".lint ", 0) == 0) {
-      if (TrimWhitespace(pending).empty()) {
-        std::printf("usage: type a query first (don't run it), then .lint\n");
-      } else {
-        // `.lint` runs every tier; `.lint A,B,D` (or `.lint bd`) a subset.
-        std::string arg = trimmed.size() > 5
-                              ? std::string(TrimWhitespace(trimmed.substr(5)))
-                              : std::string();
-        bool tier[4] = {arg.empty(), arg.empty(), arg.empty(), arg.empty()};
-        bool arg_ok = true;
-        for (char c : arg) {
-          char u = (c >= 'a' && c <= 'z') ? static_cast<char>(c - 'a' + 'A')
-                                          : c;
-          if (u == ',' || u == ' ') continue;
-          if (u >= 'A' && u <= 'D') {
-            tier[u - 'A'] = true;
-          } else {
-            arg_ok = false;
-            break;
-          }
-        }
-        auto* bgp_engine =
-            dynamic_cast<systems::BgpEngineBase*>(engine.get());
-        if (!arg_ok) {
-          std::printf("usage: .lint [tiers], e.g. `.lint A,B,D`; tiers are "
-                      "A (query), B (plan), C (races), D (resources)\n");
-        } else if (bgp_engine == nullptr) {
-          std::printf("error: engine does not expose the tiered lint\n");
-        } else {
-          std::vector<systems::plan::Diagnostic> diags;
-          std::string envelope;
-          bool failed = false;
-          if (tier[0]) {
-            auto analyzed = bgp_engine->AnalyzeQueryText(pending);
-            if (analyzed.ok()) {
-              for (auto& d : *analyzed) diags.push_back(std::move(d));
-            } else {
-              std::printf("tier A error: %s\n",
-                          analyzed.status().ToString().c_str());
-              failed = true;
-            }
-          }
-          if (tier[1]) {
-            auto linted = bgp_engine->LintQuery(pending);
-            if (linted.ok()) {
-              for (auto& d : *linted) diags.push_back(std::move(d));
-            } else {
-              std::printf("tier B error: %s\n",
-                          linted.status().ToString().c_str());
-              failed = true;
-            }
-          }
-          if (tier[3]) {
-            auto analysis = bgp_engine->ResourceEnvelope(pending);
-            if (analysis.ok()) {
-              for (auto& d : analysis->findings) diags.push_back(std::move(d));
-              envelope = systems::plan::RenderEnvelope(*analysis);
-            } else {
-              std::printf("tier D error: %s\n",
-                          analysis.status().ToString().c_str());
-              failed = true;
-            }
-          }
-          if (!failed && (tier[0] || tier[1] || tier[3])) {
-            std::printf("%s%s",
-                        systems::plan::RenderDiagnostics(std::move(diags))
-                            .c_str(),
-                        envelope.c_str());
-          }
-          if (!failed && tier[2]) {
-            auto raced = bgp_engine->RaceCheckText(pending);
-            if (raced.ok()) {
-              std::printf("tier C (happens-before):\n%s", raced->c_str());
-            } else {
-              std::printf("tier C error: %s\n",
-                          raced.status().ToString().c_str());
-            }
-          }
-        }
-      }
-    } else if (trimmed == ".lineage") {
-      if (TrimWhitespace(pending).empty()) {
-        std::printf(
-            "usage: type a query first (don't run it), then .lineage\n");
-      } else if (auto* bgp_engine =
-                     dynamic_cast<systems::BgpEngineBase*>(engine.get())) {
-        auto lineage = bgp_engine->LineageText(pending);
-        if (lineage.ok()) {
-          std::printf("%s", lineage->c_str());
-        } else {
-          std::printf("error: %s\n", lineage.status().ToString().c_str());
-        }
-      } else {
-        std::printf("error: engine does not expose RDD lineage\n");
-      }
-    } else if (trimmed == ".analyze") {
-      if (TrimWhitespace(pending).empty()) {
-        std::printf(
-            "usage: type a query first (don't run it), then .analyze\n");
-      } else {
-        auto analyzed = engine->ExplainAnalyzeText(pending);
-        if (analyzed.ok()) {
-          std::printf("%s", analyzed->c_str());
-        } else {
-          std::printf("error: %s\n", analyzed.status().ToString().c_str());
-        }
-      }
+    } else if (trimmed == ".explain" || trimmed == ".lineage" ||
+               trimmed == ".analyze" || trimmed == ".lint" ||
+               trimmed.rfind(".lint ", 0) == 0) {
+      Inspect(engine.get(), trimmed, pending);
     } else if (trimmed == ".profile") {
       if (sc.tracer().event_count() == 0) {
         std::printf("no spans recorded; `.trace on` then run a query\n");

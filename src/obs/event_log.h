@@ -16,8 +16,8 @@ enum class EventKind : uint8_t {
   kRequestStart,
   kRequestFinish,
   kAdmissionReject,   ///< Tier A query-analysis gate (or parse failure).
-  kRaceGateReject,    ///< Tier C happens-before gate (RDFSPARK_CHECK_RACES).
-  kBudgetReject,      ///< Tier D envelope gate (RDFSPARK_MEMORY_BUDGET).
+  kRaceGateReject,    ///< Tier C happens-before gate (check_races).
+  kBudgetReject,      ///< Tier D envelope gate (memory_budget_bytes).
   kCacheFill,
   kCacheHit,
   kCacheEvict,

@@ -53,7 +53,7 @@ struct RequestRecord {
     kOk,
     kRejected,        ///< Tier A admission / parse failure.
     kRaceRejected,    ///< Tier C race gate.
-    kBudgetRejected,  ///< Tier D envelope gate (RDFSPARK_MEMORY_BUDGET).
+    kBudgetRejected,  ///< Tier D envelope gate (memory_budget_bytes).
     kFailed,
   };
   Outcome outcome = Outcome::kOk;

@@ -1,6 +1,6 @@
 #include "serving/query_server.h"
 
-#include <cstdlib>
+#include <optional>
 #include <utility>
 
 #include "obs/prometheus.h"
@@ -16,19 +16,6 @@ namespace rdfspark::serving {
 
 namespace {
 
-bool EnvFlag(const char* name) {
-  // Read at Options construction, on the owner's thread before any worker
-  // starts; the process never calls setenv, so the read cannot race.
-  const char* env = std::getenv(name);  // NOLINT(concurrency-mt-unsafe)
-  return env != nullptr && env[0] != '\0';
-}
-
-uint64_t EnvBytes(const char* name) {
-  const char* env = std::getenv(name);  // NOLINT(concurrency-mt-unsafe)
-  if (env == nullptr || env[0] == '\0') return 0;
-  return std::strtoull(env, nullptr, 10);
-}
-
 double ElapsedMs(std::chrono::steady_clock::time_point since) {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now() - since)
@@ -36,12 +23,6 @@ double ElapsedMs(std::chrono::steady_clock::time_point since) {
 }
 
 }  // namespace
-
-QueryServer::Options::Options()
-    : memory_budget_bytes(EnvBytes("RDFSPARK_MEMORY_BUDGET")),
-      verify_queries(EnvFlag("RDFSPARK_VERIFY_QUERIES")),
-      verify_plans(EnvFlag("RDFSPARK_VERIFY_PLANS")),
-      check_races(EnvFlag("RDFSPARK_CHECK_RACES")) {}
 
 const RequestResult& QueryServer::Ticket::Wait() {
   std::unique_lock<std::mutex> lock(mu_);
@@ -76,14 +57,9 @@ QueryServer::QueryServer(spark::SparkContext* sc, Options options)
       if (!wanted) continue;
     }
     auto engine = factory.make(sc_);
-    // The server runs the admission gate itself (once per request, before
-    // the cache lookup), so the engines' internal per-Execute gate would
-    // only duplicate the analysis.
-    engine->set_debug_check_queries(false);
+    // The engines' own query and race gates stay off: the server runs the
+    // admission analysis once per request and owns the recorder window.
     engine->set_debug_check_plans(options_.verify_plans);
-    // Same takeover for Tier C: the server owns the recorder window; an
-    // engine-level gate would reset it under concurrent requests.
-    engine->set_debug_check_races(false);
     engines_.emplace(factory.name, std::move(engine));
   }
   workers_.reserve(static_cast<size_t>(options_.worker_threads));
@@ -362,106 +338,71 @@ RequestResult QueryServer::Process(const Request& request,
     spark::OpScopeGuard scope(op);
     uint64_t epoch = dataset_epoch();
     rec->epoch = epoch;
+    // Obtain the plan: a cache hit, or PlanQuery -> envelope -> Put. Shapes
+    // outside the cacheable fragment (group patterns, aggregates) and
+    // single-use-plan engines (S2X) get no plan and bypass the cache.
     std::shared_ptr<const systems::plan::PlanNode> plan;
-    bool cacheable = engine->ReusablePlans();
-    std::string normalized;
-    if (cacheable) {
-      normalized = sparql::ToSparql(query);
+    std::optional<systems::plan::ResourceAnalysis> envelope;
+    if (engine->ReusablePlans()) {
+      std::string normalized = sparql::ToSparql(query);
       plan = cache_.Get(request.variant, normalized, epoch);
       rec->cache_key = request.variant + "\n" + normalized;
-    }
-    // Tier D budget gate over an obtained plan (cache hit or fresh): pure
-    // static analysis, so rejection happens before a single operator runs
-    // and is deterministic — the same plan against the same budget always
-    // decides the same way, regardless of worker count or cache state.
-    // Also records the envelope for the telemetry calibration pair even
-    // when no budget is set.
-    auto budget_check =
-        [&](const systems::plan::ResourceAnalysis& analysis) -> Status {
-      result.envelope_bytes = analysis.bounded ? analysis.peak_bytes : 0;
-      rec->envelope_bytes = result.envelope_bytes;
-      if (options_.memory_budget_bytes != 0 && analysis.bounded &&
-          analysis.peak_bytes > options_.memory_budget_bytes) {
-        return Status::InvalidArgument(
-            "budget gate: static peak envelope of " +
-            std::to_string(analysis.peak_bytes) +
-            "B exceeds RDFSPARK_MEMORY_BUDGET of " +
-            std::to_string(options_.memory_budget_bytes) + "B");
+      result.cache_hit = plan != nullptr;
+      if (plan == nullptr) {
+        auto planned = engine->PlanQuery(query);
+        if (planned.ok()) {
+          plan = std::move(planned).value();
+          // Insert before the gate: the plan itself is valid (another
+          // tenant with a different budget could execute it), and its
+          // envelope is exactly the byte charge the cache evicts by.
+          envelope = engine->AnalyzePlanResources(query, *plan);
+          cache_.Put(request.variant, normalized, epoch, plan,
+                     envelope->bounded ? envelope->peak_bytes : 0);
+        } else if (planned.status().code() != StatusCode::kUnsupported) {
+          // Planning itself failed (including plan-verifier rejections).
+          result.status = planned.status();
+          return result;
+        }
       }
-      return Status::OK();
-    };
+    }
+    // Execute it. A planned request first passes the Tier D budget gate:
+    // pure static analysis, so rejection happens before a single operator
+    // runs and is deterministic — the same plan against the same budget
+    // always decides the same way, regardless of worker count or cache
+    // state. The envelope also feeds the telemetry calibration pair, so a
+    // cache hit analyzes it whenever the gate or telemetry is on.
     if (plan != nullptr) {
-      result.cache_hit = true;
-      if (options_.memory_budget_bytes != 0 || telemetry_ != nullptr) {
-        Status admitted =
-            budget_check(engine->AnalyzePlanResources(query, *plan));
-        if (!admitted.ok()) {
-          result.status = admitted;
+      if (!envelope &&
+          (options_.memory_budget_bytes != 0 || telemetry_ != nullptr)) {
+        envelope = engine->AnalyzePlanResources(query, *plan);
+      }
+      if (envelope) {
+        result.envelope_bytes = envelope->bounded ? envelope->peak_bytes : 0;
+        rec->envelope_bytes = result.envelope_bytes;
+        if (options_.memory_budget_bytes != 0 && envelope->bounded &&
+            envelope->peak_bytes > options_.memory_budget_bytes) {
+          result.status = Status::InvalidArgument(
+              "budget gate: static peak envelope of " +
+              std::to_string(envelope->peak_bytes) +
+              "B exceeds the memory budget of " +
+              std::to_string(options_.memory_budget_bytes) + "B");
           result.rejected = true;
           result.budget_rejected = true;
           return result;
         }
       }
       executed_root = plan;
-      auto executed = engine->ExecutePlanned(query, *plan);
-      if (!executed.ok()) {
-        result.status = executed.status();
-        return result;
-      }
-      table = std::move(executed).value();
-    } else if (cacheable) {
-      auto planned = engine->PlanQuery(query);
-      if (planned.ok()) {
-        std::shared_ptr<const systems::plan::PlanNode> fresh(
-            std::move(planned).value());
-        // Insert before the gate: the plan itself is valid (another
-        // tenant with a different budget could execute it), and its
-        // envelope is exactly the byte charge the cache evicts by.
-        systems::plan::ResourceAnalysis envelope =
-            engine->AnalyzePlanResources(query, *fresh);
-        cache_.Put(request.variant, normalized, epoch, fresh,
-                   envelope.bounded ? envelope.peak_bytes : 0);
-        Status admitted = budget_check(envelope);
-        if (!admitted.ok()) {
-          result.status = admitted;
-          result.rejected = true;
-          result.budget_rejected = true;
-          return result;
-        }
-        executed_root = fresh;
-        auto executed = engine->ExecutePlanned(query, *fresh);
-        if (!executed.ok()) {
-          result.status = executed.status();
-          return result;
-        }
-        table = std::move(executed).value();
-      } else if (planned.status().code() == StatusCode::kUnsupported) {
-        // Outside the cacheable fragment (group patterns, aggregates):
-        // the ordinary Execute path handles it.
-        result.cache_bypass = true;
-        cache_.RecordBypass();
-        auto executed = engine->Execute(query);
-        if (!executed.ok()) {
-          result.status = executed.status();
-          return result;
-        }
-        table = std::move(executed).value();
-      } else {
-        // Planning itself failed (including plan-verifier rejections).
-        result.status = planned.status();
-        return result;
-      }
     } else {
-      // Single-use-plan engine (S2X): never cache, execute directly.
       result.cache_bypass = true;
       cache_.RecordBypass();
-      auto executed = engine->Execute(query);
-      if (!executed.ok()) {
-        result.status = executed.status();
-        return result;
-      }
-      table = std::move(executed).value();
     }
+    auto executed = plan != nullptr ? engine->ExecutePlanned(query, *plan)
+                                    : engine->Execute(query);
+    if (!executed.ok()) {
+      result.status = executed.status();
+      return result;
+    }
+    table = std::move(executed).value();
   }
 
   result.table = std::move(table);
@@ -622,8 +563,6 @@ void QueryServer::Finish(const Request& request, RequestResult result,
       }
       if (result.cache_hit) ++stats.cache_hits;
       if (result.cache_bypass) ++stats.cache_bypasses;
-      stats.latency_ns.Record(
-          static_cast<uint64_t>(result.latency_ms * 1e6));
     }
   }
   // Telemetry: outcome classification mirrors the ledger above exactly.

@@ -20,7 +20,6 @@
 #include "serving/plan_cache.h"
 #include "spark/context.h"
 #include "spark/hb.h"
-#include "spark/metrics.h"
 #include "sparql/binding.h"
 #include "systems/engine.h"
 #include "systems/plan/diagnostics.h"
@@ -40,8 +39,8 @@ struct RequestResult {
                                ///< appeared while it executed.
   bool budget_rejected = false;  ///< Rejected by the Tier D envelope gate:
                                  ///< the plan's static peak envelope
-                                 ///< exceeded RDFSPARK_MEMORY_BUDGET, so it
-                                 ///< was never executed.
+                                 ///< exceeded Options::memory_budget_bytes,
+                                 ///< so it was never executed.
   /// Static peak envelope of the plan the request executed (or would have
   /// executed); 0 when no Tier D analysis ran or the envelope is unbounded.
   uint64_t envelope_bytes = 0;
@@ -77,7 +76,6 @@ struct TenantStats {
   uint64_t tasks = 0;
   uint64_t shuffle_records = 0;
   uint64_t join_comparisons = 0;
-  spark::Histogram latency_ns;  ///< Wall-clock request latency.
 };
 
 /// Concurrent multi-tenant SPARQL front end over the reproduced engines.
@@ -93,9 +91,9 @@ struct TenantStats {
 /// Request path: parse → admission (Tier A query analysis, ERROR findings
 /// reject before anything is planned) → plan-cache lookup keyed by
 /// (variant, normalized query, dataset epoch) → Tier D budget gate (the
-/// plan's static peak envelope against RDFSPARK_MEMORY_BUDGET, when set —
-/// an over-envelope query is rejected before a single operator runs) →
-/// execute. Cacheable plans are verified once at insert (when verify_plans
+/// plan's static peak envelope against Options::memory_budget_bytes, when
+/// set — an over-envelope query is rejected before a single operator runs)
+/// → execute. Cacheable plans are verified once at insert (when verify_plans
 /// is on), charged their envelope against the cache's byte budget, and
 /// shared by concurrent executions; non-cacheable shapes and
 /// single-use-plan engines (S2X) fall through to the engine's ordinary
@@ -112,6 +110,7 @@ struct TenantStats {
 /// shared global Metrics depend on concurrency.
 class QueryServer {
  public:
+  /// Every gate defaults to off; callers turn them on explicitly.
   struct Options {
     /// Engine variant names to serve (see AllEngineVariantFactories());
     /// empty = all twelve.
@@ -125,30 +124,27 @@ class QueryServer {
     /// 0 = entries-only eviction (the capacity backstop still applies).
     uint64_t plan_cache_byte_budget = 0;
     /// Tier D admission gate: reject a request before execution when its
-    /// plan's static peak envelope (bounded) exceeds this many bytes.
-    /// Defaults to the RDFSPARK_MEMORY_BUDGET environment variable
-    /// (decimal bytes); 0 = gate off. Unbounded envelopes are admitted —
-    /// the static tier already flags them as RS003, and rejecting on "no
-    /// information" would block every engine without scan annotations.
+    /// plan's static peak envelope (bounded) exceeds this many bytes;
+    /// 0 = gate off. Unbounded envelopes are admitted — the static tier
+    /// already flags them as RS003, and rejecting on "no information"
+    /// would block every engine without scan annotations.
     /// Only planned executions are gated: the bypass path (non-cacheable
     /// shapes, single-use-plan engines) has no plan to analyze.
-    uint64_t memory_budget_bytes;
+    uint64_t memory_budget_bytes = 0;
     /// Admission gate: run Tier A query analysis per request and reject on
-    /// ERROR findings. Defaults to the RDFSPARK_VERIFY_QUERIES environment
-    /// variable (set and non-empty), like the engines' own gate — which
-    /// the server takes over, so analysis runs once per request, not twice.
-    bool verify_queries;
+    /// ERROR findings. The engines' own query gate stays off, so analysis
+    /// runs once per request, not twice.
+    bool verify_queries = false;
     /// Verify cacheable plans before first execution (and every uncached
-    /// execution, via the engines' gate). Defaults to RDFSPARK_VERIFY_PLANS.
-    bool verify_plans;
+    /// execution, via the engines' gate).
+    bool verify_plans = false;
     /// Tier C gate: when on, the server owns one happens-before recorder
     /// window for its whole lifetime. Each request executes as a fresh
     /// logical root, so two requests are ordered only by the
     /// synchronization the code declares (locks, publication barriers) —
-    /// exactly what race_findings() then verifies. Defaults to the
-    /// RDFSPARK_CHECK_RACES environment variable (set and non-empty);
-    /// the engines' own per-Execute gate is taken over like verify_queries.
-    bool check_races;
+    /// exactly what race_findings() then verifies. The engines' own
+    /// per-Execute race gate stays off, like their query gate.
+    bool check_races = false;
 
     /// Live telemetry pipeline (windowed series, event log, slow-query
     /// audit; see obs/telemetry.h). On by default — the sink is cheap
@@ -156,8 +152,6 @@ class QueryServer {
     /// derived from the deterministic virtual timeline.
     bool telemetry = true;
     obs::TelemetryOptions telemetry_options;
-
-    Options();
   };
 
   /// Ticket for an in-flight request; Wait() blocks until it completes.
@@ -173,7 +167,7 @@ class QueryServer {
     RequestResult result_;
   };
 
-  QueryServer(spark::SparkContext* sc, Options options = Options());
+  QueryServer(spark::SparkContext* sc, Options options);
   ~QueryServer();
 
   QueryServer(const QueryServer&) = delete;

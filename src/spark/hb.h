@@ -376,10 +376,11 @@ class TrackedLock {
   bool tracked_ = false;
 };
 
-/// RDFSPARK_CHECK_RACES gate (mirrors RDFSPARK_VERIFY_QUERIES): the
-/// outermost active check owns the recorder window; nested/concurrent
-/// checks (a serving request while the server owns the window) defer to
-/// the owner instead of resetting shared state under it.
+/// Tier C gate (QueryServer::Options::check_races, the engines'
+/// set_debug_check_races): the outermost active check owns the recorder
+/// window; nested/concurrent checks (a serving request while the server
+/// owns the window) defer to the owner instead of resetting shared state
+/// under it.
 class ScopedRaceCheck {
  public:
   explicit ScopedRaceCheck(bool active) {

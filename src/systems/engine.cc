@@ -1,12 +1,15 @@
 #include "systems/engine.h"
 
 #include <algorithm>
-#include <cstdlib>
+#include <any>
 #include <limits>
+#include <optional>
 
 #include "spark/hb.h"
+#include "spark/sql/dataframe.h"
 #include "sparql/eval.h"
 #include "sparql/parser.h"
+#include "systems/batch.h"
 #include "systems/plan/analyze.h"
 #include "systems/graphframes_engine.h"
 #include "systems/graphx_sm.h"
@@ -108,36 +111,10 @@ uint64_t StarScanBound(const rdf::Dictionary& dict,
   return best;
 }
 
-Result<sparql::BindingTable> RdfQueryEngine::ExecuteText(
+Result<sparql::BindingTable> BgpEngineBase::ExecuteText(
     std::string_view text) {
   RDFSPARK_ASSIGN_OR_RETURN(sparql::Query query, sparql::ParseQuery(text));
   return Execute(query);
-}
-
-Result<std::string> RdfQueryEngine::ExplainText(std::string_view) {
-  return Status::Unsupported(traits().name + ": EXPLAIN not supported");
-}
-
-Result<std::string> RdfQueryEngine::LintText(std::string_view) {
-  return Status::Unsupported(traits().name + ": LINT not supported");
-}
-
-Result<std::string> RdfQueryEngine::ExplainAnalyzeText(std::string_view) {
-  return Status::Unsupported(traits().name +
-                             ": EXPLAIN ANALYZE not supported");
-}
-
-BgpEngineBase::BgpEngineBase(spark::SparkContext* sc) : RdfQueryEngine(sc) {
-  // Engines are constructed on the driver before any pooled task can run,
-  // and nothing in this process calls setenv, so these reads cannot race.
-  // NOLINTBEGIN(concurrency-mt-unsafe)
-  const char* env = std::getenv("RDFSPARK_VERIFY_PLANS");
-  debug_check_plans_ = env != nullptr && env[0] != '\0';
-  const char* qenv = std::getenv("RDFSPARK_VERIFY_QUERIES");
-  debug_check_queries_ = qenv != nullptr && qenv[0] != '\0';
-  const char* renv = std::getenv("RDFSPARK_CHECK_RACES");
-  debug_check_races_ = renv != nullptr && renv[0] != '\0';
-  // NOLINTEND(concurrency-mt-unsafe)
 }
 
 sparql::QueryAnalysisOptions BgpEngineBase::AnalysisOptions() const {
@@ -146,100 +123,27 @@ sparql::QueryAnalysisOptions BgpEngineBase::AnalysisOptions() const {
   return options;
 }
 
-Result<std::vector<plan::Diagnostic>> BgpEngineBase::AnalyzeQueryText(
-    std::string_view text) {
-  RDFSPARK_ASSIGN_OR_RETURN(sparql::Query query, sparql::ParseQuery(text));
-  return sparql::AnalyzeQuery(query, AnalysisOptions());
-}
-
-Result<spark::LineageGraph> BgpEngineBase::CaptureLineage(
-    std::string_view text) {
-  RDFSPARK_ASSIGN_OR_RETURN(sparql::Query query, sparql::ParseQuery(text));
-  RDFSPARK_ASSIGN_OR_RETURN(plan::PlanPtr root, PlanBgp(query.where.bgp));
-  plan::PlanExecutor executor(sc_, /*collect_actuals=*/true);
-  RDFSPARK_ASSIGN_OR_RETURN(sparql::BindingTable table, executor.Run(*root));
-  (void)table;  // The lineage snapshot is the output.
-  std::vector<const spark::RddNodeBase*> roots;
-  roots.reserve(executor.lineage_roots().size());
-  for (const auto& node : executor.lineage_roots()) {
-    roots.push_back(node.get());
-  }
-  return spark::LineageGraph::Capture(roots);
-}
-
-Result<std::string> BgpEngineBase::LineageText(std::string_view text) {
-  RDFSPARK_ASSIGN_OR_RETURN(spark::LineageGraph graph, CaptureLineage(text));
-  if (graph.nodes().empty()) {
-    return std::string(
-        "no RDD-backed lineage (engine executes through another "
-        "abstraction)\n");
-  }
-  return plan::RenderDiagnostics(graph.Analyze()) + graph.ToDot();
-}
-
-Result<std::string> BgpEngineBase::ExplainText(std::string_view text) {
-  RDFSPARK_ASSIGN_OR_RETURN(sparql::Query query, sparql::ParseQuery(text));
-  // EXPLAIN covers the top-level basic graph pattern (the distributed part
-  // of the query; FILTER/OPTIONAL/UNION and modifiers run driver-side).
-  RDFSPARK_ASSIGN_OR_RETURN(plan::PlanPtr root, PlanBgp(query.where.bgp));
-  return plan::Explain(*root);
-}
-
-Result<std::vector<plan::Diagnostic>> BgpEngineBase::LintQuery(
-    std::string_view text) {
-  RDFSPARK_ASSIGN_OR_RETURN(sparql::Query query, sparql::ParseQuery(text));
-  RDFSPARK_ASSIGN_OR_RETURN(plan::PlanPtr root, PlanBgp(query.where.bgp));
-  return plan::VerifyPlan(*root, VerifyProfile());
-}
-
-Result<std::string> BgpEngineBase::LintText(std::string_view text) {
-  // The static lint tiers over the same text: query analysis (QA rules),
-  // the plan verifier (SC/CP/BC/ST/VP rules), then the resource analyzer
-  // (RS rules); one severity-sorted rendering followed by the envelope.
-  RDFSPARK_ASSIGN_OR_RETURN(std::vector<plan::Diagnostic> diags,
-                            AnalyzeQueryText(text));
-  RDFSPARK_ASSIGN_OR_RETURN(std::vector<plan::Diagnostic> plan_diags,
-                            LintQuery(text));
-  for (auto& d : plan_diags) diags.push_back(std::move(d));
-  RDFSPARK_ASSIGN_OR_RETURN(plan::ResourceAnalysis analysis,
-                            ResourceEnvelope(text));
-  for (auto& d : analysis.findings) diags.push_back(std::move(d));
-  return plan::RenderDiagnostics(std::move(diags)) +
-         plan::RenderEnvelope(analysis);
-}
-
-Result<plan::ResourceAnalysis> BgpEngineBase::ResourceEnvelope(
-    std::string_view text) {
-  RDFSPARK_ASSIGN_OR_RETURN(sparql::Query query, sparql::ParseQuery(text));
-  RDFSPARK_ASSIGN_OR_RETURN(plan::PlanPtr root, PlanBgp(query.where.bgp));
-  return AnalyzePlanResources(query, *root);
-}
-
-plan::ResourceAnalysis BgpEngineBase::AnalyzePlanResources(
-    const sparql::Query& query, const plan::PlanNode& root,
-    uint64_t cluster_budget_bytes) const {
-  plan::ResourceProfile profile =
-      plan::ResourceProfile::FromCluster(sc_->config(), VerifyProfile());
-  profile.sort_at_root = query.distinct || !query.order_by.empty();
-  if (cluster_budget_bytes != 0) {
-    profile.cluster_budget_bytes = cluster_budget_bytes;
-  }
-  return plan::AnalyzeResources(root, profile);
-}
-
-Result<std::string> BgpEngineBase::RaceCheckText(std::string_view text) {
-  spark::hb::ScopedRaceCheck window(/*active=*/true);
-  Result<sparql::BindingTable> executed = ExecuteText(text);
-  std::vector<plan::Diagnostic> findings =
-      window.owner() ? window.Finish()
-                     : spark::hb::Recorder::Get().Analyze();
-  if (!executed.ok()) return executed.status();
-  return plan::RenderDiagnostics(std::move(findings));
-}
-
 std::vector<plan::Diagnostic> BgpEngineBase::AnalyzeParsedQuery(
     const sparql::Query& query) const {
   return sparql::AnalyzeQuery(query, AnalysisOptions());
+}
+
+plan::ResourceAnalysis BgpEngineBase::AnalyzePlanResources(
+    const sparql::Query& query, const plan::PlanNode& root) const {
+  plan::ResourceProfile profile =
+      plan::ResourceProfile::FromCluster(sc_->config(), VerifyProfile());
+  profile.sort_at_root = query.distinct || !query.order_by.empty();
+  return plan::AnalyzeResources(root, profile);
+}
+
+Result<plan::PlanPtr> BgpEngineBase::PlanVerified(
+    const std::vector<sparql::TriplePattern>& bgp) {
+  RDFSPARK_ASSIGN_OR_RETURN(plan::PlanPtr root, PlanBgp(bgp));
+  if (debug_check_plans_) {
+    Status verified = plan::VerifyForExecution(*root, VerifyProfile());
+    if (!verified.ok()) return verified;
+  }
+  return root;
 }
 
 Result<plan::PlanPtr> BgpEngineBase::PlanQuery(const sparql::Query& query) {
@@ -253,45 +157,74 @@ Result<plan::PlanPtr> BgpEngineBase::PlanQuery(const sparql::Query& query) {
         "group patterns and aggregates evaluate recursively; no single "
         "cacheable plan");
   }
-  RDFSPARK_ASSIGN_OR_RETURN(plan::PlanPtr root, PlanBgp(query.where.bgp));
-  if (debug_check_plans_) {
-    Status verified = plan::VerifyForExecution(*root, VerifyProfile());
-    if (!verified.ok()) return verified;
-  }
-  return root;
+  return PlanVerified(query.where.bgp);
 }
 
 Result<sparql::BindingTable> BgpEngineBase::ExecutePlanned(
     const sparql::Query& query, const plan::PlanNode& root) {
   RDFSPARK_ASSIGN_OR_RETURN(sparql::BindingTable table,
                             plan::PlanExecutor(sc_).Run(root));
-  if (query.form == sparql::QueryForm::kAsk) {
-    sparql::BindingTable out;
-    if (table.num_rows() > 0) out.AddRow({});
-    return out;
-  }
-  return ApplyModifiers(query, std::move(table), dictionary());
+  return FinishQuery(query, std::move(table));
 }
 
-Result<plan::PlanPtr> BgpEngineBase::ExecuteAnalyzed(std::string_view text) {
-  RDFSPARK_ASSIGN_OR_RETURN(sparql::Query query, sparql::ParseQuery(text));
-  return ExecuteAnalyzed(query);
-}
+namespace {
+
+// Row counters and lineage probes for the payload representations shared by
+// several engines, registered beside ExecuteAnalyzed — the run that counts
+// them — so every binary that can produce actuals links them. Engines with
+// TU-local payload types register their own (see plan/analyze.h). Batch
+// payloads: one IdTable (or keyed batch / per-vertex table) per partition
+// element; rows out is the sum of batch sizes.
+const plan::BatchPayloadRowCounterRegistration<
+    sparql::IdTable, uint64_t (*)(const sparql::IdTable&)>
+    kBatchRdd(+[](const sparql::IdTable& b) -> uint64_t { return b.size(); });
+const plan::BatchPayloadRowCounterRegistration<
+    KeyedBatch, uint64_t (*)(const KeyedBatch&)>
+    kKeyedBatchRdd(
+        +[](const KeyedBatch& b) -> uint64_t { return b.rows.size(); });
+const plan::BatchPayloadRowCounterRegistration<
+    std::pair<int64_t, sparql::IdTable>,
+    uint64_t (*)(const std::pair<int64_t, sparql::IdTable>&)>
+    kVertexBatchRdd(+[](const std::pair<int64_t, sparql::IdTable>& kv)
+                        -> uint64_t { return kv.second.size(); });
+
+struct DriverPayloadRegistration {
+  DriverPayloadRegistration() {
+    // Driver-side flat tables (SparkRDF's collected intermediates).
+    plan::RegisterPayloadRowCounter(
+        [](const plan::PlanPayload& payload) -> std::optional<uint64_t> {
+          const auto* rows = std::any_cast<sparql::IdTable>(&payload);
+          if (rows == nullptr) return std::nullopt;
+          return rows->size();
+        });
+    // DataFrames are eager; NumRows just sums batch sizes.
+    plan::RegisterPayloadRowCounter(
+        [](const plan::PlanPayload& payload) -> std::optional<uint64_t> {
+          const auto* df = std::any_cast<spark::sql::DataFrame>(&payload);
+          if (df == nullptr || !df->valid()) return std::nullopt;
+          return df->NumRows();
+        });
+  }
+};
+const DriverPayloadRegistration kDriverPayloads;
+
+}  // namespace
 
 Result<plan::PlanPtr> BgpEngineBase::ExecuteAnalyzed(
-    const sparql::Query& query) {
-  // Like EXPLAIN, the analyzed run covers the top-level basic graph
-  // pattern — the distributed part whose actuals are worth attributing.
+    const sparql::Query& query, spark::LineageGraph* lineage) {
   RDFSPARK_ASSIGN_OR_RETURN(plan::PlanPtr root, PlanBgp(query.where.bgp));
   plan::PlanExecutor executor(sc_, /*collect_actuals=*/true);
   RDFSPARK_ASSIGN_OR_RETURN(sparql::BindingTable table, executor.Run(*root));
   (void)table;  // Results are discarded; the annotated plan is the output.
+  if (lineage != nullptr) {
+    std::vector<const spark::RddNodeBase*> roots;
+    roots.reserve(executor.lineage_roots().size());
+    for (const auto& node : executor.lineage_roots()) {
+      roots.push_back(node.get());
+    }
+    *lineage = spark::LineageGraph::Capture(roots);
+  }
   return root;
-}
-
-Result<std::string> BgpEngineBase::ExplainAnalyzeText(std::string_view text) {
-  RDFSPARK_ASSIGN_OR_RETURN(plan::PlanPtr root, ExecuteAnalyzed(text));
-  return plan::ExplainAnalyze(*root);
 }
 
 plan::EngineProfile BgpEngineBase::VerifyProfile() const {
@@ -302,11 +235,7 @@ plan::EngineProfile BgpEngineBase::VerifyProfile() const {
 
 Result<sparql::BindingTable> BgpEngineBase::EvaluateBgp(
     const std::vector<sparql::TriplePattern>& bgp) {
-  RDFSPARK_ASSIGN_OR_RETURN(plan::PlanPtr root, PlanBgp(bgp));
-  if (debug_check_plans_) {
-    Status verified = plan::VerifyForExecution(*root, VerifyProfile());
-    if (!verified.ok()) return verified;
-  }
+  RDFSPARK_ASSIGN_OR_RETURN(plan::PlanPtr root, PlanVerified(bgp));
   return plan::PlanExecutor(sc_).Run(*root);
 }
 
@@ -334,6 +263,18 @@ Result<sparql::BindingTable> BgpEngineBase::EvaluateGroup(
   return table;
 }
 
+Result<sparql::BindingTable> BgpEngineBase::FinishQuery(
+    const sparql::Query& query, sparql::BindingTable table) const {
+  if (query.form == sparql::QueryForm::kAsk) {
+    sparql::BindingTable out;
+    if (table.num_rows() > 0) out.AddRow({});
+    return out;
+  }
+  // Solution modifiers run "with the Spark API" driver-side, as the
+  // surveyed systems implement them.
+  return ApplyModifiers(query, std::move(table), dictionary());
+}
+
 Result<sparql::BindingTable> BgpEngineBase::Execute(
     const sparql::Query& query) {
   if (query.form == sparql::QueryForm::kConstruct ||
@@ -351,16 +292,15 @@ Result<sparql::BindingTable> BgpEngineBase::Execute(
   }
   if (debug_check_queries_) {
     std::vector<plan::Diagnostic> errors =
-        plan::ErrorsOnly(sparql::AnalyzeQuery(query, AnalysisOptions()));
+        plan::ErrorsOnly(AnalyzeParsedQuery(query));
     if (!errors.empty()) {
       return Status::InvalidArgument("query analysis failed:\n" +
                                      plan::FormatDiagnostics(errors));
     }
   }
-  // Tier C gate (RDFSPARK_CHECK_RACES): record every shared-object access
-  // this execution makes and fail on unordered conflicting pairs. When an
-  // outer window is active (serving layer, lint tool), owner() is false
-  // and the gate defers to it — mirroring the verify_queries takeover.
+  // Tier C gate: record every shared-object access this execution makes
+  // and fail on unordered conflicting pairs. When an outer window is active
+  // (serving layer, lint tool), owner() is false and the gate defers to it.
   spark::hb::ScopedRaceCheck race_check(debug_check_races_);
   RDFSPARK_ASSIGN_OR_RETURN(sparql::BindingTable table,
                             EvaluateGroup(query.where));
@@ -371,18 +311,11 @@ Result<sparql::BindingTable> BgpEngineBase::Execute(
                                      plan::FormatDiagnostics(findings));
     }
   }
-  if (query.form == sparql::QueryForm::kAsk) {
-    sparql::BindingTable out;
-    if (table.num_rows() > 0) out.AddRow({});
-    return out;
-  }
-  // Solution modifiers run "with the Spark API" driver-side, as the
-  // surveyed systems implement them.
-  return ApplyModifiers(query, std::move(table), dictionary());
+  return FinishQuery(query, std::move(table));
 }
 
 Result<std::vector<rdf::Triple>> ExecuteConstruct(
-    RdfQueryEngine* engine, const rdf::TripleStore& store,
+    BgpEngineBase* engine, const rdf::TripleStore& store,
     const sparql::Query& query) {
   if (query.form != sparql::QueryForm::kConstruct) {
     return Status::InvalidArgument("not a CONSTRUCT query");
@@ -397,7 +330,7 @@ Result<std::vector<rdf::Triple>> ExecuteConstruct(
 }
 
 Result<std::vector<rdf::Triple>> ExecuteDescribe(
-    RdfQueryEngine* engine, const rdf::TripleStore& store,
+    BgpEngineBase* engine, const rdf::TripleStore& store,
     const sparql::Query& query) {
   if (query.form != sparql::QueryForm::kDescribe) {
     return Status::InvalidArgument("not a DESCRIBE query");
@@ -431,9 +364,9 @@ Result<std::vector<rdf::Triple>> ExecuteDescribe(
   return sparql::DescribeResources(resources, store);
 }
 
-std::vector<std::unique_ptr<RdfQueryEngine>> MakeAllEngines(
+std::vector<std::unique_ptr<BgpEngineBase>> MakeAllEngines(
     spark::SparkContext* sc) {
-  std::vector<std::unique_ptr<RdfQueryEngine>> engines;
+  std::vector<std::unique_ptr<BgpEngineBase>> engines;
   engines.push_back(std::make_unique<HaqwaEngine>(sc));       // [7]
   engines.push_back(std::make_unique<SparqlgxEngine>(sc));    // [13]
   engines.push_back(std::make_unique<S2rdfEngine>(sc));       // [24]

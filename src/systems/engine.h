@@ -77,10 +77,10 @@ struct EngineTraits {
   std::string contribution;  // the System Contribution dimension (§III)
 };
 
-/// What Load() did: preprocessing cost and storage blow-up, reported by the
-/// partitioning assessment benchmark.
+/// What Load() did: input size and storage blow-up, reported by the
+/// partitioning assessment benchmark. Callers that want Load's wall time
+/// time the call themselves.
 struct LoadStats {
-  double wall_ms = 0.0;
   uint64_t input_triples = 0;
   /// Stored records incl. replication / ExtVP sub-tables / indexes.
   uint64_t stored_records = 0;
@@ -91,9 +91,29 @@ struct LoadStats {
 /// SparkContext (the simulated cluster) and loads a dataset once; queries
 /// produce binding tables over the dataset's dictionary so results can be
 /// cross-checked against the reference evaluator.
-class RdfQueryEngine {
+///
+/// Every system takes the same path (the paper's Table II): parse the SPARQL
+/// once with sparql::ParseQuery, compile its basic graph pattern to a plan
+/// in the shared physical algebra, then run the plan. The query surface is
+/// those stages on the parsed query; callers reuse one parsed query (and
+/// one plan) across them:
+///
+///   AnalyzeParsedQuery   Tier A query lint (pure)
+///   PlanBgp / PlanQuery  the physical plan (pure; EXPLAIN renders it)
+///   AnalyzePlanResources Tier D byte envelope of a plan (pure)
+///   ExecutePlanned       run a plan, then the driver-side tail
+///   ExecuteAnalyzed      run with per-operator actuals (EXPLAIN ANALYZE)
+///                        and, optionally, the RDD lineage snapshot
+///   Execute              the whole query, FILTER/OPTIONAL/UNION included
+///   ExecuteText          ParseQuery + Execute
+///
+/// Subclasses provide PlanBgp() — their documented planning strategy — and
+/// Execute() hands the plan to the shared PlanExecutor, handling fragment
+/// checking, group structure and solution modifiers driver-side, as the
+/// surveyed systems do.
+class BgpEngineBase {
  public:
-  virtual ~RdfQueryEngine() = default;
+  virtual ~BgpEngineBase() = default;
 
   virtual const EngineTraits& traits() const = 0;
 
@@ -103,75 +123,24 @@ class RdfQueryEngine {
 
   /// Executes a parsed query. Engines whose fragment is kBgp reject
   /// queries using FILTER/OPTIONAL/UNION or solution modifiers.
-  virtual Result<sparql::BindingTable> Execute(const sparql::Query& query) = 0;
+  Result<sparql::BindingTable> Execute(const sparql::Query& query);
 
   /// Parses and executes SPARQL text.
   Result<sparql::BindingTable> ExecuteText(std::string_view text);
 
-  /// EXPLAIN: parses `text` and returns the deterministic physical plan
-  /// tree its basic graph pattern would execute with, without running it.
-  /// Engines that do not plan through the shared physical algebra return
-  /// Unsupported.
-  virtual Result<std::string> ExplainText(std::string_view text);
-
-  /// LINT: parses `text`, plans its basic graph pattern, and returns the
-  /// static verifier's findings one per line ("no findings\n" for a clean
-  /// plan) without executing anything. Unsupported for engines that do not
-  /// plan through the shared algebra.
-  virtual Result<std::string> LintText(std::string_view text);
-
-  /// EXPLAIN ANALYZE: parses `text`, plans its basic graph pattern, and
-  /// *executes* the plan with per-operator actuals collection, returning
-  /// the plan tree annotated with estimated vs actual cardinalities, an
-  /// estimate-error column and per-node runtime counters (see
-  /// plan::ExplainAnalyze for the format). Charges metrics like a normal
-  /// execution; the annotated numbers are bit-identical regardless of
-  /// executor threading. Unsupported for engines that do not plan through
-  /// the shared algebra.
-  virtual Result<std::string> ExplainAnalyzeText(std::string_view text);
-
-  spark::SparkContext* context() const { return sc_; }
-
- protected:
-  explicit RdfQueryEngine(spark::SparkContext* sc) : sc_(sc) {}
-
-  spark::SparkContext* sc_;
-};
-
-/// Shared skeleton for engines that evaluate BGPs in a distributed fashion
-/// and (when their fragment allows) run the remaining operators with the
-/// "Spark API" driver-side, as the surveyed systems do. Subclasses provide
-/// PlanBgp() — their documented planning strategy expressed in the shared
-/// physical algebra; Execute() plans, hands the plan to the shared
-/// PlanExecutor, and handles fragment checking, group structure
-/// (FILTER/OPTIONAL/UNION) and solution modifiers.
-class BgpEngineBase : public RdfQueryEngine {
- public:
-  Result<sparql::BindingTable> Execute(const sparql::Query& query) override;
-
-  Result<std::string> ExplainText(std::string_view text) override;
-
-  Result<std::string> LintText(std::string_view text) override;
-
-  Result<std::string> ExplainAnalyzeText(std::string_view text) override;
-
-  /// Typed verifier findings for `text`'s basic graph pattern. Pure, like
-  /// EXPLAIN: the plan is built but never executed.
-  Result<std::vector<plan::Diagnostic>> LintQuery(std::string_view text);
-
   /// Tier A of the dataflow lint: query-level findings (QA rules, see
-  /// sparql/analysis.h) for `text`, with this engine's storage layout
-  /// feeding the layout-sensitive rules. Pure: nothing is planned or
-  /// executed. LintText renders this tier together with LintQuery's
-  /// plan-tier findings.
-  Result<std::vector<plan::Diagnostic>> AnalyzeQueryText(
-      std::string_view text);
-
-  /// Tier A analysis on an already-parsed query — what the admission gate
-  /// inside Execute runs. The serving layer calls this once per request
-  /// instead of re-parsing the text.
+  /// sparql/analysis.h), with this engine's storage layout feeding the
+  /// layout-sensitive rules. Pure: nothing is planned or executed. The
+  /// admission gate inside Execute runs the same analysis.
   std::vector<plan::Diagnostic> AnalyzeParsedQuery(
       const sparql::Query& query) const;
+
+  /// Builds this system's physical plan for one basic graph pattern.
+  /// Planning must be pure: no Spark actions, no metrics charged — the
+  /// same call backs execution and EXPLAIN (plan::Explain of the query's
+  /// top-level BGP; FILTER/OPTIONAL/UNION and modifiers run driver-side).
+  virtual Result<plan::PlanPtr> PlanBgp(
+      const std::vector<sparql::TriplePattern>& bgp) = 0;
 
   /// Pure planning entry point for the serving plan cache: plans the
   /// query's basic graph pattern without executing anything. Only plain-BGP
@@ -182,6 +151,14 @@ class BgpEngineBase : public RdfQueryEngine {
   /// verified here, once, instead of on every cached execution.
   Result<plan::PlanPtr> PlanQuery(const sparql::Query& query);
 
+  /// Tier D of the dataflow lint: the static byte envelope of `root`, a
+  /// plan for `query`, against this engine's simulated cluster (see
+  /// plan/resource.h). Pure, like EXPLAIN, and byte-identical regardless of
+  /// executor threading — what the serving admission gate runs on cached
+  /// plans.
+  plan::ResourceAnalysis AnalyzePlanResources(
+      const sparql::Query& query, const plan::PlanNode& root) const;
+
   /// Executes a plan previously built by PlanQuery for `query`, then runs
   /// the driver-side tail exactly like Execute (ASK collapse, solution
   /// modifiers). With ReusablePlans() true the same plan may be executed
@@ -190,31 +167,21 @@ class BgpEngineBase : public RdfQueryEngine {
   Result<sparql::BindingTable> ExecutePlanned(const sparql::Query& query,
                                               const plan::PlanNode& root);
 
+  /// Plans and executes `query`'s top-level basic graph pattern — the
+  /// distributed part whose actuals are worth attributing — with actuals
+  /// collection, returning the analyzed plan: every node carries an OpStats
+  /// (node->actuals) with its runtime counters and output rows
+  /// (plan::ExplainAnalyze renders it). Charges metrics like a normal
+  /// execution. When `lineage` is given it receives the snapshot of the
+  /// RDD lineage DAG the same run built (Tier B); engines whose payloads
+  /// are not RDD-backed (DataFrames, driver-side rows) yield an empty graph.
+  Result<plan::PlanPtr> ExecuteAnalyzed(const sparql::Query& query,
+                                        spark::LineageGraph* lineage = nullptr);
+
   /// Whether plans built by PlanQuery survive execution and may be re-run
   /// (the plan-cache contract). S2X overrides to false: its plans consume
   /// shared match state on first execution.
   virtual bool ReusablePlans() const { return true; }
-
-  /// Tier B of the dataflow lint: plans and *executes* `text`'s basic
-  /// graph pattern with actuals collection, then snapshots the RDD lineage
-  /// DAG the run built. Engines whose payloads are not RDD-backed
-  /// (DataFrames, driver-side rows) produce an empty graph.
-  Result<spark::LineageGraph> CaptureLineage(std::string_view text);
-
-  /// `.lineage` rendering: the lineage analyzer's findings (LN rules)
-  /// followed by the DOT export of the captured graph.
-  Result<std::string> LineageText(std::string_view text);
-
-  /// Plans and executes `text`'s basic graph pattern with actuals
-  /// collection, returning the analyzed plan: every node carries an
-  /// OpStats (node->actuals) with its runtime counters and output rows.
-  /// The machine-readable side of ExplainAnalyzeText (tools/query_profile
-  /// aggregates these instead of re-parsing the rendered text).
-  Result<plan::PlanPtr> ExecuteAnalyzed(std::string_view text);
-
-  /// Same, for an already-parsed query — the serving layer's slow-query
-  /// audit re-executes the request it just served without re-parsing.
-  Result<plan::PlanPtr> ExecuteAnalyzed(const sparql::Query& query);
 
   /// The storage/layout facts the static verifier checks plans against
   /// (Table II's partitioning column as booleans + broadcast threshold).
@@ -222,72 +189,59 @@ class BgpEngineBase : public RdfQueryEngine {
   /// vacuously; each engine overrides with its documented layout.
   virtual plan::EngineProfile VerifyProfile() const;
 
-  /// Debug-check mode: when enabled, EvaluateBgp verifies every plan before
-  /// the executor touches Spark state, and any ERROR-level finding fails
-  /// the query with an InvalidArgument status. Defaults to the
-  /// RDFSPARK_VERIFY_PLANS environment variable (set and non-empty).
+  // Behaviour gates. All default to off; callers (the shell, the tools, the
+  // serving layer, tests) turn them on explicitly.
+
+  /// Debug-check mode: when enabled, every plan is verified before the
+  /// executor touches Spark state, and any ERROR-level finding fails the
+  /// query with an InvalidArgument status.
   void set_debug_check_plans(bool enabled) { debug_check_plans_ = enabled; }
   bool debug_check_plans() const { return debug_check_plans_; }
 
   /// Query-admission gate: when enabled, Execute runs the query analyzer
   /// (Tier A) first and any ERROR-level QA finding fails the query with an
-  /// InvalidArgument status before planning or execution. Defaults to the
-  /// RDFSPARK_VERIFY_QUERIES environment variable (set and non-empty).
+  /// InvalidArgument status before planning or execution.
   void set_debug_check_queries(bool enabled) { debug_check_queries_ = enabled; }
   bool debug_check_queries() const { return debug_check_queries_; }
 
   /// Tier C gate: when enabled, Execute runs inside a happens-before
   /// recorder window (see spark/hb.h) and any ERROR-level RC/DT finding
-  /// fails the query with an InvalidArgument status after execution.
-  /// Defaults to the RDFSPARK_CHECK_RACES environment variable (set and
-  /// non-empty). Owner semantics: when an outer window is already active
-  /// (the serving layer or a lint tool holds the recorder), the per-Execute
-  /// gate defers to the owner instead of resetting shared state under it.
+  /// fails the query with an InvalidArgument status after execution. Owner
+  /// semantics: when an outer window is already active (the serving layer
+  /// or a lint tool holds the recorder), the per-Execute gate defers to the
+  /// owner instead of resetting shared state under it.
   void set_debug_check_races(bool enabled) { debug_check_races_ = enabled; }
   bool debug_check_races() const { return debug_check_races_; }
 
-  /// Tier C of the dataflow lint: executes `text` inside a fresh
-  /// happens-before recorder window and returns the RC/DT findings one per
-  /// line ("no findings\n" for a clean run). If an outer window is already
-  /// active its accumulated findings are rendered without disturbing it.
-  Result<std::string> RaceCheckText(std::string_view text);
-
-  /// Tier D of the dataflow lint: plans `text`'s basic graph pattern and
-  /// statically derives its byte envelope against this engine's simulated
-  /// cluster (see plan/resource.h). Pure, like EXPLAIN: the plan is built
-  /// but never executed, and the result is byte-identical regardless of
-  /// executor threading.
-  Result<plan::ResourceAnalysis> ResourceEnvelope(std::string_view text);
-
-  /// Tier D analysis of an already-built plan for `query` — what the
-  /// serving admission gate runs on cached plans (no planning, no
-  /// execution). `cluster_budget_bytes` overrides the profile's derived
-  /// cluster budget; 0 keeps the default.
-  plan::ResourceAnalysis AnalyzePlanResources(
-      const sparql::Query& query, const plan::PlanNode& root,
-      uint64_t cluster_budget_bytes = 0) const;
+  spark::SparkContext* context() const { return sc_; }
 
  protected:
-  explicit BgpEngineBase(spark::SparkContext* sc);
+  explicit BgpEngineBase(spark::SparkContext* sc) : sc_(sc) {}
 
-  /// Builds this system's physical plan for one basic graph pattern.
-  /// Planning must be pure: no Spark actions, no metrics charged — the
-  /// same call backs both execution and EXPLAIN.
-  virtual Result<plan::PlanPtr> PlanBgp(
-      const std::vector<sparql::TriplePattern>& bgp) = 0;
+  /// Dictionary of the loaded dataset (for filters/modifiers).
+  virtual const rdf::Dictionary& dictionary() const = 0;
+
+  spark::SparkContext* sc_;
+
+ private:
+  /// PlanBgp plus, in debug-check mode, the verifier gate — the one
+  /// verify step PlanQuery and EvaluateBgp share.
+  Result<plan::PlanPtr> PlanVerified(
+      const std::vector<sparql::TriplePattern>& bgp);
 
   /// Distributed evaluation of one basic graph pattern: plan, then run
   /// through the shared executor.
   Result<sparql::BindingTable> EvaluateBgp(
       const std::vector<sparql::TriplePattern>& bgp);
 
-  /// Dictionary of the loaded dataset (for filters/modifiers).
-  virtual const rdf::Dictionary& dictionary() const = 0;
-
   Result<sparql::BindingTable> EvaluateGroup(
       const sparql::GroupPattern& group);
 
- private:
+  /// The driver-side tail Execute and ExecutePlanned share: ASK collapse,
+  /// then solution modifiers.
+  Result<sparql::BindingTable> FinishQuery(const sparql::Query& query,
+                                           sparql::BindingTable table) const;
+
   /// The QueryAnalysisOptions this engine's storage layout implies.
   sparql::QueryAnalysisOptions AnalysisOptions() const;
 
@@ -298,13 +252,13 @@ class BgpEngineBase : public RdfQueryEngine {
 
 /// All nine engines, constructed against `sc`. Order matches Table II rows.
 /// Callers own the engines; each needs Load() before use.
-std::vector<std::unique_ptr<RdfQueryEngine>> MakeAllEngines(
+std::vector<std::unique_ptr<BgpEngineBase>> MakeAllEngines(
     spark::SparkContext* sc);
 
 /// One constructible engine variant: the nine Table II systems with the
 /// Hybrid engine expanded into its four studied modes — the 12 columns the
-/// whole-matrix tools (plan_lint, dataflow_lint, query_profile) and the
-/// serving layer all iterate over. Names are identifier-safe ('-' in
+/// whole-matrix tools (dataflow_lint, query_profile), the golden tests and
+/// the serving layer all iterate over. Names are identifier-safe ('-' in
 /// Hybrid mode names becomes '_').
 struct EngineVariantFactory {
   std::string name;
@@ -317,13 +271,13 @@ std::vector<EngineVariantFactory> AllEngineVariantFactories();
 /// Runs a CONSTRUCT query through `engine` (distributed pattern matching,
 /// driver-side template instantiation against `store`'s dictionary).
 Result<std::vector<rdf::Triple>> ExecuteConstruct(
-    RdfQueryEngine* engine, const rdf::TripleStore& store,
+    BgpEngineBase* engine, const rdf::TripleStore& store,
     const sparql::Query& query);
 
 /// Runs a DESCRIBE query through `engine`: the pattern (if any) resolves
 /// variable targets distributedly; descriptions come from `store`.
 Result<std::vector<rdf::Triple>> ExecuteDescribe(
-    RdfQueryEngine* engine, const rdf::TripleStore& store,
+    BgpEngineBase* engine, const rdf::TripleStore& store,
     const sparql::Query& query);
 
 }  // namespace rdfspark::systems

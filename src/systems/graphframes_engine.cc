@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <any>
-#include <chrono>
 #include <memory>
 #include <unordered_map>
 #include <unordered_set>
@@ -33,7 +32,6 @@ GraphFramesEngine::GraphFramesEngine(spark::SparkContext* sc, Options options)
 }
 
 Result<LoadStats> GraphFramesEngine::Load(const rdf::TripleStore& store) {
-  auto start = std::chrono::steady_clock::now();
   store_ = &store;
   stats_ = store.ComputeStatistics();
   int n = options_.num_partitions > 0 ? options_.num_partitions
@@ -66,9 +64,6 @@ Result<LoadStats> GraphFramesEngine::Load(const rdf::TripleStore& store) {
   stats.stored_records = node_rows.size() + edge_rows.size();
   stats.stored_bytes = graph_.vertices().EstimatedBytes() +
                        graph_.edges().EstimatedBytes();
-  stats.wall_ms = std::chrono::duration<double, std::milli>(
-                      std::chrono::steady_clock::now() - start)
-                      .count();
   return stats;
 }
 

@@ -1,7 +1,6 @@
 #include "systems/graphx_sm.h"
 
 #include <any>
-#include <chrono>
 #include <memory>
 
 #include "systems/plan/planner_utils.h"
@@ -42,7 +41,6 @@ GraphxSmEngine::GraphxSmEngine(spark::SparkContext* sc, Options options)
 }
 
 Result<LoadStats> GraphxSmEngine::Load(const rdf::TripleStore& store) {
-  auto start = std::chrono::steady_clock::now();
   store_ = &store;
   stats_ = store.ComputeStatistics();
   int n = options_.num_partitions > 0 ? options_.num_partitions
@@ -67,9 +65,6 @@ Result<LoadStats> GraphxSmEngine::Load(const rdf::TripleStore& store) {
   stats.stored_records = graph_.NumVertices() + graph_.NumEdges();
   stats.stored_bytes = graph_.edges().MemoryFootprint() +
                        graph_.vertices().MemoryFootprint();
-  stats.wall_ms = std::chrono::duration<double, std::milli>(
-                      std::chrono::steady_clock::now() - start)
-                      .count();
   return stats;
 }
 

@@ -35,9 +35,10 @@ class GraphxSmEngine : public BgpEngineBase {
   const EngineTraits& traits() const override { return traits_; }
   Result<LoadStats> Load(const rdf::TripleStore& store) override;
 
- protected:
   Result<plan::PlanPtr> PlanBgp(
       const std::vector<sparql::TriplePattern>& bgp) override;
+
+ protected:
   const rdf::Dictionary& dictionary() const override {
     return store_->dictionary();
   }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <any>
-#include <chrono>
 #include <memory>
 
 #include "sparql/parser.h"
@@ -29,7 +28,6 @@ HaqwaEngine::HaqwaEngine(spark::SparkContext* sc, Options options)
 }
 
 Result<LoadStats> HaqwaEngine::Load(const rdf::TripleStore& store) {
-  auto start = std::chrono::steady_clock::now();
   store_ = &store;
   stats_ = store.ComputeStatistics();
   int n = options_.num_partitions > 0 ? options_.num_partitions
@@ -142,9 +140,6 @@ Result<LoadStats> HaqwaEngine::Load(const rdf::TripleStore& store) {
   for (auto& [key, replica] : object_replicas_) {
     stats.stored_bytes += replica.MemoryFootprint();
   }
-  stats.wall_ms = std::chrono::duration<double, std::milli>(
-                      std::chrono::steady_clock::now() - start)
-                      .count();
   return stats;
 }
 

@@ -52,9 +52,10 @@ class HaqwaEngine : public BgpEngineBase {
     return semantic_.get();
   }
 
- protected:
   Result<plan::PlanPtr> PlanBgp(
       const std::vector<sparql::TriplePattern>& bgp) override;
+
+ protected:
   const rdf::Dictionary& dictionary() const override {
     return store_->dictionary();
   }

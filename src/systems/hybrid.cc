@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <any>
-#include <chrono>
 #include <memory>
 
 #include "systems/batch.h"
@@ -53,7 +52,6 @@ HybridEngine::HybridEngine(spark::SparkContext* sc, Options options)
 }
 
 Result<LoadStats> HybridEngine::Load(const rdf::TripleStore& store) {
-  auto start = std::chrono::steady_clock::now();
   store_ = &store;
   stats_ = store.ComputeStatistics();
   num_partitions_ = options_.num_partitions > 0
@@ -85,9 +83,6 @@ Result<LoadStats> HybridEngine::Load(const rdf::TripleStore& store) {
   stats.stored_records = store.triples().size() * 2;  // RDD + DataFrame copy
   stats.stored_bytes =
       rdd_by_subject_.MemoryFootprint() + df_by_subject_.EstimatedBytes();
-  stats.wall_ms = std::chrono::duration<double, std::milli>(
-                      std::chrono::steady_clock::now() - start)
-                      .count();
   return stats;
 }
 

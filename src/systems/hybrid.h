@@ -54,9 +54,10 @@ class HybridEngine : public BgpEngineBase {
 
   HybridMode mode() const { return options_.mode; }
 
- protected:
   Result<plan::PlanPtr> PlanBgp(
       const std::vector<sparql::TriplePattern>& bgp) override;
+
+ protected:
   const rdf::Dictionary& dictionary() const override {
     return store_->dictionary();
   }

@@ -61,8 +61,9 @@ std::vector<LeafActual> CollectLeafActuals(const PlanNode& root);
 ///
 ///   namespace { const plan::RddPayloadRowCounterRegistration<MyRow> reg; }
 ///
-/// Common payload types (IdRow rows, keyed rows, DataFrame, driver-side
-/// vectors) are registered centrally in analyze.cc.
+/// Common payload types (IdTable batches, keyed batches, DataFrame,
+/// driver-side tables) are registered centrally in systems/engine.cc, next
+/// to the engines' analyzed run.
 template <typename T>
 class RddPayloadRowCounterRegistration {
  public:

@@ -39,8 +39,8 @@ bool HasError(const std::vector<Diagnostic>& diags);
 /// message. Stable, so equal findings keep their emission order.
 void SortDiagnostics(std::vector<Diagnostic>* diags);
 
-/// The one rendering shared by every lint surface (`.lint`, plan_lint,
-/// dataflow_lint): severity-sorted FormatDiagnostic lines, or the literal
+/// The one rendering shared by the shell's lint surfaces (`.lint`,
+/// `.lineage`): severity-sorted FormatDiagnostic lines, or the literal
 /// "no findings\n" when the list is empty.
 std::string RenderDiagnostics(std::vector<Diagnostic> diags);
 

@@ -314,7 +314,7 @@ ResourceAnalysis AnalyzeResources(const PlanNode& root,
                 FormatBytesValue(analysis.peak_bytes) +
                 " exceeds the cluster budget of " +
                 FormatBytesValue(profile.ClusterBudget());
-    d.hint = "raise RDFSPARK_MEMORY_BUDGET, add executors, or narrow the "
+    d.hint = "add executors to raise the cluster budget, or narrow the "
              "query so less output stays live across stages";
     analysis.findings.push_back(std::move(d));
   }

@@ -74,8 +74,9 @@ struct ResourceProfile {
   int num_executors = 4;
   /// Memory one executor can dedicate to a single query's working sets and
   /// broadcast replicas. The model default stands in for a typical
-  /// spark.executor.memory slice; serving overrides the cluster budget
-  /// with RDFSPARK_MEMORY_BUDGET.
+  /// spark.executor.memory slice. (The serving budget gate compares the
+  /// peak envelope against its own Options::memory_budget_bytes; it does
+  /// not change this profile.)
   uint64_t executor_budget_bytes = 64ull << 20;
   /// Whole-cluster budget for the peak concurrent envelope; 0 derives
   /// num_executors * executor_budget_bytes.

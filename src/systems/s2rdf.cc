@@ -1,7 +1,6 @@
 #include "systems/s2rdf.h"
 
 #include <algorithm>
-#include <chrono>
 #include <unordered_set>
 
 namespace rdfspark::systems {
@@ -39,7 +38,6 @@ std::string ExtVpName(const char* kind, rdf::TermId p1, rdf::TermId p2) {
 }  // namespace
 
 Result<LoadStats> S2rdfEngine::Load(const rdf::TripleStore& store) {
-  auto start = std::chrono::steady_clock::now();
   store_ = &store;
   session_ = std::make_unique<sql::SqlSession>(sc_);
   // The session catalog above is rebuilt from scratch, so the row-count
@@ -140,9 +138,6 @@ Result<LoadStats> S2rdfEngine::Load(const rdf::TripleStore& store) {
   for (const auto& [name, df] : session_->catalog()) {
     stats.stored_bytes += df.EstimatedBytes();
   }
-  stats.wall_ms = std::chrono::duration<double, std::milli>(
-                      std::chrono::steady_clock::now() - start)
-                      .count();
   return stats;
 }
 

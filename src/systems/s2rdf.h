@@ -48,9 +48,10 @@ class S2rdfEngine : public BgpEngineBase {
   uint64_t num_extvp_tables() const { return num_extvp_tables_; }
   uint64_t extvp_rows() const { return extvp_rows_; }
 
- protected:
   Result<plan::PlanPtr> PlanBgp(
       const std::vector<sparql::TriplePattern>& bgp) override;
+
+ protected:
   const rdf::Dictionary& dictionary() const override {
     return store_->dictionary();
   }

@@ -3,7 +3,6 @@
 #include "systems/batch.h"
 
 #include <any>
-#include <chrono>
 #include <functional>
 #include <memory>
 #include <unordered_map>
@@ -34,7 +33,6 @@ S2xEngine::S2xEngine(spark::SparkContext* sc, Options options)
 }
 
 Result<LoadStats> S2xEngine::Load(const rdf::TripleStore& store) {
-  auto start = std::chrono::steady_clock::now();
   store_ = &store;
   stats_ = store.ComputeStatistics();
   int n = options_.num_partitions > 0 ? options_.num_partitions
@@ -62,9 +60,6 @@ Result<LoadStats> S2xEngine::Load(const rdf::TripleStore& store) {
   stats.stored_records = nv + ne;
   stats.stored_bytes = graph_.edges().MemoryFootprint() +
                        graph_.vertices().MemoryFootprint();
-  stats.wall_ms = std::chrono::duration<double, std::milli>(
-                      std::chrono::steady_clock::now() - start)
-                      .count();
   return stats;
 }
 

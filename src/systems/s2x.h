@@ -47,9 +47,10 @@ class S2xEngine : public BgpEngineBase {
   /// execution, so the serving plan cache must not reuse it.
   bool ReusablePlans() const override { return false; }
 
- protected:
   Result<plan::PlanPtr> PlanBgp(
       const std::vector<sparql::TriplePattern>& bgp) override;
+
+ protected:
   const rdf::Dictionary& dictionary() const override {
     return store_->dictionary();
   }

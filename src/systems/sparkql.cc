@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <any>
-#include <chrono>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -62,7 +61,6 @@ plan::EngineProfile SparkqlEngine::VerifyProfile() const {
 }
 
 Result<LoadStats> SparkqlEngine::Load(const rdf::TripleStore& store) {
-  auto start = std::chrono::steady_clock::now();
   store_ = &store;
   stats_ = store.ComputeStatistics();
   int n = options_.num_partitions > 0 ? options_.num_partitions
@@ -126,9 +124,6 @@ Result<LoadStats> SparkqlEngine::Load(const rdf::TripleStore& store) {
   stats.stored_records = graph_.NumVertices() + graph_.NumEdges();
   stats.stored_bytes = graph_.vertices().MemoryFootprint() +
                        graph_.edges().MemoryFootprint();
-  stats.wall_ms = std::chrono::duration<double, std::milli>(
-                      std::chrono::steady_clock::now() - start)
-                      .count();
   return stats;
 }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <any>
-#include <chrono>
 #include <memory>
 #include <optional>
 
@@ -40,7 +39,6 @@ plan::EngineProfile SparkRdfEngine::VerifyProfile() const {
 }
 
 Result<LoadStats> SparkRdfEngine::Load(const rdf::TripleStore& store) {
-  auto start = std::chrono::steady_clock::now();
   store_ = &store;
   num_partitions_ = options_.num_partitions > 0
                         ? options_.num_partitions
@@ -104,9 +102,6 @@ Result<LoadStats> SparkRdfEngine::Load(const rdf::TripleStore& store) {
   stats.input_triples = store.triples().size();
   stats.stored_records = index_records_;
   stats.stored_bytes = index_records_ * 24;
-  stats.wall_ms = std::chrono::duration<double, std::milli>(
-                      std::chrono::steady_clock::now() - start)
-                      .count();
   return stats;
 }
 

@@ -44,9 +44,10 @@ class SparkRdfEngine : public BgpEngineBase {
   Result<LoadStats> Load(const rdf::TripleStore& store) override;
   plan::EngineProfile VerifyProfile() const override;
 
- protected:
   Result<plan::PlanPtr> PlanBgp(
       const std::vector<sparql::TriplePattern>& bgp) override;
+
+ protected:
   const rdf::Dictionary& dictionary() const override {
     return store_->dictionary();
   }

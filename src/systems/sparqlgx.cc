@@ -1,7 +1,6 @@
 #include "systems/sparqlgx.h"
 
 #include <algorithm>
-#include <chrono>
 #include <memory>
 
 #include "systems/batch.h"
@@ -29,7 +28,6 @@ SparqlgxEngine::SparqlgxEngine(spark::SparkContext* sc, Options options)
 }
 
 Result<LoadStats> SparqlgxEngine::Load(const rdf::TripleStore& store) {
-  auto start = std::chrono::steady_clock::now();
   store_ = &store;
   stats_ = store.ComputeStatistics();
   num_partitions_ = options_.num_partitions > 0
@@ -65,9 +63,6 @@ Result<LoadStats> SparqlgxEngine::Load(const rdf::TripleStore& store) {
   stats.input_triples = store.triples().size();
   stats.stored_records = store.triples().size();
   stats.stored_bytes = stored_bytes;
-  stats.wall_ms = std::chrono::duration<double, std::milli>(
-                      std::chrono::steady_clock::now() - start)
-                      .count();
   return stats;
 }
 

@@ -25,7 +25,7 @@
 namespace rdfspark::systems::plan {
 namespace {
 
-/// Same small dataset as dataflow_lint / plan_lint, so the corpus
+/// Same small dataset as dataflow_lint, so the corpus
 /// properties exercise exactly the cells the tool reports on.
 rdf::TripleStore LintDataset() {
   rdf::TripleStore store;
@@ -284,19 +284,20 @@ TEST(ResourceCorpusTest, PeakEnvelopeDominatesObservedBytes) {
     ASSERT_TRUE(engine->Load(store).ok()) << factory.name;
     for (const auto& [shape, text] : corpus) {
       SCOPED_TRACE(factory.name + " / " + text);
-      auto analysis = engine->ResourceEnvelope(text);
-      ASSERT_TRUE(analysis.ok());
-      auto analyzed = engine->ExecuteAnalyzed(text);
-      ASSERT_TRUE(analyzed.ok());
-      auto observed = ObserveFootprint(**analyzed);
-      if (!analysis->bounded) continue;
-      ++bounded_cells;
-      EXPECT_GE(analysis->peak_bytes, observed.output_bytes);
-      EXPECT_GE(analysis->output_bytes, observed.output_bytes);
-      // Scan calibration never exceeds the whole-plan envelope and stays
-      // sound per leaf by construction.
       auto query = sparql::ParseQuery(text);
       ASSERT_TRUE(query.ok());
+      auto root = engine->PlanBgp(query->where.bgp);
+      ASSERT_TRUE(root.ok());
+      auto analysis = engine->AnalyzePlanResources(*query, **root);
+      auto analyzed = engine->ExecuteAnalyzed(*query);
+      ASSERT_TRUE(analyzed.ok());
+      auto observed = ObserveFootprint(**analyzed);
+      if (!analysis.bounded) continue;
+      ++bounded_cells;
+      EXPECT_GE(analysis.peak_bytes, observed.output_bytes);
+      EXPECT_GE(analysis.output_bytes, observed.output_bytes);
+      // Scan calibration never exceeds the whole-plan envelope and stays
+      // sound per leaf by construction.
       auto aligned = engine->AnalyzePlanResources(*query, **analyzed);
       auto calib = CalibrateScans(**analyzed, aligned);
       if (calib.leaves > 0) {
@@ -322,13 +323,17 @@ TEST(ResourceCorpusTest, EnvelopeByteIdenticalAcrossExecutorThreads) {
     ASSERT_TRUE(engine8->Load(store).ok()) << factory.name;
     for (const auto& [shape, text] : corpus) {
       SCOPED_TRACE(factory.name + " / " + text);
-      auto a1 = engine1->ResourceEnvelope(text);
-      auto a8 = engine8->ResourceEnvelope(text);
-      ASSERT_EQ(a1.ok(), a8.ok());
-      if (!a1.ok()) continue;
-      EXPECT_EQ(RenderEnvelope(*a1), RenderEnvelope(*a8));
-      EXPECT_EQ(a1->peak_bytes, a8->peak_bytes);
-      EXPECT_EQ(a1->findings.size(), a8->findings.size());
+      auto query = sparql::ParseQuery(text);
+      ASSERT_TRUE(query.ok());
+      auto p1 = engine1->PlanBgp(query->where.bgp);
+      auto p8 = engine8->PlanBgp(query->where.bgp);
+      ASSERT_EQ(p1.ok(), p8.ok());
+      if (!p1.ok()) continue;
+      auto a1 = engine1->AnalyzePlanResources(*query, **p1);
+      auto a8 = engine8->AnalyzePlanResources(*query, **p8);
+      EXPECT_EQ(RenderEnvelope(a1), RenderEnvelope(a8));
+      EXPECT_EQ(a1.peak_bytes, a8.peak_bytes);
+      EXPECT_EQ(a1.findings.size(), a8.findings.size());
     }
   }
 }

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <map>
 #include <memory>
 #include <string>
@@ -41,13 +42,10 @@ rdf::TripleStore SmallLubm(uint64_t seed = 42, int departments = 3) {
   return store;
 }
 
+/// Default options — every gate off — with `workers` worker threads.
 QueryServer::Options QuietOptions(int workers) {
   QueryServer::Options options;
   options.worker_threads = workers;
-  // The admission/verification gates are covered by their own tests; keep
-  // the result-identity tests independent of the environment.
-  options.verify_queries = false;
-  options.verify_plans = false;
   return options;
 }
 
@@ -136,7 +134,6 @@ TEST(QueryServerTest, ConcurrentResultsMatchSerialReference) {
     EXPECT_EQ(stats.submitted,
               stats.completed + stats.rejected + stats.failed);
     EXPECT_EQ(stats.rejected, 0u);
-    EXPECT_EQ(stats.latency_ns.count(), stats.submitted);
   }
 }
 
@@ -276,6 +273,29 @@ TEST(QueryServerTest, AdmissionRejectsBeforePlanning) {
   // Rejected requests never planned anything: no cache traffic for them.
   PlanCacheStats cache = server.plan_cache_stats();
   EXPECT_EQ(cache.hits + cache.misses + cache.bypasses, 1u);
+}
+
+/// Gates are set in code only: with these variables in the environment, a
+/// new engine and default server options still have every gate off.
+TEST(QueryServerTest, EnvironmentDoesNotArmGates) {
+  const char* const kNames[] = {"RDFSPARK_VERIFY_PLANS",
+                                "RDFSPARK_VERIFY_QUERIES",
+                                "RDFSPARK_CHECK_RACES",
+                                "RDFSPARK_MEMORY_BUDGET"};
+  for (const char* name : kNames) setenv(name, "1", /*overwrite=*/1);
+  spark::SparkContext sc;
+  for (const auto& factory : systems::AllEngineVariantFactories()) {
+    auto engine = factory.make(&sc);
+    EXPECT_FALSE(engine->debug_check_plans()) << factory.name;
+    EXPECT_FALSE(engine->debug_check_queries()) << factory.name;
+    EXPECT_FALSE(engine->debug_check_races()) << factory.name;
+  }
+  QueryServer::Options options{};
+  EXPECT_EQ(options.memory_budget_bytes, 0u);
+  EXPECT_FALSE(options.verify_queries);
+  EXPECT_FALSE(options.verify_plans);
+  EXPECT_FALSE(options.check_races);
+  for (const char* name : kNames) unsetenv(name);
 }
 
 TEST(QueryServerTest, UnknownVariantAndSessionAreRejected) {

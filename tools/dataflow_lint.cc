@@ -10,7 +10,7 @@
 //           is executed once with actuals collection, the RDD lineage DAG
 //           the run built is snapshotted, and the lineage rules inspect it
 //           for recompute hazards, redundant shuffles and deep stage
-//           chains.
+//           chains. That one analyzed execution also serves Tiers C and D.
 //   Tier C  happens-before race & determinism analysis (RC/DT rules,
 //           spark/hb.h): every cell executes inside a recorder window;
 //           conflicting shared-object accesses that no declared
@@ -19,21 +19,22 @@
 //           matrix: a runtime probe exercising the canonical shared
 //           objects (cache slots, shuffle buffers, broadcast, uncache),
 //           and a concurrent serving workload over all twelve variants.
-//   Tier D  resource envelope analysis (RS rules, systems/plan/resource.h):
-//           each plan's per-operator byte envelope is derived statically
-//           (pure, like EXPLAIN), the cache-retention rule inspects the
-//           lineage snapshot, and one profiled execution provides the
-//           observed bytes the envelope is drift-checked against. The
-//           footprint matrix prints "static output envelope / observed
-//           bytes" per cell, and --footprint-dir writes the corpus totals
-//           as bench_gate-compatible artifacts. Two ratios are gated in
-//           CI: soundness (observed bytes never exceed the static peak
-//           envelope, metric "sound_bytes") and scan calibration (leaf
-//           scan envelopes within a small factor of leaf actuals, metric
-//           "bytes"). Interior join/product bounds compound
-//           multiplicatively by design — that is what keeps them sound —
-//           so whole-plan sums are reported but not ratio-gated; the
-//           leaves are where the statistics live.
+//   Tier D  plan and resource analysis: the static plan verifier (SC/CP/
+//           BC/ST/VP rules, systems/plan/verifier.h) and the per-operator
+//           byte envelope (RS rules, systems/plan/resource.h) are derived
+//           statically from the plan the analyzed execution ran, the
+//           cache-retention rule inspects its lineage snapshot, and its
+//           actuals provide the observed bytes the envelope is
+//           drift-checked against. The footprint matrix prints "static
+//           output envelope / observed bytes" per cell, and --footprint-dir
+//           writes the corpus totals as bench_gate-compatible artifacts.
+//           Two ratios are gated in CI: soundness (observed bytes never
+//           exceed the static peak envelope, metric "sound_bytes") and
+//           scan calibration (leaf scan envelopes within a small factor of
+//           leaf actuals, metric "bytes"). Interior join/product bounds
+//           compound multiplicatively by design — that is what keeps them
+//           sound — so whole-plan sums are reported but not ratio-gated;
+//           the leaves are where the statistics live.
 //
 // Output is deterministic — byte-identical across runs and across
 // --threads settings (lineage node ids are assigned on the driver; Tier C
@@ -59,7 +60,6 @@
 #include <cstring>
 #include <fstream>
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -74,6 +74,7 @@
 #include "systems/engine.h"
 #include "systems/plan/diagnostics.h"
 #include "systems/plan/resource.h"
+#include "systems/plan/verifier.h"
 
 namespace {
 
@@ -81,7 +82,7 @@ using namespace rdfspark;
 using systems::plan::Diagnostic;
 using systems::plan::Severity;
 
-/// Same dataset as plan_lint and the golden EXPLAIN tests.
+/// Same dataset as the golden EXPLAIN tests.
 rdf::TripleStore MakeDataset() {
   rdf::TripleStore store;
   rdf::LubmConfig cfg;
@@ -100,6 +101,7 @@ struct Cell {
   std::vector<Diagnostic> query_findings;     // Tier A
   std::vector<Diagnostic> lineage_findings;   // Tier B
   std::vector<Diagnostic> race_findings;      // Tier C
+  std::vector<Diagnostic> plan_findings;      // Tier D (verifier rules)
   std::vector<Diagnostic> resource_findings;  // Tier D (RS rules)
   int lineage_nodes = 0;
   int lineage_shuffles = 0;
@@ -116,13 +118,46 @@ struct Cell {
   std::string failure;
 };
 
+/// Tier D over the analyzed plan `root` of `query`. The verifier and the
+/// byte envelope read only the plan's structure and estimates, which the
+/// profiled execution leaves untouched; its actuals give the observed bytes
+/// (RS006) and the scan calibration, and its lineage snapshot feeds RS004.
+void AnalyzeTierD(const systems::BgpEngineBase& engine,
+                  const sparql::Query& query,
+                  const systems::plan::PlanNode& root,
+                  const spark::LineageGraph& graph, Cell* cell) {
+  cell->plan_findings = systems::plan::VerifyPlan(root, engine.VerifyProfile());
+  auto analysis = engine.AnalyzePlanResources(query, root);
+  cell->envelope_bounded = analysis.bounded;
+  cell->envelope_peak_bytes = analysis.peak_bytes;
+  cell->envelope_output_bytes = analysis.output_bytes;
+  // Scan calibration pairs leaf envelopes with leaf actuals (exact
+  // pre-order alignment over the one tree).
+  auto calib = systems::plan::CalibrateScans(root, analysis);
+  cell->scan_envelope_bytes = calib.envelope_bytes;
+  cell->scan_observed_bytes = calib.observed_bytes;
+  cell->scan_leaves = calib.leaves;
+  cell->resource_findings = std::move(analysis.findings);
+  for (auto& d : graph.AnalyzeRetention()) {
+    cell->resource_findings.push_back(std::move(d));
+  }
+  auto observed = systems::plan::ObserveFootprint(root);
+  cell->observed_bytes = observed.output_bytes;
+  if (cell->envelope_bounded) {
+    for (auto& d : systems::plan::DriftFindings(cell->envelope_output_bytes,
+                                                observed)) {
+      cell->resource_findings.push_back(std::move(d));
+    }
+  }
+}
+
 /// Compact cell text: "RULE:SEVxCOUNT" terms joined by spaces, "ok" clean.
 std::string Summarize(const Cell& cell) {
   if (cell.failed) return "error";
   std::map<std::string, std::map<char, int>> counts;
   for (const auto* tier :
        {&cell.query_findings, &cell.lineage_findings, &cell.race_findings,
-        &cell.resource_findings}) {
+        &cell.plan_findings, &cell.resource_findings}) {
     for (const auto& d : *tier) {
       char sev = systems::plan::SeverityName(d.severity)[0];  // E/W/I
       ++counts[d.rule][sev];
@@ -193,9 +228,6 @@ std::vector<Diagnostic> RunServingRow(const rdf::TripleStore& store,
   serving::QueryServer::Options opts;
   opts.worker_threads = serving_workers;
   opts.check_races = true;
-  // Pin the gates so output never depends on ambient RDFSPARK_VERIFY_*.
-  opts.verify_queries = false;
-  opts.verify_plans = false;
   serving::QueryServer server(&sc, opts);
   Status attached = server.AttachDataset(store);
   if (!attached.ok()) {
@@ -321,83 +353,33 @@ int main(int argc, char** argv) {
     auto loaded = engine->Load(store);
     for (const auto& [shape, text] : corpus) {
       Cell cell;
+      auto query = sparql::ParseQuery(text);
       if (!loaded.ok()) {
         cell.failed = true;
         cell.failure = "load failed: " + loaded.status().ToString();
+      } else if (!query.ok()) {
+        cell.failed = true;
+        cell.failure = query.status().ToString();
       } else {
-        if (tier_a) {
-          auto query_findings = engine->AnalyzeQueryText(text);  // Pure.
-          if (!query_findings.ok()) {
-            cell.failed = true;
-            cell.failure = query_findings.status().ToString();
-          } else {
-            cell.query_findings = std::move(*query_findings);
-          }
-        }
-        std::optional<spark::LineageGraph> graph;
-        if (!cell.failed && (tier_b || tier_c || tier_d)) {
-          // Tier C window per cell: the lineage run below is also the race
-          // checker's workload. Reset happens on the driver with no tasks
-          // in flight, which is the recorder's quiescence contract.
+        if (tier_a) cell.query_findings = engine->AnalyzeParsedQuery(*query);
+        if (tier_b || tier_c || tier_d) {
+          // One analyzed execution serves Tiers B-D. Tier C's window is
+          // reset on the driver with no tasks in flight (the recorder's
+          // quiescence contract) and closed before Tier D runs.
           spark::hb::ScopedRaceCheck window(/*active=*/tier_c);
-          auto captured = engine->CaptureLineage(text);
+          spark::LineageGraph graph;
+          auto analyzed = engine->ExecuteAnalyzed(*query, &graph);
           if (tier_c) cell.race_findings = window.Finish();
-          if (!captured.ok()) {
+          if (!analyzed.ok()) {
             cell.failed = true;
-            cell.failure = captured.status().ToString();
+            cell.failure = analyzed.status().ToString();
           } else {
-            graph = std::move(*captured);
             if (tier_b) {
-              cell.lineage_findings = graph->Analyze();
-              cell.lineage_nodes = static_cast<int>(graph->nodes().size());
-              cell.lineage_shuffles = graph->ShuffleCount();
+              cell.lineage_findings = graph.Analyze();
+              cell.lineage_nodes = static_cast<int>(graph.nodes().size());
+              cell.lineage_shuffles = graph.ShuffleCount();
             }
-          }
-        }
-        if (!cell.failed && tier_d) {
-          auto analysis = engine->ResourceEnvelope(text);  // Pure.
-          if (!analysis.ok()) {
-            cell.failed = true;
-            cell.failure = analysis.status().ToString();
-          } else {
-            cell.resource_findings = std::move(analysis->findings);
-            cell.envelope_bounded = analysis->bounded;
-            cell.envelope_peak_bytes = analysis->peak_bytes;
-            cell.envelope_output_bytes = analysis->output_bytes;
-            // RS004 inspects the lineage snapshot of the profiled run.
-            if (graph) {
-              for (auto& d : graph->AnalyzeRetention()) {
-                cell.resource_findings.push_back(std::move(d));
-              }
-            }
-            // RS006: one profiled execution provides the observed bytes
-            // the static envelope is drift-checked against.
-            auto analyzed = engine->ExecuteAnalyzed(text);
-            if (!analyzed.ok()) {
-              cell.failed = true;
-              cell.failure = analyzed.status().ToString();
-            } else {
-              auto observed = systems::plan::ObserveFootprint(**analyzed);
-              cell.observed_bytes = observed.output_bytes;
-              if (cell.envelope_bounded) {
-                for (auto& d : systems::plan::DriftFindings(
-                         cell.envelope_output_bytes, observed)) {
-                  cell.resource_findings.push_back(std::move(d));
-                }
-              }
-              // Scan calibration pairs leaf envelopes with leaf actuals
-              // over the analyzed tree itself (exact pre-order alignment).
-              auto query = sparql::ParseQuery(text);
-              if (query.ok()) {
-                auto aligned =
-                    engine->AnalyzePlanResources(*query, **analyzed);
-                auto calib =
-                    systems::plan::CalibrateScans(**analyzed, aligned);
-                cell.scan_envelope_bytes = calib.envelope_bytes;
-                cell.scan_observed_bytes = calib.observed_bytes;
-                cell.scan_leaves = calib.leaves;
-              }
-            }
+            if (tier_d) AnalyzeTierD(*engine, *query, **analyzed, graph, &cell);
           }
         }
       }
@@ -405,6 +387,7 @@ int main(int argc, char** argv) {
       any_error |= systems::plan::HasError(cell.query_findings);
       any_error |= systems::plan::HasError(cell.lineage_findings);
       any_error |= systems::plan::HasError(cell.race_findings);
+      any_error |= systems::plan::HasError(cell.plan_findings);
       any_error |= systems::plan::HasError(cell.resource_findings);
       cells[e].push_back(std::move(cell));
     }
@@ -534,6 +517,7 @@ int main(int argc, char** argv) {
         AppendJsonFindings("query", cell.query_findings, &first, &out);
         AppendJsonFindings("lineage", cell.lineage_findings, &first, &out);
         AppendJsonFindings("race", cell.race_findings, &first, &out);
+        AppendJsonFindings("plan", cell.plan_findings, &first, &out);
         AppendJsonFindings("resource", cell.resource_findings, &first, &out);
         out += first ? "]}" : "\n      ]}";
       }
@@ -613,6 +597,7 @@ int main(int argc, char** argv) {
       std::vector<Diagnostic> all = cell.query_findings;
       for (const auto& d : cell.lineage_findings) all.push_back(d);
       for (const auto& d : cell.race_findings) all.push_back(d);
+      for (const auto& d : cell.plan_findings) all.push_back(d);
       for (const auto& d : cell.resource_findings) all.push_back(d);
       if (all.empty()) continue;
       systems::plan::SortDiagnostics(&all);
@@ -680,7 +665,9 @@ int main(int argc, char** argv) {
       "conflicting access, RC002 publication without barrier, RC003 "
       "eviction vs pooled access; DT001 completion-order-dependent "
       "accumulator, DT002 non-commutative unordered merge, DT003 "
-      "unordered-container iteration at a result boundary; RS001 broadcast "
+      "unordered-container iteration at a result boundary; SC001/SC002 "
+      "schema soundness, CP001 cartesian fallback, BC001 broadcast size, "
+      "ST001 star locality, VP001 unbounded-predicate scan; RS001 broadcast "
       "over executor budget, RS002 peak envelope over cluster budget, RS003 "
       "unbounded envelope at a blocking operator, RS004 retention dominated "
       "by a never-reread RDD, RS005 superlinear working set, RS006 envelope "

@@ -69,7 +69,7 @@ struct Config {
   double window_ms = 0;       // Telemetry window width (simulated ms).
   double audit_ms = 0;        // Slow-query latency threshold (simulated ms).
   double audit_err = 0;       // Cardinality-estimate error trigger factor.
-  uint64_t memory_budget = 0;  // Tier D admission budget in bytes (0 = env).
+  uint64_t memory_budget = 0;  // Tier D admission budget in bytes (0 = off).
   uint64_t cache_bytes = 0;    // Plan-cache byte budget (0 = entries only).
 };
 
@@ -180,8 +180,7 @@ int main(int argc, char** argv) {
   if (cfg.audit_err > 0) {
     options.telemetry_options.audit.est_error_bound = cfg.audit_err;
   }
-  // The flag overrides the RDFSPARK_MEMORY_BUDGET default Options picked up.
-  if (cfg.memory_budget > 0) options.memory_budget_bytes = cfg.memory_budget;
+  options.memory_budget_bytes = cfg.memory_budget;
   if (cfg.cache_bytes > 0) options.plan_cache_byte_budget = cfg.cache_bytes;
   serving::QueryServer server(&sc, options);
   Status attached = server.AttachDataset(store);
