@@ -1,15 +1,16 @@
 #!/usr/bin/env bash
 # Dedicated ThreadSanitizer pass over the concurrency-sensitive suites:
-# the scheduler/RDD runtime, the engines that drive it, the serving layer,
-# and the happens-before checker itself (whose verdicts must hold on the
-# same binaries TSan watches). tier1.sh delegates here; CI runs it as its
-# own job so a TSan failure is attributable at a glance.
+# the scheduler/RDD runtime, the engines that drive it, the serving layer
+# and its telemetry sink (fed from several workers at once), and the
+# happens-before checker itself (whose verdicts must hold on the same
+# binaries TSan watches). tier1.sh delegates here; CI runs it as its own
+# job so a TSan failure is attributable at a glance.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
 SUITES=(scheduler_test rdd_test dataframe_test engines_test \
-  plan_explain_test tracing_test serving_test hb_test)
+  plan_explain_test tracing_test serving_test obs_test hb_test)
 
 echo "=== ThreadSanitizer (${SUITES[*]}) ==="
 cmake -B build-tsan -S . -DRDFSPARK_TSAN=ON >/dev/null

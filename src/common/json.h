@@ -49,8 +49,7 @@ struct JsonValue {
 /// grammar ValidateJson checks (one shared implementation), so anything
 /// the validator accepts parses and vice versa. String escapes are decoded
 /// (\uXXXX to UTF-8, surrogate pairs combined; lone surrogates become
-/// U+FFFD). The stats-store loader and tools/serve_monitor consume
-/// telemetry artifacts through this.
+/// U+FFFD). Tests read telemetry artifacts back through this.
 Result<JsonValue> ParseJson(std::string_view text);
 
 }  // namespace rdfspark

@@ -1,7 +1,8 @@
 #include "obs/audit.h"
 
-#include <algorithm>
 #include <cstdio>
+#include <iterator>
+#include <utility>
 
 #include "common/json.h"
 
@@ -43,14 +44,10 @@ std::string AuditEntry::ToJson() const {
 
 void SlowQueryAudit::Add(AuditEntry entry) {
   entries_.insert(std::move(entry));
-  while (entries_.size() > options_.max_entries) {
+  while (entries_.size() > kMaxEntries) {
     entries_.erase(std::prev(entries_.end()));
     ++dropped_;
   }
-}
-
-std::vector<AuditEntry> SlowQueryAudit::Sorted() const {
-  return std::vector<AuditEntry>(entries_.begin(), entries_.end());
 }
 
 std::string SlowQueryAudit::ToJson() const {
@@ -64,64 +61,6 @@ std::string SlowQueryAudit::ToJson() const {
   }
   out += "\n]}\n";
   return out;
-}
-
-void StatsStore::Observe(const PatternActual& actual) {
-  Stats& s = stats_[{actual.pattern, actual.predicate}];
-  s.count += 1;
-  s.total_rows += actual.actual_rows;
-  s.min_rows = std::min(s.min_rows, actual.actual_rows);
-  s.max_rows = std::max(s.max_rows, actual.actual_rows);
-  s.est_rows = std::max(s.est_rows, actual.est_rows);
-}
-
-double StatsStore::LookupMeanRows(const std::string& pattern) const {
-  for (const auto& [key, s] : stats_) {
-    if (key.first == pattern) return s.MeanRows();
-  }
-  return -1.0;
-}
-
-std::string StatsStore::ToJson() const {
-  std::string out = "{\"patterns\":[\n";
-  bool first = true;
-  for (const auto& [key, s] : stats_) {
-    if (!first) out += ",\n";
-    first = false;
-    out += "{\"pattern\":\"" + JsonEscape(key.first) + "\",\"predicate\":\"" +
-           JsonEscape(key.second) + "\",\"count\":" + std::to_string(s.count) +
-           ",\"total_rows\":" + std::to_string(s.total_rows) +
-           ",\"min_rows\":" + std::to_string(s.count == 0 ? 0 : s.min_rows) +
-           ",\"max_rows\":" + std::to_string(s.max_rows) +
-           ",\"est_rows\":" + std::to_string(s.est_rows) + "}";
-  }
-  out += "\n]}\n";
-  return out;
-}
-
-Result<StatsStore> StatsStore::Parse(std::string_view json) {
-  RDFSPARK_ASSIGN_OR_RETURN(JsonValue root, ParseJson(json));
-  StatsStore store;
-  const JsonValue* patterns = root.Find("patterns");
-  if (patterns == nullptr || patterns->kind != JsonValue::Kind::kArray) {
-    return Status::InvalidArgument("stats store: missing patterns array");
-  }
-  for (const JsonValue& item : patterns->items) {
-    if (item.kind != JsonValue::Kind::kObject) {
-      return Status::InvalidArgument("stats store: pattern entry not object");
-    }
-    std::pair<std::string, std::string> key = {item.StringOr("pattern", ""),
-                                               item.StringOr("predicate", "")};
-    Stats s;
-    s.count = static_cast<uint64_t>(item.NumberOr("count", 0));
-    s.total_rows = static_cast<uint64_t>(item.NumberOr("total_rows", 0));
-    s.min_rows = static_cast<uint64_t>(item.NumberOr("min_rows", 0));
-    s.max_rows = static_cast<uint64_t>(item.NumberOr("max_rows", 0));
-    s.est_rows = static_cast<uint64_t>(item.NumberOr("est_rows", 0));
-    if (s.count == 0) s.min_rows = ~0ull;
-    store.stats_[std::move(key)] = s;
-  }
-  return store;
 }
 
 }  // namespace rdfspark::obs

@@ -6,10 +6,7 @@
 #include <set>
 #include <string>
 #include <tuple>
-#include <utility>
 #include <vector>
-
-#include "common/status.h"
 
 namespace rdfspark::obs {
 
@@ -22,8 +19,6 @@ struct AuditOptions {
   /// Requests whose max per-operator |actual/estimate| error factor
   /// reaches this bound are audited regardless of latency.
   double est_error_bound = 16.0;
-  /// Retained audit entries (canonically earliest kept; rest counted).
-  size_t max_entries = 64;
 
   uint64_t LatencyThresholdFor(const std::string& tenant) const {
     auto it = tenant_latency_threshold_ns.find(tenant);
@@ -65,68 +60,25 @@ struct AuditEntry {
 };
 
 /// Bounded store of audit entries, canonically ordered by
-/// (t_ns, tenant, seq). Over capacity the canonically *latest* entry is
-/// dropped (and counted): the retained set is "the first max_entries
+/// (t_ns, tenant, seq). Over kMaxEntries the canonically *latest* entry is
+/// dropped (and counted): the retained set is "the first kMaxEntries
 /// audited requests on the simulated timeline", a deterministic function
 /// of the entry set.
 class SlowQueryAudit {
  public:
-  explicit SlowQueryAudit(AuditOptions options = AuditOptions())
-      : options_(std::move(options)) {}
-
-  const AuditOptions& options() const { return options_; }
+  static constexpr size_t kMaxEntries = 64;
 
   void Add(AuditEntry entry);
 
   size_t size() const { return entries_.size(); }
   uint64_t dropped() const { return dropped_; }
-  std::vector<AuditEntry> Sorted() const;
 
   /// {"dropped":N,"entries":[...]}, entries in canonical order.
   std::string ToJson() const;
 
  private:
-  AuditOptions options_;
   std::multiset<AuditEntry> entries_;
   uint64_t dropped_ = 0;
-};
-
-/// Persistent per-(pattern, predicate) cardinality actuals, aggregated
-/// across audited queries. The JSON file it round-trips through is meant
-/// for estimator re-seeding: a planner can look up the mean observed
-/// cardinality of a pattern before falling back to static heuristics.
-class StatsStore {
- public:
-  struct Stats {
-    uint64_t count = 0;
-    uint64_t total_rows = 0;
-    uint64_t min_rows = ~0ull;
-    uint64_t max_rows = 0;
-    uint64_t est_rows = 0;  ///< Latest planner estimate (max over obs).
-
-    double MeanRows() const {
-      return count == 0 ? 0.0
-                        : static_cast<double>(total_rows) /
-                              static_cast<double>(count);
-    }
-  };
-
-  void Observe(const PatternActual& actual);
-
-  /// Mean observed cardinality, or negative when the pattern is unseen.
-  double LookupMeanRows(const std::string& pattern) const;
-
-  size_t size() const { return stats_.size(); }
-
-  /// {"patterns":[{"pattern":..,"predicate":..,"count":..,...}]} sorted by
-  /// (pattern, predicate).
-  std::string ToJson() const;
-
-  /// Parses a file previously produced by ToJson.
-  static Result<StatsStore> Parse(std::string_view json);
-
- private:
-  std::map<std::pair<std::string, std::string>, Stats> stats_;
 };
 
 }  // namespace rdfspark::obs

@@ -92,15 +92,14 @@ std::vector<Event> EventLog::Sorted() const {
   return std::vector<Event>(events_.begin(), events_.end());
 }
 
-std::string EventLog::ToJson(const std::vector<Event>& extra) const {
-  std::vector<Event> all = Sorted();
-  all.insert(all.end(), extra.begin(), extra.end());
-  std::sort(all.begin(), all.end());
+std::string EventLog::ToJson() const {
   std::string out =
       "{\"dropped\":" + std::to_string(dropped_) + ",\"events\":[\n";
-  for (size_t i = 0; i < all.size(); ++i) {
-    if (i > 0) out += ",\n";
-    out += all[i].ToJson();
+  bool first = true;
+  for (const Event& e : events_) {
+    if (!first) out += ",\n";
+    first = false;
+    out += e.ToJson();
   }
   out += "\n]}\n";
   return out;

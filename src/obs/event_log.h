@@ -59,7 +59,10 @@ struct Event {
 /// order. Dropped counts are reported, never silent.
 class EventLog {
  public:
-  explicit EventLog(size_t capacity = 4096) : capacity_(capacity) {}
+  static constexpr size_t kDefaultCapacity = 4096;
+
+  explicit EventLog(size_t capacity = kDefaultCapacity)
+      : capacity_(capacity) {}
 
   void Add(Event event);
 
@@ -70,9 +73,8 @@ class EventLog {
   std::vector<Event> Sorted() const;
 
   /// RFC 8259 array of the retained events (canonical order) wrapped as
-  /// {"dropped":N,"events":[...]}; `extra` events (e.g. the cache events a
-  /// logical replay synthesizes at export time) are merged in.
-  std::string ToJson(const std::vector<Event>& extra = {}) const;
+  /// {"dropped":N,"events":[...]}.
+  std::string ToJson() const;
 
   /// True if at least one retained event has kind `k`.
   bool Covers(EventKind k) const;

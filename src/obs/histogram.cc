@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <cstdio>
 
 namespace rdfspark::obs {
 
@@ -66,17 +65,6 @@ bool LatencyHistogram::operator==(const LatencyHistogram& other) const {
     return false;
   }
   return std::equal(buckets_, buckets_ + kBuckets, other.buckets_);
-}
-
-std::string LatencyHistogram::Summary() const {
-  char buf[160];
-  std::snprintf(buf, sizeof(buf),
-                "count=%llu p50=%llu p99=%llu max=%llu mean=%.1f",
-                static_cast<unsigned long long>(count_),
-                static_cast<unsigned long long>(ValueAtQuantile(0.50)),
-                static_cast<unsigned long long>(ValueAtQuantile(0.99)),
-                static_cast<unsigned long long>(max_), Mean());
-  return buf;
 }
 
 }  // namespace rdfspark::obs

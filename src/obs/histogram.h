@@ -2,7 +2,6 @@
 #define RDFSPARK_OBS_HISTOGRAM_H_
 
 #include <cstdint>
-#include <string>
 
 namespace rdfspark::obs {
 
@@ -45,11 +44,6 @@ class LatencyHistogram {
   uint64_t min_value() const { return count_ == 0 ? 0 : min_; }
   uint64_t bucket(int i) const { return buckets_[i]; }
 
-  double Mean() const {
-    return count_ == 0 ? 0.0
-                       : static_cast<double>(sum_) / static_cast<double>(count_);
-  }
-
   /// Upper bound of the bucket containing the sample of rank
   /// ceil(q * count) (q in [0,1]; q=0 is the minimum bucket), clamped to
   /// the recorded max so the top quantiles are exact. 0 when empty.
@@ -60,9 +54,6 @@ class LatencyHistogram {
 
   /// Largest value mapping to bucket `i` — what ValueAtQuantile reports.
   static uint64_t BucketUpperBound(int i);
-
-  /// "count=3 p50=12 p99=40 max=41 mean=17.7" one-liner for text tables.
-  std::string Summary() const;
 
   bool operator==(const LatencyHistogram& other) const;
 

@@ -33,6 +33,13 @@ constexpr const char* kMetricCacheHits = "cache_hits";
 constexpr const char* kMetricCacheMisses = "cache_misses";
 constexpr const char* kMetricCacheBypass = "cache_bypass";
 
+/// Envelope-vs-actual calibration (Tier D / RS006 at the serving layer):
+/// when an audited request carries both a static envelope and observed
+/// bytes, an envelope_drift event fires if the envelope exceeds this many
+/// times the observed bytes — or under-estimates them at all, which is a
+/// soundness violation. Mirrors systems::plan::kEnvelopeDriftBound.
+constexpr double kEnvelopeDriftBound = 16.0;
+
 const char* OutcomeMetric(RequestRecord::Outcome outcome) {
   switch (outcome) {
     case RequestRecord::Outcome::kOk:
@@ -138,7 +145,7 @@ void TelemetrySink::Apply(TenantState& tenant, RequestRecord rec) {
   finish.AddField("variant", rec.variant);
   events_.Add(std::move(finish));
 
-  // ---- Windowed series + cumulative totals, per scope ----
+  // ---- Windowed series, per scope ----
   std::vector<SeriesId> scopes;
   scopes.push_back({ScopeKind::kTotal, "", ""});
   scopes.push_back({ScopeKind::kTenant, rec.tenant, ""});
@@ -150,7 +157,6 @@ void TelemetrySink::Apply(TenantState& tenant, RequestRecord rec) {
     for (SeriesId id : scopes) {
       id.metric = metric;
       registry_.Add(id, end_ns, delta);
-      total_counters_[id] += delta;
     }
   };
   count(kMetricRequests, 1);
@@ -163,7 +169,6 @@ void TelemetrySink::Apply(TenantState& tenant, RequestRecord rec) {
     for (SeriesId id : scopes) {
       id.metric = kMetricLatencyNs;
       registry_.Observe(id, end_ns, duration_ns);
-      total_histograms_[id].Record(duration_ns);
     }
   }
 
@@ -183,8 +188,7 @@ void TelemetrySink::Apply(TenantState& tenant, RequestRecord rec) {
     entry.error_trigger = rec.audit_error_trigger;
     entry.max_est_error = rec.max_est_error;
     entry.profile = rec.audit_profile;
-    entry.patterns = rec.pattern_actuals;
-    for (const PatternActual& p : entry.patterns) stats_.Observe(p);
+    entry.patterns = std::move(rec.pattern_actuals);
     audit_.Add(std::move(entry));
 
     Event captured;
@@ -209,7 +213,7 @@ void TelemetrySink::Apply(TenantState& tenant, RequestRecord rec) {
     const bool under = rec.observed_bytes > rec.envelope_bytes;
     const bool over =
         static_cast<double>(rec.envelope_bytes) >
-        options_.envelope_drift_bound * static_cast<double>(rec.observed_bytes);
+        kEnvelopeDriftBound * static_cast<double>(rec.observed_bytes);
     if (under || over) {
       count(kMetricEnvelopeDrift, 1);
       Event drift;
@@ -278,6 +282,7 @@ size_t TelemetrySink::unapplied() const {
 TelemetrySink::CacheReplay TelemetrySink::ReplayCache() const {
   CacheReplay replay;
   replay.windows = WindowedRegistry(options_.window);
+  replay.events = events_;
 
   // Canonical replay order: a pure function of the applied-record set.
   std::vector<const Applied*> order;
@@ -309,7 +314,7 @@ TelemetrySink::CacheReplay TelemetrySink::ReplayCache() const {
       ev.kind = EventKind::kCacheInvalidate;
       ev.AddField("entries", static_cast<uint64_t>(lru.size()));
       ev.AddField("epoch", a->epoch);
-      replay.events.push_back(std::move(ev));
+      replay.events.Add(std::move(ev));
       replay.invalidations += lru.size();
       lru.clear();
       index.clear();
@@ -339,7 +344,7 @@ TelemetrySink::CacheReplay TelemetrySink::ReplayCache() const {
       ev.scope = a->tenant;
       ev.seq = a->seq;
       ev.kind = EventKind::kCacheHit;
-      replay.events.push_back(std::move(ev));
+      replay.events.Add(std::move(ev));
       continue;
     }
     observe(total, a->end_ns, kMetricCacheMisses);
@@ -351,7 +356,7 @@ TelemetrySink::CacheReplay TelemetrySink::ReplayCache() const {
     fill.seq = a->seq;
     fill.kind = EventKind::kCacheFill;
     fill.AddField("epoch", a->epoch);
-    replay.events.push_back(std::move(fill));
+    replay.events.Add(std::move(fill));
     lru.push_front(key);
     index[key] = lru.begin();
     if (options_.logical_cache_capacity > 0 &&
@@ -366,7 +371,7 @@ TelemetrySink::CacheReplay TelemetrySink::ReplayCache() const {
       ev.seq = a->seq;
       ev.kind = EventKind::kCacheEvict;
       ev.AddField("epoch", victim.first);
-      replay.events.push_back(std::move(ev));
+      replay.events.Add(std::move(ev));
     }
   }
   return replay;
@@ -479,7 +484,6 @@ std::string TelemetrySink::TelemetryJsonLocked(const CacheReplay& cache) const {
       MergeWindows(registry_.Snapshot(), cache.windows.Snapshot());
   std::string out = "{\"window\":{\"width_ns\":" +
                     std::to_string(options_.window.width_ns) +
-                    ",\"stride_ns\":" + std::to_string(options_.window.stride_ns) +
                     "},\"request_overhead_ns\":" +
                     std::to_string(options_.request_overhead_ns) +
                     ",\"cache\":{\"hits\":" + std::to_string(cache.hits) +
@@ -488,7 +492,8 @@ std::string TelemetrySink::TelemetryJsonLocked(const CacheReplay& cache) const {
                     ",\"evictions\":" + std::to_string(cache.evictions) +
                     ",\"invalidations\":" + std::to_string(cache.invalidations) +
                     "},\"audit_entries\":" + std::to_string(audit_.size()) +
-                    ",\"events_dropped\":" + std::to_string(events_.dropped()) +
+                    ",\"events_dropped\":" +
+                    std::to_string(cache.events.dropped()) +
                     ",\"windows\":[\n";
   bool first_window = true;
   for (const MergedWindow& w : windows) {
@@ -503,20 +508,14 @@ std::string TelemetrySink::TelemetryJsonLocked(const CacheReplay& cache) const {
       out += "{\"scope\":\"" + std::string(ScopeKindName(id.scope)) +
              "\",\"name\":\"" + JsonEscape(id.scope_name) +
              "\",\"metric\":\"" + JsonEscape(id.metric) + "\",";
-      switch (cell->kind) {
-        case SeriesKind::kCounter:
-          out += "\"value\":" + std::to_string(cell->counter);
-          break;
-        case SeriesKind::kGauge:
-          out += "\"value\":" + std::to_string(cell->gauge);
-          break;
-        case SeriesKind::kHistogram:
-          out += "\"count\":" + std::to_string(cell->hist->count()) +
-                 ",\"sum\":" + std::to_string(cell->hist->sum()) +
-                 ",\"p50\":" + std::to_string(cell->hist->ValueAtQuantile(0.50)) +
-                 ",\"p99\":" + std::to_string(cell->hist->ValueAtQuantile(0.99)) +
-                 ",\"max\":" + std::to_string(cell->hist->max_value());
-          break;
+      if (cell->hist == nullptr) {
+        out += "\"value\":" + std::to_string(cell->counter);
+      } else {
+        out += "\"count\":" + std::to_string(cell->hist->count()) +
+               ",\"sum\":" + std::to_string(cell->hist->sum()) +
+               ",\"p50\":" + std::to_string(cell->hist->ValueAtQuantile(0.50)) +
+               ",\"p99\":" + std::to_string(cell->hist->ValueAtQuantile(0.99)) +
+               ",\"max\":" + std::to_string(cell->hist->max_value());
       }
       out += "}";
     }
@@ -536,10 +535,12 @@ std::string TelemetrySink::PrometheusTextLocked(const CacheReplay& cache) const 
     return l;
   };
 
+  // All-time totals are the window sums: with tumbling windows every
+  // observation lies in exactly one window, so the sums are exact.
   // Counters grouped per metric family (SeriesId sorts by scope first, so
   // regroup by metric name).
   std::map<std::string, std::vector<std::pair<SeriesId, int64_t>>> families;
-  for (const auto& [id, value] : total_counters_) {
+  for (const auto& [id, value] : registry_.CounterTotals()) {
     families[id.metric].emplace_back(id, value);
   }
   for (const auto& [metric, samples] : families) {
@@ -563,7 +564,7 @@ std::string TelemetrySink::PrometheusTextLocked(const CacheReplay& cache) const 
   {
     std::string name = "rdfspark_serve_latency_ns";
     b.Family(name, "histogram", "simulated request latency (ok requests)");
-    for (const auto& [id, hist] : total_histograms_) {
+    for (const auto& [id, hist] : registry_.HistogramTotals()) {
       PrometheusLabels base = labels(id);
       uint64_t cumulative = 0;
       for (int i = 0; i < LatencyHistogram::kBuckets; ++i) {
@@ -591,7 +592,7 @@ std::string TelemetrySink::PrometheusTextLocked(const CacheReplay& cache) const 
         static_cast<uint64_t>(audit_.size()));
   b.Family("rdfspark_serve_events_dropped_total", "counter",
            "events evicted from the bounded event log");
-  b.Add("rdfspark_serve_events_dropped_total", {}, events_.dropped());
+  b.Add("rdfspark_serve_events_dropped_total", {}, cache.events.dropped());
   return b.Text();
 }
 
@@ -607,17 +608,12 @@ std::string TelemetrySink::WindowsText() const {
 
 std::string TelemetrySink::EventsJson() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return events_.ToJson(ReplayCache().events);
+  return ReplayCache().events.ToJson();
 }
 
 std::string TelemetrySink::AuditJson() const {
   std::lock_guard<std::mutex> lock(mu_);
   return audit_.ToJson();
-}
-
-std::string TelemetrySink::StatsStoreJson() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_.ToJson();
 }
 
 std::string TelemetrySink::TelemetryJson() const {
@@ -639,8 +635,13 @@ Status TelemetrySink::WriteArtifacts(const std::string& dir) const {
   if (::mkdir(dir.c_str(), 0755) != 0 && errno != EEXIST) {
     return Status::InvalidArgument("cannot create telemetry dir: " + dir);
   }
-  auto write = [&](const std::string& name,
-                   const std::string& content) -> Status {
+  using Check = bool (*)(std::string_view, std::string*);
+  auto write = [&](const std::string& name, const std::string& content,
+                   Check check) -> Status {
+    std::string error;
+    if (check != nullptr && !check(content, &error)) {
+      return Status::Internal(name + " failed its format check: " + error);
+    }
     std::ofstream out(dir + "/" + name);
     if (!out) {
       return Status::InvalidArgument("cannot write " + dir + "/" + name);
@@ -650,12 +651,15 @@ Status TelemetrySink::WriteArtifacts(const std::string& dir) const {
   };
   std::lock_guard<std::mutex> lock(mu_);
   CacheReplay cache = ReplayCache();
-  RDFSPARK_RETURN_NOT_OK(write("metrics.prom", PrometheusTextLocked(cache)));
-  RDFSPARK_RETURN_NOT_OK(write("windows.txt", WindowsTextLocked(cache)));
-  RDFSPARK_RETURN_NOT_OK(write("events.json", events_.ToJson(cache.events)));
-  RDFSPARK_RETURN_NOT_OK(write("audit.json", audit_.ToJson()));
-  RDFSPARK_RETURN_NOT_OK(write("stats_store.json", stats_.ToJson()));
-  RDFSPARK_RETURN_NOT_OK(write("telemetry.json", TelemetryJsonLocked(cache)));
+  RDFSPARK_RETURN_NOT_OK(write("metrics.prom", PrometheusTextLocked(cache),
+                               CheckPrometheusText));
+  RDFSPARK_RETURN_NOT_OK(
+      write("windows.txt", WindowsTextLocked(cache), nullptr));
+  RDFSPARK_RETURN_NOT_OK(
+      write("events.json", cache.events.ToJson(), ValidateJson));
+  RDFSPARK_RETURN_NOT_OK(write("audit.json", audit_.ToJson(), ValidateJson));
+  RDFSPARK_RETURN_NOT_OK(
+      write("telemetry.json", TelemetryJsonLocked(cache), ValidateJson));
   return Status::OK();
 }
 

@@ -10,7 +10,6 @@
 #include "common/status.h"
 #include "obs/audit.h"
 #include "obs/event_log.h"
-#include "obs/histogram.h"
 #include "obs/time_series.h"
 
 namespace rdfspark::obs {
@@ -18,7 +17,6 @@ namespace rdfspark::obs {
 /// Configuration of the serving telemetry pipeline.
 struct TelemetryOptions {
   WindowSpec window;
-  size_t event_capacity = 4096;
   /// Virtual cost charged per request on top of the operators' busy_ns, so
   /// zero-cost requests (admission rejects, parse failures) still advance
   /// the tenant's virtual clock.
@@ -26,13 +24,6 @@ struct TelemetryOptions {
   /// Capacity of the logical plan-cache model replayed at export time.
   /// Wired to the server's plan_cache_capacity.
   size_t logical_cache_capacity = 256;
-  /// Envelope-vs-actual calibration (Tier D / RS006 at the serving layer):
-  /// when an audited request carries both a static envelope and observed
-  /// bytes, an envelope_drift event fires if the envelope exceeds
-  /// `envelope_drift_bound` times the observed bytes — or under-estimates
-  /// them at all, which is a soundness violation. Mirrors
-  /// systems::plan::kEnvelopeDriftBound.
-  double envelope_drift_bound = 16.0;
   AuditOptions audit;
 };
 
@@ -96,8 +87,8 @@ struct AuditDecision {
 };
 
 /// Thread-safe collector turning per-request records into the windowed
-/// time-series registry, the structured event log, the slow-query audit
-/// log and the stats store — all on the per-tenant virtual timeline.
+/// time-series registry, the structured event log and the slow-query audit
+/// log — all on the per-tenant virtual timeline.
 ///
 /// Determinism: workers may finish one tenant's requests out of order, so
 /// the sink buffers records per tenant and applies them in tenant_seq
@@ -107,6 +98,9 @@ struct AuditDecision {
 /// depends on interleaving): they are recomputed at export time by
 /// replaying the retained records in canonical (end_ns, tenant, seq)
 /// order through a logical LRU model of the same capacity.
+///
+/// The tumbling windows are the only aggregate store: the Prometheus
+/// totals are their sums, computed at export time.
 class TelemetrySink {
  public:
   explicit TelemetrySink(TelemetryOptions options = TelemetryOptions());
@@ -141,18 +135,20 @@ class TelemetrySink {
   std::string WindowsText() const;
 
   /// {"dropped":N,"events":[...]} — typed events incl. replayed cache
-  /// fill/hit/evict/invalidate events.
+  /// fill/hit/evict/invalidate events; the newest
+  /// EventLog::kDefaultCapacity of them, the rest counted in `dropped`.
   std::string EventsJson() const;
 
   std::string AuditJson() const;
-  std::string StatsStoreJson() const;
 
-  /// Machine-readable rollup consumed by tools/serve_monitor: window
-  /// geometry plus every window's series values.
+  /// Machine-readable rollup: window geometry plus every window's series
+  /// values.
   std::string TelemetryJson() const;
 
-  /// Writes metrics.prom, windows.txt, events.json, audit.json,
-  /// stats_store.json and telemetry.json under `dir` (created if needed).
+  /// Writes metrics.prom, windows.txt, events.json, audit.json and
+  /// telemetry.json under `dir` (created if needed). Each artifact is
+  /// checked first (Prometheus line format, RFC 8259 JSON); a failed
+  /// check is returned as an error and that file is not written.
   Status WriteArtifacts(const std::string& dir) const;
 
   /// Number of non-empty windows so far.
@@ -184,7 +180,9 @@ class TelemetrySink {
   /// Result of the export-time logical cache replay.
   struct CacheReplay {
     WindowedRegistry windows;  ///< cache_hits / cache_misses / cache_bypass.
-    std::vector<Event> events;
+    /// The ingested events with the replayed cache events merged in,
+    /// bounded like the ingest-side log.
+    EventLog events;
     uint64_t hits = 0;
     uint64_t misses = 0;
     uint64_t bypasses = 0;
@@ -205,11 +203,7 @@ class TelemetrySink {
   WindowedRegistry registry_;
   EventLog events_;
   SlowQueryAudit audit_;
-  StatsStore stats_;
   std::vector<Applied> applied_;
-  /// Cumulative (all-time) per-scope totals for the Prometheus surface.
-  std::map<SeriesId, int64_t> total_counters_;
-  std::map<SeriesId, LatencyHistogram> total_histograms_;
 };
 
 }  // namespace rdfspark::obs

@@ -1,7 +1,5 @@
 #include "obs/time_series.h"
 
-#include <algorithm>
-
 namespace rdfspark::obs {
 
 const char* ScopeKindName(ScopeKind k) {
@@ -16,46 +14,19 @@ const char* ScopeKindName(ScopeKind k) {
   return "?";
 }
 
-uint64_t WindowSpec::FirstWindowStart(uint64_t t) const {
-  // Window starts are the multiples of stride; window [s, s + width)
-  // contains t iff s <= t and s > t - width. The lowest such start:
-  uint64_t lowest = t < width_ns ? 0 : ((t - width_ns) / stride_ns + 1) * stride_ns;
-  return lowest;
-}
-
-uint64_t WindowSpec::WindowsPerInstant() const {
-  return (width_ns + stride_ns - 1) / stride_ns;
-}
-
-template <typename Fn>
-void WindowedRegistry::ForEachWindow(const SeriesId& id, uint64_t t_ns,
-                                     SeriesKind kind, Fn&& fn) {
-  for (uint64_t start = spec_.FirstWindowStart(t_ns);
-       start <= t_ns && start + spec_.width_ns > t_ns;
-       start += spec_.stride_ns) {
-    Cell& cell = windows_[start][id];
-    cell.kind = kind;
-    if (kind == SeriesKind::kHistogram && cell.hist == nullptr) {
-      cell.hist = std::make_unique<LatencyHistogram>();
-    }
-    fn(cell);
-    if (start > ~0ull - spec_.stride_ns) break;  // overflow guard
-  }
+WindowedRegistry::Cell& WindowedRegistry::CellAt(const SeriesId& id,
+                                                 uint64_t t_ns) {
+  return windows_[t_ns - t_ns % spec_.width_ns][id];
 }
 
 void WindowedRegistry::Add(const SeriesId& id, uint64_t t_ns, int64_t delta) {
-  ForEachWindow(id, t_ns, SeriesKind::kCounter,
-                [delta](Cell& cell) { cell.counter += delta; });
-}
-
-void WindowedRegistry::SetMax(const SeriesId& id, uint64_t t_ns, uint64_t v) {
-  ForEachWindow(id, t_ns, SeriesKind::kGauge,
-                [v](Cell& cell) { cell.gauge = std::max(cell.gauge, v); });
+  CellAt(id, t_ns).counter += delta;
 }
 
 void WindowedRegistry::Observe(const SeriesId& id, uint64_t t_ns, uint64_t v) {
-  ForEachWindow(id, t_ns, SeriesKind::kHistogram,
-                [v](Cell& cell) { cell.hist->Record(v); });
+  Cell& cell = CellAt(id, t_ns);
+  if (cell.hist == nullptr) cell.hist = std::make_unique<LatencyHistogram>();
+  cell.hist->Record(v);
 }
 
 std::vector<WindowedRegistry::WindowSnapshot> WindowedRegistry::Snapshot()
@@ -72,6 +43,27 @@ std::vector<WindowedRegistry::WindowSnapshot> WindowedRegistry::Snapshot()
     out.push_back(std::move(snap));
   }
   return out;
+}
+
+std::map<SeriesId, int64_t> WindowedRegistry::CounterTotals() const {
+  std::map<SeriesId, int64_t> totals;
+  for (const auto& [start, window] : windows_) {
+    for (const auto& [id, cell] : window) {
+      if (cell.hist == nullptr) totals[id] += cell.counter;
+    }
+  }
+  return totals;
+}
+
+std::map<SeriesId, LatencyHistogram> WindowedRegistry::HistogramTotals()
+    const {
+  std::map<SeriesId, LatencyHistogram> totals;
+  for (const auto& [start, window] : windows_) {
+    for (const auto& [id, cell] : window) {
+      if (cell.hist != nullptr) totals[id].Merge(*cell.hist);
+    }
+  }
+  return totals;
 }
 
 }  // namespace rdfspark::obs

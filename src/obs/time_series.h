@@ -12,26 +12,11 @@
 
 namespace rdfspark::obs {
 
-/// Window geometry over the simulated-ns timeline. stride == width is the
-/// tumbling case (every instant belongs to exactly one window);
-/// stride < width yields overlapping sliding windows where one
-/// observation lands in ceil(width / stride) of them.
+/// Tumbling-window geometry over the simulated-ns timeline: windows start
+/// at the multiples of width_ns, so every instant belongs to exactly one
+/// window and summing a series over all windows gives its exact total.
 struct WindowSpec {
-  uint64_t width_ns = 25'000'000;   // 25 simulated ms
-  uint64_t stride_ns = 25'000'000;  // tumbling by default
-
-  /// Start of the first (lowest) window containing `t`.
-  uint64_t FirstWindowStart(uint64_t t) const;
-  /// Number of windows containing any instant (ceil(width / stride)).
-  uint64_t WindowsPerInstant() const;
-};
-
-/// What a series aggregates to within one window.
-enum class SeriesKind : uint8_t {
-  kCounter,    ///< Sum of signed deltas.
-  kGauge,      ///< Maximum of observed values (max is the only
-               ///< order-independent "last" under concurrent ingest).
-  kHistogram,  ///< Mergeable LatencyHistogram of samples.
+  uint64_t width_ns = 25'000'000;  // 25 simulated ms
 };
 
 /// Scope a series is attributed to. Totals, per-tenant and per-engine-
@@ -51,34 +36,27 @@ struct SeriesId {
   bool operator==(const SeriesId& o) const { return Tie() == o.Tie(); }
 };
 
-/// Windowed time-series registry: counters, gauges and mergeable latency
+/// Windowed time-series registry: counters and mergeable latency
 /// histograms per (window, scope, metric). NOT internally synchronized —
 /// the TelemetrySink owns one under its lock. Determinism contract: every
-/// aggregation is commutative and associative (sums, maxima, bucket-wise
-/// histogram merges), so a snapshot taken at a quiescent point depends
-/// only on the multiset of observations, never on ingest order or thread
-/// count.
+/// aggregation is commutative and associative (sums, bucket-wise histogram
+/// merges), so a snapshot taken at a quiescent point depends only on the
+/// multiset of observations, never on ingest order or thread count.
 class WindowedRegistry {
  public:
   explicit WindowedRegistry(WindowSpec spec = WindowSpec()) : spec_(spec) {}
 
-  const WindowSpec& spec() const { return spec_; }
-
-  /// Adds `delta` (possibly negative) to a counter in every window
+  /// Adds `delta` (possibly negative) to a counter in the window
   /// containing `t_ns`.
   void Add(const SeriesId& id, uint64_t t_ns, int64_t delta);
 
-  /// Folds `v` into a max-gauge in every window containing `t_ns`.
-  void SetMax(const SeriesId& id, uint64_t t_ns, uint64_t v);
-
-  /// Records a histogram sample in every window containing `t_ns`.
+  /// Records a histogram sample in the window containing `t_ns`.
   void Observe(const SeriesId& id, uint64_t t_ns, uint64_t v);
 
+  /// A counter, or a histogram when `hist` is set.
   struct Cell {
-    SeriesKind kind = SeriesKind::kCounter;
     int64_t counter = 0;
-    uint64_t gauge = 0;
-    std::unique_ptr<LatencyHistogram> hist;  // kHistogram only
+    std::unique_ptr<LatencyHistogram> hist;
   };
 
   struct WindowSnapshot {
@@ -92,15 +70,16 @@ class WindowedRegistry {
   /// until the next mutation.
   std::vector<WindowSnapshot> Snapshot() const;
 
+  /// Every counter summed and every histogram merged over all windows.
+  std::map<SeriesId, int64_t> CounterTotals() const;
+  std::map<SeriesId, LatencyHistogram> HistogramTotals() const;
+
   size_t window_count() const { return windows_.size(); }
 
  private:
   using Window = std::map<SeriesId, Cell>;
 
-  /// Applies `fn` to the cell of `id` in every window containing `t_ns`.
-  template <typename Fn>
-  void ForEachWindow(const SeriesId& id, uint64_t t_ns, SeriesKind kind,
-                     Fn&& fn);
+  Cell& CellAt(const SeriesId& id, uint64_t t_ns);
 
   WindowSpec spec_;
   std::map<uint64_t, Window> windows_;  // keyed by window start

@@ -3,7 +3,6 @@
 #include <optional>
 #include <utility>
 
-#include "obs/prometheus.h"
 #include "spark/hb.h"
 #include "spark/tracing.h"
 #include "sparql/parser.h"
@@ -165,7 +164,6 @@ std::shared_ptr<QueryServer::Ticket> QueryServer::Submit(
     }
     request.session_id = session_id;
     request.tenant = sessions_[static_cast<size_t>(session_id)].tenant;
-    request.sequence = next_sequence_++;
     TenantState& tenant = *tenants_.at(request.tenant);
     // tenant_seq doubles as the telemetry ordering key: every submitted
     // request — including ones rejected right here — must reach the sink
@@ -187,7 +185,6 @@ std::shared_ptr<QueryServer::Ticket> QueryServer::Submit(
     result.rejected = true;
     result.tenant = request.tenant;
     result.variant = request.variant;
-    result.sequence = request.sequence;
     Finish(request, std::move(result));
     return ticket;
   }
@@ -223,21 +220,9 @@ TenantStats QueryServer::tenant_stats(const std::string& tenant) const {
   return it->second->stats;
 }
 
-std::vector<std::string> QueryServer::tenant_names() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return tenant_order_;
-}
-
 std::vector<systems::plan::Diagnostic> QueryServer::race_findings() const {
   if (race_check_ == nullptr || !race_check_->owner()) return {};
   return spark::hb::Recorder::Get().Analyze();
-}
-
-std::string QueryServer::MetricsText() const {
-  std::string out;
-  if (telemetry_ != nullptr) out += telemetry_->PrometheusText();
-  out += obs::ExpositionForMetrics(sc_->metrics(), "rdfspark_");
-  return out;
 }
 
 void QueryServer::WorkerLoop() {
@@ -287,7 +272,6 @@ RequestResult QueryServer::Process(const Request& request,
   RequestResult result;
   result.tenant = request.tenant;
   result.variant = request.variant;
-  result.sequence = request.sequence;
 
   auto engine_it = engines_.find(request.variant);
   if (engine_it == engines_.end()) {

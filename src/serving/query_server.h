@@ -47,7 +47,6 @@ struct RequestResult {
   double latency_ms = 0.0;    ///< Wall-clock queue + execution latency.
   std::string tenant;
   std::string variant;
-  uint64_t sequence = 0;  ///< Server-wide admission order of this request.
 };
 
 /// Per-tenant serving counters; snapshot taken under the server's stats
@@ -208,16 +207,11 @@ class QueryServer {
   std::vector<VariantInfo> variants() const;
 
   TenantStats tenant_stats(const std::string& tenant) const;
-  std::vector<std::string> tenant_names() const;
   PlanCacheStats plan_cache_stats() const { return cache_.stats(); }
 
   /// The telemetry sink, or null when Options::telemetry is off. Exports
   /// (PrometheusText, WriteArtifacts, ...) are safe at any quiescent point.
   obs::TelemetrySink* telemetry() const { return telemetry_.get(); }
-
-  /// Prometheus text exposition: serving telemetry (when enabled) followed
-  /// by the SparkContext's cluster-simulator metrics.
-  std::string MetricsText() const;
 
   /// Tier C findings over everything recorded since the server opened its
   /// window (empty when check_races is off). Non-destructive — the window
@@ -236,7 +230,6 @@ class QueryServer {
     std::string tenant;
     std::string variant;
     std::string text;
-    uint64_t sequence = 0;
     /// Per-tenant submission order (0-based); the telemetry sink applies
     /// records in this order, so every tenant's virtual timeline is
     /// independent of worker scheduling.
@@ -271,7 +264,6 @@ class QueryServer {
   std::map<std::string, std::unique_ptr<TenantState>> tenants_;
   std::vector<SessionInfo> sessions_;
   size_t rr_next_ = 0;       ///< Round-robin cursor into tenant_order_.
-  uint64_t next_sequence_ = 0;
   int queued_ = 0;           ///< Requests waiting in any tenant queue.
   bool stopping_ = false;
   mutable std::mutex mu_;    ///< Guards all queue/session/stats state.

@@ -1,20 +1,21 @@
 // Telemetry-pipeline tests: the obs/ subsystem must be a deterministic
 // function of the multiset of request records — exact quantiles where the
 // histogram layout promises them, merge associativity, canonical event
-// ordering under bounded eviction, stats-store round-trips, Prometheus
-// line-format acceptance, ingest-order invariance of the sink, the logical
-// plan-cache replay, and (end to end) bit-identical serving artifacts
-// across simulated executor-thread counts.
+// ordering under bounded eviction, Prometheus line-format acceptance,
+// ingest-order invariance of the sink, exports pinned to goldens, the
+// logical plan-cache replay, and (end to end) bit-identical serving
+// artifacts across simulated executor-thread counts.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "common/json.h"
-#include "obs/audit.h"
 #include "obs/event_log.h"
 #include "obs/histogram.h"
 #include "obs/prometheus.h"
@@ -101,8 +102,6 @@ TEST(LatencyHistogramTest, MergeIsAssociativeAndCommutative) {
 TEST(WindowedRegistryTest, TumblingWindowsPartitionTheTimeline) {
   WindowSpec spec;
   spec.width_ns = 100;
-  spec.stride_ns = 100;
-  EXPECT_EQ(spec.WindowsPerInstant(), 1u);
   WindowedRegistry reg(spec);
   SeriesId id{ScopeKind::kTotal, "", "requests"};
   reg.Add(id, 0, 1);
@@ -119,37 +118,21 @@ TEST(WindowedRegistryTest, TumblingWindowsPartitionTheTimeline) {
   EXPECT_EQ(snap[1].series.at(id)->counter, 1);
   EXPECT_EQ(snap[2].start_ns, 200u);
   EXPECT_EQ(snap[2].series.at(id)->counter, 1);
+  // Every observation lies in exactly one window: the sum is the total.
+  EXPECT_EQ(reg.CounterTotals().at(id), 4);
 }
 
-TEST(WindowedRegistryTest, SlidingWindowsOverlap) {
-  WindowSpec spec;
-  spec.width_ns = 100;
-  spec.stride_ns = 50;
-  EXPECT_EQ(spec.WindowsPerInstant(), 2u);
-  WindowedRegistry reg(spec);
-  SeriesId id{ScopeKind::kTenant, "t0", "requests"};
-  reg.Add(id, 250, 1);  // In [200, 300) and [250, 350).
-
-  auto snap = reg.Snapshot();
-  ASSERT_EQ(snap.size(), 2u);
-  EXPECT_EQ(snap[0].start_ns, 200u);
-  EXPECT_EQ(snap[1].start_ns, 250u);
-  for (const auto& w : snap) EXPECT_EQ(w.series.at(id)->counter, 1);
-}
-
-TEST(WindowedRegistryTest, GaugeIsMaxAndHistogramMerges) {
+TEST(WindowedRegistryTest, HistogramMerges) {
   WindowedRegistry reg;
-  SeriesId g{ScopeKind::kTotal, "", "inflight"};
   SeriesId h{ScopeKind::kTotal, "", "latency_ns"};
-  reg.SetMax(g, 10, 3);
-  reg.SetMax(g, 20, 7);
-  reg.SetMax(g, 30, 5);
   reg.Observe(h, 10, 100);
   reg.Observe(h, 20, 200);
+  reg.Observe(h, 30'000'000, 300);  // The next 25 ms window.
   auto snap = reg.Snapshot();
-  ASSERT_EQ(snap.size(), 1u);
-  EXPECT_EQ(snap[0].series.at(g)->gauge, 7u);
+  ASSERT_EQ(snap.size(), 2u);
   EXPECT_EQ(snap[0].series.at(h)->hist->count(), 2u);
+  // The total merges every window's histogram.
+  EXPECT_EQ(reg.HistogramTotals().at(h).sum(), 600u);
 }
 
 // ---- EventLog ------------------------------------------------------------
@@ -197,31 +180,6 @@ TEST(EventLogTest, EventJsonIsValidWithSortedFields) {
   EXPECT_LT(json.find("\"epoch\":3"), json.find("\"key\":"));
   // The quote in the value is escaped, not a terminator.
   EXPECT_NE(json.find("k\\\"1"), std::string::npos);
-}
-
-// ---- StatsStore ----------------------------------------------------------
-
-TEST(StatsStoreTest, RoundTripsThroughJson) {
-  StatsStore store;
-  PatternActual a{"vp ?s <http://ex/p> ?o", "<http://ex/p>", 10, 40};
-  PatternActual b{"vp ?s <http://ex/p> ?o", "<http://ex/p>", 10, 60};
-  PatternActual c{"scan ?s ?p ?o", "?", 5, 7};
-  store.Observe(a);
-  store.Observe(b);
-  store.Observe(c);
-  EXPECT_EQ(store.size(), 2u);
-  EXPECT_DOUBLE_EQ(store.LookupMeanRows("vp ?s <http://ex/p> ?o"), 50.0);
-
-  std::string json = store.ToJson();
-  EXPECT_TRUE(ValidateJson(json)) << json;
-  Result<StatsStore> parsed = StatsStore::Parse(json);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(parsed->size(), 2u);
-  EXPECT_DOUBLE_EQ(parsed->LookupMeanRows("vp ?s <http://ex/p> ?o"), 50.0);
-  EXPECT_DOUBLE_EQ(parsed->LookupMeanRows("scan ?s ?p ?o"), 7.0);
-  EXPECT_LT(parsed->LookupMeanRows("never seen"), 0.0);
-  // Re-serialization is byte-identical: the store is canonically ordered.
-  EXPECT_EQ(parsed->ToJson(), json);
 }
 
 // ---- Prometheus text format ----------------------------------------------
@@ -292,13 +250,26 @@ std::vector<RequestRecord> MixedWorkload() {
   records.push_back(MakeRecord("b", 2, "HAQWA", 500'000, "HAQWA\nq2",
                                RequestRecord::Outcome::kFailed));
   records.back().detail = "Internal: synthetic failure";
+  // A slow, mis-estimated request the audit captured, whose envelope
+  // over-estimates the bytes its profiled re-run materialized.
+  records.push_back(MakeRecord("b", 3, "HAQWA", 60'000'000, "HAQWA\nq2"));
+  RequestRecord& audited = records.back();
+  audited.audited = true;
+  audited.audit_latency_trigger = true;
+  audited.audit_error_trigger = true;
+  audited.max_est_error = 20.0;
+  audited.query = "SELECT ?s WHERE { ?s a <http://ex/C> }";
+  audited.audit_profile = "Scan ?s rdf:type <http://ex/C> est=1 act=20";
+  audited.pattern_actuals.push_back(
+      {"?s rdf:type <http://ex/C>", "rdf:type", 1, 20});
+  audited.envelope_bytes = 4096;
+  audited.observed_bytes = 100;
   return records;
 }
 
 TEST(TelemetrySinkTest, ExportsAreIngestOrderInvariant) {
   TelemetryOptions opts;
   opts.window.width_ns = 10'000'000;  // 10 simulated ms
-  opts.window.stride_ns = 10'000'000;
   TelemetrySink ordered(opts);
   TelemetrySink shuffled(opts);
 
@@ -319,7 +290,6 @@ TEST(TelemetrySinkTest, ExportsAreIngestOrderInvariant) {
   EXPECT_EQ(ordered.PrometheusText(), shuffled.PrometheusText());
   EXPECT_EQ(ordered.WindowsText(), shuffled.WindowsText());
   EXPECT_EQ(ordered.AuditJson(), shuffled.AuditJson());
-  EXPECT_EQ(ordered.StatsStoreJson(), shuffled.StatsStoreJson());
 
   // The exports are well-formed and the checker accepts the exposition.
   std::string error;
@@ -327,6 +297,246 @@ TEST(TelemetrySinkTest, ExportsAreIngestOrderInvariant) {
   EXPECT_TRUE(ValidateJson(ordered.TelemetryJson(), &error)) << error;
   EXPECT_TRUE(ValidateJson(ordered.EventsJson(), &error)) << error;
   EXPECT_GE(ordered.window_count(), 3u);
+}
+
+// MixedWorkload()'s exports at 10 ms windows, byte for byte. They pin the
+// all-time Prometheus totals (summed from the windows at export time) and
+// every window table, so a change to either shows here and not only in
+// CI's serve_bench diff.
+constexpr char kGoldenPrometheus[] = R"golden(# HELP rdfspark_serve_admission_rejects_total serving telemetry counter admission_rejects
+# TYPE rdfspark_serve_admission_rejects_total counter
+rdfspark_serve_admission_rejects_total{level="total",name="all"} 1
+rdfspark_serve_admission_rejects_total{level="tenant",name="b"} 1
+rdfspark_serve_admission_rejects_total{level="variant",name="S2RDF"} 1
+# HELP rdfspark_serve_audited_total serving telemetry counter audited
+# TYPE rdfspark_serve_audited_total counter
+rdfspark_serve_audited_total{level="total",name="all"} 1
+rdfspark_serve_audited_total{level="tenant",name="b"} 1
+rdfspark_serve_audited_total{level="variant",name="HAQWA"} 1
+# HELP rdfspark_serve_envelope_drift_total serving telemetry counter envelope_drift
+# TYPE rdfspark_serve_envelope_drift_total counter
+rdfspark_serve_envelope_drift_total{level="total",name="all"} 1
+rdfspark_serve_envelope_drift_total{level="tenant",name="b"} 1
+rdfspark_serve_envelope_drift_total{level="variant",name="HAQWA"} 1
+# HELP rdfspark_serve_failed_total serving telemetry counter failed
+# TYPE rdfspark_serve_failed_total counter
+rdfspark_serve_failed_total{level="total",name="all"} 1
+rdfspark_serve_failed_total{level="tenant",name="b"} 1
+rdfspark_serve_failed_total{level="variant",name="HAQWA"} 1
+# HELP rdfspark_serve_ok_total serving telemetry counter ok
+# TYPE rdfspark_serve_ok_total counter
+rdfspark_serve_ok_total{level="total",name="all"} 6
+rdfspark_serve_ok_total{level="tenant",name="a"} 4
+rdfspark_serve_ok_total{level="tenant",name="b"} 2
+rdfspark_serve_ok_total{level="variant",name="HAQWA"} 2
+rdfspark_serve_ok_total{level="variant",name="S2RDF"} 3
+rdfspark_serve_ok_total{level="variant",name="S2X"} 1
+# HELP rdfspark_serve_requests_total serving telemetry counter requests
+# TYPE rdfspark_serve_requests_total counter
+rdfspark_serve_requests_total{level="total",name="all"} 8
+rdfspark_serve_requests_total{level="tenant",name="a"} 4
+rdfspark_serve_requests_total{level="tenant",name="b"} 4
+rdfspark_serve_requests_total{level="variant",name="HAQWA"} 3
+rdfspark_serve_requests_total{level="variant",name="S2RDF"} 4
+rdfspark_serve_requests_total{level="variant",name="S2X"} 1
+# HELP rdfspark_serve_rows_total serving telemetry counter rows
+# TYPE rdfspark_serve_rows_total counter
+rdfspark_serve_rows_total{level="total",name="all"} 115500
+rdfspark_serve_rows_total{level="tenant",name="a"} 46000
+rdfspark_serve_rows_total{level="tenant",name="b"} 69500
+rdfspark_serve_rows_total{level="variant",name="HAQWA"} 100500
+rdfspark_serve_rows_total{level="variant",name="S2RDF"} 14000
+rdfspark_serve_rows_total{level="variant",name="S2X"} 1000
+# HELP rdfspark_serve_shuffle_bytes_total serving telemetry counter shuffle_bytes
+# TYPE rdfspark_serve_shuffle_bytes_total counter
+rdfspark_serve_shuffle_bytes_total{level="total",name="all"} 11550000
+rdfspark_serve_shuffle_bytes_total{level="tenant",name="a"} 4600000
+rdfspark_serve_shuffle_bytes_total{level="tenant",name="b"} 6950000
+rdfspark_serve_shuffle_bytes_total{level="variant",name="HAQWA"} 10050000
+rdfspark_serve_shuffle_bytes_total{level="variant",name="S2RDF"} 1400000
+rdfspark_serve_shuffle_bytes_total{level="variant",name="S2X"} 100000
+# HELP rdfspark_serve_tasks_total serving telemetry counter tasks
+# TYPE rdfspark_serve_tasks_total counter
+rdfspark_serve_tasks_total{level="total",name="all"} 16
+rdfspark_serve_tasks_total{level="tenant",name="a"} 8
+rdfspark_serve_tasks_total{level="tenant",name="b"} 8
+rdfspark_serve_tasks_total{level="variant",name="HAQWA"} 6
+rdfspark_serve_tasks_total{level="variant",name="S2RDF"} 8
+rdfspark_serve_tasks_total{level="variant",name="S2X"} 2
+# HELP rdfspark_serve_cache_ops_total logical plan-cache operations (replayed)
+# TYPE rdfspark_serve_cache_ops_total counter
+rdfspark_serve_cache_ops_total{op="hit"} 3
+rdfspark_serve_cache_ops_total{op="miss"} 2
+rdfspark_serve_cache_ops_total{op="bypass"} 1
+rdfspark_serve_cache_ops_total{op="evict"} 0
+rdfspark_serve_cache_ops_total{op="invalidate"} 0
+# HELP rdfspark_serve_latency_ns simulated request latency (ok requests)
+# TYPE rdfspark_serve_latency_ns histogram
+rdfspark_serve_latency_ns_bucket{level="total",name="all",le="1245183"} 1
+rdfspark_serve_latency_ns_bucket{level="total",name="all",le="2228223"} 2
+rdfspark_serve_latency_ns_bucket{level="total",name="all",le="3276799"} 3
+rdfspark_serve_latency_ns_bucket{level="total",name="all",le="9437183"} 4
+rdfspark_serve_latency_ns_bucket{level="total",name="all",le="41943039"} 5
+rdfspark_serve_latency_ns_bucket{level="total",name="all",le="60817407"} 6
+rdfspark_serve_latency_ns_bucket{level="total",name="all",le="+Inf"} 6
+rdfspark_serve_latency_ns_sum{level="total",name="all"} 116200000
+rdfspark_serve_latency_ns_count{level="total",name="all"} 6
+rdfspark_serve_latency_ns_bucket{level="tenant",name="a",le="1245183"} 1
+rdfspark_serve_latency_ns_bucket{level="tenant",name="a",le="2228223"} 2
+rdfspark_serve_latency_ns_bucket{level="tenant",name="a",le="3276799"} 3
+rdfspark_serve_latency_ns_bucket{level="tenant",name="a",le="41943039"} 4
+rdfspark_serve_latency_ns_bucket{level="tenant",name="a",le="+Inf"} 4
+rdfspark_serve_latency_ns_sum{level="tenant",name="a"} 46800000
+rdfspark_serve_latency_ns_count{level="tenant",name="a"} 4
+rdfspark_serve_latency_ns_bucket{level="tenant",name="b",le="9437183"} 1
+rdfspark_serve_latency_ns_bucket{level="tenant",name="b",le="60817407"} 2
+rdfspark_serve_latency_ns_bucket{level="tenant",name="b",le="+Inf"} 2
+rdfspark_serve_latency_ns_sum{level="tenant",name="b"} 69400000
+rdfspark_serve_latency_ns_count{level="tenant",name="b"} 2
+rdfspark_serve_latency_ns_bucket{level="variant",name="HAQWA",le="41943039"} 1
+rdfspark_serve_latency_ns_bucket{level="variant",name="HAQWA",le="60817407"} 2
+rdfspark_serve_latency_ns_bucket{level="variant",name="HAQWA",le="+Inf"} 2
+rdfspark_serve_latency_ns_sum{level="variant",name="HAQWA"} 100400000
+rdfspark_serve_latency_ns_count{level="variant",name="HAQWA"} 2
+rdfspark_serve_latency_ns_bucket{level="variant",name="S2RDF",le="2228223"} 1
+rdfspark_serve_latency_ns_bucket{level="variant",name="S2RDF",le="3276799"} 2
+rdfspark_serve_latency_ns_bucket{level="variant",name="S2RDF",le="9437183"} 3
+rdfspark_serve_latency_ns_bucket{level="variant",name="S2RDF",le="+Inf"} 3
+rdfspark_serve_latency_ns_sum{level="variant",name="S2RDF"} 14600000
+rdfspark_serve_latency_ns_count{level="variant",name="S2RDF"} 3
+rdfspark_serve_latency_ns_bucket{level="variant",name="S2X",le="1245183"} 1
+rdfspark_serve_latency_ns_bucket{level="variant",name="S2X",le="+Inf"} 1
+rdfspark_serve_latency_ns_sum{level="variant",name="S2X"} 1200000
+rdfspark_serve_latency_ns_count{level="variant",name="S2X"} 1
+# HELP rdfspark_serve_windows non-empty telemetry windows
+# TYPE rdfspark_serve_windows gauge
+rdfspark_serve_windows 4
+# HELP rdfspark_serve_audit_entries captured slow-query audit entries
+# TYPE rdfspark_serve_audit_entries gauge
+rdfspark_serve_audit_entries 1
+# HELP rdfspark_serve_events_dropped_total events evicted from the bounded event log
+# TYPE rdfspark_serve_events_dropped_total counter
+rdfspark_serve_events_dropped_total 0
+)golden";
+
+constexpr char kGoldenWindows[] = R"golden(window [0.000ms, 10.000ms)
+  scope                      reqs      qps    p50_ms    p99_ms   hit% rejects    shuffle_B
+  total                         4    400.0     3.277     9.200   66.7       1      1400000
+  tenant/a                      2    200.0     2.228     3.200   50.0       0       500000
+  tenant/b                      2    200.0     9.200     9.200  100.0       1       900000
+  variant/S2RDF                 4    400.0     3.277     9.200      -       1      1400000
+window [10.000ms, 20.000ms)
+  scope                      reqs      qps    p50_ms    p99_ms   hit% rejects    shuffle_B
+  total                         1    100.0         -         -      -       0        50000
+  tenant/b                      1    100.0         -         -      -       0        50000
+  variant/HAQWA                 1    100.0         -         -      -       0        50000
+window [40.000ms, 50.000ms)
+  scope                      reqs      qps    p50_ms    p99_ms   hit% rejects    shuffle_B
+  total                         2    200.0     1.245    40.200    0.0       0      4100000
+  tenant/a                      2    200.0     1.245    40.200    0.0       0      4100000
+  variant/HAQWA                 1    100.0    40.200    40.200      -       0      4000000
+  variant/S2X                   1    100.0     1.200     1.200      -       0       100000
+window [70.000ms, 80.000ms)
+  scope                      reqs      qps    p50_ms    p99_ms   hit% rejects    shuffle_B
+  total                         1    100.0    60.200    60.200  100.0       0      6000000
+  tenant/b                      1    100.0    60.200    60.200  100.0       0      6000000
+  variant/HAQWA                 1    100.0    60.200    60.200      -       0      6000000
+)golden";
+
+constexpr char kGoldenEvents[] = R"golden({"dropped":0,"events":[
+{"t_ns":0,"kind":"request_start","scope":"a","seq":0,"variant":"S2RDF"},
+{"t_ns":0,"kind":"request_start","scope":"b","seq":0,"variant":"S2RDF"},
+{"t_ns":3200000,"kind":"request_finish","scope":"a","seq":0,"rows":3000,"sim_latency_ns":3200000,"variant":"S2RDF"},
+{"t_ns":3200000,"kind":"cache_fill","scope":"a","seq":0,"epoch":1},
+{"t_ns":3200000,"kind":"request_start","scope":"a","seq":1,"variant":"S2RDF"},
+{"t_ns":5400000,"kind":"request_finish","scope":"a","seq":1,"rows":2000,"sim_latency_ns":2200000,"variant":"S2RDF"},
+{"t_ns":5400000,"kind":"cache_hit","scope":"a","seq":1},
+{"t_ns":5400000,"kind":"request_start","scope":"a","seq":2,"variant":"HAQWA"},
+{"t_ns":9200000,"kind":"request_finish","scope":"b","seq":0,"rows":9000,"sim_latency_ns":9200000,"variant":"S2RDF"},
+{"t_ns":9200000,"kind":"cache_hit","scope":"b","seq":0},
+{"t_ns":9200000,"kind":"request_start","scope":"b","seq":1,"variant":"S2RDF"},
+{"t_ns":9400000,"kind":"admission_reject","scope":"b","seq":1,"reason":"InvalidArgument: rejected by admission","sim_latency_ns":200000,"variant":"S2RDF"},
+{"t_ns":9400000,"kind":"request_start","scope":"b","seq":2,"variant":"HAQWA"},
+{"t_ns":10100000,"kind":"request_finish","scope":"b","seq":2,"error":"Internal: synthetic failure","sim_latency_ns":700000,"variant":"HAQWA"},
+{"t_ns":10100000,"kind":"request_start","scope":"b","seq":3,"variant":"HAQWA"},
+{"t_ns":45600000,"kind":"request_finish","scope":"a","seq":2,"rows":40000,"sim_latency_ns":40200000,"variant":"HAQWA"},
+{"t_ns":45600000,"kind":"cache_fill","scope":"a","seq":2,"epoch":1},
+{"t_ns":45600000,"kind":"request_start","scope":"a","seq":3,"variant":"S2X"},
+{"t_ns":46800000,"kind":"request_finish","scope":"a","seq":3,"rows":1000,"sim_latency_ns":1200000,"variant":"S2X"},
+{"t_ns":70300000,"kind":"request_finish","scope":"b","seq":3,"rows":60000,"sim_latency_ns":60200000,"variant":"HAQWA"},
+{"t_ns":70300000,"kind":"cache_hit","scope":"b","seq":3},
+{"t_ns":70300000,"kind":"audit_capture","scope":"b","seq":3,"sim_latency_ns":60200000,"trigger":"latency+est_error"},
+{"t_ns":70300000,"kind":"envelope_drift","scope":"b","seq":3,"direction":"over","envelope_bytes":4096,"observed_bytes":100,"variant":"HAQWA"}
+]}
+)golden";
+
+constexpr char kGoldenAudit[] = R"golden({"dropped":0,"entries":[
+{"t_ns":70300000,"tenant":"b","seq":3,"variant":"HAQWA","span_id":"serve b#3 HAQWA","sim_latency_ns":60200000,"trigger":"latency+est_error","max_est_error":20.0000,"query":"SELECT ?s WHERE { ?s a <http://ex/C> }","patterns":[{"pattern":"?s rdf:type <http://ex/C>","predicate":"rdf:type","est_rows":1,"actual_rows":20}],"profile":"Scan ?s rdf:type <http://ex/C> est=1 act=20"}
+]}
+)golden";
+
+TEST(TelemetrySinkTest, ExportsMatchGoldens) {
+  TelemetryOptions opts;
+  opts.window.width_ns = 10'000'000;
+  TelemetrySink sink(opts);
+  for (const RequestRecord& r : MixedWorkload()) sink.Ingest(r);
+  EXPECT_EQ(sink.PrometheusText(), kGoldenPrometheus);
+  EXPECT_EQ(sink.WindowsText(), kGoldenWindows);
+  EXPECT_EQ(sink.EventsJson(), kGoldenEvents);
+  EXPECT_EQ(sink.AuditJson(), kGoldenAudit);
+}
+
+TEST(TelemetrySinkTest, WriteArtifactsWritesTheFiveExports) {
+  TelemetryOptions opts;
+  opts.window.width_ns = 10'000'000;
+  TelemetrySink sink(opts);
+  for (const RequestRecord& r : MixedWorkload()) sink.Ingest(r);
+  const std::string dir = testing::TempDir() + "obs_test_artifacts";
+  ASSERT_TRUE(sink.WriteArtifacts(dir).ok());
+  auto read = [&dir](const std::string& name) {
+    std::ifstream in(dir + "/" + name);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+  EXPECT_EQ(read("metrics.prom"), kGoldenPrometheus);
+  EXPECT_EQ(read("windows.txt"), kGoldenWindows);
+  EXPECT_EQ(read("events.json"), kGoldenEvents);
+  EXPECT_EQ(read("audit.json"), kGoldenAudit);
+  EXPECT_EQ(read("telemetry.json"), sink.TelemetryJson());
+  EXPECT_FALSE(std::ifstream(dir + "/stats_store.json").good());
+}
+
+TEST(TelemetrySinkTest, EventsJsonKeepsTheNewestEventsWithinCapacity) {
+  // Every request logs request_start + request_finish, and the export-time
+  // cache replay adds one cache_fill or cache_hit: 3 events per request.
+  constexpr uint64_t kRequests = 2000;
+  constexpr uint64_t kGenerated = 3 * kRequests;
+  static_assert(kGenerated > EventLog::kDefaultCapacity);
+  TelemetrySink sink;
+  for (uint64_t seq = 0; seq < kRequests; ++seq) {
+    sink.Ingest(MakeRecord("t", seq, "S2RDF", 1'000'000, "S2RDF\nq1"));
+  }
+  Result<JsonValue> events = ParseJson(sink.EventsJson());
+  ASSERT_TRUE(events.ok()) << events.status().ToString();
+  const JsonValue* exported = events->Find("events");
+  ASSERT_NE(exported, nullptr);
+  const uint64_t dropped =
+      static_cast<uint64_t>(events->NumberOr("dropped", -1));
+  EXPECT_LE(exported->items.size(), EventLog::kDefaultCapacity);
+  EXPECT_EQ(exported->items.size() + dropped, kGenerated);
+  // The kept events are the newest: the last request's survive, the
+  // first request's do not.
+  EXPECT_EQ(exported->items.back().NumberOr("seq", -1),
+            static_cast<double>(kRequests - 1));
+  EXPECT_NE(exported->items.front().NumberOr("seq", -1), 0.0);
+  // Every surface reports the same drop count.
+  Result<JsonValue> telemetry = ParseJson(sink.TelemetryJson());
+  ASSERT_TRUE(telemetry.ok()) << telemetry.status().ToString();
+  EXPECT_EQ(telemetry->NumberOr("events_dropped", -1),
+            static_cast<double>(dropped));
+  EXPECT_NE(sink.PrometheusText().find(
+                "rdfspark_serve_events_dropped_total " +
+                std::to_string(dropped) + "\n"),
+            std::string::npos);
 }
 
 TEST(TelemetrySinkTest, LogicalCacheReplayModelsLruAtCapacity) {
@@ -413,7 +623,6 @@ std::vector<std::string> ServeArtifacts(const rdf::TripleStore& store,
   options.check_races = false;
   options.variants = {"SPARQLGX", "HAQWA", "S2X"};
   options.telemetry_options.window.width_ns = 1'000'000;  // 1 simulated ms
-  options.telemetry_options.window.stride_ns = 1'000'000;
   options.telemetry_options.audit.latency_threshold_ns = 1'000'000;
   serving::QueryServer server(&sc, options);
   EXPECT_TRUE(server.AttachDataset(store).ok());
@@ -437,9 +646,8 @@ std::vector<std::string> ServeArtifacts(const rdf::TripleStore& store,
   EXPECT_EQ(sink->unapplied(), 0u);
   EXPECT_GE(sink->window_count(), 3u);
   EXPECT_GE(sink->audit_count(), 1u);
-  return {sink->TelemetryJson(), sink->EventsJson(),  sink->AuditJson(),
-          sink->StatsStoreJson(), sink->PrometheusText(),
-          sink->WindowsText()};
+  return {sink->TelemetryJson(), sink->EventsJson(), sink->AuditJson(),
+          sink->PrometheusText(), sink->WindowsText()};
 }
 
 TEST(TelemetryDeterminismTest, ArtifactsBitIdenticalAcrossExecutorThreads) {
@@ -447,8 +655,8 @@ TEST(TelemetryDeterminismTest, ArtifactsBitIdenticalAcrossExecutorThreads) {
   std::vector<std::string> serial = ServeArtifacts(store, 1);
   std::vector<std::string> threaded = ServeArtifacts(store, 8);
   ASSERT_EQ(serial.size(), threaded.size());
-  const char* names[] = {"telemetry.json", "events.json",     "audit.json",
-                         "stats_store.json", "metrics.prom", "windows.txt"};
+  const char* names[] = {"telemetry.json", "events.json", "audit.json",
+                         "metrics.prom", "windows.txt"};
   for (size_t i = 0; i < serial.size(); ++i) {
     EXPECT_EQ(serial[i], threaded[i])
         << names[i] << " diverged between executor_threads=1 and =8";

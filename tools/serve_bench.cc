@@ -169,9 +169,8 @@ int main(int argc, char** argv) {
   options.worker_threads = cfg.workers;
   options.variants = cfg.variants;
   if (cfg.window_ms > 0) {
-    uint64_t width = static_cast<uint64_t>(cfg.window_ms * 1e6);
-    options.telemetry_options.window.width_ns = width;
-    options.telemetry_options.window.stride_ns = width;
+    options.telemetry_options.window.width_ns =
+        static_cast<uint64_t>(cfg.window_ms * 1e6);
   }
   if (cfg.audit_ms > 0) {
     options.telemetry_options.audit.latency_threshold_ns =
