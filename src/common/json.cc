@@ -2,7 +2,6 @@
 
 #include <cctype>
 #include <cstdio>
-#include <cstdlib>
 
 namespace rdfspark {
 
@@ -45,57 +44,17 @@ std::string JsonEscape(std::string_view s) {
   return out;
 }
 
-const JsonValue* JsonValue::Find(std::string_view key) const {
-  if (kind != Kind::kObject) return nullptr;
-  for (const auto& [name, value] : members) {
-    if (name == key) return &value;
-  }
-  return nullptr;
-}
-
-double JsonValue::NumberOr(std::string_view key, double fallback) const {
-  const JsonValue* v = Find(key);
-  return v != nullptr && v->kind == Kind::kNumber ? v->number : fallback;
-}
-
-std::string JsonValue::StringOr(std::string_view key,
-                                std::string_view fallback) const {
-  const JsonValue* v = Find(key);
-  return v != nullptr && v->kind == Kind::kString ? v->str
-                                                  : std::string(fallback);
-}
-
 namespace {
 
-void AppendUtf8(std::string* out, uint32_t cp) {
-  if (cp < 0x80) {
-    *out += static_cast<char>(cp);
-  } else if (cp < 0x800) {
-    *out += static_cast<char>(0xC0 | (cp >> 6));
-    *out += static_cast<char>(0x80 | (cp & 0x3F));
-  } else if (cp < 0x10000) {
-    *out += static_cast<char>(0xE0 | (cp >> 12));
-    *out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
-    *out += static_cast<char>(0x80 | (cp & 0x3F));
-  } else {
-    *out += static_cast<char>(0xF0 | (cp >> 18));
-    *out += static_cast<char>(0x80 | ((cp >> 12) & 0x3F));
-    *out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
-    *out += static_cast<char>(0x80 | (cp & 0x3F));
-  }
-}
-
-/// Recursive-descent cursor over the JSON grammar. Positions are byte
-/// offsets into the original text for error reporting. One implementation
-/// backs both surfaces: with a null `out` the cursor only validates; with
-/// a JsonValue it also builds the tree (decoding string escapes).
-class JsonParser {
+/// Recursive-descent validator over the JSON grammar. Positions are byte
+/// offsets into the original text for error reporting.
+class JsonValidator {
  public:
-  explicit JsonParser(std::string_view text) : text_(text) {}
+  explicit JsonValidator(std::string_view text) : text_(text) {}
 
-  bool Parse(JsonValue* out, std::string* error) {
+  bool Parse(std::string* error) {
     SkipWs();
-    if (!ParseValue(0, out)) {
+    if (!ParseValue(0)) {
       if (error != nullptr) {
         *error = error_ + " at offset " + std::to_string(pos_);
       }
@@ -133,35 +92,25 @@ class JsonParser {
     return true;
   }
 
-  bool ParseValue(int depth, JsonValue* out) {
+  bool ParseValue(int depth) {
     if (depth > kMaxDepth) return Fail("nesting too deep");
     char c;
     if (!Peek(&c)) return Fail("unexpected end of input");
     switch (c) {
       case '{':
-        return ParseObject(depth, out);
+        return ParseObject(depth);
       case '[':
-        return ParseArray(depth, out);
+        return ParseArray(depth);
       case '"':
-        if (out != nullptr) out->kind = JsonValue::Kind::kString;
-        return ParseString(out != nullptr ? &out->str : nullptr);
+        return ParseString();
       case 't':
-        if (out != nullptr) {
-          out->kind = JsonValue::Kind::kBool;
-          out->boolean = true;
-        }
         return ParseLiteral("true");
       case 'f':
-        if (out != nullptr) {
-          out->kind = JsonValue::Kind::kBool;
-          out->boolean = false;
-        }
         return ParseLiteral("false");
       case 'n':
-        if (out != nullptr) out->kind = JsonValue::Kind::kNull;
         return ParseLiteral("null");
       default:
-        return ParseNumber(out);
+        return ParseNumber();
     }
   }
 
@@ -171,9 +120,8 @@ class JsonParser {
     return true;
   }
 
-  bool ParseObject(int depth, JsonValue* out) {
+  bool ParseObject(int depth) {
     ++pos_;  // '{'
-    if (out != nullptr) out->kind = JsonValue::Kind::kObject;
     SkipWs();
     char c;
     if (Peek(&c) && c == '}') {
@@ -183,18 +131,12 @@ class JsonParser {
     while (true) {
       SkipWs();
       if (!Peek(&c) || c != '"') return Fail("expected object key");
-      std::string key;
-      if (!ParseString(out != nullptr ? &key : nullptr)) return false;
+      if (!ParseString()) return false;
       SkipWs();
       if (!Peek(&c) || c != ':') return Fail("expected ':'");
       ++pos_;
       SkipWs();
-      JsonValue* slot = nullptr;
-      if (out != nullptr) {
-        out->members.emplace_back(std::move(key), JsonValue{});
-        slot = &out->members.back().second;
-      }
-      if (!ParseValue(depth + 1, slot)) return false;
+      if (!ParseValue(depth + 1)) return false;
       SkipWs();
       if (!Peek(&c)) return Fail("unterminated object");
       if (c == ',') {
@@ -209,9 +151,8 @@ class JsonParser {
     }
   }
 
-  bool ParseArray(int depth, JsonValue* out) {
+  bool ParseArray(int depth) {
     ++pos_;  // '['
-    if (out != nullptr) out->kind = JsonValue::Kind::kArray;
     SkipWs();
     char c;
     if (Peek(&c) && c == ']') {
@@ -220,12 +161,7 @@ class JsonParser {
     }
     while (true) {
       SkipWs();
-      JsonValue* slot = nullptr;
-      if (out != nullptr) {
-        out->items.emplace_back();
-        slot = &out->items.back();
-      }
-      if (!ParseValue(depth + 1, slot)) return false;
+      if (!ParseValue(depth + 1)) return false;
       SkipWs();
       if (!Peek(&c)) return Fail("unterminated array");
       if (c == ',') {
@@ -240,27 +176,7 @@ class JsonParser {
     }
   }
 
-  bool ParseHex4(uint32_t* value) {
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      char h;
-      if (!Peek(&h) || std::isxdigit(static_cast<unsigned char>(h)) == 0) {
-        return Fail("bad \\u escape");
-      }
-      uint32_t digit;
-      if (h >= '0' && h <= '9') {
-        digit = static_cast<uint32_t>(h - '0');
-      } else {
-        digit = static_cast<uint32_t>((h | 0x20) - 'a') + 10;
-      }
-      v = (v << 4) | digit;
-      ++pos_;
-    }
-    *value = v;
-    return true;
-  }
-
-  bool ParseString(std::string* decoded) {
+  bool ParseString() {
     ++pos_;  // opening '"'
     while (pos_ < text_.size()) {
       unsigned char c = static_cast<unsigned char>(text_[pos_]);
@@ -269,70 +185,28 @@ class JsonParser {
         return true;
       }
       if (c < 0x20) return Fail("raw control character in string");
-      if (c == '\\') {
-        ++pos_;
-        char e;
-        if (!Peek(&e)) return Fail("unterminated escape");
-        switch (e) {
-          case '"':
-          case '\\':
-          case '/':
-            ++pos_;
-            if (decoded != nullptr) *decoded += e;
-            break;
-          case 'b':
-          case 'f':
-          case 'n':
-          case 'r':
-          case 't': {
-            ++pos_;
-            if (decoded != nullptr) {
-              const char* plain = "\b\f\n\r\t";
-              const char* names = "bfnrt";
-              for (int i = 0; i < 5; ++i) {
-                if (names[i] == e) *decoded += plain[i];
-              }
-            }
-            break;
+      ++pos_;
+      if (c != '\\') continue;
+      char e;
+      if (!Peek(&e)) return Fail("unterminated escape");
+      ++pos_;
+      if (e == 'u') {
+        for (int i = 0; i < 4; ++i, ++pos_) {
+          char h;
+          if (!Peek(&h) || std::isxdigit(static_cast<unsigned char>(h)) == 0) {
+            return Fail("bad \\u escape");
           }
-          case 'u': {
-            ++pos_;
-            uint32_t cp;
-            if (!ParseHex4(&cp)) return false;
-            if (decoded != nullptr) {
-              if (cp >= 0xD800 && cp <= 0xDBFF &&
-                  text_.substr(pos_, 2) == "\\u") {
-                // Try to combine a surrogate pair; on a malformed low
-                // half, fall back to U+FFFD for the lone high surrogate.
-                size_t save = pos_;
-                pos_ += 2;
-                uint32_t lo = 0;
-                if (ParseHex4(&lo) && lo >= 0xDC00 && lo <= 0xDFFF) {
-                  cp = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
-                } else {
-                  error_.clear();
-                  pos_ = save;
-                  cp = 0xFFFD;
-                }
-              } else if (cp >= 0xD800 && cp <= 0xDFFF) {
-                cp = 0xFFFD;  // Lone surrogate.
-              }
-              AppendUtf8(decoded, cp);
-            }
-            break;
-          }
-          default:
-            return Fail("bad escape character");
         }
-      } else {
-        ++pos_;
-        if (decoded != nullptr) *decoded += static_cast<char>(c);
+      } else if (std::string_view("\"\\/bfnrt").find(e) ==
+                 std::string_view::npos) {
+        --pos_;
+        return Fail("bad escape character");
       }
     }
     return Fail("unterminated string");
   }
 
-  bool ParseNumber(JsonValue* out) {
+  bool ParseNumber() {
     size_t start = pos_;
     char c;
     if (Peek(&c) && c == '-') ++pos_;
@@ -365,11 +239,6 @@ class JsonParser {
         ++pos_;
       }
     }
-    if (out != nullptr) {
-      out->kind = JsonValue::Kind::kNumber;
-      std::string slice(text_.substr(start, pos_ - start));
-      out->number = std::strtod(slice.c_str(), nullptr);
-    }
     return pos_ > start;
   }
 
@@ -381,16 +250,7 @@ class JsonParser {
 }  // namespace
 
 bool ValidateJson(std::string_view text, std::string* error) {
-  return JsonParser(text).Parse(nullptr, error);
-}
-
-Result<JsonValue> ParseJson(std::string_view text) {
-  JsonValue root;
-  std::string error;
-  if (!JsonParser(text).Parse(&root, &error)) {
-    return Status::InvalidArgument("JSON parse failed: " + error);
-  }
-  return root;
+  return JsonValidator(text).Parse(error);
 }
 
 }  // namespace rdfspark

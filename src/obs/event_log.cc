@@ -88,10 +88,6 @@ void EventLog::Add(Event event) {
   }
 }
 
-std::vector<Event> EventLog::Sorted() const {
-  return std::vector<Event>(events_.begin(), events_.end());
-}
-
 std::string EventLog::ToJson() const {
   std::string out =
       "{\"dropped\":" + std::to_string(dropped_) + ",\"events\":[\n";
@@ -103,11 +99,6 @@ std::string EventLog::ToJson() const {
   }
   out += "\n]}\n";
   return out;
-}
-
-bool EventLog::Covers(EventKind k) const {
-  return std::any_of(events_.begin(), events_.end(),
-                     [k](const Event& e) { return e.kind == k; });
 }
 
 }  // namespace rdfspark::obs

@@ -69,15 +69,9 @@ class EventLog {
   size_t size() const { return events_.size(); }
   uint64_t dropped() const { return dropped_; }
 
-  /// Events in canonical order.
-  std::vector<Event> Sorted() const;
-
   /// RFC 8259 array of the retained events (canonical order) wrapped as
   /// {"dropped":N,"events":[...]}.
   std::string ToJson() const;
-
-  /// True if at least one retained event has kind `k`.
-  bool Covers(EventKind k) const;
 
  private:
   size_t capacity_;

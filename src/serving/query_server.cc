@@ -436,8 +436,6 @@ RequestResult QueryServer::Process(const Request& request,
     TenantStats& stats = tenants_.at(request.tenant)->stats;
     stats.records_processed += op->records_in.value();
     stats.tasks += op->tasks.value();
-    stats.shuffle_records += op->shuffle_records.value();
-    stats.join_comparisons += op->join_comparisons.value();
   }
 
   // The request's wall-clock latency stops here: the audit capture below
@@ -457,15 +455,8 @@ RequestResult QueryServer::Process(const Request& request,
     double root_err = 0.0;
     if (executed_root != nullptr &&
         executed_root->est_cardinality != systems::plan::kNoEstimate) {
-      double est = static_cast<double>(executed_root->est_cardinality);
-      double act = static_cast<double>(rec->rows);
-      if (est == 0.0 && act == 0.0) {
-        root_err = 1.0;
-      } else if (est == 0.0 || act == 0.0) {
-        root_err = est + act;
-      } else {
-        root_err = act > est ? act / est : est / act;
-      }
+      root_err = systems::plan::EstimateErrorFactor(
+          executed_root->est_cardinality, rec->rows);
     }
     uint64_t sim_latency_ns =
         rec->busy_ns + telemetry_->options().request_overhead_ns;

@@ -73,8 +73,6 @@ struct TenantStats {
   // each other the way the global Metrics totals do.
   uint64_t records_processed = 0;
   uint64_t tasks = 0;
-  uint64_t shuffle_records = 0;
-  uint64_t join_comparisons = 0;
 };
 
 /// Concurrent multi-tenant SPARQL front end over the reproduced engines.

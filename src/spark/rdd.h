@@ -213,22 +213,6 @@ class RddNode : public RddNodeBase {
     return total;
   }
 
-  /// Total records across currently cached partitions. The EXPLAIN ANALYZE
-  /// row-count probe: after a plan ran, every partition an operator's RDD
-  /// produced is cached, and reading cache sizes charges nothing.
-  uint64_t CachedRecords() const {
-    uint64_t total = 0;
-    for (int p = 0; p < num_partitions(); ++p) {
-      RDFSPARK_SLOT_LOCK(locks_[p]);
-      hb::RecordAccess(hb::CacheSlotObject(id(), p), hb::Access::kRead,
-                       "CachedRecords");
-      if (cache_[static_cast<size_t>(p)]) {
-        total += cache_[static_cast<size_t>(p)]->size();
-      }
-    }
-    return total;
-  }
-
  protected:
   void DropRetained() override {
     for (int p = 0; p < num_partitions(); ++p) {

@@ -79,16 +79,6 @@ std::vector<std::string> SharedVars(const sparql::TriplePattern& pattern,
 }
 
 sparql::BindingTable ToBindingTable(const VarSchema& schema,
-                                    std::vector<IdRow> rows) {
-  sparql::BindingTable table(schema.vars());
-  for (auto& row : rows) {
-    row.resize(schema.vars().size(), sparql::kUnbound);
-    table.AddRow(std::move(row));
-  }
-  return table;
-}
-
-sparql::BindingTable ToBindingTable(const VarSchema& schema,
                                     sparql::IdTable rows) {
   return sparql::BindingTable(schema.vars(), std::move(rows));
 }
@@ -109,20 +99,6 @@ bool MergeRowsInto(sparql::IdSpan a, sparql::IdSpan b, sparql::IdTable* out) {
     }
   }
   return true;
-}
-
-std::optional<IdRow> MergeRows(const IdRow& a, const IdRow& b) {
-  IdRow out = a;
-  out.resize(std::max(a.size(), b.size()), sparql::kUnbound);
-  for (size_t i = 0; i < b.size(); ++i) {
-    if (b[i] == sparql::kUnbound) continue;
-    if (out[i] == sparql::kUnbound) {
-      out[i] = b[i];
-    } else if (out[i] != b[i]) {
-      return std::nullopt;
-    }
-  }
-  return out;
 }
 
 std::vector<SubjectGroup> GroupBySubject(

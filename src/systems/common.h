@@ -78,22 +78,15 @@ bool MatchesConstants(const EncodedPattern& encoded,
 std::vector<std::string> SharedVars(const sparql::TriplePattern& pattern,
                                     const VarSchema& schema);
 
-/// Packs rows into a BindingTable.
-sparql::BindingTable ToBindingTable(const VarSchema& schema,
-                                    std::vector<IdRow> rows);
-
 /// Adopts an already-flat batch as a BindingTable (rows must be
 /// schema-width).
 sparql::BindingTable ToBindingTable(const VarSchema& schema,
                                     sparql::IdTable rows);
 
-/// Element-wise merge of two rows over the same schema; nullopt when a
+/// Appends the element-wise merge of rows `a` and `b` over the same schema
+/// to `out` (width out->width(); shorter inputs read as kUnbound) and
+/// returns true, or leaves `out` unchanged and returns false when a
 /// variable is bound to different values.
-std::optional<IdRow> MergeRows(const IdRow& a, const IdRow& b);
-
-/// Batch form of MergeRows: appends the merge of `a` and `b` to `out`
-/// (width out->width(); shorter inputs read as kUnbound) and returns true,
-/// or leaves `out` unchanged and returns false on a binding conflict.
 bool MergeRowsInto(sparql::IdSpan a, sparql::IdSpan b, sparql::IdTable* out);
 
 /// A star fragment: patterns sharing one subject (variable or constant).

@@ -1,16 +1,11 @@
 #include "systems/engine.h"
 
 #include <algorithm>
-#include <any>
 #include <limits>
-#include <optional>
 
 #include "spark/hb.h"
-#include "spark/sql/dataframe.h"
 #include "sparql/eval.h"
 #include "sparql/parser.h"
-#include "systems/batch.h"
-#include "systems/plan/analyze.h"
 #include "systems/graphframes_engine.h"
 #include "systems/graphx_sm.h"
 #include "systems/haqwa.h"
@@ -166,49 +161,6 @@ Result<sparql::BindingTable> BgpEngineBase::ExecutePlanned(
                             plan::PlanExecutor(sc_).Run(root));
   return FinishQuery(query, std::move(table));
 }
-
-namespace {
-
-// Row counters and lineage probes for the payload representations shared by
-// several engines, registered beside ExecuteAnalyzed — the run that counts
-// them — so every binary that can produce actuals links them. Engines with
-// TU-local payload types register their own (see plan/analyze.h). Batch
-// payloads: one IdTable (or keyed batch / per-vertex table) per partition
-// element; rows out is the sum of batch sizes.
-const plan::BatchPayloadRowCounterRegistration<
-    sparql::IdTable, uint64_t (*)(const sparql::IdTable&)>
-    kBatchRdd(+[](const sparql::IdTable& b) -> uint64_t { return b.size(); });
-const plan::BatchPayloadRowCounterRegistration<
-    KeyedBatch, uint64_t (*)(const KeyedBatch&)>
-    kKeyedBatchRdd(
-        +[](const KeyedBatch& b) -> uint64_t { return b.rows.size(); });
-const plan::BatchPayloadRowCounterRegistration<
-    std::pair<int64_t, sparql::IdTable>,
-    uint64_t (*)(const std::pair<int64_t, sparql::IdTable>&)>
-    kVertexBatchRdd(+[](const std::pair<int64_t, sparql::IdTable>& kv)
-                        -> uint64_t { return kv.second.size(); });
-
-struct DriverPayloadRegistration {
-  DriverPayloadRegistration() {
-    // Driver-side flat tables (SparkRDF's collected intermediates).
-    plan::RegisterPayloadRowCounter(
-        [](const plan::PlanPayload& payload) -> std::optional<uint64_t> {
-          const auto* rows = std::any_cast<sparql::IdTable>(&payload);
-          if (rows == nullptr) return std::nullopt;
-          return rows->size();
-        });
-    // DataFrames are eager; NumRows just sums batch sizes.
-    plan::RegisterPayloadRowCounter(
-        [](const plan::PlanPayload& payload) -> std::optional<uint64_t> {
-          const auto* df = std::any_cast<spark::sql::DataFrame>(&payload);
-          if (df == nullptr || !df->valid()) return std::nullopt;
-          return df->NumRows();
-        });
-  }
-};
-const DriverPayloadRegistration kDriverPayloads;
-
-}  // namespace
 
 Result<plan::PlanPtr> BgpEngineBase::ExecuteAnalyzed(
     const sparql::Query& query, spark::LineageGraph* lineage) {

@@ -1,10 +1,10 @@
 #include "systems/graphframes_engine.h"
 
 #include <algorithm>
-#include <any>
 #include <memory>
 #include <unordered_map>
 #include <unordered_set>
+#include <variant>
 
 namespace rdfspark::systems {
 

@@ -1,7 +1,7 @@
 #include "systems/graphx_sm.h"
 
-#include <any>
 #include <memory>
+#include <variant>
 
 #include "systems/plan/planner_utils.h"
 
@@ -227,10 +227,9 @@ Result<plan::PlanPtr> GraphxSmEngine::PlanBgp(
           std::move(root), std::move(leaf),
           [this](std::vector<plan::PlanPayload> in)
               -> Result<plan::PlanPayload> {
-            auto frontier = std::any_cast<Rdd<std::pair<VertexId, Mt>>>(
+            auto frontier = std::get<Rdd<std::pair<VertexId, Mt>>>(
                 std::move(in[0]));
-            auto rows =
-                std::any_cast<Rdd<sparql::IdTable>>(std::move(in[1]));
+            auto rows = std::get<Rdd<sparql::IdTable>>(std::move(in[1]));
             auto* sc = sc_;
             // Batch-major merge: the per-element path emitted one message
             // per (frontier entry, standalone row) pair; concatenating over
@@ -276,7 +275,7 @@ Result<plan::PlanPtr> GraphxSmEngine::PlanBgp(
         std::move(leaf),
         [this, ep, pattern, schema, forward, reanchor_idx](
             std::vector<plan::PlanPayload> in) -> Result<plan::PlanPayload> {
-          auto frontier = std::any_cast<Rdd<std::pair<VertexId, Mt>>>(
+          auto frontier = std::get<Rdd<std::pair<VertexId, Mt>>>(
               std::move(in[0]));
           if (reanchor_idx >= 0) {
             int idx = reanchor_idx;
@@ -351,7 +350,7 @@ Result<plan::PlanPtr> GraphxSmEngine::PlanBgp(
       [schema, width](std::vector<plan::PlanPayload> in)
           -> Result<plan::PlanPayload> {
         auto frontier =
-            std::any_cast<Rdd<std::pair<VertexId, Mt>>>(std::move(in[0]));
+            std::get<Rdd<std::pair<VertexId, Mt>>>(std::move(in[0]));
         sparql::IdTable rows(width);
         for (auto& [v, table] : frontier.Collect()) {
           if (table.empty()) continue;

@@ -1,8 +1,8 @@
 #include "systems/haqwa.h"
 
 #include <algorithm>
-#include <any>
 #include <memory>
+#include <variant>
 
 #include "sparql/parser.h"
 
@@ -347,7 +347,7 @@ Result<plan::PlanPtr> HaqwaEngine::PlanBgp(
             std::move(right),
             [this, g, schema, key, width](std::vector<plan::PlanPayload> in)
                 -> Result<plan::PlanPayload> {
-              auto current = std::any_cast<Rdd<KeyedBatch>>(std::move(in[0]));
+              auto current = std::get<Rdd<KeyedBatch>>(std::move(in[0]));
               const auto& replica = replicas_.at(key);
               EncodedPattern ep =
                   EncodePattern(store_->dictionary(), g->patterns[0]);
@@ -392,7 +392,7 @@ Result<plan::PlanPtr> HaqwaEngine::PlanBgp(
             std::move(root), std::move(right),
             [this, g, schema, pb_id, width](std::vector<plan::PlanPayload> in)
                 -> Result<plan::PlanPayload> {
-              auto current = std::any_cast<Rdd<KeyedBatch>>(std::move(in[0]));
+              auto current = std::get<Rdd<KeyedBatch>>(std::move(in[0]));
               const auto& replica = object_replicas_.at(pb_id);
               EncodedPattern ep =
                   EncodePattern(store_->dictionary(), g->patterns[0]);
@@ -422,8 +422,8 @@ Result<plan::PlanPtr> HaqwaEngine::PlanBgp(
           std::move(group_leaf),
           [this, width](std::vector<plan::PlanPayload> in)
               -> Result<plan::PlanPayload> {
-            auto current = std::any_cast<Rdd<KeyedBatch>>(std::move(in[0]));
-            auto group_rows = std::any_cast<Rdd<KeyedBatch>>(std::move(in[1]));
+            auto current = std::get<Rdd<KeyedBatch>>(std::move(in[0]));
+            auto group_rows = std::get<Rdd<KeyedBatch>>(std::move(in[1]));
             // Merged rows keep the left (accumulated) key, like the
             // per-element path did.
             return plan::PlanPayload(CartesianMergeKeyed(
@@ -445,8 +445,8 @@ Result<plan::PlanPtr> HaqwaEngine::PlanBgp(
           std::move(root), std::move(group_leaf),
           [this, link_idx, keep_claim, group_keyed_by_link, width](
               std::vector<plan::PlanPayload> in) -> Result<plan::PlanPayload> {
-            auto current = std::any_cast<Rdd<KeyedBatch>>(std::move(in[0]));
-            auto group_rows = std::any_cast<Rdd<KeyedBatch>>(std::move(in[1]));
+            auto current = std::get<Rdd<KeyedBatch>>(std::move(in[0]));
+            auto group_rows = std::get<Rdd<KeyedBatch>>(std::move(in[1]));
             // Re-key current rows by the link variable.
             auto rekeyed_current = RekeyBatches(current, link_idx, width);
             if (keep_claim) {
@@ -480,7 +480,7 @@ Result<plan::PlanPtr> HaqwaEngine::PlanBgp(
       plan::NodeKind::kProject, project_detail, std::move(root),
       [schema, width](std::vector<plan::PlanPayload> in)
           -> Result<plan::PlanPayload> {
-        auto current = std::any_cast<Rdd<KeyedBatch>>(std::move(in[0]));
+        auto current = std::get<Rdd<KeyedBatch>>(std::move(in[0]));
         return plan::PlanPayload(
             ToBindingTable(*schema, CollectKeyedRows(current, width)));
       });

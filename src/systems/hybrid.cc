@@ -1,8 +1,8 @@
 #include "systems/hybrid.h"
 
 #include <algorithm>
-#include <any>
 #include <memory>
+#include <variant>
 
 #include "systems/batch.h"
 #include "systems/plan/planner_utils.h"
@@ -303,8 +303,8 @@ Result<plan::PlanPtr> HybridEngine::PlanSqlNaive(
         plan::NodeKind::kCartesianProduct, "cross-join + filter",
         std::move(root), scan(bgp[i]),
         [](std::vector<plan::PlanPayload> in) -> Result<plan::PlanPayload> {
-          auto result = std::any_cast<DataFrame>(std::move(in[0]));
-          auto step = std::any_cast<DataFrame>(std::move(in[1]));
+          auto result = std::get<DataFrame>(std::move(in[0]));
+          auto step = std::get<DataFrame>(std::move(in[1]));
           // Rename shared columns, cross join, filter equalities, drop.
           std::vector<std::string> shared;
           for (const auto& f : step.schema().fields()) {
@@ -333,7 +333,7 @@ Result<plan::PlanPtr> HybridEngine::PlanSqlNaive(
   auto project = plan::MakeUnary(
       plan::NodeKind::kProject, VarListDetail(bgp), std::move(root),
       [this](std::vector<plan::PlanPayload> in) -> Result<plan::PlanPayload> {
-        auto result = std::any_cast<DataFrame>(std::move(in[0]));
+        auto result = std::get<DataFrame>(std::move(in[0]));
         return plan::PlanPayload(DfToBindings(result));
       });
   project->key_vars = AllVars(bgp);
@@ -390,9 +390,8 @@ Result<plan::PlanPtr> HybridEngine::PlanRdd(
           [this, width](std::vector<plan::PlanPayload> in)
               -> Result<plan::PlanPayload> {
             auto current =
-                std::any_cast<spark::Rdd<sparql::IdTable>>(std::move(in[0]));
-            auto rows =
-                std::any_cast<spark::Rdd<sparql::IdTable>>(std::move(in[1]));
+                std::get<spark::Rdd<sparql::IdTable>>(std::move(in[0]));
+            auto rows = std::get<spark::Rdd<sparql::IdTable>>(std::move(in[1]));
             return plan::PlanPayload(
                 CartesianMergeBatches(sc_, current, rows, width));
           });
@@ -404,9 +403,8 @@ Result<plan::PlanPtr> HybridEngine::PlanRdd(
           [this, key_idx, width](std::vector<plan::PlanPayload> in)
               -> Result<plan::PlanPayload> {
             auto current =
-                std::any_cast<spark::Rdd<sparql::IdTable>>(std::move(in[0]));
-            auto rows =
-                std::any_cast<spark::Rdd<sparql::IdTable>>(std::move(in[1]));
+                std::get<spark::Rdd<sparql::IdTable>>(std::move(in[0]));
+            auto rows = std::get<spark::Rdd<sparql::IdTable>>(std::move(in[1]));
             return plan::PlanPayload(
                 JoinBatchesOn(sc_, current, rows, key_idx, width));
           });
@@ -418,8 +416,7 @@ Result<plan::PlanPtr> HybridEngine::PlanRdd(
       plan::NodeKind::kProject, VarListDetail(bgp), std::move(root),
       [schema, width](std::vector<plan::PlanPayload> in)
           -> Result<plan::PlanPayload> {
-        auto current =
-            std::any_cast<spark::Rdd<sparql::IdTable>>(std::move(in[0]));
+        auto current = std::get<spark::Rdd<sparql::IdTable>>(std::move(in[0]));
         return plan::PlanPayload(
             ToBindingTable(*schema, CollectRows(current, width)));
       });
@@ -462,8 +459,8 @@ Result<plan::PlanPtr> HybridEngine::PlanDataFrame(
     root = plan::MakeBinary(
         kind, JoinDetail(shared), std::move(root), scan(tp),
         [](std::vector<plan::PlanPayload> in) -> Result<plan::PlanPayload> {
-          auto result = std::any_cast<DataFrame>(std::move(in[0]));
-          auto step = std::any_cast<DataFrame>(std::move(in[1]));
+          auto result = std::get<DataFrame>(std::move(in[0]));
+          auto step = std::get<DataFrame>(std::move(in[1]));
           return plan::PlanPayload(
               JoinOnSharedVars(result, step, JoinStrategy::kAuto));
         });
@@ -473,7 +470,7 @@ Result<plan::PlanPtr> HybridEngine::PlanDataFrame(
   auto project = plan::MakeUnary(
       plan::NodeKind::kProject, VarListDetail(bgp), std::move(root),
       [this](std::vector<plan::PlanPayload> in) -> Result<plan::PlanPayload> {
-        auto result = std::any_cast<DataFrame>(std::move(in[0]));
+        auto result = std::get<DataFrame>(std::move(in[0]));
         return plan::PlanPayload(DfToBindings(result));
       });
   project->key_vars = AllVars(bgp);
@@ -531,8 +528,8 @@ Result<plan::PlanPtr> HybridEngine::PlanHybrid(
     plan::PlanPtr node = plan::MakeBinary(
         kind, JoinDetail(shared), std::move(root), scan(tp),
         [this](std::vector<plan::PlanPayload> in) -> Result<plan::PlanPayload> {
-          auto result = std::any_cast<DataFrame>(std::move(in[0]));
-          auto step = std::any_cast<DataFrame>(std::move(in[1]));
+          auto result = std::get<DataFrame>(std::move(in[0]));
+          auto step = std::get<DataFrame>(std::move(in[1]));
           JoinStrategy strategy =
               step.EstimatedBytes() <=
                           sc_->config().broadcast_threshold_bytes ||
@@ -560,7 +557,7 @@ Result<plan::PlanPtr> HybridEngine::PlanHybrid(
   auto project = plan::MakeUnary(
       plan::NodeKind::kProject, VarListDetail(ordered), std::move(root),
       [this](std::vector<plan::PlanPayload> in) -> Result<plan::PlanPayload> {
-        auto result = std::any_cast<DataFrame>(std::move(in[0]));
+        auto result = std::get<DataFrame>(std::move(in[0]));
         return plan::PlanPayload(DfToBindings(result));
       });
   project->key_vars = AllVars(ordered);

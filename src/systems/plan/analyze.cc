@@ -22,90 +22,67 @@ std::string EstimateError(const PlanNode& node) {
          "x";
 }
 
-void RenderNode(const PlanNode& node, int depth, std::string* out) {
-  out->append(static_cast<size_t>(depth) * 2, ' ');
-  out->append(NodeKindName(node.kind));
-  std::string bracket = AccessPathName(node.access_path);
-  if (!node.detail.empty()) {
-    if (!bracket.empty()) bracket += " ";
-    bracket += node.detail;
-  }
-  if (!bracket.empty()) {
-    out->append(" [");
-    out->append(bracket);
-    out->append("]");
-  }
-  out->append(" (est=");
-  out->append(node.est_cardinality == kNoEstimate
-                  ? std::string("?")
-                  : std::to_string(node.est_cardinality));
-  if (node.actuals != nullptr) {
-    const spark::OpStats& a = *node.actuals;
-    out->append(" act=");
-    out->append(a.rows_known ? std::to_string(a.rows_out)
-                             : std::string("?"));
-    out->append(" err=");
-    out->append(EstimateError(node));
+/// Closes an analyzed node's line: actuals, estimate error and the non-zero
+/// counter groups. A node without actuals closes like Explain's.
+void AppendActuals(const PlanNode& node, std::string* out) {
+  if (node.actuals == nullptr) {
     out->append(")");
-    auto emit = [out](const std::string& part) {
-      out->append(" ");
-      out->append(part);
-    };
-    if (a.join_comparisons > 0) {
-      emit("cmp=" + std::to_string(a.join_comparisons.value()));
-    }
-    if (a.shuffle_records > 0 || a.shuffle_bytes > 0) {
-      emit("shuf=" + std::to_string(a.shuffle_records.value()) + "/" +
-           std::to_string(a.shuffle_bytes.value()) + "B");
-    }
-    if (a.remote_shuffle_bytes > 0) {
-      emit("rmt=" + std::to_string(a.remote_shuffle_bytes.value()) + "B");
-    }
-    if (a.broadcast_bytes > 0) {
-      emit("bcast=" + std::to_string(a.broadcast_bytes.value()) + "B");
-    }
-    if (a.local_read_records > 0 || a.remote_read_records > 0) {
-      emit("reads=L" + std::to_string(a.local_read_records.value()) + "/R" +
-           std::to_string(a.remote_read_records.value()));
-    }
-    if (a.tasks > 0) emit("tasks=" + std::to_string(a.tasks.value()));
-    if (a.busy_ns > 0) {
-      emit("busy=" +
-           FormatDouble(static_cast<double>(a.busy_ns.value()) / 1e6, 3) +
-           "ms");
-    }
-  } else {
-    out->append(")");
+    return;
   }
-  out->append("\n");
-  for (const auto& child : node.children) {
-    RenderNode(*child, depth + 1, out);
+  const spark::OpStats& a = *node.actuals;
+  out->append(" act=");
+  out->append(a.rows_known ? std::to_string(a.rows_out) : std::string("?"));
+  out->append(" err=");
+  out->append(EstimateError(node));
+  out->append(")");
+  auto emit = [out](const std::string& part) {
+    out->append(" ");
+    out->append(part);
+  };
+  if (a.join_comparisons > 0) {
+    emit("cmp=" + std::to_string(a.join_comparisons.value()));
+  }
+  if (a.shuffle_records > 0 || a.shuffle_bytes > 0) {
+    emit("shuf=" + std::to_string(a.shuffle_records.value()) + "/" +
+         std::to_string(a.shuffle_bytes.value()) + "B");
+  }
+  if (a.remote_shuffle_bytes > 0) {
+    emit("rmt=" + std::to_string(a.remote_shuffle_bytes.value()) + "B");
+  }
+  if (a.broadcast_bytes > 0) {
+    emit("bcast=" + std::to_string(a.broadcast_bytes.value()) + "B");
+  }
+  if (a.local_read_records > 0 || a.remote_read_records > 0) {
+    emit("reads=L" + std::to_string(a.local_read_records.value()) + "/R" +
+         std::to_string(a.remote_read_records.value()));
+  }
+  if (a.tasks > 0) emit("tasks=" + std::to_string(a.tasks.value()));
+  if (a.busy_ns > 0) {
+    emit("busy=" +
+         FormatDouble(static_cast<double>(a.busy_ns.value()) / 1e6, 3) +
+         "ms");
   }
 }
 
 }  // namespace
 
 std::string ExplainAnalyze(const PlanNode& root) {
-  std::string out;
-  RenderNode(root, 0, &out);
-  return out;
+  return RenderPlan(root, AppendActuals);
+}
+
+double EstimateErrorFactor(uint64_t est, uint64_t act) {
+  if (est == 0 && act == 0) return 1.0;
+  double e = static_cast<double>(est);
+  double a = static_cast<double>(act);
+  if (est == 0 || act == 0) return e + a;  // The other side's magnitude.
+  return a > e ? a / e : e / a;
 }
 
 double MaxEstimateErrorFactor(const PlanNode& root) {
   double worst = 0.0;
   if (root.actuals != nullptr && root.actuals->rows_known &&
       root.est_cardinality != kNoEstimate) {
-    double est = static_cast<double>(root.est_cardinality);
-    double act = static_cast<double>(root.actuals->rows_out);
-    double err;
-    if (est == 0.0 && act == 0.0) {
-      err = 1.0;
-    } else if (est == 0.0 || act == 0.0) {
-      err = est + act;  // one side is zero: error = the other's magnitude
-    } else {
-      err = act > est ? act / est : est / act;
-    }
-    worst = err;
+    worst = EstimateErrorFactor(root.est_cardinality, root.actuals->rows_out);
   }
   for (const auto& child : root.children) {
     double err = MaxEstimateErrorFactor(*child);

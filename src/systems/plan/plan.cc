@@ -1,8 +1,6 @@
 #include "systems/plan/plan.h"
 
-#include <mutex>
-
-#include "spark/rdd.h"
+#include <optional>
 
 namespace rdfspark::systems::plan {
 
@@ -96,7 +94,8 @@ PlanPtr ConstantResultPlan(sparql::BindingTable table, std::string detail) {
 
 namespace {
 
-void ExplainNode(const PlanNode& node, int depth, std::string* out) {
+void RenderNode(const PlanNode& node, int depth, const NodeLineFinisher& finish,
+                std::string* out) {
   out->append(static_cast<size_t>(depth) * 2, ' ');
   out->append(NodeKindName(node.kind));
   std::string bracket = AccessPathName(node.access_path);
@@ -113,73 +112,83 @@ void ExplainNode(const PlanNode& node, int depth, std::string* out) {
   out->append(node.est_cardinality == kNoEstimate
                   ? std::string("?")
                   : std::to_string(node.est_cardinality));
-  out->append(")\n");
+  finish(node, out);
+  out->append("\n");
   for (const auto& child : node.children) {
-    ExplainNode(*child, depth + 1, out);
+    RenderNode(*child, depth + 1, finish, out);
   }
+}
+
+/// Rows in one element of a batch RDD partition.
+uint64_t BatchRows(const sparql::IdTable& batch) { return batch.size(); }
+uint64_t BatchRows(const KeyedBatch& batch) { return batch.rows.size(); }
+uint64_t BatchRows(const std::pair<int64_t, sparql::IdTable>& vertex) {
+  return vertex.second.size();
+}
+
+template <typename... Fs>
+struct Overloaded : Fs... {
+  using Fs::operator()...;
+};
+template <typename... Fs>
+Overloaded(Fs...) -> Overloaded<Fs...>;
+
+/// Output rows of a retained payload; nullopt (rendered "act=?") for a
+/// descriptive node's monostate and for unbound RDD/DataFrame handles. An
+/// RDD is counted from its cached partitions only — every partition the
+/// run needed is cached by the time the root has collected, and reading
+/// them charges nothing.
+std::optional<uint64_t> PayloadRows(const PlanPayload& payload) {
+  using Rows = std::optional<uint64_t>;
+  return std::visit(
+      Overloaded{
+          [](std::monostate) -> Rows { return std::nullopt; },
+          [](const sparql::BindingTable& table) -> Rows {
+            return table.num_rows();
+          },
+          [](const sparql::IdTable& rows) -> Rows { return rows.size(); },
+          [](const spark::sql::DataFrame& df) -> Rows {
+            if (!df.valid()) return std::nullopt;
+            return df.NumRows();
+          },
+          []<typename T>(const spark::Rdd<T>& rdd) -> Rows {
+            if (!rdd.valid()) return std::nullopt;
+            const auto& node = rdd.node();
+            uint64_t total = 0;
+            for (int p = 0; p < node->num_partitions(); ++p) {
+              if (!node->IsPartitionCached(p)) continue;
+              auto part = node->GetPartition(p);
+              for (const T& batch : *part) total += BatchRows(batch);
+            }
+            return total;
+          }},
+      payload);
+}
+
+/// The lineage node behind an RDD payload; null for every other payload.
+std::shared_ptr<spark::RddNodeBase> PayloadLineage(
+    const PlanPayload& payload) {
+  using Node = std::shared_ptr<spark::RddNodeBase>;
+  return std::visit(
+      Overloaded{[](const auto&) -> Node { return nullptr; },
+                 []<typename T>(const spark::Rdd<T>& rdd) -> Node {
+                   return rdd.node();
+                 }},
+      payload);
 }
 
 }  // namespace
 
-std::string Explain(const PlanNode& root) {
+std::string RenderPlan(const PlanNode& root, const NodeLineFinisher& finish) {
   std::string out;
-  ExplainNode(root, 0, &out);
+  RenderNode(root, 0, finish, &out);
   return out;
 }
 
-namespace {
-
-std::vector<PayloadRowCounter>& PayloadRowCounters() {
-  static auto* counters = new std::vector<PayloadRowCounter>();
-  return *counters;
-}
-
-std::mutex& PayloadRowCountersMutex() {
-  static auto* mu = new std::mutex();
-  return *mu;
-}
-
-}  // namespace
-
-void RegisterPayloadRowCounter(PayloadRowCounter counter) {
-  std::lock_guard<std::mutex> lock(PayloadRowCountersMutex());
-  PayloadRowCounters().push_back(std::move(counter));
-}
-
-namespace {
-
-std::vector<PayloadLineageProbe>& PayloadLineageProbes() {
-  static auto* probes = new std::vector<PayloadLineageProbe>();
-  return *probes;
-}
-
-}  // namespace
-
-void RegisterPayloadLineageProbe(PayloadLineageProbe probe) {
-  std::lock_guard<std::mutex> lock(PayloadRowCountersMutex());
-  PayloadLineageProbes().push_back(std::move(probe));
-}
-
-std::shared_ptr<spark::RddNodeBase> ProbePayloadLineage(
-    const PlanPayload& payload) {
-  if (!payload.has_value()) return nullptr;
-  std::lock_guard<std::mutex> lock(PayloadRowCountersMutex());
-  for (const auto& probe : PayloadLineageProbes()) {
-    if (auto node = probe(payload)) return node;
-  }
-  return nullptr;
-}
-
-std::optional<uint64_t> CountPayloadRows(const PlanPayload& payload) {
-  if (!payload.has_value()) return std::nullopt;
-  if (const auto* table = std::any_cast<sparql::BindingTable>(&payload)) {
-    return table->num_rows();
-  }
-  std::lock_guard<std::mutex> lock(PayloadRowCountersMutex());
-  for (const auto& counter : PayloadRowCounters()) {
-    if (auto rows = counter(payload)) return rows;
-  }
-  return std::nullopt;
+std::string Explain(const PlanNode& root) {
+  return RenderPlan(root, [](const PlanNode&, std::string* out) {
+    out->append(")");
+  });
 }
 
 Result<PlanPayload> PlanExecutor::RunNode(const PlanNode& node) {
@@ -207,7 +216,7 @@ Result<sparql::BindingTable> PlanExecutor::Run(const PlanNode& root) {
   analyzed_.clear();
   lineage_roots_.clear();
   RDFSPARK_ASSIGN_OR_RETURN(PlanPayload out, RunNode(root));
-  auto* table = std::any_cast<sparql::BindingTable>(&out);
+  auto* table = std::get_if<sparql::BindingTable>(&out);
   if (table == nullptr) {
     return Status::Internal("plan root did not produce a binding table");
   }
@@ -215,13 +224,13 @@ Result<sparql::BindingTable> PlanExecutor::Run(const PlanNode& root) {
   // they ever will by the time the root collected, so cached partition
   // sizes are the operator's true output cardinality.
   for (auto& [node, payload] : analyzed_) {
-    if (auto rows = CountPayloadRows(payload)) {
+    if (auto rows = PayloadRows(payload)) {
       node->actuals->rows_out = *rows;
       node->actuals->rows_known = true;
     }
     // Harvest RDD-backed payloads for the lineage analyzer before the
     // payloads are released; the shared_ptr keeps the DAG alive.
-    if (auto lineage = ProbePayloadLineage(payload)) {
+    if (auto lineage = PayloadLineage(payload)) {
       bool seen = false;
       for (const auto& existing : lineage_roots_) {
         seen = seen || existing->id() == lineage->id();

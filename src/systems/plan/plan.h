@@ -1,23 +1,21 @@
 #ifndef RDFSPARK_SYSTEMS_PLAN_PLAN_H_
 #define RDFSPARK_SYSTEMS_PLAN_PLAN_H_
 
-#include <any>
 #include <cstdint>
 #include <functional>
 #include <limits>
 #include <memory>
-#include <optional>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "common/status.h"
 #include "spark/context.h"
+#include "spark/rdd.h"
+#include "spark/sql/dataframe.h"
 #include "sparql/binding.h"
-
-namespace rdfspark::spark {
-class RddNodeBase;
-}  // namespace rdfspark::spark
+#include "systems/batch.h"
 
 namespace rdfspark::systems::plan {
 
@@ -57,10 +55,16 @@ inline constexpr uint64_t kNoEstimate = std::numeric_limits<uint64_t>::max();
 struct PlanNode;
 using PlanPtr = std::unique_ptr<PlanNode>;
 
-/// Intermediate results flowing between plan operators. Engines use their
-/// native representation (an Rdd, a DataFrame, driver-side rows); only the
-/// root is required to produce a sparql::BindingTable.
-using PlanPayload = std::any;
+/// Intermediate results flowing between plan operators: the closed set of
+/// representations the nine engines produce. Only the root is required to
+/// produce a sparql::BindingTable; monostate is the payload of a
+/// descriptive node (null exec). RDD payloads carry one batch per
+/// partition: IdTable rows, subject-keyed batches, or per-vertex tables.
+using PlanPayload =
+    std::variant<std::monostate, sparql::BindingTable, sparql::IdTable,
+                 spark::sql::DataFrame, spark::Rdd<sparql::IdTable>,
+                 spark::Rdd<KeyedBatch>,
+                 spark::Rdd<std::pair<int64_t, sparql::IdTable>>>;
 
 /// Executes one operator given its children's payloads (post-order). A null
 /// exec marks a descriptive node: monolithic back-ends (Spark SQL's Catalyst,
@@ -124,33 +128,14 @@ PlanPtr ConstantResultPlan(sparql::BindingTable table, std::string detail);
 /// access path and detail are empty; est prints "?" for kNoEstimate.
 std::string Explain(const PlanNode& root);
 
-/// Counts the rows inside an engine-native payload, or nullopt when the
-/// payload is not the counter's type. Registered counters let the analyzing
-/// executor read every operator's output cardinality after a run without
-/// the plan layer knowing the engines' intermediate representations (some
-/// of which are translation-unit-local). Registration happens from static
-/// initializers (see analyze.h); duplicates are harmless.
-using PayloadRowCounter =
-    std::function<std::optional<uint64_t>(const PlanPayload&)>;
+/// Appends the rest of one node's line after "(est=<n>|?"; the renderer
+/// adds the newline.
+using NodeLineFinisher = std::function<void(const PlanNode&, std::string*)>;
 
-void RegisterPayloadRowCounter(PayloadRowCounter counter);
-
-/// Tries every registered counter (BindingTable is built in); nullopt when
-/// no counter recognizes the payload — the node renders "act=?".
-std::optional<uint64_t> CountPayloadRows(const PlanPayload& payload);
-
-/// Extracts the RDD lineage node backing an engine-native payload, or null
-/// when the payload is not RDD-backed (DataFrames, driver-side rows). Like
-/// the row counters, probes are registered from static initializers (see
-/// analyze.h) so the plan layer stays ignorant of engine element types.
-using PayloadLineageProbe =
-    std::function<std::shared_ptr<spark::RddNodeBase>(const PlanPayload&)>;
-
-void RegisterPayloadLineageProbe(PayloadLineageProbe probe);
-
-/// Tries every registered probe; null when none recognizes the payload.
-std::shared_ptr<spark::RddNodeBase> ProbePayloadLineage(
-    const PlanPayload& payload);
+/// The one plan-tree renderer behind Explain and ExplainAnalyze (analyze.h):
+/// writes each node as "<indent><Kind> [<access> <detail>] (est=<n>|?",
+/// lets `finish` close the line, and recurses into the children.
+std::string RenderPlan(const PlanNode& root, const NodeLineFinisher& finish);
 
 /// Shared executor: post-order walk, each node's exec fed its children's
 /// payloads; the root payload must be a sparql::BindingTable.
@@ -160,7 +145,8 @@ std::shared_ptr<spark::RddNodeBase> ProbePayloadLineage(
 /// all substrate charges — including lazily deferred RDD computation, via
 /// the scope captured at RddNode construction — attribute to the right
 /// operator), retains each node's payload until the run completes, and
-/// then fills rows_out from the registered payload counters. Actuals are
+/// then fills rows_out from it (an RDD's cached partitions, read without
+/// charging; a descriptive node's monostate stays unknown). Actuals are
 /// sums of the same charge set regardless of executor threading, so they
 /// are bit-identical between executor_threads=1 and N.
 class PlanExecutor {

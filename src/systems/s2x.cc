@@ -2,11 +2,11 @@
 
 #include "systems/batch.h"
 
-#include <any>
 #include <functional>
 #include <memory>
 #include <unordered_map>
 #include <unordered_set>
+#include <variant>
 
 namespace rdfspark::systems {
 
@@ -267,9 +267,8 @@ Result<plan::PlanPtr> S2xEngine::PlanBgp(
           scan(i),
           [this, width](std::vector<plan::PlanPayload> in)
               -> Result<plan::PlanPayload> {
-            auto current =
-                std::any_cast<Rdd<sparql::IdTable>>(std::move(in[0]));
-            auto rows = std::any_cast<Rdd<sparql::IdTable>>(std::move(in[1]));
+            auto current = std::get<Rdd<sparql::IdTable>>(std::move(in[0]));
+            auto rows = std::get<Rdd<sparql::IdTable>>(std::move(in[1]));
             return plan::PlanPayload(
                 CartesianMergeBatches(sc_, current, rows, width));
           });
@@ -280,9 +279,8 @@ Result<plan::PlanPtr> S2xEngine::PlanBgp(
           std::move(root), scan(i),
           [this, key_idx, width](std::vector<plan::PlanPayload> in)
               -> Result<plan::PlanPayload> {
-            auto current =
-                std::any_cast<Rdd<sparql::IdTable>>(std::move(in[0]));
-            auto rows = std::any_cast<Rdd<sparql::IdTable>>(std::move(in[1]));
+            auto current = std::get<Rdd<sparql::IdTable>>(std::move(in[0]));
+            auto rows = std::get<Rdd<sparql::IdTable>>(std::move(in[1]));
             return plan::PlanPayload(
                 JoinBatchesOn(sc_, current, rows, key_idx, width));
           });
@@ -299,7 +297,7 @@ Result<plan::PlanPtr> S2xEngine::PlanBgp(
       plan::NodeKind::kProject, project_detail, std::move(root),
       [schema, width](std::vector<plan::PlanPayload> in)
           -> Result<plan::PlanPayload> {
-        auto current = std::any_cast<Rdd<sparql::IdTable>>(std::move(in[0]));
+        auto current = std::get<Rdd<sparql::IdTable>>(std::move(in[0]));
         return plan::PlanPayload(
             ToBindingTable(*schema, CollectRows(current, width)));
       });

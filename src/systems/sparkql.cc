@@ -1,12 +1,12 @@
 #include "systems/sparkql.h"
 
 #include <algorithm>
-#include <any>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
+#include <variant>
 
 #include "systems/batch.h"
 
@@ -295,10 +295,8 @@ Result<plan::PlanPtr> SparkqlEngine::PlanBgp(
             scan(bgp[i]),
             [this, width](std::vector<plan::PlanPayload> in)
                 -> Result<plan::PlanPayload> {
-              auto current =
-                  std::any_cast<Rdd<sparql::IdTable>>(std::move(in[0]));
-              auto rows =
-                  std::any_cast<Rdd<sparql::IdTable>>(std::move(in[1]));
+              auto current = std::get<Rdd<sparql::IdTable>>(std::move(in[0]));
+              auto rows = std::get<Rdd<sparql::IdTable>>(std::move(in[1]));
               return plan::PlanPayload(
                   CartesianMergeBatches(sc_, current, rows, width));
             });
@@ -309,10 +307,8 @@ Result<plan::PlanPtr> SparkqlEngine::PlanBgp(
             std::move(root), scan(bgp[i]),
             [this, key_idx, width](std::vector<plan::PlanPayload> in)
                 -> Result<plan::PlanPayload> {
-              auto current =
-                  std::any_cast<Rdd<sparql::IdTable>>(std::move(in[0]));
-              auto rows =
-                  std::any_cast<Rdd<sparql::IdTable>>(std::move(in[1]));
+              auto current = std::get<Rdd<sparql::IdTable>>(std::move(in[0]));
+              auto rows = std::get<Rdd<sparql::IdTable>>(std::move(in[1]));
               return plan::PlanPayload(
                   JoinBatchesOn(sc_, current, rows, key_idx, width));
             });
@@ -328,8 +324,7 @@ Result<plan::PlanPtr> SparkqlEngine::PlanBgp(
         plan::NodeKind::kProject, project_detail, std::move(root),
         [all_schema, width](std::vector<plan::PlanPayload> in)
             -> Result<plan::PlanPayload> {
-          auto current =
-              std::any_cast<Rdd<sparql::IdTable>>(std::move(in[0]));
+          auto current = std::get<Rdd<sparql::IdTable>>(std::move(in[0]));
           return plan::PlanPayload(
               ToBindingTable(*all_schema, CollectRows(current, width)));
         });
@@ -481,9 +476,9 @@ Result<plan::PlanPtr> SparkqlEngine::PlanBgp(
           std::move(child_plan),
           [this, pid, forward](std::vector<plan::PlanPayload> in)
               -> Result<plan::PlanPayload> {
-            auto table = std::any_cast<Rdd<std::pair<VertexId, Mt>>>(
+            auto table = std::get<Rdd<std::pair<VertexId, Mt>>>(
                 std::move(in[0]));
-            auto child_table = std::any_cast<Rdd<std::pair<VertexId, Mt>>>(
+            auto child_table = std::get<Rdd<std::pair<VertexId, Mt>>>(
                 std::move(in[1]));
             // Ship child tables to the parent along the pattern's edges.
             auto installed = graph_.OuterJoinVertices(
@@ -547,8 +542,7 @@ Result<plan::PlanPtr> SparkqlEngine::PlanBgp(
         plan_var(root),
         [width](std::vector<plan::PlanPayload> in)
             -> Result<plan::PlanPayload> {
-          auto table =
-              std::any_cast<Rdd<std::pair<VertexId, Mt>>>(std::move(in[0]));
+          auto table = std::get<Rdd<std::pair<VertexId, Mt>>>(std::move(in[0]));
           return plan::PlanPayload(table.MapPartitionsWithIndex(
               [width](int,
                       const std::vector<std::pair<VertexId, Mt>>& part) {
@@ -568,8 +562,8 @@ Result<plan::PlanPtr> SparkqlEngine::PlanBgp(
           std::move(current), std::move(component),
           [this, width](std::vector<plan::PlanPayload> in)
               -> Result<plan::PlanPayload> {
-            auto a = std::any_cast<Rdd<sparql::IdTable>>(std::move(in[0]));
-            auto b = std::any_cast<Rdd<sparql::IdTable>>(std::move(in[1]));
+            auto a = std::get<Rdd<sparql::IdTable>>(std::move(in[0]));
+            auto b = std::get<Rdd<sparql::IdTable>>(std::move(in[1]));
             return plan::PlanPayload(CartesianMergeBatches(sc_, a, b, width));
           });
     }
@@ -592,7 +586,7 @@ Result<plan::PlanPtr> SparkqlEngine::PlanBgp(
         [this, a_idx, b_idx, pid, width](std::vector<plan::PlanPayload> in)
             -> Result<plan::PlanPayload> {
           using EdgeKey = std::pair<rdf::TermId, rdf::TermId>;
-          auto rows = std::any_cast<Rdd<sparql::IdTable>>(std::move(in[0]));
+          auto rows = std::get<Rdd<sparql::IdTable>>(std::move(in[0]));
           auto pairs = graph_.edges().FlatMap(
               [pid](const Edge<rdf::TermId>& edge) {
                 std::vector<std::pair<EdgeKey, bool>> out;
@@ -693,7 +687,7 @@ Result<plan::PlanPtr> SparkqlEngine::PlanBgp(
       plan::NodeKind::kProject, project_detail, std::move(current),
       [schema_copy, real_vars, width](std::vector<plan::PlanPayload> in)
           -> Result<plan::PlanPayload> {
-        auto rows = std::any_cast<Rdd<sparql::IdTable>>(std::move(in[0]));
+        auto rows = std::get<Rdd<sparql::IdTable>>(std::move(in[0]));
         auto table = ToBindingTable(*schema_copy, CollectRows(rows, width));
         return plan::PlanPayload(Project(table, *real_vars));
       });

@@ -1,9 +1,9 @@
 #include "systems/sparkrdf.h"
 
 #include <algorithm>
-#include <any>
 #include <memory>
 #include <optional>
+#include <variant>
 
 #include "systems/batch.h"
 
@@ -322,8 +322,8 @@ Result<plan::PlanPtr> SparkRdfEngine::PlanBgp(
               std::move(leaf),
               [this, width, part_info](std::vector<plan::PlanPayload> in)
                   -> Result<plan::PlanPayload> {
-                auto cur = std::any_cast<Rdd<KeyedBatch>>(std::move(in[0]));
-                auto rows = std::any_cast<Rdd<KeyedBatch>>(std::move(in[1]));
+                auto cur = std::get<Rdd<KeyedBatch>>(std::move(in[0]));
+                auto rows = std::get<Rdd<KeyedBatch>>(std::move(in[1]));
                 // The merged row adopts the fresh leaf's key (the new join
                 // variable), like the per-element path did.
                 auto crossed = CartesianMergeKeyed(
@@ -346,8 +346,8 @@ Result<plan::PlanPtr> SparkRdfEngine::PlanBgp(
             [this, need_rekey, idx, width, part_info](
                 std::vector<plan::PlanPayload> in)
                 -> Result<plan::PlanPayload> {
-              auto cur = std::any_cast<Rdd<KeyedBatch>>(std::move(in[0]));
-              auto rows = std::any_cast<Rdd<KeyedBatch>>(std::move(in[1]));
+              auto cur = std::get<Rdd<KeyedBatch>>(std::move(in[0]));
+              auto rows = std::get<Rdd<KeyedBatch>>(std::move(in[1]));
               if (need_rekey) {
                 cur = RepartitionKeyed(RekeyBatches(cur, idx, width),
                                        num_partitions_, width,
@@ -376,7 +376,7 @@ Result<plan::PlanPtr> SparkRdfEngine::PlanBgp(
         plan::NodeKind::kProject, "collect matched rows", std::move(current),
         [width](std::vector<plan::PlanPayload> in)
             -> Result<plan::PlanPayload> {
-          auto cur = std::any_cast<Rdd<KeyedBatch>>(std::move(in[0]));
+          auto cur = std::get<Rdd<KeyedBatch>>(std::move(in[0]));
           return plan::PlanPayload(CollectKeyedRows(cur, width));
         });
   } else {
@@ -418,7 +418,7 @@ Result<plan::PlanPtr> SparkRdfEngine::PlanBgp(
           std::move(rows_plan), std::move(index_leaf),
           [instances, idx](std::vector<plan::PlanPayload> in)
               -> Result<plan::PlanPayload> {
-            auto rows = std::any_cast<sparql::IdTable>(std::move(in[0]));
+            auto rows = std::get<sparql::IdTable>(std::move(in[0]));
             sparql::IdTable expanded(rows.width());
             if (instances != nullptr) {
               for (size_t r = 0; r < rows.size(); ++r) {
@@ -439,7 +439,7 @@ Result<plan::PlanPtr> SparkRdfEngine::PlanBgp(
           std::move(rows_plan),
           [instances, idx](std::vector<plan::PlanPayload> in)
               -> Result<plan::PlanPayload> {
-            auto rows = std::any_cast<sparql::IdTable>(std::move(in[0]));
+            auto rows = std::get<sparql::IdTable>(std::move(in[0]));
             sparql::IdTable kept(rows.width());
             for (size_t r = 0; r < rows.size(); ++r) {
               rdf::TermId value = rows.cell(r, static_cast<size_t>(idx));
@@ -461,7 +461,7 @@ Result<plan::PlanPtr> SparkRdfEngine::PlanBgp(
       plan::NodeKind::kProject, project_detail, std::move(rows_plan),
       [schema_copy](std::vector<plan::PlanPayload> in)
           -> Result<plan::PlanPayload> {
-        auto rows = std::any_cast<sparql::IdTable>(std::move(in[0]));
+        auto rows = std::get<sparql::IdTable>(std::move(in[0]));
         return plan::PlanPayload(
             ToBindingTable(*schema_copy, std::move(rows)));
       });

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <variant>
 
 #include "systems/batch.h"
 #include "systems/plan/planner_utils.h"
@@ -202,9 +203,8 @@ Result<plan::PlanPtr> SparqlgxEngine::PlanBgp(
           scan(tp),
           [this, width](std::vector<plan::PlanPayload> in)
               -> Result<plan::PlanPayload> {
-            auto current =
-                std::any_cast<Rdd<sparql::IdTable>>(std::move(in[0]));
-            auto rows = std::any_cast<Rdd<sparql::IdTable>>(std::move(in[1]));
+            auto current = std::get<Rdd<sparql::IdTable>>(std::move(in[0]));
+            auto rows = std::get<Rdd<sparql::IdTable>>(std::move(in[1]));
             return plan::PlanPayload(
                 CartesianMergeBatches(sc_, current, rows, width));
           });
@@ -215,9 +215,8 @@ Result<plan::PlanPtr> SparqlgxEngine::PlanBgp(
           std::move(root), scan(tp),
           [this, key_idx, width](std::vector<plan::PlanPayload> in)
               -> Result<plan::PlanPayload> {
-            auto current =
-                std::any_cast<Rdd<sparql::IdTable>>(std::move(in[0]));
-            auto rows = std::any_cast<Rdd<sparql::IdTable>>(std::move(in[1]));
+            auto current = std::get<Rdd<sparql::IdTable>>(std::move(in[0]));
+            auto rows = std::get<Rdd<sparql::IdTable>>(std::move(in[1]));
             return plan::PlanPayload(
                 JoinBatchesOn(sc_, current, rows, key_idx, width));
           });
@@ -234,7 +233,7 @@ Result<plan::PlanPtr> SparqlgxEngine::PlanBgp(
       plan::NodeKind::kProject, vars_detail, std::move(root),
       [schema, width](std::vector<plan::PlanPayload> in)
           -> Result<plan::PlanPayload> {
-        auto current = std::any_cast<Rdd<sparql::IdTable>>(std::move(in[0]));
+        auto current = std::get<Rdd<sparql::IdTable>>(std::move(in[0]));
         return plan::PlanPayload(
             ToBindingTable(*schema, CollectRows(current, width)));
       });

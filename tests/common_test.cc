@@ -3,6 +3,7 @@
 #include <set>
 
 #include "common/hash.h"
+#include "common/json.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/string_util.h"
@@ -99,6 +100,25 @@ TEST(StringUtilTest, FormatBytes) {
   EXPECT_EQ(FormatBytes(512), "512 B");
   EXPECT_EQ(FormatBytes(1536), "1.50 KiB");
   EXPECT_EQ(FormatBytes(3u << 20), "3.00 MiB");
+}
+
+TEST(JsonTest, ValidatorAcceptsRfc8259AndRejectsTheRest) {
+  for (const char* ok :
+       {"{}", "[]", " {\"a\":[1,-0.5e+3,true,false,null]} ",
+        "\"\\\"\\\\\\/\\b\\f\\n\\r\\t\\u00E9\"", "\"\\ud800\""}) {
+    std::string error;
+    EXPECT_TRUE(ValidateJson(ok, &error)) << ok << ": " << error;
+  }
+  for (const char* bad :
+       {"", "{", "[1,]", "{\"a\" 1}", "{1:2}", "01", "1.", "1e", "-", "tru",
+        "\"\\x\"", "\"\\u12g4\"", "\"\\", "\"a", "\"\x01\"", "{} {}"}) {
+    EXPECT_FALSE(ValidateJson(bad)) << bad;
+  }
+  std::string error;
+  EXPECT_FALSE(ValidateJson("[1,2", &error));
+  EXPECT_EQ(error, "unterminated array at offset 4");
+  EXPECT_FALSE(ValidateJson("\"\\q\"", &error));
+  EXPECT_EQ(error, "bad escape character at offset 2");
 }
 
 TEST(HashTest, Fnv1aIsStable) {

@@ -12,14 +12,16 @@
 //     modes) and every shape, the rendered EXPLAIN ANALYZE text is
 //     bit-identical between executor_threads=1 and executor_threads=8.
 //     Actuals are commutative sums over the charge multiset, so threading
-//     must not leak into them.
-//  3. Consistency: the root's actual row count equals the row count a
-//     plain Execute() of the same query returns.
+//     must not leak into them. Every executed operator's row count is
+//     known, and every descriptive (exec-less) node renders act=?.
+//  3. Consistency: on every engine, the root's actual row count equals the
+//     row count a plain Execute() of the same query returns.
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <map>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -218,6 +220,26 @@ TEST(ExplainAnalyzeTest, MatchesGoldenOutputs) {
   }
 }
 
+/// Walks an analyzed tree in pre-order, in step with its rendered lines:
+/// an operator that ran knows its output rows, and a descriptive node
+/// (null exec, monostate payload) renders act=?.
+void ExpectRowsKnownWhereExecuted(const plan::PlanNode& node,
+                                  const std::vector<std::string>& lines,
+                                  size_t* line, const std::string& label) {
+  ASSERT_LT(*line, lines.size()) << label;
+  const std::string& text = lines[(*line)++];
+  if (node.exec) {
+    ASSERT_TRUE(node.actuals != nullptr) << label << ": " << text;
+    EXPECT_TRUE(node.actuals->rows_known) << label << ": " << text;
+  } else {
+    EXPECT_NE(text.find(" act=? "), std::string::npos) << label << ": "
+                                                       << text;
+  }
+  for (const auto& child : node.children) {
+    ExpectRowsKnownWhereExecuted(*child, lines, line, label);
+  }
+}
+
 /// Per-operator actuals are sums over the charge multiset, which is fixed
 /// by the plan — not by how tasks interleave. The rendered text must be
 /// bit-identical between serial and pooled execution for every engine and
@@ -225,6 +247,7 @@ TEST(ExplainAnalyzeTest, MatchesGoldenOutputs) {
 TEST(ExplainAnalyzeTest, ActualsAreBitIdenticalAcrossThreading) {
   for (const auto& factory : AllEngineVariantFactories()) {
     for (const auto& q : ShapeQueries()) {
+      const std::string label = factory.name + "/" + q.label;
       std::string serial;
       std::string pooled;
       for (auto [threads, out] :
@@ -233,20 +256,26 @@ TEST(ExplainAnalyzeTest, ActualsAreBitIdenticalAcrossThreading) {
         auto engine = factory.make(&sc);
         ASSERT_TRUE(engine != nullptr) << factory.name;
         ASSERT_TRUE(engine->Load(Dataset()).ok()) << factory.name;
-        auto analyzed = ExplainAnalyze(*engine, q.text);
-        ASSERT_TRUE(analyzed.ok())
-            << factory.name << "/" << q.label << ": "
-            << analyzed.status().ToString();
-        *out = *analyzed;
+        auto query = sparql::ParseQuery(q.text);
+        ASSERT_TRUE(query.ok()) << q.label;
+        auto root = engine->ExecuteAnalyzed(*query);
+        ASSERT_TRUE(root.ok()) << label << ": " << root.status().ToString();
+        *out = plan::ExplainAnalyze(**root);
+        std::vector<std::string> lines;
+        std::istringstream rendered(*out);
+        for (std::string l; std::getline(rendered, l);) lines.push_back(l);
+        size_t line = 0;
+        ExpectRowsKnownWhereExecuted(**root, lines, &line, label);
+        EXPECT_EQ(line, lines.size()) << label;
       }
-      EXPECT_EQ(serial, pooled) << factory.name << "/" << q.label;
+      EXPECT_EQ(serial, pooled) << label;
     }
   }
 }
 
 /// The analyzed root's actual cardinality is the query's result size.
 TEST(ExplainAnalyzeTest, RootActualMatchesExecutedRowCount) {
-  for (const auto& factory : GoldenFactories()) {
+  for (const auto& factory : AllEngineVariantFactories()) {
     for (const auto& q : ShapeQueries()) {
       SparkContext sc(SmallCluster());
       auto engine = factory.make(&sc);

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <fstream>
 #include <iterator>
 #include <string>
@@ -137,6 +138,26 @@ TEST(WindowedRegistryTest, HistogramMerges) {
 
 // ---- EventLog ------------------------------------------------------------
 
+// Exports are byte-deterministic, so tests read them back as text.
+size_t Occurrences(const std::string& text, const std::string& needle) {
+  size_t n = 0;
+  for (size_t at = text.find(needle); at != std::string::npos;
+       at = text.find(needle, at + 1)) {
+    ++n;
+  }
+  return n;
+}
+
+/// The unsigned integer after the first `"key":` at or past `from`.
+uint64_t NumberAfter(const std::string& text, const std::string& key,
+                     size_t from = 0) {
+  const std::string member = "\"" + key + "\":";
+  size_t at = text.find(member, from);
+  EXPECT_NE(at, std::string::npos) << member;
+  if (at == std::string::npos) return UINT64_MAX;
+  return std::strtoull(text.c_str() + at + member.size(), nullptr, 10);
+}
+
 TEST(EventLogTest, CanonicalOrderAndBoundedEviction) {
   EventLog log(/*capacity=*/2);
   auto ev = [](uint64_t t, EventKind kind) {
@@ -153,17 +174,18 @@ TEST(EventLogTest, CanonicalOrderAndBoundedEviction) {
   log.Add(ev(20, EventKind::kCacheHit));
   EXPECT_EQ(log.size(), 2u);
   EXPECT_EQ(log.dropped(), 1u);
-  auto sorted = log.Sorted();
-  ASSERT_EQ(sorted.size(), 2u);
-  EXPECT_EQ(sorted[0].t_ns, 20u);
-  EXPECT_EQ(sorted[1].t_ns, 30u);
-  EXPECT_TRUE(log.Covers(EventKind::kCacheHit));
-  EXPECT_FALSE(log.Covers(EventKind::kRequestStart));  // Evicted.
 
   std::string json = log.ToJson();
   EXPECT_TRUE(ValidateJson(json));
-  EXPECT_NE(json.find("\"dropped\":1"), std::string::npos);
+  EXPECT_EQ(json.rfind("{\"dropped\":1,", 0), 0u) << json;
+  // The export lists events in canonical order.
+  ASSERT_EQ(Occurrences(json, "{\"t_ns\":"), 2u);
+  size_t first = json.find("{\"t_ns\":20,");
+  ASSERT_NE(first, std::string::npos) << json;
+  EXPECT_NE(json.find("{\"t_ns\":30,", first), std::string::npos) << json;
   EXPECT_NE(json.find("\"kind\":\"cache_hit\""), std::string::npos);
+  // Evicted.
+  EXPECT_EQ(json.find("\"kind\":\"request_start\""), std::string::npos);
 }
 
 TEST(EventLogTest, EventJsonIsValidWithSortedFields) {
@@ -515,24 +537,27 @@ TEST(TelemetrySinkTest, EventsJsonKeepsTheNewestEventsWithinCapacity) {
   for (uint64_t seq = 0; seq < kRequests; ++seq) {
     sink.Ingest(MakeRecord("t", seq, "S2RDF", 1'000'000, "S2RDF\nq1"));
   }
-  Result<JsonValue> events = ParseJson(sink.EventsJson());
-  ASSERT_TRUE(events.ok()) << events.status().ToString();
-  const JsonValue* exported = events->Find("events");
-  ASSERT_NE(exported, nullptr);
-  const uint64_t dropped =
-      static_cast<uint64_t>(events->NumberOr("dropped", -1));
-  EXPECT_LE(exported->items.size(), EventLog::kDefaultCapacity);
-  EXPECT_EQ(exported->items.size() + dropped, kGenerated);
+  const std::string events = sink.EventsJson();
+  ASSERT_TRUE(ValidateJson(events));
+  const uint64_t dropped = NumberAfter(events, "dropped");
+  ASSERT_EQ(events.rfind("{\"dropped\":" + std::to_string(dropped) +
+                             ",\"events\":[",
+                         0),
+            0u);
+  const uint64_t kept = Occurrences(events, "{\"t_ns\":");
+  EXPECT_LE(kept, EventLog::kDefaultCapacity);
+  EXPECT_EQ(kept + dropped, kGenerated);
   // The kept events are the newest: the last request's survive, the
   // first request's do not.
-  EXPECT_EQ(exported->items.back().NumberOr("seq", -1),
-            static_cast<double>(kRequests - 1));
-  EXPECT_NE(exported->items.front().NumberOr("seq", -1), 0.0);
+  EXPECT_EQ(NumberAfter(events, "seq", events.rfind("{\"t_ns\":")),
+            kRequests - 1);
+  EXPECT_NE(NumberAfter(events, "seq", events.find("{\"t_ns\":")), 0u);
   // Every surface reports the same drop count.
-  Result<JsonValue> telemetry = ParseJson(sink.TelemetryJson());
-  ASSERT_TRUE(telemetry.ok()) << telemetry.status().ToString();
-  EXPECT_EQ(telemetry->NumberOr("events_dropped", -1),
-            static_cast<double>(dropped));
+  const std::string telemetry = sink.TelemetryJson();
+  ASSERT_TRUE(ValidateJson(telemetry));
+  EXPECT_NE(telemetry.find("\"events_dropped\":" + std::to_string(dropped) +
+                           ","),
+            std::string::npos);
   EXPECT_NE(sink.PrometheusText().find(
                 "rdfspark_serve_events_dropped_total " +
                 std::to_string(dropped) + "\n"),
@@ -552,14 +577,12 @@ TEST(TelemetrySinkTest, LogicalCacheReplayModelsLruAtCapacity) {
   bypass.cache_bypass = true;
   sink.Ingest(bypass);
 
-  Result<JsonValue> parsed = ParseJson(sink.TelemetryJson());
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  const JsonValue* cache = parsed->Find("cache");
-  ASSERT_NE(cache, nullptr);
-  EXPECT_EQ(cache->NumberOr("hits", -1), 1.0);
-  EXPECT_EQ(cache->NumberOr("misses", -1), 3.0);
-  EXPECT_EQ(cache->NumberOr("bypasses", -1), 1.0);
-  EXPECT_EQ(cache->NumberOr("evictions", -1), 2.0);
+  const std::string telemetry = sink.TelemetryJson();
+  ASSERT_TRUE(ValidateJson(telemetry));
+  EXPECT_NE(telemetry.find("\"cache\":{\"hits\":1,\"misses\":3,"
+                           "\"bypasses\":1,\"evictions\":2,"),
+            std::string::npos)
+      << telemetry;
 
   // The replay synthesizes typed cache events on the virtual timeline.
   std::string events = sink.EventsJson();

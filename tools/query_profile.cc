@@ -1,4 +1,4 @@
-// query_profile — runtime profile matrix across the nine engines.
+// query_profile — runtime profile matrix across the 12 engine variants.
 //
 // Executes the canonical LUBM query shapes (star, chain, snowflake) on
 // every reproduced engine with per-operator actuals collection and prints
