@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Dedicated ThreadSanitizer pass over the concurrency-sensitive suites:
-# the scheduler/RDD runtime, the engines that drive it, the serving layer
-# and its telemetry sink (fed from several workers at once), and the
+# the scheduler/RDD runtime, the engines that drive it, EXPLAIN ANALYZE
+# (whose per-operator actuals must match across thread counts while
+# chunks fold their charges concurrently), the serving layer and its
+# telemetry sink (fed from several workers at once), and the
 # happens-before checker itself (whose verdicts must hold on the same
 # binaries TSan watches). tier1.sh delegates here; CI runs it as its own
 # job so a TSan failure is attributable at a glance.
@@ -10,7 +12,8 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 SUITES=(scheduler_test rdd_test dataframe_test engines_test \
-  plan_explain_test tracing_test serving_test obs_test hb_test)
+  plan_explain_test explain_analyze_test tracing_test serving_test obs_test \
+  hb_test)
 
 echo "=== ThreadSanitizer (${SUITES[*]}) ==="
 cmake -B build-tsan -S . -DRDFSPARK_TSAN=ON >/dev/null

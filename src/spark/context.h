@@ -96,6 +96,13 @@ class Broadcast {
 /// that task's thread. Per-executor busy time accumulates in integer
 /// nanoseconds, which makes `simulated_ms` bit-identical for any thread
 /// interleaving — and identical to the serial (executor_threads = 1) path.
+///
+/// Charge folding: the charge points below add into a thread-local tally.
+/// Inside a chunk of RunParallel tasks the tally is the chunk's, folded
+/// into Metrics, the phase and the OpStats once before the chunk retires;
+/// a charge outside a chunk, under a phase or operator scope opened inside
+/// the task, or with the tracer on is a tally of one, folded at once.
+/// Integer sums commute, so the totals are the same either way.
 class SparkContext {
  public:
   explicit SparkContext(ClusterConfig config = ClusterConfig());
@@ -174,7 +181,10 @@ class SparkContext {
   /// finish. Falls back to an inline serial loop when the pool is disabled
   /// (executor_threads = 1), the batch is trivial, or the caller is itself
   /// a pool worker (nested parallelism runs inline; see TaskScheduler).
-  /// Workers inherit the caller's current cost phase.
+  /// Workers inherit the caller's current cost phase and operator scope,
+  /// installed once per claimed chunk of indices; each index is still its
+  /// own logical task for the HB recorder. On the pool every index runs
+  /// even if another throws, and the first error is rethrown here.
   void RunParallel(int count, const std::function<void(int)>& fn);
 
   /// Accounts the volume and time of replicating `bytes` to every executor
@@ -196,14 +206,14 @@ class SparkContext {
   /// Stable HB identity of this context (metrics counters, executor pool).
   int64_t HbId() const { return hb::StableId(&hb_id_); }
 
-  /// Per-phase accumulator: busy nanoseconds per executor. Tasks of one
-  /// phase add concurrently (relaxed atomics — integer addition commutes,
-  /// so totals are interleaving-independent).
+  /// Per-phase accumulator: busy nanoseconds per executor. Chunks of one
+  /// phase fold their sums in concurrently (relaxed atomics — integer
+  /// addition commutes, so totals are interleaving-independent).
   struct Phase {
     explicit Phase(int num_executors);
     /// Adds `ns` to the executor's busy time; returns the executor's busy
-    /// time *before* the add — the task's start offset within the phase,
-    /// which is what the tracer plots task spans at.
+    /// time *before* the add — for a traced task (always folded alone),
+    /// its start offset within the phase, where the tracer plots its span.
     uint64_t Add(int executor, uint64_t ns) {
       return busy_ns[static_cast<size_t>(executor)].fetch_add(
           ns, std::memory_order_relaxed);

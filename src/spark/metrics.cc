@@ -56,6 +56,27 @@ Histogram& Histogram::operator+=(const Histogram& rhs) noexcept {
   return *this;
 }
 
+void Histogram::Record(uint64_t v) noexcept {
+  HistogramTally one;
+  one.Record(v);
+  Fold(one);
+}
+
+void Histogram::Fold(HistogramTally& tally) noexcept {
+  if (tally.count == 0) return;
+  for (int b = tally.lo; b <= tally.hi; ++b) {
+    if (tally.buckets[b] == 0) continue;
+    buckets_[b] += tally.buckets[b];
+    tally.buckets[b] = 0;
+  }
+  count_ += tally.count;
+  sum_ += tally.sum;
+  max_.UpdateMax(tally.max);
+  tally.count = tally.sum = tally.max = 0;
+  tally.lo = kBuckets;
+  tally.hi = -1;
+}
+
 Histogram Histogram::operator-(const Histogram& rhs) const noexcept {
   Histogram d;
   for (int b = 0; b < kBuckets; ++b) {

@@ -2,6 +2,7 @@
 #define RDFSPARK_SPARK_METRICS_H_
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -63,11 +64,13 @@ class Counter {
   std::atomic<uint64_t> v_{0};
 };
 
+struct HistogramTally;
+
 /// Power-of-two-bucketed distribution of uint64 samples with exact count,
 /// sum and max. Bucket i holds samples whose bit width is i (bucket 0 is
-/// the value 0), so bucketing needs no configuration and recording is a
-/// couple of relaxed increments — safe from concurrent partition tasks and
-/// interleaving-independent like every other metric.
+/// the value 0), so bucketing needs no configuration. Samples arrive as
+/// folded HistogramTally sums of relaxed increments — safe from concurrent
+/// partition tasks and interleaving-independent like every other metric.
 ///
 /// Deltas: count, sum and buckets subtract exactly; the running max cannot
 /// be windowed, so operator- keeps the lhs max (documented: max is
@@ -77,12 +80,8 @@ class Histogram {
  public:
   static constexpr int kBuckets = 48;
 
-  void Record(uint64_t v) noexcept {
-    ++buckets_[BucketOf(v)];
-    ++count_;
-    sum_ += v;
-    max_.UpdateMax(v);
-  }
+  /// Records one sample (a tally of one, folded at once).
+  void Record(uint64_t v) noexcept;
 
   uint64_t count() const noexcept { return count_; }
   uint64_t sum() const noexcept { return sum_; }
@@ -108,6 +107,8 @@ class Histogram {
   uint64_t QuantileUpperBound(double q) const noexcept;
 
   Histogram& operator+=(const Histogram& rhs) noexcept;
+  /// Adds `tally`'s samples (only its non-zero buckets) and empties it.
+  void Fold(HistogramTally& tally) noexcept;
   /// Bucketwise difference; max is kept from *this (see class comment).
   Histogram operator-(const Histogram& rhs) const noexcept;
 
@@ -115,11 +116,7 @@ class Histogram {
   std::string ToString() const;
 
   static int BucketOf(uint64_t v) noexcept {
-    int b = 0;
-    while (v != 0) {
-      ++b;
-      v >>= 1;
-    }
+    int b = std::bit_width(v);
     return b < kBuckets ? b : kBuckets - 1;
   }
 
@@ -128,6 +125,28 @@ class Histogram {
   Counter count_;
   Counter sum_;
   Counter max_;
+};
+
+/// Samples one thread gathers privately as plain integers and folds into
+/// a shared Histogram at once (Histogram::Fold) — how SparkContext records
+/// a chunk of partition tasks without a shared-cache-line update per task.
+struct HistogramTally {
+  uint64_t buckets[Histogram::kBuckets] = {};
+  uint64_t count = 0;
+  uint64_t sum = 0;
+  uint64_t max = 0;
+  int lo = Histogram::kBuckets;  ///< Touched buckets are [lo, hi]: a fold
+  int hi = -1;                   ///< of few samples visits only those.
+
+  void Record(uint64_t v) noexcept {
+    int b = Histogram::BucketOf(v);
+    ++buckets[b];
+    if (b < lo) lo = b;
+    if (b > hi) hi = b;
+    ++count;
+    sum += v;
+    if (v > max) max = v;
+  }
 };
 
 /// Simulated time held as integer nanoseconds so that accumulation is

@@ -29,9 +29,9 @@ TaskScheduler::~TaskScheduler() {
 
 TaskScheduler::Batch* TaskScheduler::NextBatchWithWork() {
   if (batches_.empty()) return nullptr;
-  // Start the scan at the round-robin cursor so consecutive grabs rotate
-  // across batches: with B live batches, each gets every B-th task slot —
-  // a small query's partitions interleave with a big one's instead of
+  // Start the scan at the round-robin cursor so consecutive claims rotate
+  // across batches: with B live batches, each gets every B-th claim — a
+  // small query's partitions interleave with a big one's instead of
   // queueing behind them.
   for (size_t i = 0; i < batches_.size(); ++i) {
     size_t idx = (rr_next_ + i) % batches_.size();
@@ -43,23 +43,30 @@ TaskScheduler::Batch* TaskScheduler::NextBatchWithWork() {
   return nullptr;
 }
 
-bool TaskScheduler::RunOneTaskOf(Batch* batch,
-                                 std::unique_lock<std::mutex>& lock) {
-  if (batch->next_index >= batch->count) return false;
-  int index = batch->next_index++;
-  --pending_tasks_;
-  const std::function<void(int)>* fn = batch->fn;
+bool TaskScheduler::RunOneChunkOf(Batch* batch,
+                                  std::unique_lock<std::mutex>& lock) {
+  int remaining = batch->count - batch->next_index;
+  if (remaining <= 0) return false;
+  // Each claim is a fixed share of what is left, so big batches take few
+  // claims and the tail still splits across participants.
+  int participants = static_cast<int>(threads_.size()) + 1;
+  int size = std::max(1, remaining / (2 * participants));
+  int begin = batch->next_index;
+  int end = begin + size;
+  batch->next_index = end;
+  pending_tasks_ -= size;
+  const std::function<void(int, int)>* fn = batch->fn;
   lock.unlock();
+  std::exception_ptr error;
   try {
-    (*fn)(index);
+    (*fn)(begin, end);
   } catch (...) {
-    lock.lock();
-    if (!batch->first_error) batch->first_error = std::current_exception();
-    if (--batch->unfinished == 0) done_cv_.notify_all();
-    return true;
+    error = std::current_exception();
   }
   lock.lock();
-  if (--batch->unfinished == 0) done_cv_.notify_all();
+  if (error && !batch->first_error) batch->first_error = error;
+  batch->unfinished -= size;
+  if (batch->unfinished == 0) done_cv_.notify_all();
   return true;
 }
 
@@ -70,13 +77,13 @@ void TaskScheduler::WorkerLoop() {
     work_cv_.wait(lock, [&] { return stop_ || pending_tasks_ > 0; });
     if (stop_) return;
     while (Batch* batch = NextBatchWithWork()) {
-      RunOneTaskOf(batch, lock);
+      RunOneChunkOf(batch, lock);
     }
   }
 }
 
 void TaskScheduler::ParallelFor(int count,
-                                const std::function<void(int)>& fn) {
+                                const std::function<void(int, int)>& fn) {
   if (count <= 0) return;
   Batch batch;
   batch.count = count;
@@ -94,7 +101,7 @@ void TaskScheduler::ParallelFor(int count,
   // tasks), so a request's latency is not inflated by co-tenant work.
   bool was_worker = t_in_worker;
   t_in_worker = true;
-  while (RunOneTaskOf(&batch, lock)) {
+  while (RunOneChunkOf(&batch, lock)) {
   }
   t_in_worker = was_worker;
   done_cv_.wait(lock, [&] { return batch.unfinished == 0; });

@@ -47,7 +47,9 @@ class Column {
 };
 
 /// A horizontal slice of a DataFrame: one column chunk per field. One batch
-/// per partition.
+/// per partition. A zero-row batch may carry no columns at all (the slot of
+/// a task that had no rows to produce); MemoryBytes is 0 either way, and
+/// only a batch built by MakeBatch may be appended to.
 struct RecordBatch {
   std::vector<Column> columns;
   size_t num_rows = 0;

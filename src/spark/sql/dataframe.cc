@@ -141,11 +141,13 @@ DataFrame DataFrame::SelectExprs(
 
   sc->BeginPhase();
   // Partition tasks run concurrently; each writes its own pre-sized slot.
-  std::vector<RecordBatch> batches(state_->batches.size(),
-                                   MakeBatch(out_schema));
+  // Slots start column-less and zero-row, and a task without output rows
+  // leaves its slot so: an empty partition costs no column headers.
+  std::vector<RecordBatch> batches(state_->batches.size());
   sc->RunParallel(static_cast<int>(state_->batches.size()), [&](int p) {
     const RecordBatch& in = state_->batches[static_cast<size_t>(p)];
-    RecordBatch out = MakeBatch(out_schema);
+    RecordBatch out;
+    if (in.num_rows > 0) out = MakeBatch(out_schema);
     for (size_t i = 0; i < in.num_rows; ++i) {
       Row row = in.GetRow(i);
       Row projected;
@@ -180,11 +182,11 @@ DataFrame DataFrame::Rename(const std::vector<std::string>& names) const {
 DataFrame DataFrame::Filter(const Expr& predicate) const {
   SparkContext* sc = state_->sc;
   sc->BeginPhase();
-  std::vector<RecordBatch> batches(state_->batches.size(),
-                                   MakeBatch(state_->schema));
+  std::vector<RecordBatch> batches(state_->batches.size());
   sc->RunParallel(static_cast<int>(state_->batches.size()), [&](int p) {
     const RecordBatch& in = state_->batches[static_cast<size_t>(p)];
-    RecordBatch out = MakeBatch(state_->schema);
+    RecordBatch out;
+    if (in.num_rows > 0) out = MakeBatch(state_->schema);
     for (size_t i = 0; i < in.num_rows; ++i) {
       Row row = in.GetRow(i);
       if (predicate.EvalPredicate(row, state_->schema)) out.AppendRow(row);
@@ -369,11 +371,11 @@ DataFrame DataFrame::BroadcastJoin(
   sc->BeginPhase();
   // The build table is read-only from here on; probe tasks share it and
   // each writes its own output slot.
-  std::vector<RecordBatch> batches(state_->batches.size(),
-                                   MakeBatch(out_schema));
+  std::vector<RecordBatch> batches(state_->batches.size());
   sc->RunParallel(static_cast<int>(state_->batches.size()), [&](int p) {
     const RecordBatch& in = state_->batches[static_cast<size_t>(p)];
-    RecordBatch out = MakeBatch(out_schema);
+    RecordBatch out;
+    if (in.num_rows > 0) out = MakeBatch(out_schema);
     uint64_t comparisons = 0;
     for (size_t i = 0; i < in.num_rows; ++i) {
       Row row = in.GetRow(i);
@@ -445,7 +447,7 @@ DataFrame DataFrame::ShuffleHashJoin(
   // Each task builds and probes its own partition pair — no shared state
   // beyond the (atomic) metric counters.
   std::vector<RecordBatch> batches(
-      static_cast<size_t>(left_part.num_partitions()), MakeBatch(out_schema));
+      static_cast<size_t>(left_part.num_partitions()));
   sc->RunParallel(left_part.num_partitions(), [&](int p) {
     const RecordBatch& lb =
         left_part.state_->batches[static_cast<size_t>(p)];
@@ -459,7 +461,8 @@ DataFrame DataFrame::ShuffleHashJoin(
       if (RowHasNullKey(key)) continue;
       build[std::move(key)].push_back(std::move(row));
     }
-    RecordBatch out = MakeBatch(out_schema);
+    RecordBatch out;
+    if (lb.num_rows > 0) out = MakeBatch(out_schema);
     uint64_t comparisons = 0;
     for (size_t i = 0; i < lb.num_rows; ++i) {
       Row row = lb.GetRow(i);
@@ -503,14 +506,14 @@ DataFrame DataFrame::CrossJoin(const DataFrame& right) const {
   // o % rn — the same enumeration order as the serial nested loops.
   int rn = static_cast<int>(right.state_->batches.size());
   int total = static_cast<int>(state_->batches.size()) * rn;
-  std::vector<RecordBatch> batches(static_cast<size_t>(total),
-                                   MakeBatch(out_schema));
+  std::vector<RecordBatch> batches(static_cast<size_t>(total));
   sc->RunParallel(total, [&](int out_p) {
     int lp = out_p / rn;
     int rp = out_p % rn;
     const RecordBatch& lb = state_->batches[static_cast<size_t>(lp)];
     const RecordBatch& rb = right.state_->batches[static_cast<size_t>(rp)];
-    RecordBatch out = MakeBatch(out_schema);
+    RecordBatch out;
+    if (lb.num_rows > 0 && rb.num_rows > 0) out = MakeBatch(out_schema);
     sc->ChargeJoinComparisons(lb.num_rows * rb.num_rows);
     uint64_t remote = 0;
     if (sc->ExecutorOf(out_p) != sc->ExecutorOf(rp)) {
@@ -547,11 +550,11 @@ DataFrame DataFrame::Distinct() const {
         return HashRowKey(row);
       });
   sc->BeginPhase();
-  std::vector<RecordBatch> batches(static_cast<size_t>(n),
-                                   MakeBatch(state_->schema));
+  std::vector<RecordBatch> batches(static_cast<size_t>(n));
   sc->RunParallel(n, [&](int p) {
     const RecordBatch& in = buckets[static_cast<size_t>(p)];
-    RecordBatch out = MakeBatch(state_->schema);
+    RecordBatch out;
+    if (in.num_rows > 0) out = MakeBatch(state_->schema);
     std::unordered_set<Row, RowHasher> seen;
     for (size_t i = 0; i < in.num_rows; ++i) {
       Row row = in.GetRow(i);
@@ -651,8 +654,7 @@ DataFrame DataFrame::GroupByAgg(const std::vector<std::string>& keys,
   };
 
   sc->BeginPhase();
-  std::vector<RecordBatch> batches(static_cast<size_t>(n),
-                                   MakeBatch(out_schema));
+  std::vector<RecordBatch> batches(static_cast<size_t>(n));
   sc->RunParallel(n, [&](int p) {
     const RecordBatch& in = buckets[static_cast<size_t>(p)];
     std::unordered_map<Row, std::vector<Acc>, RowHasher> groups;
@@ -685,7 +687,8 @@ DataFrame DataFrame::GroupByAgg(const std::vector<std::string>& keys,
         }
       }
     }
-    RecordBatch out = MakeBatch(out_schema);
+    RecordBatch out;
+    if (!groups.empty()) out = MakeBatch(out_schema);
     for (const auto& [key, accs] : groups) {
       Row row = key;
       for (size_t a = 0; a < aggs.size(); ++a) {

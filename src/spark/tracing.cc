@@ -36,11 +36,10 @@ std::string LaneName(int lane) {
 
 }  // namespace
 
-std::shared_ptr<OpStats> CurrentOpStats() {
-  for (auto it = t_op_scopes.rbegin(); it != t_op_scopes.rend(); ++it) {
-    if (*it != nullptr) return *it;
-  }
-  return nullptr;
+const std::shared_ptr<OpStats>& CurrentOpStats() {
+  // OpScopeGuard never pushes null, so the innermost scope is the last.
+  static const std::shared_ptr<OpStats> kNone;
+  return t_op_scopes.empty() ? kNone : t_op_scopes.back();
 }
 
 OpScopeGuard::OpScopeGuard(std::shared_ptr<OpStats> stats) {

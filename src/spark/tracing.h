@@ -15,7 +15,8 @@ namespace rdfspark::spark {
 /// Per-operator runtime counters. The plan executor attaches one OpStats to
 /// every plan node it runs; the Spark substrate routes each charge to the
 /// innermost open operator scope (see OpScopeGuard). All counters are
-/// relaxed atomics with commutative updates, so totals are bit-identical
+/// relaxed atomics with commutative updates (a chunk of partition tasks
+/// folds its sums in once, see SparkContext), so totals are bit-identical
 /// for any executor-pool interleaving — the property EXPLAIN ANALYZE's
 /// thread-count-invariance tests pin down.
 struct OpStats {
@@ -38,8 +39,10 @@ struct OpStats {
 };
 
 /// Innermost operator scope open on this thread, or null. Charges made by
-/// SparkContext route here in addition to the global Metrics.
-std::shared_ptr<OpStats> CurrentOpStats();
+/// SparkContext route here in addition to the global Metrics. The
+/// reference stays valid until the thread opens or closes a scope; copy it
+/// to keep the scope (RddNode captures it this way).
+const std::shared_ptr<OpStats>& CurrentOpStats();
 
 /// RAII operator scope. Pushing a null stats pointer is a no-op (charges
 /// keep attributing to the enclosing scope), so lineage nodes created

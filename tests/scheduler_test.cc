@@ -7,8 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <exception>
+#include <functional>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -22,22 +26,47 @@
 namespace rdfspark::spark {
 namespace {
 
+/// A range callback running `body` on every index of its chunk, past a
+/// throwing one, and rethrowing the chunk's first error at the end — the
+/// per-task contract RunParallel builds on ParallelFor's chunks.
+std::function<void(int, int)> EachIndex(std::function<void(int)> body) {
+  return [body = std::move(body)](int begin, int end) {
+    std::exception_ptr first_error;
+    for (int i = begin; i < end; ++i) {
+      try {
+        body(i);
+      } catch (...) {
+        if (!first_error) first_error = std::current_exception();
+      }
+    }
+    if (first_error) std::rethrow_exception(first_error);
+  };
+}
+
 TEST(TaskSchedulerTest, RunsEveryIndexExactlyOnce) {
   TaskScheduler pool(4);
   constexpr int kCount = 500;
   std::vector<std::atomic<int>> hits(kCount);
   for (auto& h : hits) h.store(0);
-  pool.ParallelFor(kCount, [&](int i) { ++hits[static_cast<size_t>(i)]; });
+  std::atomic<int> chunks{0};
+  pool.ParallelFor(kCount, [&](int begin, int end) {
+    ASSERT_LT(begin, end);
+    ++chunks;
+    for (int i = begin; i < end; ++i) ++hits[static_cast<size_t>(i)];
+  });
   for (int i = 0; i < kCount; ++i) {
     EXPECT_EQ(hits[static_cast<size_t>(i)].load(), 1) << "index " << i;
   }
+  // Shrinking claims: the first takes 500 / (2 x 5 participants) = 50
+  // indices, so the batch needs far fewer claims than tasks.
+  EXPECT_LT(chunks.load(), kCount / 4);
 }
 
 TEST(TaskSchedulerTest, ReusableAcrossBatches) {
   TaskScheduler pool(3);
   std::atomic<int> total{0};
   for (int round = 0; round < 50; ++round) {
-    pool.ParallelFor(10, [&](int) { ++total; });
+    pool.ParallelFor(10, [&](int begin, int end) { total += end - begin; });
   }
   EXPECT_EQ(total.load(), 500);
 }
@@ -45,27 +74,75 @@ TEST(TaskSchedulerTest, ReusableAcrossBatches) {
 TEST(TaskSchedulerTest, PropagatesTaskException) {
   TaskScheduler pool(4);
   std::atomic<int> ran{0};
-  EXPECT_THROW(
-      pool.ParallelFor(32,
-                       [&](int i) {
-                         ++ran;
-                         if (i == 7) throw std::runtime_error("task 7 died");
-                       }),
-      std::runtime_error);
+  EXPECT_THROW(pool.ParallelFor(32, EachIndex([&](int i) {
+                                  ++ran;
+                                  if (i == 7) {
+                                    throw std::runtime_error("task 7 died");
+                                  }
+                                })),
+               std::runtime_error);
   // The batch drains fully even when one task throws.
   EXPECT_EQ(ran.load(), 32);
   // And the pool is still usable afterwards.
   std::atomic<int> again{0};
-  pool.ParallelFor(8, [&](int) { ++again; });
+  pool.ParallelFor(8, [&](int begin, int end) { again += end - begin; });
   EXPECT_EQ(again.load(), 8);
+}
+
+TEST(TaskSchedulerTest, ThrowMidChunkRunsEveryIndexOfBothBatches) {
+  // A 10,000-task batch whose index 5,003 throws from the middle of its
+  // chunk, next to a concurrent clean batch from another driver: every
+  // index of both runs exactly once, only the failing batch's driver sees
+  // the error.
+  TaskScheduler pool(4);
+  constexpr int kCount = 10000;
+  constexpr int kThrowAt = 5003;
+  std::vector<std::atomic<int>> bad_hits(kCount), good_hits(kCount);
+  for (auto& h : bad_hits) h.store(0);
+  for (auto& h : good_hits) h.store(0);
+  std::mutex chunks_mu;
+  std::vector<std::pair<int, int>> bad_chunks;
+  std::thread bad([&] {
+    auto each = EachIndex([&](int i) {
+      ++bad_hits[static_cast<size_t>(i)];
+      if (i == kThrowAt) throw std::runtime_error("task 5003 died");
+    });
+    EXPECT_THROW(pool.ParallelFor(kCount,
+                                  [&](int begin, int end) {
+                                    {
+                                      std::lock_guard<std::mutex> l(chunks_mu);
+                                      bad_chunks.emplace_back(begin, end);
+                                    }
+                                    each(begin, end);
+                                  }),
+                 std::runtime_error);
+  });
+  std::thread good([&] {
+    EXPECT_NO_THROW(pool.ParallelFor(kCount, [&](int begin, int end) {
+      for (int i = begin; i < end; ++i) ++good_hits[static_cast<size_t>(i)];
+    }));
+  });
+  bad.join();
+  good.join();
+  for (size_t i = 0; i < static_cast<size_t>(kCount); ++i) {
+    ASSERT_EQ(bad_hits[i].load(), 1) << "failing batch, index " << i;
+    ASSERT_EQ(good_hits[i].load(), 1) << "clean batch, index " << i;
+  }
+  auto chunk = std::find_if(bad_chunks.begin(), bad_chunks.end(),
+                            [](const std::pair<int, int>& c) {
+                              return c.first <= kThrowAt && kThrowAt < c.second;
+                            });
+  ASSERT_NE(chunk, bad_chunks.end());
+  EXPECT_LT(chunk->first, kThrowAt) << "the throw must be mid-chunk";
+  EXPECT_LT(kThrowAt + 1, chunk->second) << "the throw must be mid-chunk";
 }
 
 TEST(TaskSchedulerTest, TasksSeeWorkerFlag) {
   EXPECT_FALSE(TaskScheduler::InWorkerThread());
   TaskScheduler pool(2);
   std::atomic<int> flagged{0};
-  pool.ParallelFor(16, [&](int) {
-    if (TaskScheduler::InWorkerThread()) ++flagged;
+  pool.ParallelFor(16, [&](int begin, int end) {
+    if (TaskScheduler::InWorkerThread()) flagged += end - begin;
   });
   // Every task runs under the flag — including those the caller ran itself.
   EXPECT_EQ(flagged.load(), 16);
@@ -85,8 +162,10 @@ TEST(TaskSchedulerTest, ConcurrentBatchesRunEveryTaskOnce) {
   std::vector<std::thread> drivers;
   for (int d = 0; d < kDrivers; ++d) {
     drivers.emplace_back([&, d] {
-      pool.ParallelFor(kCount, [&, d](int i) {
-        ++hits[static_cast<size_t>(d * kCount + i)];
+      pool.ParallelFor(kCount, [&, d](int begin, int end) {
+        for (int i = begin; i < end; ++i) {
+          ++hits[static_cast<size_t>(d * kCount + i)];
+        }
       });
     });
   }
@@ -102,16 +181,18 @@ TEST(TaskSchedulerTest, ExceptionIsolatedToItsOwnBatch) {
   std::atomic<int> good{0};
   std::thread bad([&] {
     EXPECT_THROW(pool.ParallelFor(64,
-                                  [&](int i) {
-                                    if (i == 13) {
-                                      throw std::runtime_error("boom");
+                                  [&](int begin, int end) {
+                                    for (int i = begin; i < end; ++i) {
+                                      if (i == 13) {
+                                        throw std::runtime_error("boom");
+                                      }
                                     }
                                   }),
                  std::runtime_error);
   });
   std::thread fine([&] {
     for (int round = 0; round < 20; ++round) {
-      pool.ParallelFor(32, [&](int) { ++good; });
+      pool.ParallelFor(32, [&](int begin, int end) { good += end - begin; });
     }
   });
   bad.join();
@@ -137,6 +218,37 @@ TEST(RunParallelTest, ConcurrentDriversShareOneLazyPool) {
   }
   for (auto& t : drivers) t.join();
   EXPECT_EQ(total.load(), 6 * 10 * 25);
+}
+
+TEST(RunParallelTest, FailingTaskMidChunkStillRunsAndChargesEveryIndex) {
+  // RunParallel keeps per-task semantics on top of chunked claims: a task
+  // that throws does not cancel the rest of its chunk, and the charges of
+  // every task — the failing chunk's included — still fold.
+  ClusterConfig cfg;
+  cfg.num_executors = 4;
+  cfg.executor_threads = 4;
+  SparkContext sc(cfg);
+  constexpr int kCount = 10000;
+  std::vector<std::atomic<int>> hits(kCount);
+  for (auto& h : hits) h.store(0);
+  sc.BeginPhase();
+  EXPECT_THROW(sc.RunParallel(kCount,
+                              [&](int i) {
+                                ++hits[static_cast<size_t>(i)];
+                                sc.ChargeTask(i, 1, 0);
+                                if (i == 5003) {
+                                  throw std::runtime_error("task died");
+                                }
+                              }),
+               std::runtime_error);
+  sc.EndPhase();
+  for (size_t i = 0; i < static_cast<size_t>(kCount); ++i) {
+    ASSERT_EQ(hits[i].load(), 1) << "index " << i;
+  }
+  EXPECT_EQ(static_cast<uint64_t>(sc.metrics().tasks), uint64_t{kCount});
+  EXPECT_EQ(sc.metrics().task_records.count(), uint64_t{kCount});
+  // 2,500 tasks per executor at 100,050 ns each.
+  EXPECT_EQ(sc.metrics().simulated_ms.nanos(), 2500u * 100050u);
 }
 
 TEST(RunParallelTest, NestedCallsRunInline) {
@@ -265,9 +377,19 @@ TEST(ParallelEquivalenceTest, StressManySmallPartitions) {
   }
 }
 
-std::pair<std::vector<sql::Row>, Metrics> RunDataFramePipeline(
-    int executor_threads) {
-  SparkContext sc(FourExecutors(executor_threads));
+struct DataFrameRun {
+  std::vector<sql::Row> rows;
+  OpStats op;  ///< The driver's operator scope after the run.
+};
+
+/// A DataFrame pipeline run on `sc` under its own operator scope: a
+/// filter, a shuffle hash join, an aggregation, a sort and DISTINCT, then
+/// cartesian joins whose 64 and 512 partitions are mostly empty (3 x 2
+/// rows spread over 8 x 8 partitions) — the chunk-folded, header-free
+/// path the naive SQL translation takes.
+DataFrameRun RunDataFramePipeline(SparkContext& sc) {
+  auto op = std::make_shared<OpStats>();
+  OpScopeGuard scope(op);
   sql::Schema schema{{sql::Field{"id", sql::DataType::kInt64},
                       sql::Field{"grp", sql::DataType::kString}}};
   std::vector<sql::Row> rows;
@@ -281,25 +403,109 @@ std::pair<std::vector<sql::Row>, Metrics> RunDataFramePipeline(
                               sql::JoinStrategy::kShuffleHash);
   auto grouped = joined.GroupByAgg(
       {"grp"}, {sql::AggSpec{sql::AggOp::kCount, "", "n"}});
-  auto out = grouped.Sort({{"grp", true}}).Collect();
+  DataFrameRun run;
+  run.rows = grouped.Sort({{"grp", true}}).Collect();
   (void)filtered.Distinct().Count();
-  return {std::move(out), sc.metrics()};
+
+  sql::Schema left_schema{{sql::Field{"k", sql::DataType::kInt64},
+                           sql::Field{"name", sql::DataType::kString}}};
+  sql::Schema right_schema{{sql::Field{"k2", sql::DataType::kInt64}}};
+  auto left = sql::DataFrame::FromRows(
+      &sc, left_schema,
+      {{int64_t{1}, std::string("a")},
+       {int64_t{2}, std::string("b")},
+       {int64_t{2}, std::string("c")}},
+      8);
+  auto right = sql::DataFrame::FromRows(&sc, right_schema,
+                                        {{int64_t{2}}, {int64_t{3}}}, 8);
+  auto matched = left.Join(right, {{"k", "k2"}}, sql::JoinType::kInner,
+                           sql::JoinStrategy::kCartesian);
+  auto widened = matched.CrossJoin(right.Rename({"k3"}));
+  for (auto& row : widened.Select({"name", "k3"}).Collect()) {
+    run.rows.push_back(std::move(row));
+  }
+  run.op = *op;
+  return run;
+}
+
+/// Every exported Metrics scalar and every histogram bucket must match.
+void ExpectSameMetrics(const Metrics& want, const Metrics& got,
+                       const std::string& label) {
+  auto scalars = [](const Metrics& m) {
+    std::vector<std::pair<std::string, double>> out;
+    m.ForEachNumericField([&](const std::string& name, double v) {
+      out.emplace_back(name, v);
+    });
+    return out;
+  };
+  auto buckets = [](const Metrics& m) {
+    std::vector<std::pair<std::string, std::vector<uint64_t>>> out;
+    m.ForEachHistogram([&](const std::string& name, const Histogram& h) {
+      std::vector<uint64_t> values;
+      for (int b = 0; b < Histogram::kBuckets; ++b) {
+        values.push_back(h.bucket(b));
+      }
+      values.push_back(h.count());
+      values.push_back(h.sum());
+      values.push_back(h.max_value());
+      out.emplace_back(name, std::move(values));
+    });
+    return out;
+  };
+  EXPECT_EQ(scalars(want), scalars(got)) << label;
+  EXPECT_EQ(buckets(want), buckets(got)) << label;
+  EXPECT_EQ(want.simulated_ms.nanos(), got.simulated_ms.nanos()) << label;
+}
+
+std::vector<uint64_t> OpCounters(const OpStats& s) {
+  return {s.tasks,
+          s.records_in,
+          s.join_comparisons,
+          s.shuffle_records,
+          s.shuffle_bytes,
+          s.remote_shuffle_bytes,
+          s.local_read_records,
+          s.remote_read_records,
+          s.broadcast_bytes,
+          s.busy_ns};
 }
 
 TEST(ParallelEquivalenceTest, DataFramePipelineMatchesSerial) {
-  auto [serial_out, serial_m] = RunDataFramePipeline(/*executor_threads=*/1);
-  auto [parallel_out, parallel_m] = RunDataFramePipeline(/*executor_threads=*/0);
-  ASSERT_EQ(serial_out.size(), parallel_out.size());
-  for (size_t i = 0; i < serial_out.size(); ++i) {
-    EXPECT_EQ(serial_out[i], parallel_out[i]) << "row " << i;
-  }
-  EXPECT_EQ(static_cast<uint64_t>(serial_m.tasks),
-            static_cast<uint64_t>(parallel_m.tasks));
-  EXPECT_EQ(static_cast<uint64_t>(serial_m.shuffle_records),
-            static_cast<uint64_t>(parallel_m.shuffle_records));
-  EXPECT_EQ(static_cast<uint64_t>(serial_m.join_comparisons),
-            static_cast<uint64_t>(parallel_m.join_comparisons));
-  EXPECT_EQ(serial_m.simulated_ms.nanos(), parallel_m.simulated_ms.nanos());
+  auto run_alone = [](int executor_threads) {
+    SparkContext sc(FourExecutors(executor_threads));
+    DataFrameRun run = RunDataFramePipeline(sc);
+    return std::make_pair(std::move(run), Metrics(sc.metrics()));
+  };
+  auto [serial, serial_m] = run_alone(/*executor_threads=*/1);
+  auto [pooled, pooled_m] = run_alone(/*executor_threads=*/4);
+
+  // The cartesian stages are what make the check bite: most of their
+  // tasks see no rows, and they pull remote partitions.
+  EXPECT_GT(serial_m.task_records.bucket(0), serial_m.tasks / 2);
+  EXPECT_GT(static_cast<uint64_t>(serial.op.remote_read_records), 0u);
+  EXPECT_GT(static_cast<uint64_t>(serial.op.join_comparisons), 0u);
+  EXPECT_EQ(static_cast<uint64_t>(serial.op.tasks),
+            static_cast<uint64_t>(serial_m.tasks));
+
+  EXPECT_EQ(serial.rows, pooled.rows);
+  ExpectSameMetrics(serial_m, pooled_m, "executor_threads 1 vs 4");
+  EXPECT_EQ(OpCounters(serial.op), OpCounters(pooled.op));
+
+  // Two drivers on one pooled context, each under its own operator scope:
+  // each scope gets exactly a lone run's charges, the context their sum.
+  SparkContext sc(FourExecutors(4));
+  DataFrameRun a, b;
+  std::thread driver_a([&] { a = RunDataFramePipeline(sc); });
+  std::thread driver_b([&] { b = RunDataFramePipeline(sc); });
+  driver_a.join();
+  driver_b.join();
+  EXPECT_EQ(a.rows, serial.rows);
+  EXPECT_EQ(b.rows, serial.rows);
+  EXPECT_EQ(OpCounters(a.op), OpCounters(serial.op));
+  EXPECT_EQ(OpCounters(b.op), OpCounters(serial.op));
+  Metrics twice = serial_m;
+  twice += serial_m;
+  ExpectSameMetrics(twice, sc.metrics(), "two concurrent drivers");
 }
 
 // --- Seed-bug regressions -------------------------------------------------

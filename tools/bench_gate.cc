@@ -13,12 +13,11 @@
 //
 // --label restricts the sum to the row(s) with that exact "label" value —
 // the serving gate compares the aggregate row's p99_ms only, because the
-// per-tenant percentile rows are noisy under worker interleaving while
-// the total is stable:
+// per-tenant percentile rows are noisy under worker interleaving:
 //
 //   bench_gate --candidate=artifacts/BENCH_serving.json \
 //              --baseline=bench/baselines/BENCH_serving.json \
-//              --label=total --metric=p99_ms --max-regression=0.10
+//              --label=total --metric=p99_ms --max-regression=0.5
 //
 // Exit codes: 0 pass, 1 regression, 2 usage / unreadable / invalid JSON.
 
