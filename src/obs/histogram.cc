@@ -26,9 +26,28 @@ uint64_t LatencyHistogram::BucketUpperBound(int i) {
   return ((kSubCount + sub + 1) << shift) - 1;
 }
 
+namespace {
+
+bool IndexLess(const LatencyHistogram::Bucket& b, int index) {
+  return b.index < index;
+}
+
+}  // namespace
+
+uint64_t LatencyHistogram::bucket(int i) const {
+  auto it = std::lower_bound(buckets_.begin(), buckets_.end(), i, IndexLess);
+  return it != buckets_.end() && it->index == i ? it->count : 0;
+}
+
 void LatencyHistogram::Record(uint64_t v, uint64_t count) {
   if (count == 0) return;
-  buckets_[BucketOf(v)] += count;
+  const int index = BucketOf(v);
+  auto it = std::lower_bound(buckets_.begin(), buckets_.end(), index, IndexLess);
+  if (it != buckets_.end() && it->index == index) {
+    it->count += count;
+  } else {
+    buckets_.insert(it, Bucket{static_cast<uint16_t>(index), count});
+  }
   count_ += count;
   sum_ += v * count;
   max_ = std::max(max_, v);
@@ -36,7 +55,25 @@ void LatencyHistogram::Record(uint64_t v, uint64_t count) {
 }
 
 void LatencyHistogram::Merge(const LatencyHistogram& other) {
-  for (int i = 0; i < kBuckets; ++i) buckets_[i] += other.buckets_[i];
+  // Two-way merge of the sorted bucket lists, adding counts on a shared
+  // index: the sparse form of element-wise addition.
+  std::vector<Bucket> merged;
+  merged.reserve(buckets_.size() + other.buckets_.size());
+  auto a = buckets_.begin();
+  auto b = other.buckets_.begin();
+  while (a != buckets_.end() || b != other.buckets_.end()) {
+    if (b == other.buckets_.end() ||
+        (a != buckets_.end() && a->index < b->index)) {
+      merged.push_back(*a++);
+    } else if (a == buckets_.end() || b->index < a->index) {
+      merged.push_back(*b++);
+    } else {
+      merged.push_back({a->index, a->count + b->count});
+      ++a;
+      ++b;
+    }
+  }
+  buckets_ = std::move(merged);
   count_ += other.count_;
   sum_ += other.sum_;
   max_ = std::max(max_, other.max_);
@@ -50,21 +87,20 @@ uint64_t LatencyHistogram::ValueAtQuantile(double q) const {
       std::ceil(q * static_cast<double>(count_)));
   if (rank == 0) rank = 1;
   uint64_t seen = 0;
-  for (int i = 0; i < kBuckets; ++i) {
-    seen += buckets_[i];
+  for (const Bucket& b : buckets_) {
+    seen += b.count;
     if (seen >= rank) {
-      return std::min(BucketUpperBound(i), max_);
+      return std::min(BucketUpperBound(b.index), max_);
     }
   }
   return max_;
 }
 
 bool LatencyHistogram::operator==(const LatencyHistogram& other) const {
-  if (count_ != other.count_ || sum_ != other.sum_ || max_ != other.max_ ||
-      min_ != other.min_) {
-    return false;
-  }
-  return std::equal(buckets_, buckets_ + kBuckets, other.buckets_);
+  // Both bucket lists are sorted and free of zero counts, so equal lists
+  // are exactly equal dense arrays.
+  return count_ == other.count_ && sum_ == other.sum_ && max_ == other.max_ &&
+         min_ == other.min_ && buckets_ == other.buckets_;
 }
 
 }  // namespace rdfspark::obs

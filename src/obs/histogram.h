@@ -2,6 +2,7 @@
 #define RDFSPARK_OBS_HISTOGRAM_H_
 
 #include <cstdint>
+#include <vector>
 
 namespace rdfspark::obs {
 
@@ -11,9 +12,15 @@ namespace rdfspark::obs {
 /// split into 2^kSubBits linear sub-buckets, bounding the relative
 /// quantile error at 2^-kSubBits (6.25%).
 ///
+/// Storage is sparse: only the non-zero buckets are kept, as (index, count)
+/// pairs sorted by index. A telemetry window's histogram typically holds a
+/// handful of samples, so it costs tens of bytes rather than the 7.8 KB of
+/// a dense kBuckets array. The layout and every result are those of the
+/// dense array; only the representation differs.
+///
 /// Everything the telemetry pipeline needs from a distribution is a
 /// deterministic function of the bucket counts:
-///  - Merge is element-wise addition — associative and commutative, so a
+///  - Merge is bucket-wise addition — associative and commutative, so a
 ///    window's histogram is bit-identical no matter in which order (or
 ///    from how many threads' worth of requests) its samples arrived.
 ///  - ValueAtQuantile returns the *upper bound* of the bucket holding the
@@ -33,16 +40,29 @@ class LatencyHistogram {
   static constexpr int kBuckets =
       static_cast<int>(kSubCount) + (64 - kSubBits) * static_cast<int>(kSubCount);
 
+  /// One non-zero bucket: its index in the layout and its sample count.
+  struct Bucket {
+    uint16_t index = 0;
+    uint64_t count = 0;
+    bool operator==(const Bucket&) const = default;
+  };
+  static_assert(kBuckets <= UINT16_MAX + 1, "bucket index must fit uint16_t");
+
   void Record(uint64_t v, uint64_t count = 1);
 
-  /// Element-wise addition of counts/sum and max/min folding.
+  /// Bucket-wise addition of counts/sum and max/min folding.
   void Merge(const LatencyHistogram& other);
 
   uint64_t count() const { return count_; }
   uint64_t sum() const { return sum_; }
   uint64_t max_value() const { return max_; }
   uint64_t min_value() const { return count_ == 0 ? 0 : min_; }
-  uint64_t bucket(int i) const { return buckets_[i]; }
+  /// Count of bucket `i` (0 for a bucket that holds no sample).
+  uint64_t bucket(int i) const;
+
+  /// The non-zero buckets in ascending index order — what an exporter
+  /// walks instead of probing all kBuckets.
+  const std::vector<Bucket>& nonzero_buckets() const { return buckets_; }
 
   /// Upper bound of the bucket containing the sample of rank
   /// ceil(q * count) (q in [0,1]; q=0 is the minimum bucket), clamped to
@@ -58,7 +78,7 @@ class LatencyHistogram {
   bool operator==(const LatencyHistogram& other) const;
 
  private:
-  uint64_t buckets_[kBuckets] = {};
+  std::vector<Bucket> buckets_;  ///< Sorted by index; every count > 0.
   uint64_t count_ = 0;
   uint64_t sum_ = 0;
   uint64_t max_ = 0;

@@ -3,6 +3,7 @@
 #include <sys/stat.h>
 
 #include <algorithm>
+#include <cstdarg>
 #include <cstdio>
 #include <fstream>
 #include <list>
@@ -16,19 +17,33 @@ namespace rdfspark::obs {
 
 namespace {
 
-constexpr const char* kMetricRequests = "requests";
-constexpr const char* kMetricOk = "ok";
-constexpr const char* kMetricAdmissionRejects = "admission_rejects";
-constexpr const char* kMetricRaceRejects = "race_rejects";
-constexpr const char* kMetricBudgetRejects = "budget_rejects";
-constexpr const char* kMetricEnvelopeDrift = "envelope_drift";
-constexpr const char* kMetricFailed = "failed";
-constexpr const char* kMetricRows = "rows";
-constexpr const char* kMetricTasks = "tasks";
-constexpr const char* kMetricShuffleBytes = "shuffle_bytes";
-constexpr const char* kMetricJoinComparisons = "join_comparisons";
-constexpr const char* kMetricAudited = "audited";
-constexpr const char* kMetricLatencyNs = "latency_ns";
+/// The sink's series metrics. Their names are interned once, at
+/// construction; ingest addresses them by TelemetrySink::metric_ids_.
+enum Metric : size_t {
+  kRequests,
+  kOk,
+  kAdmissionRejects,
+  kRaceRejects,
+  kBudgetRejects,
+  kEnvelopeDrift,
+  kFailed,
+  kRows,
+  kTasks,
+  kShuffleBytes,
+  kJoinComparisons,
+  kAudited,
+  kLatencyNs,
+  kMetricCount,
+};
+
+constexpr const char* kMetricNames[kMetricCount] = {
+    "requests",      "ok",           "admission_rejects", "race_rejects",
+    "budget_rejects", "envelope_drift", "failed",          "rows",
+    "tasks",         "shuffle_bytes", "join_comparisons",  "audited",
+    "latency_ns",
+};
+
+// Metrics only the export-time cache replay writes.
 constexpr const char* kMetricCacheHits = "cache_hits";
 constexpr const char* kMetricCacheMisses = "cache_misses";
 constexpr const char* kMetricCacheBypass = "cache_bypass";
@@ -40,20 +55,20 @@ constexpr const char* kMetricCacheBypass = "cache_bypass";
 /// soundness violation. Mirrors systems::plan::kEnvelopeDriftBound.
 constexpr double kEnvelopeDriftBound = 16.0;
 
-const char* OutcomeMetric(RequestRecord::Outcome outcome) {
+Metric OutcomeMetric(RequestRecord::Outcome outcome) {
   switch (outcome) {
     case RequestRecord::Outcome::kOk:
-      return kMetricOk;
+      return kOk;
     case RequestRecord::Outcome::kRejected:
-      return kMetricAdmissionRejects;
+      return kAdmissionRejects;
     case RequestRecord::Outcome::kRaceRejected:
-      return kMetricRaceRejects;
+      return kRaceRejects;
     case RequestRecord::Outcome::kBudgetRejected:
-      return kMetricBudgetRejects;
+      return kBudgetRejects;
     case RequestRecord::Outcome::kFailed:
-      return kMetricFailed;
+      return kFailed;
   }
-  return "?";
+  return kFailed;
 }
 
 std::string ScopeLabel(const SeriesId& id) {
@@ -74,14 +89,40 @@ std::string FormatRate(double v) {
   return buf;
 }
 
+/// Appends printf-formatted text of whatever length it formats to.
+__attribute__((format(printf, 2, 3))) void AppendF(std::string* out,
+                                                   const char* fmt, ...) {
+  va_list args;
+  va_start(args, fmt);
+  va_list probe;
+  va_copy(probe, args);
+  const int n = std::vsnprintf(nullptr, 0, fmt, probe);
+  va_end(probe);
+  if (n > 0) {
+    const size_t at = out->size();
+    out->resize(at + static_cast<size_t>(n) + 1);
+    std::vsnprintf(out->data() + at, static_cast<size_t>(n) + 1, fmt, args);
+    out->resize(at + static_cast<size_t>(n));
+  }
+  va_end(args);
+}
+
 }  // namespace
 
 TelemetrySink::TelemetrySink(TelemetryOptions options)
-    : options_(options), registry_(options.window) {}
+    : options_(options), registry_(options.window) {
+  NameTable& names = registry_.names();
+  for (const char* metric : kMetricNames) {
+    metric_ids_.push_back(names.Intern(metric));
+  }
+  total_name_ = names.Intern("");
+}
 
 void TelemetrySink::Ingest(RequestRecord record) {
   std::lock_guard<std::mutex> lock(mu_);
-  TenantState& tenant = tenants_[record.tenant];
+  auto [entry, inserted] = tenants_.try_emplace(record.tenant);
+  TenantState& tenant = entry->second;
+  if (inserted) tenant.name = registry_.names().Intern(record.tenant);
   if (record.tenant_seq != tenant.next_seq) {
     tenant.pending.emplace(record.tenant_seq, std::move(record));
     return;
@@ -145,36 +186,40 @@ void TelemetrySink::Apply(TenantState& tenant, RequestRecord rec) {
   finish.AddField("variant", rec.variant);
   events_.Add(std::move(finish));
 
-  // ---- Windowed series, per scope ----
-  std::vector<SeriesId> scopes;
-  scopes.push_back({ScopeKind::kTotal, "", ""});
-  scopes.push_back({ScopeKind::kTenant, rec.tenant, ""});
+  // ---- Windowed series, per scope, by interned id ----
+  SeriesKey scopes[3] = {{ScopeKind::kTotal, total_name_, 0},
+                         {ScopeKind::kTenant, tenant.name, 0}};
+  size_t scope_count = 2;
   if (!rec.variant.empty()) {
-    scopes.push_back({ScopeKind::kVariant, rec.variant, ""});
+    scopes[scope_count++] = {ScopeKind::kVariant,
+                             registry_.names().Intern(rec.variant), 0};
   }
-  auto count = [&](const char* metric, int64_t delta) {
+  WindowedRegistry::Window& window = registry_.At(end_ns);
+  auto count = [&](Metric metric, int64_t delta) {
     if (delta == 0) return;
-    for (SeriesId id : scopes) {
-      id.metric = metric;
-      registry_.Add(id, end_ns, delta);
+    for (size_t i = 0; i < scope_count; ++i) {
+      SeriesKey key = scopes[i];
+      key.metric = metric_ids_[metric];
+      window.Add(key, delta);
     }
   };
-  count(kMetricRequests, 1);
+  count(kRequests, 1);
   count(OutcomeMetric(rec.outcome), 1);
-  count(kMetricRows, static_cast<int64_t>(rec.rows));
-  count(kMetricTasks, static_cast<int64_t>(rec.tasks));
-  count(kMetricShuffleBytes, static_cast<int64_t>(rec.shuffle_bytes));
-  count(kMetricJoinComparisons, static_cast<int64_t>(rec.join_comparisons));
+  count(kRows, static_cast<int64_t>(rec.rows));
+  count(kTasks, static_cast<int64_t>(rec.tasks));
+  count(kShuffleBytes, static_cast<int64_t>(rec.shuffle_bytes));
+  count(kJoinComparisons, static_cast<int64_t>(rec.join_comparisons));
   if (ok) {
-    for (SeriesId id : scopes) {
-      id.metric = kMetricLatencyNs;
-      registry_.Observe(id, end_ns, duration_ns);
+    for (size_t i = 0; i < scope_count; ++i) {
+      SeriesKey key = scopes[i];
+      key.metric = metric_ids_[kLatencyNs];
+      window.Observe(key, duration_ns);
     }
   }
 
   // ---- Slow-query audit ----
   if (rec.audited) {
-    count(kMetricAudited, 1);
+    count(kAudited, 1);
     AuditEntry entry;
     entry.t_ns = end_ns;
     entry.tenant = rec.tenant;
@@ -215,7 +260,7 @@ void TelemetrySink::Apply(TenantState& tenant, RequestRecord rec) {
         static_cast<double>(rec.envelope_bytes) >
         kEnvelopeDriftBound * static_cast<double>(rec.observed_bytes);
     if (under || over) {
-      count(kMetricEnvelopeDrift, 1);
+      count(kEnvelopeDrift, 1);
       Event drift;
       drift.t_ns = end_ns;
       drift.scope = rec.tenant;
@@ -229,16 +274,19 @@ void TelemetrySink::Apply(TenantState& tenant, RequestRecord rec) {
     }
   }
 
-  // ---- Retain for logical cache replay ----
+  // ---- Retain what the logical cache replay acts on ----
+  if (!ok || (!rec.cache_bypass && rec.cache_key.empty())) return;
   Applied applied;
   applied.end_ns = end_ns;
-  applied.tenant = rec.tenant;
   applied.seq = rec.tenant_seq;
-  applied.cache_key = std::move(rec.cache_key);
   applied.epoch = rec.epoch;
-  applied.bypass = rec.cache_bypass;
-  applied.ok = ok;
-  applied_.push_back(std::move(applied));
+  applied.tenant = tenant.name;
+  if (rec.cache_bypass) {
+    applied.kind = Applied::Kind::kBypass;
+  } else {
+    applied.key = registry_.names().Intern(rec.cache_key);
+  }
+  applied_.push_back(applied);
 }
 
 void TelemetrySink::RecordDatasetSwap(uint64_t epoch, uint64_t triples) {
@@ -257,10 +305,9 @@ void TelemetrySink::RecordDatasetSwap(uint64_t epoch, uint64_t triples) {
 
   Applied marker;
   marker.end_ns = t;
-  marker.tenant = "server";
   marker.epoch = epoch;
-  marker.is_swap = true;
-  applied_.push_back(std::move(marker));
+  marker.kind = Applied::Kind::kSwap;
+  applied_.push_back(marker);
 }
 
 AuditDecision TelemetrySink::DecideAudit(const std::string& tenant,
@@ -283,79 +330,84 @@ TelemetrySink::CacheReplay TelemetrySink::ReplayCache() const {
   CacheReplay replay;
   replay.windows = WindowedRegistry(options_.window);
   replay.events = events_;
+  const NameTable& names = registry_.names();
 
-  // Canonical replay order: a pure function of the applied-record set.
-  std::vector<const Applied*> order;
-  order.reserve(applied_.size());
-  for (const Applied& a : applied_) order.push_back(&a);
-  std::sort(order.begin(), order.end(), [](const Applied* a, const Applied* b) {
-    return std::tie(a->end_ns, a->is_swap, a->tenant, a->seq) <
-           std::tie(b->end_ns, b->is_swap, b->tenant, b->seq);
-  });
+  // Canonical replay order (end_ns, swap after requests, tenant *name*,
+  // seq): a pure function of the applied-record set. Tenant ids follow
+  // arrival order, so they are ranked by name first; tenants_ iterates in
+  // name order. The sort is stable so swap markers at one instant keep
+  // the order the swaps happened in.
+  std::vector<uint32_t> rank(names.size(), 0);
+  uint32_t next_rank = 0;
+  for (const auto& [name, tenant] : tenants_) rank[tenant.name] = next_rank++;
+  auto sort_key = [&rank](const Applied& a) {
+    const bool swap = a.kind == Applied::Kind::kSwap;
+    return std::make_tuple(a.end_ns, swap, swap ? 0u : rank[a.tenant], a.seq);
+  };
+  std::vector<Applied> order = applied_;
+  std::stable_sort(order.begin(), order.end(),
+                   [&](const Applied& a, const Applied& b) {
+                     return sort_key(a) < sort_key(b);
+                   });
 
-  // Logical LRU keyed by (epoch, cache key), same capacity as the physical
-  // plan cache. list front = most recent.
-  using Key = std::pair<uint64_t, std::string>;
+  // Logical LRU keyed by (epoch, interned cache key), same capacity as the
+  // physical plan cache. list front = most recent.
+  using Key = std::pair<uint64_t, uint32_t>;
   std::list<Key> lru;
   std::map<Key, std::list<Key>::iterator> index;
 
-  auto observe = [&](const SeriesId& base, uint64_t t, const char* metric) {
-    SeriesId id = base;
-    id.metric = metric;
-    replay.windows.Add(id, t, 1);
+  auto observe = [&](const Applied& a, const char* metric) {
+    WindowedRegistry::Window& window = replay.windows.At(a.end_ns);
+    window.Add(replay.windows.Key(ScopeKind::kTotal, "", metric), 1);
+    window.Add(
+        replay.windows.Key(ScopeKind::kTenant, names.Name(a.tenant), metric),
+        1);
   };
 
-  for (const Applied* a : order) {
-    if (a->is_swap) {
+  for (const Applied& a : order) {
+    if (a.kind == Applied::Kind::kSwap) {
       // The physical cache drops every entry at a hot swap.
       Event ev;
-      ev.t_ns = a->end_ns;
+      ev.t_ns = a.end_ns;
       ev.scope = "server";
       ev.kind = EventKind::kCacheInvalidate;
       ev.AddField("entries", static_cast<uint64_t>(lru.size()));
-      ev.AddField("epoch", a->epoch);
+      ev.AddField("epoch", a.epoch);
       replay.events.Add(std::move(ev));
       replay.invalidations += lru.size();
       lru.clear();
       index.clear();
       continue;
     }
-    if (!a->ok) continue;
-    SeriesId total{ScopeKind::kTotal, "", ""};
-    SeriesId tenant{ScopeKind::kTenant, a->tenant, ""};
-    if (a->bypass) {
+    if (a.kind == Applied::Kind::kBypass) {
       // Bypasses include single-use-plan engines whose requests never
       // form a cache key; the key is irrelevant to the count.
-      observe(total, a->end_ns, kMetricCacheBypass);
-      observe(tenant, a->end_ns, kMetricCacheBypass);
+      observe(a, kMetricCacheBypass);
       ++replay.bypasses;
       continue;
     }
-    if (a->cache_key.empty()) continue;
-    Key key{a->epoch, a->cache_key};
+    Key key{a.epoch, a.key};
     auto it = index.find(key);
     if (it != index.end()) {
       lru.splice(lru.begin(), lru, it->second);
-      observe(total, a->end_ns, kMetricCacheHits);
-      observe(tenant, a->end_ns, kMetricCacheHits);
+      observe(a, kMetricCacheHits);
       ++replay.hits;
       Event ev;
-      ev.t_ns = a->end_ns;
-      ev.scope = a->tenant;
-      ev.seq = a->seq;
+      ev.t_ns = a.end_ns;
+      ev.scope = names.Name(a.tenant);
+      ev.seq = a.seq;
       ev.kind = EventKind::kCacheHit;
       replay.events.Add(std::move(ev));
       continue;
     }
-    observe(total, a->end_ns, kMetricCacheMisses);
-    observe(tenant, a->end_ns, kMetricCacheMisses);
+    observe(a, kMetricCacheMisses);
     ++replay.misses;
     Event fill;
-    fill.t_ns = a->end_ns;
-    fill.scope = a->tenant;
-    fill.seq = a->seq;
+    fill.t_ns = a.end_ns;
+    fill.scope = names.Name(a.tenant);
+    fill.seq = a.seq;
     fill.kind = EventKind::kCacheFill;
-    fill.AddField("epoch", a->epoch);
+    fill.AddField("epoch", a.epoch);
     replay.events.Add(std::move(fill));
     lru.push_front(key);
     index[key] = lru.begin();
@@ -366,9 +418,9 @@ TelemetrySink::CacheReplay TelemetrySink::ReplayCache() const {
       index.erase(victim);
       ++replay.evictions;
       Event ev;
-      ev.t_ns = a->end_ns;
-      ev.scope = a->tenant;
-      ev.seq = a->seq;
+      ev.t_ns = a.end_ns;
+      ev.scope = names.Name(a.tenant);
+      ev.seq = a.seq;
       ev.kind = EventKind::kCacheEvict;
       ev.AddField("epoch", victim.first);
       replay.events.Add(std::move(ev));
@@ -383,7 +435,7 @@ namespace {
 struct MergedWindow {
   uint64_t start_ns = 0;
   uint64_t end_ns = 0;
-  std::map<SeriesId, const WindowedRegistry::Cell*> series;
+  std::map<SeriesId, WindowedRegistry::Cell> series;
 };
 
 std::vector<MergedWindow> MergeWindows(
@@ -411,7 +463,7 @@ int64_t CounterOf(const MergedWindow& w, const SeriesId& scope,
   SeriesId id = scope;
   id.metric = metric;
   auto it = w.series.find(id);
-  return it == w.series.end() ? 0 : it->second->counter;
+  return it == w.series.end() ? 0 : it->second.counter;
 }
 
 const LatencyHistogram* HistOf(const MergedWindow& w, const SeriesId& scope,
@@ -419,9 +471,7 @@ const LatencyHistogram* HistOf(const MergedWindow& w, const SeriesId& scope,
   SeriesId id = scope;
   id.metric = metric;
   auto it = w.series.find(id);
-  return it == w.series.end() || it->second->hist == nullptr
-             ? nullptr
-             : it->second->hist.get();
+  return it == w.series.end() ? nullptr : it->second.hist;
 }
 
 }  // namespace
@@ -430,14 +480,11 @@ std::string TelemetrySink::WindowsTextLocked(const CacheReplay& cache) const {
   std::vector<MergedWindow> windows =
       MergeWindows(registry_.Snapshot(), cache.windows.Snapshot());
   std::string out;
-  char line[256];
   for (const MergedWindow& w : windows) {
     out += "window [" + FormatMs(w.start_ns) + "ms, " + FormatMs(w.end_ns) +
            "ms)\n";
-    std::snprintf(line, sizeof(line),
-                  "  %-22s %8s %8s %9s %9s %6s %7s %12s\n", "scope", "reqs",
-                  "qps", "p50_ms", "p99_ms", "hit%", "rejects", "shuffle_B");
-    out += line;
+    AppendF(&out, "  %-22s %8s %8s %9s %9s %6s %7s %12s\n", "scope", "reqs",
+            "qps", "p50_ms", "p99_ms", "hit%", "rejects", "shuffle_B");
     // Distinct scopes present in this window, in SeriesId order.
     std::vector<SeriesId> scopes;
     for (const auto& [id, cell] : w.series) {
@@ -450,13 +497,14 @@ std::string TelemetrySink::WindowsTextLocked(const CacheReplay& cache) const {
     double width_s =
         static_cast<double>(options_.window.width_ns) / 1e9;
     for (const SeriesId& scope : scopes) {
-      int64_t reqs = CounterOf(w, scope, kMetricRequests);
-      int64_t rejects = CounterOf(w, scope, kMetricAdmissionRejects) +
-                        CounterOf(w, scope, kMetricRaceRejects) +
-                        CounterOf(w, scope, kMetricBudgetRejects);
+      int64_t reqs = CounterOf(w, scope, kMetricNames[kRequests]);
+      int64_t rejects = CounterOf(w, scope, kMetricNames[kAdmissionRejects]) +
+                        CounterOf(w, scope, kMetricNames[kRaceRejects]) +
+                        CounterOf(w, scope, kMetricNames[kBudgetRejects]);
       int64_t hits = CounterOf(w, scope, kMetricCacheHits);
       int64_t misses = CounterOf(w, scope, kMetricCacheMisses);
-      const LatencyHistogram* hist = HistOf(w, scope, kMetricLatencyNs);
+      const LatencyHistogram* hist =
+          HistOf(w, scope, kMetricNames[kLatencyNs]);
       std::string p50 = hist == nullptr ? "-" : FormatMs(hist->ValueAtQuantile(0.50));
       std::string p99 = hist == nullptr ? "-" : FormatMs(hist->ValueAtQuantile(0.99));
       std::string hit_rate =
@@ -464,15 +512,13 @@ std::string TelemetrySink::WindowsTextLocked(const CacheReplay& cache) const {
               ? "-"
               : FormatRate(100.0 * static_cast<double>(hits) /
                            static_cast<double>(hits + misses));
-      std::snprintf(line, sizeof(line),
-                    "  %-22s %8lld %8s %9s %9s %6s %7lld %12lld\n",
-                    ScopeLabel(scope).c_str(), static_cast<long long>(reqs),
-                    FormatRate(static_cast<double>(reqs) / width_s).c_str(),
-                    p50.c_str(), p99.c_str(), hit_rate.c_str(),
-                    static_cast<long long>(rejects),
-                    static_cast<long long>(
-                        CounterOf(w, scope, kMetricShuffleBytes)));
-      out += line;
+      AppendF(&out, "  %-22s %8lld %8s %9s %9s %6s %7lld %12lld\n",
+              ScopeLabel(scope).c_str(), static_cast<long long>(reqs),
+              FormatRate(static_cast<double>(reqs) / width_s).c_str(),
+              p50.c_str(), p99.c_str(), hit_rate.c_str(),
+              static_cast<long long>(rejects),
+              static_cast<long long>(
+                  CounterOf(w, scope, kMetricNames[kShuffleBytes])));
     }
   }
   if (windows.empty()) out += "(no windows)\n";
@@ -508,14 +554,14 @@ std::string TelemetrySink::TelemetryJsonLocked(const CacheReplay& cache) const {
       out += "{\"scope\":\"" + std::string(ScopeKindName(id.scope)) +
              "\",\"name\":\"" + JsonEscape(id.scope_name) +
              "\",\"metric\":\"" + JsonEscape(id.metric) + "\",";
-      if (cell->hist == nullptr) {
-        out += "\"value\":" + std::to_string(cell->counter);
+      if (cell.hist == nullptr) {
+        out += "\"value\":" + std::to_string(cell.counter);
       } else {
-        out += "\"count\":" + std::to_string(cell->hist->count()) +
-               ",\"sum\":" + std::to_string(cell->hist->sum()) +
-               ",\"p50\":" + std::to_string(cell->hist->ValueAtQuantile(0.50)) +
-               ",\"p99\":" + std::to_string(cell->hist->ValueAtQuantile(0.99)) +
-               ",\"max\":" + std::to_string(cell->hist->max_value());
+        out += "\"count\":" + std::to_string(cell.hist->count()) +
+               ",\"sum\":" + std::to_string(cell.hist->sum()) +
+               ",\"p50\":" + std::to_string(cell.hist->ValueAtQuantile(0.50)) +
+               ",\"p99\":" + std::to_string(cell.hist->ValueAtQuantile(0.99)) +
+               ",\"max\":" + std::to_string(cell.hist->max_value());
       }
       out += "}";
     }
@@ -567,12 +613,11 @@ std::string TelemetrySink::PrometheusTextLocked(const CacheReplay& cache) const 
     for (const auto& [id, hist] : registry_.HistogramTotals()) {
       PrometheusLabels base = labels(id);
       uint64_t cumulative = 0;
-      for (int i = 0; i < LatencyHistogram::kBuckets; ++i) {
-        if (hist.bucket(i) == 0) continue;
-        cumulative += hist.bucket(i);
+      for (const LatencyHistogram::Bucket& bucket : hist.nonzero_buckets()) {
+        cumulative += bucket.count;
         PrometheusLabels l = base;
-        l.emplace_back(
-            "le", std::to_string(LatencyHistogram::BucketUpperBound(i)));
+        l.emplace_back("le", std::to_string(LatencyHistogram::BucketUpperBound(
+                                 bucket.index)));
         b.Add(name + "_bucket", l, cumulative);
       }
       PrometheusLabels inf = base;

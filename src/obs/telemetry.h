@@ -5,6 +5,7 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/status.h"
@@ -101,6 +102,11 @@ struct AuditDecision {
 ///
 /// The tumbling windows are the only aggregate store: the Prometheus
 /// totals are their sums, computed at export time.
+///
+/// Retained memory: a request leaves behind its window cells (interned
+/// ids, sparse histograms) and, when the replay needs it, one 40-byte
+/// Applied record. Names — tenants, variants, metrics, cache keys — are
+/// interned once; the event log and the audit log are bounded.
 class TelemetrySink {
  public:
   explicit TelemetrySink(TelemetryOptions options = TelemetryOptions());
@@ -159,23 +165,25 @@ class TelemetrySink {
 
  private:
   struct TenantState {
+    uint32_t name = 0;          ///< Interned tenant name.
     uint64_t next_seq = 0;      ///< Next tenant_seq to apply.
     uint64_t clock_ns = 0;      ///< Virtual now.
     std::map<uint64_t, RequestRecord> pending;  ///< Out-of-order buffer.
   };
 
-  /// Compact retained form of an applied record, enough for the logical
-  /// cache replay and for rollups.
+  /// What the logical cache replay needs of an applied record, by id. Only
+  /// the records the replay acts on are kept: ok requests that bypassed
+  /// the cache or carried a key, and dataset-swap markers.
   struct Applied {
+    enum class Kind : uint8_t { kKeyed, kBypass, kSwap };
     uint64_t end_ns = 0;
-    std::string tenant;
     uint64_t seq = 0;
-    std::string cache_key;
     uint64_t epoch = 0;
-    bool bypass = false;
-    bool ok = false;
-    bool is_swap = false;  ///< Swap marker, not a request.
+    uint32_t tenant = 0;  ///< Interned tenant name (unused for kSwap).
+    uint32_t key = 0;     ///< Interned cache key (kKeyed only).
+    Kind kind = Kind::kKeyed;
   };
+  static_assert(std::is_trivially_copyable_v<Applied>);
 
   /// Result of the export-time logical cache replay.
   struct CacheReplay {
@@ -197,6 +205,9 @@ class TelemetrySink {
   std::string PrometheusTextLocked(const CacheReplay& cache) const;
 
   TelemetryOptions options_;
+  /// Interned metric names, by the Metric enum in telemetry.cc.
+  std::vector<uint32_t> metric_ids_;
+  uint32_t total_name_ = 0;  ///< Interned "" (the total scope's name).
 
   mutable std::mutex mu_;
   std::map<std::string, TenantState> tenants_;

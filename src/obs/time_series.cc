@@ -1,5 +1,8 @@
 #include "obs/time_series.h"
 
+#include <algorithm>
+#include <stdexcept>
+
 namespace rdfspark::obs {
 
 const char* ScopeKindName(ScopeKind k) {
@@ -14,19 +17,73 @@ const char* ScopeKindName(ScopeKind k) {
   return "?";
 }
 
-WindowedRegistry::Cell& WindowedRegistry::CellAt(const SeriesId& id,
-                                                 uint64_t t_ns) {
-  return windows_[t_ns - t_ns % spec_.width_ns][id];
+namespace {
+
+/// Ids fill 31 bits of a packed key; the table would exhaust memory long
+/// before, but a wrapped id must never alias another series.
+constexpr uint32_t kIdBits = 31;
+
+/// (scope, name, metric) in one word: cells sort and compare on it.
+uint64_t Pack(SeriesKey key) {
+  return static_cast<uint64_t>(key.scope) << (2 * kIdBits) |
+         static_cast<uint64_t>(key.name) << kIdBits | key.metric;
 }
 
-void WindowedRegistry::Add(const SeriesId& id, uint64_t t_ns, int64_t delta) {
-  CellAt(id, t_ns).counter += delta;
+template <typename Cell>
+Cell& CellFor(std::vector<Cell>& cells, uint64_t key) {
+  auto it = std::lower_bound(
+      cells.begin(), cells.end(), key,
+      [](const Cell& c, uint64_t k) { return c.key < k; });
+  if (it == cells.end() || it->key != key) {
+    if (cells.size() == cells.capacity()) {
+      // Grow by half rather than double: a window stops growing once its
+      // requests are in, and what doubling over-reserves stays for good.
+      const size_t at = static_cast<size_t>(it - cells.begin());
+      cells.reserve(cells.size() + std::max<size_t>(4, cells.size() / 2));
+      it = cells.begin() + static_cast<std::ptrdiff_t>(at);
+    }
+    it = cells.insert(it, Cell{});
+    it->key = key;
+  }
+  return *it;
 }
 
-void WindowedRegistry::Observe(const SeriesId& id, uint64_t t_ns, uint64_t v) {
-  Cell& cell = CellAt(id, t_ns);
-  if (cell.hist == nullptr) cell.hist = std::make_unique<LatencyHistogram>();
-  cell.hist->Record(v);
+}  // namespace
+
+uint32_t NameTable::Intern(std::string_view name) {
+  auto it = ids_.find(name);
+  if (it != ids_.end()) return it->second;
+  if (names_.size() >= (size_t{1} << kIdBits)) {
+    throw std::length_error("NameTable: id space exhausted");
+  }
+  const uint32_t id = static_cast<uint32_t>(names_.size());
+  names_.emplace_back(name);
+  ids_.emplace(names_.back(), id);
+  return id;
+}
+
+SeriesKey WindowedRegistry::Key(ScopeKind scope, std::string_view scope_name,
+                                std::string_view metric) {
+  return {scope, names_.Intern(scope_name), names_.Intern(metric)};
+}
+
+void WindowedRegistry::Window::Add(SeriesKey key, int64_t delta) {
+  CellFor(counters_, Pack(key)).value += delta;
+}
+
+void WindowedRegistry::Window::Observe(SeriesKey key, uint64_t v) {
+  CellFor(hists_, Pack(key)).hist.Record(v);
+}
+
+WindowedRegistry::Window& WindowedRegistry::At(uint64_t t_ns) {
+  return windows_[t_ns - t_ns % spec_.width_ns];
+}
+
+SeriesId WindowedRegistry::Resolve(uint64_t packed) const {
+  constexpr uint64_t kMask = (uint64_t{1} << kIdBits) - 1;
+  return {static_cast<ScopeKind>(packed >> (2 * kIdBits)),
+          names_.Name(static_cast<uint32_t>((packed >> kIdBits) & kMask)),
+          names_.Name(static_cast<uint32_t>(packed & kMask))};
 }
 
 std::vector<WindowedRegistry::WindowSnapshot> WindowedRegistry::Snapshot()
@@ -37,8 +94,11 @@ std::vector<WindowedRegistry::WindowSnapshot> WindowedRegistry::Snapshot()
     WindowSnapshot snap;
     snap.start_ns = start;
     snap.end_ns = start + spec_.width_ns;
-    for (const auto& [id, cell] : window) {
-      snap.series.emplace(id, &cell);
+    for (const auto& c : window.counters_) {
+      snap.series.emplace(Resolve(c.key), Cell{c.value, nullptr});
+    }
+    for (const auto& h : window.hists_) {
+      snap.series.emplace(Resolve(h.key), Cell{0, &h.hist});
     }
     out.push_back(std::move(snap));
   }
@@ -46,24 +106,24 @@ std::vector<WindowedRegistry::WindowSnapshot> WindowedRegistry::Snapshot()
 }
 
 std::map<SeriesId, int64_t> WindowedRegistry::CounterTotals() const {
-  std::map<SeriesId, int64_t> totals;
+  std::map<uint64_t, int64_t> totals;
   for (const auto& [start, window] : windows_) {
-    for (const auto& [id, cell] : window) {
-      if (cell.hist == nullptr) totals[id] += cell.counter;
-    }
+    for (const auto& c : window.counters_) totals[c.key] += c.value;
   }
-  return totals;
+  std::map<SeriesId, int64_t> named;
+  for (const auto& [key, value] : totals) named.emplace(Resolve(key), value);
+  return named;
 }
 
 std::map<SeriesId, LatencyHistogram> WindowedRegistry::HistogramTotals()
     const {
-  std::map<SeriesId, LatencyHistogram> totals;
+  std::map<uint64_t, LatencyHistogram> totals;
   for (const auto& [start, window] : windows_) {
-    for (const auto& [id, cell] : window) {
-      if (cell.hist != nullptr) totals[id].Merge(*cell.hist);
-    }
+    for (const auto& h : window.hists_) totals[h.key].Merge(h.hist);
   }
-  return totals;
+  std::map<SeriesId, LatencyHistogram> named;
+  for (auto& [key, hist] : totals) named.emplace(Resolve(key), std::move(hist));
+  return named;
 }
 
 }  // namespace rdfspark::obs

@@ -9,12 +9,30 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iterator>
 #include <string>
 #include <vector>
+
+// The heap guard reads glibc's allocator counters; sanitizers replace the
+// allocator, so it only runs on an uninstrumented glibc build.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define RDFSPARK_OBS_SANITIZED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define RDFSPARK_OBS_SANITIZED 1
+#endif
+#endif
+#if !defined(RDFSPARK_OBS_SANITIZED) && defined(__GLIBC__) && \
+    (__GLIBC__ > 2 || (__GLIBC__ == 2 && __GLIBC_MINOR__ >= 33))
+#include <malloc.h>
+#define RDFSPARK_OBS_HEAP_COUNTERS 1
+#endif
 
 #include "common/json.h"
 #include "obs/event_log.h"
@@ -98,42 +116,188 @@ TEST(LatencyHistogramTest, MergeIsAssociativeAndCommutative) {
   EXPECT_TRUE(left == make(all));
 }
 
+/// The dense 976-bucket layout the sparse histogram replaces, kept as the
+/// reference it is checked against.
+struct DenseHistogram {
+  std::array<uint64_t, LatencyHistogram::kBuckets> buckets{};
+  uint64_t count = 0;
+  uint64_t sum = 0;
+  uint64_t max = 0;
+  uint64_t min = ~0ull;
+
+  void Record(uint64_t v, uint64_t n) {
+    if (n == 0) return;
+    buckets[static_cast<size_t>(LatencyHistogram::BucketOf(v))] += n;
+    count += n;
+    sum += v * n;
+    max = std::max(max, v);
+    min = std::min(min, v);
+  }
+  void Merge(const DenseHistogram& o) {
+    for (size_t i = 0; i < buckets.size(); ++i) buckets[i] += o.buckets[i];
+    count += o.count;
+    sum += o.sum;
+    max = std::max(max, o.max);
+    min = std::min(min, o.min);
+  }
+  uint64_t ValueAtQuantile(double q) const {
+    if (count == 0) return 0;
+    uint64_t rank = static_cast<uint64_t>(
+        std::ceil(std::clamp(q, 0.0, 1.0) * static_cast<double>(count)));
+    if (rank == 0) rank = 1;
+    uint64_t seen = 0;
+    for (int i = 0; i < LatencyHistogram::kBuckets; ++i) {
+      seen += buckets[static_cast<size_t>(i)];
+      if (seen >= rank) {
+        return std::min(LatencyHistogram::BucketUpperBound(i), max);
+      }
+    }
+    return max;
+  }
+};
+
+void ExpectSameAsDense(const LatencyHistogram& h, const DenseHistogram& d) {
+  ASSERT_EQ(h.count(), d.count);
+  EXPECT_EQ(h.sum(), d.sum);
+  EXPECT_EQ(h.max_value(), d.max);
+  EXPECT_EQ(h.min_value(), d.count == 0 ? 0 : d.min);
+  std::vector<LatencyHistogram::Bucket> dense_walk;
+  for (int i = 0; i < LatencyHistogram::kBuckets; ++i) {
+    const uint64_t n = d.buckets[static_cast<size_t>(i)];
+    ASSERT_EQ(h.bucket(i), n) << "bucket " << i;
+    if (n != 0) dense_walk.push_back({static_cast<uint16_t>(i), n});
+  }
+  // The walk the Prometheus writer uses visits exactly the non-zero
+  // buckets, in index order.
+  EXPECT_EQ(h.nonzero_buckets(), dense_walk);
+  for (double q : {0.0, 0.5, 0.9, 0.99, 1.0}) {
+    EXPECT_EQ(h.ValueAtQuantile(q), d.ValueAtQuantile(q)) << "q=" << q;
+  }
+}
+
+TEST(LatencyHistogramTest, SparseMatchesDenseReference) {
+  uint64_t rng = 0x9e3779b97f4a7c15ull;
+  auto next = [&rng] {
+    rng ^= rng << 13;
+    rng ^= rng >> 7;
+    rng ^= rng << 17;
+    return rng;
+  };
+  // A sample in octave `k` (0 means the exact small values), plus the
+  // layout's edges: 0, 15, 16 and values above 2^63.
+  auto sample = [&](int k) -> uint64_t {
+    if (k == 0) return next() % LatencyHistogram::kSubCount;
+    const uint64_t base = uint64_t{1} << (k - 1 + LatencyHistogram::kSubBits);
+    return base + next() % base;
+  };
+  const std::vector<uint64_t> edges = {0, 15, 16, (uint64_t{1} << 63),
+                                       (uint64_t{1} << 63) + 12345,
+                                       ~uint64_t{0}};
+  constexpr int kOctaves = 64 - LatencyHistogram::kSubBits + 1;
+  LatencyHistogram chained;
+  DenseHistogram chained_dense;
+  for (int round = 0; round < 12; ++round) {
+    std::vector<std::pair<uint64_t, uint64_t>> samples;  // (value, count)
+    for (int i = 0; i < 40; ++i) {
+      // Record(v, count) with a count of 0 is a no-op in both.
+      const uint64_t v = sample(static_cast<int>(next() % kOctaves));
+      samples.emplace_back(v, i % 7 == 0 ? next() % 4 : 1);
+    }
+    for (uint64_t v : edges) {
+      if (next() % 2 == 0) samples.emplace_back(v, 1 + round);
+    }
+    LatencyHistogram h;
+    DenseHistogram d;
+    ExpectSameAsDense(h, d);  // Empty.
+    for (const auto& [v, n] : samples) {
+      h.Record(v, n);
+      d.Record(v, n);
+    }
+    ExpectSameAsDense(h, d);
+    // operator== is equality of the dense arrays: the same samples in
+    // another order compare equal, one more sample does not.
+    LatencyHistogram reversed;
+    for (auto it = samples.rbegin(); it != samples.rend(); ++it) {
+      reversed.Record(it->first, it->second);
+    }
+    EXPECT_TRUE(reversed == h);
+    reversed.Record(samples.front().first);
+    EXPECT_FALSE(reversed == h);
+    // Chained merges fold every round into one histogram; a copy merged
+    // into itself doubles every bucket.
+    chained.Merge(h);
+    chained_dense.Merge(d);
+    ExpectSameAsDense(chained, chained_dense);
+    LatencyHistogram self = h;
+    self.Merge(self);
+    DenseHistogram self_dense = d;
+    self_dense.Merge(d);
+    ExpectSameAsDense(self, self_dense);
+  }
+}
+
 // ---- WindowedRegistry ----------------------------------------------------
 
 TEST(WindowedRegistryTest, TumblingWindowsPartitionTheTimeline) {
   WindowSpec spec;
   spec.width_ns = 100;
   WindowedRegistry reg(spec);
-  SeriesId id{ScopeKind::kTotal, "", "requests"};
-  reg.Add(id, 0, 1);
-  reg.Add(id, 99, 1);    // Same window as t=0.
-  reg.Add(id, 100, 1);   // Next window.
-  reg.Add(id, 250, 1);   // [200, 300).
+  SeriesKey key = reg.Key(ScopeKind::kTotal, "", "requests");
+  reg.At(0).Add(key, 1);
+  reg.At(99).Add(key, 1);    // Same window as t=0.
+  reg.At(100).Add(key, 1);   // Next window.
+  reg.At(250).Add(key, 1);   // [200, 300).
 
+  SeriesId id{ScopeKind::kTotal, "", "requests"};
   auto snap = reg.Snapshot();
   ASSERT_EQ(snap.size(), 3u);
   EXPECT_EQ(snap[0].start_ns, 0u);
   EXPECT_EQ(snap[0].end_ns, 100u);
-  EXPECT_EQ(snap[0].series.at(id)->counter, 2);
+  EXPECT_EQ(snap[0].series.at(id).counter, 2);
   EXPECT_EQ(snap[1].start_ns, 100u);
-  EXPECT_EQ(snap[1].series.at(id)->counter, 1);
+  EXPECT_EQ(snap[1].series.at(id).counter, 1);
   EXPECT_EQ(snap[2].start_ns, 200u);
-  EXPECT_EQ(snap[2].series.at(id)->counter, 1);
+  EXPECT_EQ(snap[2].series.at(id).counter, 1);
   // Every observation lies in exactly one window: the sum is the total.
   EXPECT_EQ(reg.CounterTotals().at(id), 4);
 }
 
 TEST(WindowedRegistryTest, HistogramMerges) {
   WindowedRegistry reg;
+  SeriesKey key = reg.Key(ScopeKind::kTotal, "", "latency_ns");
+  reg.At(10).Observe(key, 100);
+  reg.At(20).Observe(key, 200);
+  reg.At(30'000'000).Observe(key, 300);  // The next 25 ms window.
   SeriesId h{ScopeKind::kTotal, "", "latency_ns"};
-  reg.Observe(h, 10, 100);
-  reg.Observe(h, 20, 200);
-  reg.Observe(h, 30'000'000, 300);  // The next 25 ms window.
   auto snap = reg.Snapshot();
   ASSERT_EQ(snap.size(), 2u);
-  EXPECT_EQ(snap[0].series.at(h)->hist->count(), 2u);
+  EXPECT_EQ(snap[0].series.at(h).hist->count(), 2u);
   // The total merges every window's histogram.
   EXPECT_EQ(reg.HistogramTotals().at(h).sum(), 600u);
+}
+
+TEST(WindowedRegistryTest, SnapshotsOrderByNameNotById) {
+  // Ids follow first-seen order; every export must sort by name instead,
+  // or two runs whose tenants arrive in different orders would differ.
+  WindowedRegistry first_z;
+  WindowedRegistry first_a;
+  for (const char* name : {"z", "a"}) {
+    first_z.At(0).Add(first_z.Key(ScopeKind::kTenant, name, "requests"), 1);
+  }
+  for (const char* name : {"a", "z"}) {
+    first_a.At(0).Add(first_a.Key(ScopeKind::kTenant, name, "requests"), 1);
+  }
+  auto names_in_order = [](const WindowedRegistry& reg) {
+    std::vector<std::string> names;
+    const auto snap = reg.Snapshot();
+    for (const auto& [id, cell] : snap.at(0).series) {
+      names.push_back(id.scope_name);
+    }
+    return names;
+  };
+  const std::vector<std::string> expected = {"a", "z"};
+  EXPECT_EQ(names_in_order(first_z), expected);
+  EXPECT_EQ(names_in_order(first_a), expected);
 }
 
 // ---- EventLog ------------------------------------------------------------
@@ -564,6 +728,21 @@ TEST(TelemetrySinkTest, EventsJsonKeepsTheNewestEventsWithinCapacity) {
             std::string::npos);
 }
 
+TEST(TelemetrySinkTest, WindowsTextKeepsLongScopeNamesWhole) {
+  // A tenant name is whatever OpenSession was given; a row must grow to
+  // fit it instead of truncating and swallowing its newline.
+  const std::string tenant(200, 't');
+  TelemetrySink sink;
+  sink.Ingest(MakeRecord(tenant, 0, "HAQWA", 1'000'000, "HAQWA\nq1"));
+  sink.Ingest(MakeRecord(tenant, 1, "S2RDF", 1'000'000, "S2RDF\nq1"));
+  const std::string text = sink.WindowsText();
+  // One window: its header line, the column header, then the total row,
+  // the tenant row and one row per variant.
+  EXPECT_EQ(Occurrences(text, "\n"), 6u) << text;
+  EXPECT_NE(text.find("\n  tenant/" + tenant + " "), std::string::npos);
+  EXPECT_NE(text.find("\n  variant/HAQWA "), std::string::npos) << text;
+}
+
 TEST(TelemetrySinkTest, LogicalCacheReplayModelsLruAtCapacity) {
   TelemetryOptions opts;
   opts.logical_cache_capacity = 1;
@@ -610,6 +789,107 @@ TEST(TelemetrySinkTest, AuditTriggersOnLatencyAndEstimateError) {
   AuditDecision err = sink.DecideAudit("t", 0, 16.0);
   EXPECT_TRUE(err.est_error);
   EXPECT_FALSE(err.latency);
+}
+
+// ---- Retained heap per request -------------------------------------------
+
+#if defined(RDFSPARK_OBS_HEAP_COUNTERS)
+/// A synthetic finished-request stream shaped like a perfbench workload.
+struct StreamShape {
+  int tenants = 1;
+  std::vector<std::string> variants;
+  uint64_t busy_min_ns = 0;
+  uint64_t busy_max_ns = 0;
+  int shapes = 1;  ///< Distinct query texts per variant.
+};
+
+/// Record `i` of `shape`'s stream, built on the fly so nothing outside the
+/// sink holds heap between two reads of the allocator counters. Tenants
+/// take turns; a variant named S2X bypasses the cache like the server's
+/// single-use-plan engine, every other request carries a cache key of
+/// about 260 characters.
+RequestRecord StreamRecord(const StreamShape& shape, uint64_t i,
+                           uint64_t* rng) {
+  auto next = [rng] {
+    *rng = *rng * 6364136223846793005ull + 1442695040888963407ull;
+    return *rng >> 33;
+  };
+  const uint64_t tenants = static_cast<uint64_t>(shape.tenants);
+  const std::string& variant = shape.variants[next() % shape.variants.size()];
+  RequestRecord r = MakeRecord(
+      "tenant" + std::to_string(i % tenants), i / tenants, variant,
+      shape.busy_min_ns + next() % (shape.busy_max_ns - shape.busy_min_ns + 1),
+      "");
+  r.join_comparisons = r.rows * 3;
+  if (variant == "S2X") {
+    r.cache_bypass = true;
+  } else {
+    const uint64_t query = next() % static_cast<uint64_t>(shape.shapes);
+    r.cache_key = variant + "\nSELECT ?x ?y ?z WHERE { ?x <http://lubm.example"
+                  ".org/univ-bench.owl#memberOf> ?y . ?y <http://lubm.example"
+                  ".org/univ-bench.owl#subOrganizationOf> ?z . ?x <http://lubm"
+                  ".example.org/univ-bench.owl#takesCourse> <http://www.Depar"
+                  "tment0.University0.edu/Course" +
+                  std::to_string(query) + "> }";
+  }
+  return r;
+}
+
+size_t HeapInUse() {
+  const struct mallinfo2 info = mallinfo2();
+  return info.uordblks + info.hblkhd;
+}
+
+/// Heap the sink keeps per record between record 4,000 and 12,000 of the
+/// stream: past the event log's 4,096-event cap, so only what grows with
+/// requests counts.
+double RetainedBytesPerRecord(const StreamShape& shape) {
+  constexpr uint64_t kFirst = 4000;
+  constexpr uint64_t kLast = 12000;
+  static_assert(2 * kFirst > EventLog::kDefaultCapacity);
+  TelemetrySink sink;
+  uint64_t rng = 42;
+  uint64_t i = 0;
+  for (; i < kFirst; ++i) sink.Ingest(StreamRecord(shape, i, &rng));
+  const size_t before = HeapInUse();
+  for (; i < kLast; ++i) sink.Ingest(StreamRecord(shape, i, &rng));
+  const size_t after = HeapInUse();
+  EXPECT_EQ(sink.unapplied(), 0u);
+  return (static_cast<double>(after) - static_cast<double>(before)) /
+         static_cast<double>(kLast - kFirst);
+}
+#endif  // RDFSPARK_OBS_HEAP_COUNTERS
+
+TEST(TelemetrySinkTest, RetainsUnderOneKilobytePerRecord) {
+#if !defined(RDFSPARK_OBS_HEAP_COUNTERS)
+  GTEST_SKIP() << "needs glibc's allocator counters (no sanitizer)";
+#else
+  // serve_hot: 4 clients over 11 variants (S2X among them), 12-24 ms of
+  // simulated work per request, a few query shapes per variant.
+  StreamShape serve_hot;
+  serve_hot.tenants = 4;
+  serve_hot.variants = {"HAQWA", "SPARQLGX", "S2RDF", "Hybrid_RDD_partitioned",
+                        "Hybrid_DataFrame_broadcast", "Hybrid_Hybrid", "S2X",
+                        "GraphX_SM", "Sparkql", "GraphFrames", "SparkRDF"};
+  serve_hot.busy_min_ns = 12'000'000;
+  serve_hot.busy_max_ns = 24'000'000;
+  serve_hot.shapes = 4;
+  // task_storm: 2 clients, one variant and query, 40-44 ms per request —
+  // about one new 25 ms window per request.
+  StreamShape task_storm;
+  task_storm.tenants = 2;
+  task_storm.variants = {"Hybrid_SparkSQL_naive"};
+  task_storm.busy_min_ns = 40'000'000;
+  task_storm.busy_max_ns = 44'000'000;
+
+  const double hot = RetainedBytesPerRecord(serve_hot);
+  const double storm = RetainedBytesPerRecord(task_storm);
+  std::printf("retained heap per record: serve_hot-like %.0f B, "
+              "task_storm-like %.0f B\n",
+              hot, storm);
+  EXPECT_LT(hot, 1024.0);
+  EXPECT_LT(storm, 1024.0);
+#endif
 }
 
 // ---- End to end: serving artifacts across executor-thread counts. --------

@@ -33,6 +33,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -235,11 +236,15 @@ int main(int argc, char** argv) {
     schedule.push_back(std::move(p));
   }
 
+  // One byte per request, never std::vector<bool>: in closed loop each
+  // tenant's thread writes its own requests' entries concurrently with the
+  // others', and vector<bool> packs neighbouring entries into one word,
+  // so those writes lose updates.
   std::vector<double> latencies_ms(schedule.size(), 0.0);
-  std::vector<bool> succeeded(schedule.size(), false);
+  std::vector<uint8_t> succeeded(schedule.size(), 0);
   // Budget-gate rejections are an expected outcome when a budget is set
   // (the bench reports them as their own column), not a workload failure.
-  std::vector<bool> budget_rejected(schedule.size(), false);
+  std::vector<uint8_t> budget_rejected(schedule.size(), 0);
   auto bench_start = std::chrono::steady_clock::now();
 
   if (cfg.mode == "closed") {
