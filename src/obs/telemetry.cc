@@ -17,8 +17,7 @@ namespace rdfspark::obs {
 
 namespace {
 
-/// The sink's series metrics. Their names are interned once, at
-/// construction; ingest addresses them by TelemetrySink::metric_ids_.
+/// The per-request series metrics, interned once per export.
 enum Metric : size_t {
   kRequests,
   kOk,
@@ -109,20 +108,13 @@ __attribute__((format(printf, 2, 3))) void AppendF(std::string* out,
 
 }  // namespace
 
-TelemetrySink::TelemetrySink(TelemetryOptions options)
-    : options_(options), registry_(options.window) {
-  NameTable& names = registry_.names();
-  for (const char* metric : kMetricNames) {
-    metric_ids_.push_back(names.Intern(metric));
-  }
-  total_name_ = names.Intern("");
-}
+TelemetrySink::TelemetrySink(TelemetryOptions options) : options_(options) {}
 
 void TelemetrySink::Ingest(RequestRecord record) {
   std::lock_guard<std::mutex> lock(mu_);
   auto [entry, inserted] = tenants_.try_emplace(record.tenant);
   TenantState& tenant = entry->second;
-  if (inserted) tenant.name = registry_.names().Intern(record.tenant);
+  if (inserted) tenant.name = names_.Intern(record.tenant);
   if (record.tenant_seq != tenant.next_seq) {
     tenant.pending.emplace(record.tenant_seq, std::move(record));
     return;
@@ -186,40 +178,29 @@ void TelemetrySink::Apply(TenantState& tenant, RequestRecord rec) {
   finish.AddField("variant", rec.variant);
   events_.Add(std::move(finish));
 
-  // ---- Windowed series, per scope, by interned id ----
-  SeriesKey scopes[3] = {{ScopeKind::kTotal, total_name_, 0},
-                         {ScopeKind::kTenant, tenant.name, 0}};
-  size_t scope_count = 2;
-  if (!rec.variant.empty()) {
-    scopes[scope_count++] = {ScopeKind::kVariant,
-                             registry_.names().Intern(rec.variant), 0};
-  }
-  WindowedRegistry::Window& window = registry_.At(end_ns);
-  auto count = [&](Metric metric, int64_t delta) {
-    if (delta == 0) return;
-    for (size_t i = 0; i < scope_count; ++i) {
-      SeriesKey key = scopes[i];
-      key.metric = metric_ids_[metric];
-      window.Add(key, delta);
-    }
-  };
-  count(kRequests, 1);
-  count(OutcomeMetric(rec.outcome), 1);
-  count(kRows, static_cast<int64_t>(rec.rows));
-  count(kTasks, static_cast<int64_t>(rec.tasks));
-  count(kShuffleBytes, static_cast<int64_t>(rec.shuffle_bytes));
-  count(kJoinComparisons, static_cast<int64_t>(rec.join_comparisons));
-  if (ok) {
-    for (size_t i = 0; i < scope_count; ++i) {
-      SeriesKey key = scopes[i];
-      key.metric = metric_ids_[kLatencyNs];
-      window.Observe(key, duration_ns);
-    }
+  // ---- The record the windows and the cache replay are built from ----
+  Applied applied;
+  applied.end_ns = end_ns;
+  applied.duration_ns = duration_ns;
+  applied.seq = rec.tenant_seq;
+  applied.epoch = rec.epoch;
+  applied.rows = rec.rows;
+  applied.tasks = rec.tasks;
+  applied.shuffle_bytes = rec.shuffle_bytes;
+  applied.join_comparisons = rec.join_comparisons;
+  applied.tenant = tenant.name;
+  applied.variant = names_.Intern(rec.variant);
+  applied.outcome = rec.outcome;
+  applied.audited = rec.audited;
+  if (ok && rec.cache_bypass) {
+    applied.kind = Applied::Kind::kBypass;
+  } else if (ok && !rec.cache_key.empty()) {
+    applied.kind = Applied::Kind::kKeyed;
+    applied.key = names_.Intern(rec.cache_key);
   }
 
   // ---- Slow-query audit ----
   if (rec.audited) {
-    count(kAudited, 1);
     AuditEntry entry;
     entry.t_ns = end_ns;
     entry.tenant = rec.tenant;
@@ -260,7 +241,7 @@ void TelemetrySink::Apply(TenantState& tenant, RequestRecord rec) {
         static_cast<double>(rec.envelope_bytes) >
         kEnvelopeDriftBound * static_cast<double>(rec.observed_bytes);
     if (under || over) {
-      count(kEnvelopeDrift, 1);
+      applied.envelope_drift = true;
       Event drift;
       drift.t_ns = end_ns;
       drift.scope = rec.tenant;
@@ -274,18 +255,6 @@ void TelemetrySink::Apply(TenantState& tenant, RequestRecord rec) {
     }
   }
 
-  // ---- Retain what the logical cache replay acts on ----
-  if (!ok || (!rec.cache_bypass && rec.cache_key.empty())) return;
-  Applied applied;
-  applied.end_ns = end_ns;
-  applied.seq = rec.tenant_seq;
-  applied.epoch = rec.epoch;
-  applied.tenant = tenant.name;
-  if (rec.cache_bypass) {
-    applied.kind = Applied::Kind::kBypass;
-  } else {
-    applied.key = registry_.names().Intern(rec.cache_key);
-  }
   applied_.push_back(applied);
 }
 
@@ -326,25 +295,80 @@ size_t TelemetrySink::unapplied() const {
   return n;
 }
 
-TelemetrySink::CacheReplay TelemetrySink::ReplayCache() const {
-  CacheReplay replay;
-  replay.windows = WindowedRegistry(options_.window);
+WindowedRegistry TelemetrySink::RequestWindows() const {
+  WindowedRegistry registry(options_.window);
+  NameTable& names = registry.names();
+  uint32_t metric_ids[kMetricCount];
+  for (size_t m = 0; m < kMetricCount; ++m) {
+    metric_ids[m] = names.Intern(kMetricNames[m]);
+  }
+  const uint32_t total = names.Intern("");
+  // The sink's name ids, interned into the registry's table on first use.
+  constexpr uint32_t kUnmapped = ~uint32_t{0};
+  std::vector<uint32_t> remap(names_.size(), kUnmapped);
+  auto scope_name = [&](uint32_t id) {
+    if (remap[id] == kUnmapped) remap[id] = names.Intern(names_.Name(id));
+    return remap[id];
+  };
+  for (const Applied& a : applied_) {
+    if (a.kind == Applied::Kind::kSwap) continue;
+    SeriesKey scopes[3] = {{ScopeKind::kTotal, total, 0},
+                           {ScopeKind::kTenant, scope_name(a.tenant), 0}};
+    size_t scope_count = 2;
+    if (!names_.Name(a.variant).empty()) {
+      scopes[scope_count++] = {ScopeKind::kVariant, scope_name(a.variant), 0};
+    }
+    WindowedRegistry::Window& window = registry.At(a.end_ns);
+    auto count = [&](Metric metric, uint64_t delta) {
+      if (delta == 0) return;
+      for (size_t i = 0; i < scope_count; ++i) {
+        SeriesKey key = scopes[i];
+        key.metric = metric_ids[metric];
+        window.Add(key, static_cast<int64_t>(delta));
+      }
+    };
+    count(kRequests, 1);
+    count(OutcomeMetric(a.outcome), 1);
+    count(kRows, a.rows);
+    count(kTasks, a.tasks);
+    count(kShuffleBytes, a.shuffle_bytes);
+    count(kJoinComparisons, a.join_comparisons);
+    count(kAudited, a.audited ? 1 : 0);
+    count(kEnvelopeDrift, a.envelope_drift ? 1 : 0);
+    if (a.outcome == RequestRecord::Outcome::kOk) {
+      for (size_t i = 0; i < scope_count; ++i) {
+        SeriesKey key = scopes[i];
+        key.metric = metric_ids[kLatencyNs];
+        window.Observe(key, a.duration_ns);
+      }
+    }
+  }
+  return registry;
+}
+
+TelemetrySink::Replay TelemetrySink::ReplayRecords() const {
+  Replay replay;
+  replay.windows = RequestWindows();
+  replay.cache_windows = WindowedRegistry(options_.window);
   replay.events = events_;
-  const NameTable& names = registry_.names();
 
   // Canonical replay order (end_ns, swap after requests, tenant *name*,
   // seq): a pure function of the applied-record set. Tenant ids follow
   // arrival order, so they are ranked by name first; tenants_ iterates in
   // name order. The sort is stable so swap markers at one instant keep
   // the order the swaps happened in.
-  std::vector<uint32_t> rank(names.size(), 0);
+  std::vector<uint32_t> rank(names_.size(), 0);
   uint32_t next_rank = 0;
   for (const auto& [name, tenant] : tenants_) rank[tenant.name] = next_rank++;
   auto sort_key = [&rank](const Applied& a) {
     const bool swap = a.kind == Applied::Kind::kSwap;
     return std::make_tuple(a.end_ns, swap, swap ? 0u : rank[a.tenant], a.seq);
   };
-  std::vector<Applied> order = applied_;
+  std::vector<Applied> order;
+  std::copy_if(applied_.begin(), applied_.end(), std::back_inserter(order),
+               [](const Applied& a) {
+                 return a.kind != Applied::Kind::kUncached;
+               });
   std::stable_sort(order.begin(), order.end(),
                    [&](const Applied& a, const Applied& b) {
                      return sort_key(a) < sort_key(b);
@@ -356,11 +380,12 @@ TelemetrySink::CacheReplay TelemetrySink::ReplayCache() const {
   std::list<Key> lru;
   std::map<Key, std::list<Key>::iterator> index;
 
+  WindowedRegistry& cache_windows = replay.cache_windows;
   auto observe = [&](const Applied& a, const char* metric) {
-    WindowedRegistry::Window& window = replay.windows.At(a.end_ns);
-    window.Add(replay.windows.Key(ScopeKind::kTotal, "", metric), 1);
+    WindowedRegistry::Window& window = cache_windows.At(a.end_ns);
+    window.Add(cache_windows.Key(ScopeKind::kTotal, "", metric), 1);
     window.Add(
-        replay.windows.Key(ScopeKind::kTenant, names.Name(a.tenant), metric),
+        cache_windows.Key(ScopeKind::kTenant, names_.Name(a.tenant), metric),
         1);
   };
 
@@ -394,7 +419,7 @@ TelemetrySink::CacheReplay TelemetrySink::ReplayCache() const {
       ++replay.hits;
       Event ev;
       ev.t_ns = a.end_ns;
-      ev.scope = names.Name(a.tenant);
+      ev.scope = names_.Name(a.tenant);
       ev.seq = a.seq;
       ev.kind = EventKind::kCacheHit;
       replay.events.Add(std::move(ev));
@@ -404,7 +429,7 @@ TelemetrySink::CacheReplay TelemetrySink::ReplayCache() const {
     ++replay.misses;
     Event fill;
     fill.t_ns = a.end_ns;
-    fill.scope = names.Name(a.tenant);
+    fill.scope = names_.Name(a.tenant);
     fill.seq = a.seq;
     fill.kind = EventKind::kCacheFill;
     fill.AddField("epoch", a.epoch);
@@ -419,7 +444,7 @@ TelemetrySink::CacheReplay TelemetrySink::ReplayCache() const {
       ++replay.evictions;
       Event ev;
       ev.t_ns = a.end_ns;
-      ev.scope = names.Name(a.tenant);
+      ev.scope = names_.Name(a.tenant);
       ev.seq = a.seq;
       ev.kind = EventKind::kCacheEvict;
       ev.AddField("epoch", victim.first);
@@ -431,7 +456,7 @@ TelemetrySink::CacheReplay TelemetrySink::ReplayCache() const {
 
 namespace {
 
-/// One window's union of base-registry and cache-replay series.
+/// One window's union of per-request and cache-replay series.
 struct MergedWindow {
   uint64_t start_ns = 0;
   uint64_t end_ns = 0;
@@ -476,9 +501,9 @@ const LatencyHistogram* HistOf(const MergedWindow& w, const SeriesId& scope,
 
 }  // namespace
 
-std::string TelemetrySink::WindowsTextLocked(const CacheReplay& cache) const {
-  std::vector<MergedWindow> windows =
-      MergeWindows(registry_.Snapshot(), cache.windows.Snapshot());
+std::string TelemetrySink::WindowsTextLocked(const Replay& replay) const {
+  std::vector<MergedWindow> windows = MergeWindows(
+      replay.windows.Snapshot(), replay.cache_windows.Snapshot());
   std::string out;
   for (const MergedWindow& w : windows) {
     out += "window [" + FormatMs(w.start_ns) + "ms, " + FormatMs(w.end_ns) +
@@ -525,21 +550,21 @@ std::string TelemetrySink::WindowsTextLocked(const CacheReplay& cache) const {
   return out;
 }
 
-std::string TelemetrySink::TelemetryJsonLocked(const CacheReplay& cache) const {
-  std::vector<MergedWindow> windows =
-      MergeWindows(registry_.Snapshot(), cache.windows.Snapshot());
+std::string TelemetrySink::TelemetryJsonLocked(const Replay& replay) const {
+  std::vector<MergedWindow> windows = MergeWindows(
+      replay.windows.Snapshot(), replay.cache_windows.Snapshot());
   std::string out = "{\"window\":{\"width_ns\":" +
                     std::to_string(options_.window.width_ns) +
                     "},\"request_overhead_ns\":" +
                     std::to_string(options_.request_overhead_ns) +
-                    ",\"cache\":{\"hits\":" + std::to_string(cache.hits) +
-                    ",\"misses\":" + std::to_string(cache.misses) +
-                    ",\"bypasses\":" + std::to_string(cache.bypasses) +
-                    ",\"evictions\":" + std::to_string(cache.evictions) +
-                    ",\"invalidations\":" + std::to_string(cache.invalidations) +
+                    ",\"cache\":{\"hits\":" + std::to_string(replay.hits) +
+                    ",\"misses\":" + std::to_string(replay.misses) +
+                    ",\"bypasses\":" + std::to_string(replay.bypasses) +
+                    ",\"evictions\":" + std::to_string(replay.evictions) +
+                    ",\"invalidations\":" + std::to_string(replay.invalidations) +
                     "},\"audit_entries\":" + std::to_string(audit_.size()) +
                     ",\"events_dropped\":" +
-                    std::to_string(cache.events.dropped()) +
+                    std::to_string(replay.events.dropped()) +
                     ",\"windows\":[\n";
   bool first_window = true;
   for (const MergedWindow& w : windows) {
@@ -571,7 +596,7 @@ std::string TelemetrySink::TelemetryJsonLocked(const CacheReplay& cache) const {
   return out;
 }
 
-std::string TelemetrySink::PrometheusTextLocked(const CacheReplay& cache) const {
+std::string TelemetrySink::PrometheusTextLocked(const Replay& replay) const {
   PrometheusBuilder b;
   auto labels = [](const SeriesId& id) {
     PrometheusLabels l;
@@ -586,7 +611,7 @@ std::string TelemetrySink::PrometheusTextLocked(const CacheReplay& cache) const 
   // Counters grouped per metric family (SeriesId sorts by scope first, so
   // regroup by metric name).
   std::map<std::string, std::vector<std::pair<SeriesId, int64_t>>> families;
-  for (const auto& [id, value] : registry_.CounterTotals()) {
+  for (const auto& [id, value] : replay.windows.CounterTotals()) {
     families[id.metric].emplace_back(id, value);
   }
   for (const auto& [metric, samples] : families) {
@@ -600,17 +625,17 @@ std::string TelemetrySink::PrometheusTextLocked(const CacheReplay& cache) const 
   {
     std::string name = "rdfspark_serve_cache_ops_total";
     b.Family(name, "counter", "logical plan-cache operations (replayed)");
-    b.Add(name, {{"op", "hit"}}, cache.hits);
-    b.Add(name, {{"op", "miss"}}, cache.misses);
-    b.Add(name, {{"op", "bypass"}}, cache.bypasses);
-    b.Add(name, {{"op", "evict"}}, cache.evictions);
-    b.Add(name, {{"op", "invalidate"}}, cache.invalidations);
+    b.Add(name, {{"op", "hit"}}, replay.hits);
+    b.Add(name, {{"op", "miss"}}, replay.misses);
+    b.Add(name, {{"op", "bypass"}}, replay.bypasses);
+    b.Add(name, {{"op", "evict"}}, replay.evictions);
+    b.Add(name, {{"op", "invalidate"}}, replay.invalidations);
   }
 
   {
     std::string name = "rdfspark_serve_latency_ns";
     b.Family(name, "histogram", "simulated request latency (ok requests)");
-    for (const auto& [id, hist] : registry_.HistogramTotals()) {
+    for (const auto& [id, hist] : replay.windows.HistogramTotals()) {
       PrometheusLabels base = labels(id);
       uint64_t cumulative = 0;
       for (const LatencyHistogram::Bucket& bucket : hist.nonzero_buckets()) {
@@ -630,30 +655,30 @@ std::string TelemetrySink::PrometheusTextLocked(const CacheReplay& cache) const 
 
   b.Family("rdfspark_serve_windows", "gauge", "non-empty telemetry windows");
   b.Add("rdfspark_serve_windows", {},
-        static_cast<uint64_t>(registry_.window_count()));
+        static_cast<uint64_t>(replay.windows.window_count()));
   b.Family("rdfspark_serve_audit_entries", "gauge",
            "captured slow-query audit entries");
   b.Add("rdfspark_serve_audit_entries", {},
         static_cast<uint64_t>(audit_.size()));
   b.Family("rdfspark_serve_events_dropped_total", "counter",
            "events evicted from the bounded event log");
-  b.Add("rdfspark_serve_events_dropped_total", {}, cache.events.dropped());
+  b.Add("rdfspark_serve_events_dropped_total", {}, replay.events.dropped());
   return b.Text();
 }
 
 std::string TelemetrySink::PrometheusText() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return PrometheusTextLocked(ReplayCache());
+  return PrometheusTextLocked(ReplayRecords());
 }
 
 std::string TelemetrySink::WindowsText() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return WindowsTextLocked(ReplayCache());
+  return WindowsTextLocked(ReplayRecords());
 }
 
 std::string TelemetrySink::EventsJson() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return ReplayCache().events.ToJson();
+  return ReplayRecords().events.ToJson();
 }
 
 std::string TelemetrySink::AuditJson() const {
@@ -663,12 +688,12 @@ std::string TelemetrySink::AuditJson() const {
 
 std::string TelemetrySink::TelemetryJson() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return TelemetryJsonLocked(ReplayCache());
+  return TelemetryJsonLocked(ReplayRecords());
 }
 
 size_t TelemetrySink::window_count() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return registry_.window_count();
+  return RequestWindows().window_count();
 }
 
 size_t TelemetrySink::audit_count() const {
@@ -695,16 +720,16 @@ Status TelemetrySink::WriteArtifacts(const std::string& dir) const {
     return Status::OK();
   };
   std::lock_guard<std::mutex> lock(mu_);
-  CacheReplay cache = ReplayCache();
-  RDFSPARK_RETURN_NOT_OK(write("metrics.prom", PrometheusTextLocked(cache),
+  Replay replay = ReplayRecords();
+  RDFSPARK_RETURN_NOT_OK(write("metrics.prom", PrometheusTextLocked(replay),
                                CheckPrometheusText));
   RDFSPARK_RETURN_NOT_OK(
-      write("windows.txt", WindowsTextLocked(cache), nullptr));
+      write("windows.txt", WindowsTextLocked(replay), nullptr));
   RDFSPARK_RETURN_NOT_OK(
-      write("events.json", cache.events.ToJson(), ValidateJson));
+      write("events.json", replay.events.ToJson(), ValidateJson));
   RDFSPARK_RETURN_NOT_OK(write("audit.json", audit_.ToJson(), ValidateJson));
   RDFSPARK_RETURN_NOT_OK(
-      write("telemetry.json", TelemetryJsonLocked(cache), ValidateJson));
+      write("telemetry.json", TelemetryJsonLocked(replay), ValidateJson));
   return Status::OK();
 }
 

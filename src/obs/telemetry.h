@@ -100,13 +100,12 @@ struct AuditDecision {
 /// replaying the retained records in canonical (end_ns, tenant, seq)
 /// order through a logical LRU model of the same capacity.
 ///
-/// The tumbling windows are the only aggregate store: the Prometheus
-/// totals are their sums, computed at export time.
-///
-/// Retained memory: a request leaves behind its window cells (interned
-/// ids, sparse histograms) and, when the replay needs it, one 40-byte
-/// Applied record. Names — tenants, variants, metrics, cache keys — are
-/// interned once; the event log and the audit log are bounded.
+/// Retained memory: a request leaves behind one trivially copyable Applied
+/// record of 80 bytes. The tumbling windows are built from those records
+/// at export time, like the cache replay, and the Prometheus totals are
+/// their sums; window sums and histogram merges do not depend on order.
+/// Names — tenants, variants, cache keys — are interned once; the event
+/// log and the audit log are bounded.
 class TelemetrySink {
  public:
   explicit TelemetrySink(TelemetryOptions options = TelemetryOptions());
@@ -171,23 +170,37 @@ class TelemetrySink {
     std::map<uint64_t, RequestRecord> pending;  ///< Out-of-order buffer.
   };
 
-  /// What the logical cache replay needs of an applied record, by id. Only
-  /// the records the replay acts on are kept: ok requests that bypassed
-  /// the cache or carried a key, and dataset-swap markers.
+  /// One applied request, or a dataset-swap marker: everything the
+  /// export-time windows and the logical cache replay read of it, with
+  /// names as ids into `names_`.
   struct Applied {
-    enum class Kind : uint8_t { kKeyed, kBypass, kSwap };
+    /// What the cache replay does with the record: skip it (a request
+    /// that failed or never reached the cache), look its key up, count a
+    /// bypass, or drop every entry (a swap marker, which is no request).
+    enum class Kind : uint8_t { kUncached, kKeyed, kBypass, kSwap };
     uint64_t end_ns = 0;
+    uint64_t duration_ns = 0;
     uint64_t seq = 0;
     uint64_t epoch = 0;
-    uint32_t tenant = 0;  ///< Interned tenant name (unused for kSwap).
-    uint32_t key = 0;     ///< Interned cache key (kKeyed only).
-    Kind kind = Kind::kKeyed;
+    uint64_t rows = 0;
+    uint64_t tasks = 0;
+    uint64_t shuffle_bytes = 0;
+    uint64_t join_comparisons = 0;
+    uint32_t tenant = 0;
+    uint32_t variant = 0;  ///< An empty name: no variant series.
+    uint32_t key = 0;      ///< Cache key (kKeyed only).
+    Kind kind = Kind::kUncached;
+    RequestRecord::Outcome outcome = RequestRecord::Outcome::kOk;
+    bool audited = false;
+    bool envelope_drift = false;
   };
   static_assert(std::is_trivially_copyable_v<Applied>);
+  static_assert(sizeof(Applied) <= 96, "one compact record per request");
 
-  /// Result of the export-time logical cache replay.
-  struct CacheReplay {
-    WindowedRegistry windows;  ///< cache_hits / cache_misses / cache_bypass.
+  /// What the exports derive from the applied records.
+  struct Replay {
+    WindowedRegistry windows;        ///< The per-request series.
+    WindowedRegistry cache_windows;  ///< cache_hits / misses / bypass.
     /// The ingested events with the replayed cache events merged in,
     /// bounded like the ingest-side log.
     EventLog events;
@@ -199,19 +212,18 @@ class TelemetrySink {
   };
 
   void Apply(TenantState& tenant, RequestRecord rec);
-  CacheReplay ReplayCache() const;
-  std::string WindowsTextLocked(const CacheReplay& cache) const;
-  std::string TelemetryJsonLocked(const CacheReplay& cache) const;
-  std::string PrometheusTextLocked(const CacheReplay& cache) const;
+  /// The per-request series of every applied request, in tumbling windows.
+  WindowedRegistry RequestWindows() const;
+  Replay ReplayRecords() const;
+  std::string WindowsTextLocked(const Replay& replay) const;
+  std::string TelemetryJsonLocked(const Replay& replay) const;
+  std::string PrometheusTextLocked(const Replay& replay) const;
 
   TelemetryOptions options_;
-  /// Interned metric names, by the Metric enum in telemetry.cc.
-  std::vector<uint32_t> metric_ids_;
-  uint32_t total_name_ = 0;  ///< Interned "" (the total scope's name).
 
   mutable std::mutex mu_;
   std::map<std::string, TenantState> tenants_;
-  WindowedRegistry registry_;
+  NameTable names_;  ///< Tenants, variants and cache keys.
   EventLog events_;
   SlowQueryAudit audit_;
   std::vector<Applied> applied_;

@@ -256,6 +256,10 @@ void QueryServer::WorkerLoop() {
       // ordered only by declared synchronization (locks, publication
       // barriers), which is exactly what the checker verifies.
       spark::hb::RootScope request_root;
+      // The request holds one executor slot from parse to ingest, so its
+      // batches run on this thread's slot and pool helpers join only on
+      // slots no request holds (see spark/scheduler.h).
+      spark::SparkContext::DriverScope driver(sc_);
       obs::RequestRecord rec;
       RequestResult result = Process(request, &rec);
       // Finish (stats + telemetry ingest) stays under the dataset lock so

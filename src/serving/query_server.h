@@ -82,8 +82,12 @@ struct TenantStats {
 /// tenant, as a real Spark deployment would share its executors). Requests
 /// enter per-tenant FIFO queues; a pool of driver threads dispatches them
 /// round-robin across tenants, so one tenant's burst cannot starve the
-/// others — and underneath, the TaskScheduler interleaves the partition
-/// tasks of in-flight queries the same way (see spark/scheduler.h).
+/// others. Underneath, a worker holds one executor slot for the whole
+/// request (SparkContext::DriverScope) and runs its query's partition
+/// tasks itself. Pool helpers join only on slots no worker holds, so they
+/// never add threads beyond the cluster's executor count, and they
+/// interleave the in-flight queries' tasks round-robin (see
+/// spark/scheduler.h).
 ///
 /// Request path: parse → admission (Tier A query analysis, ERROR findings
 /// reject before anything is planned) → plan-cache lookup keyed by
@@ -146,9 +150,10 @@ class QueryServer {
     /// Live telemetry pipeline (windowed series, event log, slow-query
     /// audit; see obs/telemetry.h). On by default; every artifact is
     /// derived from the deterministic virtual timeline. Its cost: the sink
-    /// keeps about 0.5-0.7 KB per served request (window cells and cache
-    /// replay records; the event and audit logs are bounded), and Finish
-    /// spends a median 15 us in TelemetrySink::Ingest, under the sink's
+    /// keeps one 80-byte record per served request (about 125 bytes with
+    /// the record vector's reserve; the windows are built from the records
+    /// at export, and the event and audit logs are bounded), and Finish
+    /// spends a median 11 us in TelemetrySink::Ingest, under the sink's
     /// mutex, before it completes the ticket (perfbench serve_hot,
     /// `obs.ingest_us`, on a shared 4-vCPU VM).
     bool telemetry = true;

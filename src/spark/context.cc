@@ -349,12 +349,30 @@ void SparkContext::ChargeBroadcastBytes(uint64_t bytes) {
   }
 }
 
+TaskScheduler* SparkContext::Pool() {
+  int slots = config_.executor_threads > 0 ? config_.executor_threads
+                                           : config_.num_executors;
+  if (slots <= 1) return nullptr;
+  std::call_once(scheduler_once_, [this, slots] {
+    // Publication: the pool becomes usable for every later caller through
+    // the call_once barrier (concurrent serving drivers race to this).
+    hb::RecordAccess(hb::PoolInitObject(HbId()), hb::Access::kWrite,
+                     "TaskScheduler::init");
+    scheduler_ = std::make_unique<TaskScheduler>(slots);
+    hb::Publish(hb::PoolInitObject(HbId()));
+  });
+  hb::Consume(hb::PoolInitObject(HbId()));
+  hb::RecordAccess(hb::PoolInitObject(HbId()), hb::Access::kRead,
+                   "scheduler.use");
+  return scheduler_.get();
+}
+
 void SparkContext::RunParallel(int count,
                                const std::function<void(int)>& fn) {
   if (count <= 0) return;
-  int threads = config_.executor_threads > 0 ? config_.executor_threads
-                                             : config_.num_executors;
-  if (count == 1 || threads <= 1 || TaskScheduler::InWorkerThread()) {
+  TaskScheduler* pool =
+      count == 1 || TaskScheduler::InWorkerThread() ? nullptr : Pool();
+  if (pool == nullptr) {
     // The serial path declares the SAME fork/join structure as the pooled
     // path: every index is a logical task segment concurrent with its
     // siblings. This is what makes Tier C verdicts independent of
@@ -368,22 +386,11 @@ void SparkContext::RunParallel(int count,
     }
     return;
   }
-  std::call_once(scheduler_once_, [this, threads] {
-    // Publication: the pool becomes usable for every later caller through
-    // the call_once barrier (concurrent serving drivers race to this).
-    hb::RecordAccess(hb::PoolInitObject(HbId()), hb::Access::kWrite,
-                     "TaskScheduler::init");
-    scheduler_ = std::make_unique<TaskScheduler>(threads);
-    hb::Publish(hb::PoolInitObject(HbId()));
-  });
-  hb::Consume(hb::PoolInitObject(HbId()));
-  hb::RecordAccess(hb::PoolInitObject(HbId()), hb::Access::kRead,
-                   "scheduler.use");
   Phase* phase = CurrentPhase();
   std::shared_ptr<OpStats> op = CurrentOpStats();
   hb::BatchScope batch(count);
-  scheduler_->ParallelFor(count, [this, phase, &op, &fn, &batch](int begin,
-                                                                 int end) {
+  pool->ParallelFor(count, [this, phase, &op, &fn, &batch](int begin,
+                                                           int end) {
     // Propagate the submitting thread's phase and operator scope, once per
     // chunk, so task charges land in the action's phase and on the
     // operator that issued the action; popped even if a task throws, after

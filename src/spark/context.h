@@ -12,21 +12,21 @@
 
 #include "spark/hb.h"
 #include "spark/metrics.h"
+#include "spark/scheduler.h"
 #include "spark/size_estimator.h"
 #include "spark/tracing.h"
 
 namespace rdfspark::spark {
-
-class TaskScheduler;
 
 /// Shape of the simulated cluster.
 struct ClusterConfig {
   int num_executors = 4;
   /// Partition count used when callers do not specify one.
   int default_parallelism = 8;
-  /// Threads in the executor pool that physically runs partition tasks:
-  /// 0 = one per simulated executor (the default), 1 = serial in-driver
-  /// execution (the reference path the scheduler tests compare against).
+  /// Executor slots, shared by driver threads and pool helpers (see
+  /// TaskScheduler). 0 = one per simulated executor (the default),
+  /// 1 = serial in-driver execution (the reference path the scheduler
+  /// tests compare against).
   int executor_threads = 0;
   /// DataFrame joins broadcast the smaller side when its estimated size is
   /// below this threshold (Spark's spark.sql.autoBroadcastJoinThreshold).
@@ -177,6 +177,19 @@ class SparkContext {
   /// Records `count` graph messages sent by aggregateMessages.
   void RecordMessages(uint64_t count);
 
+  /// Holds one executor slot of this cluster for the calling thread while
+  /// alive (see TaskScheduler): the serving layer opens one around each
+  /// request, so the request's batches run on the slot it already holds
+  /// and pool helpers take only the slots no request holds. Holds nothing
+  /// when tasks run inline (executor_threads = 1).
+  class DriverScope {
+   public:
+    explicit DriverScope(SparkContext* sc) : slot_(sc->Pool()) {}
+
+   private:
+    TaskScheduler::Slot slot_;
+  };
+
   /// Runs fn(0..count-1) on the executor pool, blocking until all tasks
   /// finish. Falls back to an inline serial loop when the pool is disabled
   /// (executor_threads = 1), the batch is trivial, or the caller is itself
@@ -236,6 +249,9 @@ class SparkContext {
   /// to the root accumulator (charges outside any phase, never folded).
   Phase* CurrentPhase() const;
 
+  /// The executor pool, created on first use; null when tasks run inline.
+  TaskScheduler* Pool();
+
   ClusterConfig config_;
   Metrics metrics_;
   Tracer tracer_;
@@ -246,7 +262,7 @@ class SparkContext {
   std::once_flag scheduler_once_;  ///< Guards the lazy pool creation:
                                    ///< concurrent driver threads (the
                                    ///< serving layer) may race to the
-                                   ///< first RunParallel.
+                                   ///< first use.
   std::unique_ptr<TaskScheduler> scheduler_;  ///< Lazily created pool.
 };
 

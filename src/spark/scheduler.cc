@@ -6,14 +6,15 @@ namespace rdfspark::spark {
 
 namespace {
 thread_local bool t_in_worker = false;
+/// The pool whose slot this thread holds through a Slot, if any.
+thread_local TaskScheduler* t_slot_pool = nullptr;
 }  // namespace
 
 bool TaskScheduler::InWorkerThread() { return t_in_worker; }
 
-TaskScheduler::TaskScheduler(int num_threads) {
-  if (num_threads < 1) num_threads = 1;
-  threads_.reserve(static_cast<size_t>(num_threads));
-  for (int i = 0; i < num_threads; ++i) {
+TaskScheduler::TaskScheduler(int slots) : slots_(std::max(1, slots)) {
+  threads_.reserve(static_cast<size_t>(slots_ - 1));
+  for (int i = 1; i < slots_; ++i) {
     threads_.emplace_back([this] { WorkerLoop(); });
   }
 }
@@ -25,6 +26,35 @@ TaskScheduler::~TaskScheduler() {
   }
   work_cv_.notify_all();
   for (auto& t : threads_) t.join();
+}
+
+TaskScheduler::Slot::Slot(TaskScheduler* pool) {
+  if (pool == nullptr || t_slot_pool == pool) return;
+  pool_ = pool;
+  outer_ = t_slot_pool;
+  t_slot_pool = pool;
+  std::lock_guard<std::mutex> lock(pool->mu_);
+  ++pool->drivers_;
+}
+
+TaskScheduler::Slot::~Slot() {
+  if (pool_ == nullptr) return;
+  t_slot_pool = outer_;
+  std::lock_guard<std::mutex> lock(pool_->mu_);
+  --pool_->drivers_;
+  pool_->WakeHelperIfUseful();
+}
+
+void TaskScheduler::WakeHelperIfUseful() {
+  if (pending_tasks_ == 0 || drivers_ + awake_ >= slots_ ||
+      awake_ == static_cast<int>(threads_.size())) {
+    return;
+  }
+  // The token makes the wake exact: whichever parked helper takes it is
+  // the one counted awake, and a spurious wake-up takes none.
+  ++awake_;
+  ++wake_tokens_;
+  work_cv_.notify_one();
 }
 
 TaskScheduler::Batch* TaskScheduler::NextBatchWithWork() {
@@ -47,14 +77,18 @@ bool TaskScheduler::RunOneChunkOf(Batch* batch,
                                   std::unique_lock<std::mutex>& lock) {
   int remaining = batch->count - batch->next_index;
   if (remaining <= 0) return false;
-  // Each claim is a fixed share of what is left, so big batches take few
-  // claims and the tail still splits across participants.
-  int participants = static_cast<int>(threads_.size()) + 1;
-  int size = std::max(1, remaining / (2 * participants));
+  // With no helper awake none can be woken (the wake comes first), so the
+  // claim takes everything left: one claim, as inline. Otherwise it takes
+  // a fixed share of what is left, so big batches take few claims and the
+  // tail still splits across the slots.
+  int size = awake_ == 0 ? remaining : std::max(1, remaining / (2 * slots_));
   int begin = batch->next_index;
   int end = begin + size;
   batch->next_index = end;
   pending_tasks_ -= size;
+  // A woken helper wakes the next one only once it has claimed, so helpers
+  // come one at a time and only while work is left for them.
+  WakeHelperIfUseful();
   const std::function<void(int, int)>* fn = batch->fn;
   lock.unlock();
   std::exception_ptr error;
@@ -66,7 +100,9 @@ bool TaskScheduler::RunOneChunkOf(Batch* batch,
   lock.lock();
   if (error && !batch->first_error) batch->first_error = error;
   batch->unfinished -= size;
-  if (batch->unfinished == 0) done_cv_.notify_all();
+  // Notified under the lock: the driver cannot see the batch drained, and
+  // destroy it, before this call returns.
+  if (batch->unfinished == 0) batch->done.notify_one();
   return true;
 }
 
@@ -74,11 +110,18 @@ void TaskScheduler::WorkerLoop() {
   t_in_worker = true;
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    work_cv_.wait(lock, [&] { return stop_ || pending_tasks_ > 0; });
+    work_cv_.wait(lock, [&] { return stop_ || wake_tokens_ > 0; });
     if (stop_) return;
-    while (Batch* batch = NextBatchWithWork()) {
+    --wake_tokens_;
+    // Claim while there is work and the slot is still this helper's: a
+    // driver that took a slot since pushes the count over, and then the
+    // helper yields it after its current chunk.
+    while (drivers_ + awake_ <= slots_) {
+      Batch* batch = NextBatchWithWork();
+      if (batch == nullptr) break;
       RunOneChunkOf(batch, lock);
     }
+    --awake_;
   }
 }
 
@@ -89,10 +132,12 @@ void TaskScheduler::ParallelFor(int count,
   batch.count = count;
   batch.unfinished = count;
   batch.fn = &fn;
+  const bool takes_slot = t_slot_pool != this;
   std::unique_lock<std::mutex> lock(mu_);
+  if (takes_slot) ++drivers_;
   batches_.push_back(&batch);
   pending_tasks_ += count;
-  work_cv_.notify_all();
+  WakeHelperIfUseful();
   // The caller works its own batch. While it does, it counts as a worker:
   // a task it runs may itself hit a nested RunParallel (e.g. a lazily
   // materialized shuffle), and that nested call must run inline — waiting
@@ -104,9 +149,13 @@ void TaskScheduler::ParallelFor(int count,
   while (RunOneChunkOf(&batch, lock)) {
   }
   t_in_worker = was_worker;
-  done_cv_.wait(lock, [&] { return batch.unfinished == 0; });
+  batch.done.wait(lock, [&] { return batch.unfinished == 0; });
   batches_.erase(std::find(batches_.begin(), batches_.end(), &batch));
   if (rr_next_ >= batches_.size()) rr_next_ = 0;
+  if (takes_slot) {
+    --drivers_;
+    WakeHelperIfUseful();
+  }
   std::exception_ptr err = batch.first_error;
   lock.unlock();
   if (err) std::rethrow_exception(err);

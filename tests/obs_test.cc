@@ -892,6 +892,43 @@ TEST(TelemetrySinkTest, RetainsUnderOneKilobytePerRecord) {
 #endif
 }
 
+#if defined(RDFSPARK_OBS_HEAP_COUNTERS)
+/// The serve_hot-like and task_storm-like streams of
+/// RetainsUnderOneKilobytePerRecord.
+std::vector<StreamShape> PerfbenchLikeStreams() {
+  StreamShape serve_hot;
+  serve_hot.tenants = 4;
+  serve_hot.variants = {"HAQWA", "SPARQLGX", "S2RDF", "Hybrid_RDD_partitioned",
+                        "Hybrid_DataFrame_broadcast", "Hybrid_Hybrid", "S2X",
+                        "GraphX_SM", "Sparkql", "GraphFrames", "SparkRDF"};
+  serve_hot.busy_min_ns = 12'000'000;
+  serve_hot.busy_max_ns = 24'000'000;
+  serve_hot.shapes = 4;
+  StreamShape task_storm;
+  task_storm.tenants = 2;
+  task_storm.variants = {"Hybrid_SparkSQL_naive"};
+  task_storm.busy_min_ns = 40'000'000;
+  task_storm.busy_max_ns = 44'000'000;
+  return {serve_hot, task_storm};
+}
+#endif  // RDFSPARK_OBS_HEAP_COUNTERS
+
+TEST(TelemetrySinkTest, RetainsOneCompactRecordPerRequest) {
+#if !defined(RDFSPARK_OBS_HEAP_COUNTERS)
+  GTEST_SKIP() << "needs glibc's allocator counters (no sanitizer)";
+#else
+  // The sink keeps one 80-byte record per request and builds its windows
+  // at export, so both streams retain the same: the record plus what the
+  // record vector's doubling holds in reserve between the two reads.
+  for (const StreamShape& shape : PerfbenchLikeStreams()) {
+    const double retained = RetainedBytesPerRecord(shape);
+    std::printf("retained heap per record (%d tenants): %.0f B\n",
+                shape.tenants, retained);
+    EXPECT_LT(retained, 192.0) << shape.tenants << "-tenant stream";
+  }
+#endif
+}
+
 // ---- End to end: serving artifacts across executor-thread counts. --------
 
 rdf::TripleStore TinyLubm() {

@@ -9,10 +9,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <exception>
 #include <functional>
 #include <mutex>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -57,8 +60,8 @@ TEST(TaskSchedulerTest, RunsEveryIndexExactlyOnce) {
   for (int i = 0; i < kCount; ++i) {
     EXPECT_EQ(hits[static_cast<size_t>(i)].load(), 1) << "index " << i;
   }
-  // Shrinking claims: the first takes 500 / (2 x 5 participants) = 50
-  // indices, so the batch needs far fewer claims than tasks.
+  // Shrinking claims: the first takes 500 / (2 x 4 slots) = 62 indices,
+  // so the batch needs far fewer claims than tasks.
   EXPECT_LT(chunks.load(), kCount / 4);
 }
 
@@ -198,6 +201,151 @@ TEST(TaskSchedulerTest, ExceptionIsolatedToItsOwnBatch) {
   bad.join();
   fine.join();
   EXPECT_EQ(good.load(), 640);
+}
+
+// --- Slots ------------------------------------------------------------------
+// Every wait below is timed, so a scheduler that stops making progress
+// fails these tests instead of hanging them.
+
+using std::chrono::seconds;
+
+/// Threads arriving at a count; Wait blocks, at most `timeout`, until
+/// `n` have arrived, and reports whether they did.
+class Arrivals {
+ public:
+  void Arrive() {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++arrived_;
+    cv_.notify_all();
+  }
+  bool Wait(int n, seconds timeout) {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, timeout, [&] { return arrived_ >= n; });
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  int arrived_ = 0;
+};
+
+TEST(TaskSchedulerTest, SaturatedDriversRunTheirOwnBatches) {
+  // Two drivers hold both slots of a 2-slot pool, so its helper never
+  // wakes: every batch is a single claim of all of its indices, run on
+  // the thread that submitted it — the inline path's cost.
+  TaskScheduler pool(2);
+  constexpr int kBatches = 50;
+  constexpr int kCount = 8;
+  Arrivals holding, finished;
+  std::atomic<int> ran{0};
+  std::atomic<int> off_thread{0};
+  std::atomic<int> claims[2] = {0, 0};
+  auto drive = [&](int d) {
+    TaskScheduler::Slot slot(&pool);
+    holding.Arrive();
+    EXPECT_TRUE(holding.Wait(2, seconds(5)));
+    const std::thread::id self = std::this_thread::get_id();
+    for (int b = 0; b < kBatches; ++b) {
+      pool.ParallelFor(kCount, [&, d](int begin, int end) {
+        ++claims[d];
+        for (int i = begin; i < end; ++i) {
+          ++ran;
+          if (std::this_thread::get_id() != self) ++off_thread;
+        }
+      });
+    }
+    // Keep the slot until the other driver is done too: a slot freed
+    // early would rightly bring the helper to its remaining batches.
+    finished.Arrive();
+    EXPECT_TRUE(finished.Wait(2, seconds(5)));
+  };
+  std::thread first(drive, 0);
+  std::thread second(drive, 1);
+  first.join();
+  second.join();
+  EXPECT_EQ(ran.load(), 2 * kBatches * kCount);
+  EXPECT_EQ(off_thread.load(), 0);
+  EXPECT_EQ(claims[0].load(), kBatches);
+  EXPECT_EQ(claims[1].load(), kBatches);
+}
+
+TEST(TaskSchedulerTest, FreeSlotBringsAHelper) {
+  // A lone driver leaves one slot of a 2-slot pool free, so the helper
+  // must join: the two tasks wait for each other, and neither can finish
+  // unless they run at once, on different threads.
+  TaskScheduler pool(2);
+  std::mutex mu;
+  std::condition_variable cv;
+  int arrived = 0;
+  std::set<std::thread::id> threads;
+  std::atomic<int> timed_out{0};
+  pool.ParallelFor(2, EachIndex([&](int) {
+                     std::unique_lock<std::mutex> lock(mu);
+                     ++arrived;
+                     threads.insert(std::this_thread::get_id());
+                     cv.notify_all();
+                     if (!cv.wait_for(lock, seconds(5),
+                                      [&] { return arrived == 2; })) {
+                       ++timed_out;
+                     }
+                   }));
+  EXPECT_EQ(timed_out.load(), 0);
+  EXPECT_EQ(threads.size(), 2u);
+}
+
+TEST(TaskSchedulerTest, DriverProgressesWhileHelpersAreBusy) {
+  // Driver A's batch holds both helpers of a 3-slot pool (and A itself)
+  // on a latch. Driver B needs no slot to make progress: it claims every
+  // chunk of its own batch and finishes it on its own thread before A is
+  // released.
+  TaskScheduler pool(3);
+  std::mutex mu;
+  std::condition_variable cv;
+  std::set<std::thread::id> inside;  ///< Threads held in A's batch.
+  bool released = false;
+  std::thread a([&] {
+    pool.ParallelFor(64, EachIndex([&](int) {
+                       std::unique_lock<std::mutex> lock(mu);
+                       inside.insert(std::this_thread::get_id());
+                       cv.notify_all();
+                       cv.wait_for(lock, seconds(30), [&] { return released; });
+                     }));
+  });
+  auto release_a = [&] {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      released = true;
+    }
+    cv.notify_all();
+    a.join();
+  };
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    if (!cv.wait_for(lock, seconds(5), [&] { return inside.size() == 3; })) {
+      lock.unlock();
+      release_a();
+      FAIL() << "driver A and both helpers never entered A's batch";
+    }
+  }
+  std::atomic<int> ran{0};
+  std::atomic<int> off_thread{0};
+  Arrivals b_done;
+  std::thread b([&] {
+    const std::thread::id self = std::this_thread::get_id();
+    pool.ParallelFor(1000, [&](int begin, int end) {
+      for (int i = begin; i < end; ++i) {
+        ++ran;
+        if (std::this_thread::get_id() != self) ++off_thread;
+      }
+    });
+    b_done.Arrive();
+  });
+  const bool b_finished_first = b_done.Wait(1, seconds(10));
+  release_a();
+  b.join();
+  EXPECT_TRUE(b_finished_first) << "driver B waited for a busy helper";
+  EXPECT_EQ(ran.load(), 1000);
+  EXPECT_EQ(off_thread.load(), 0);
 }
 
 TEST(RunParallelTest, ConcurrentDriversShareOneLazyPool) {

@@ -69,6 +69,63 @@ Outcome Canon(const RequestResult& result, const rdf::Dictionary& dict) {
   return out;
 }
 
+/// One request of a served matrix and its canonical outcome.
+struct Served {
+  std::string variant;
+  std::string text;
+  Outcome outcome;
+};
+
+/// What a server did with the 4-tenant matrix: every tenant submits the
+/// whole variant x shape matrix at once.
+struct MatrixRun {
+  std::vector<Served> served;
+  std::vector<TenantStats> tenants;
+};
+
+constexpr int kMatrixTenants = 4;
+
+/// Serves the 4-tenant matrix with `workers` workers on a default
+/// 4-executor cluster whose pool has `executor_threads` threads.
+MatrixRun ServeMatrix(const rdf::TripleStore& store, int workers,
+                      int executor_threads) {
+  spark::ClusterConfig cluster;
+  cluster.executor_threads = executor_threads;
+  spark::SparkContext sc(cluster);
+  QueryServer server(&sc, QuietOptions(workers));
+  EXPECT_TRUE(server.AttachDataset(store).ok());
+  std::vector<std::pair<rdf::QueryShape, std::string>> mix =
+      rdf::LubmQueryMix();
+  std::vector<int> sessions;
+  for (int t = 0; t < kMatrixTenants; ++t) {
+    sessions.push_back(server.OpenSession("tenant" + std::to_string(t)));
+  }
+  std::vector<std::shared_ptr<QueryServer::Ticket>> tickets;
+  MatrixRun run;
+  for (int t = 0; t < kMatrixTenants; ++t) {
+    for (const auto& variant : server.variant_names()) {
+      for (const auto& [shape, text] : mix) {
+        run.served.push_back({variant, text, Outcome()});
+        tickets.push_back(
+            server.Submit(sessions[static_cast<size_t>(t)], variant, text));
+      }
+    }
+  }
+  for (size_t i = 0; i < tickets.size(); ++i) {
+    run.served[i].outcome = Canon(tickets[i]->Wait(), store.dictionary());
+  }
+  for (int t = 0; t < kMatrixTenants; ++t) {
+    TenantStats stats = server.tenant_stats("tenant" + std::to_string(t));
+    // Every tenant's ledger adds up.
+    EXPECT_EQ(stats.submitted, server.variant_names().size() * mix.size());
+    EXPECT_EQ(stats.submitted,
+              stats.completed + stats.rejected + stats.failed);
+    EXPECT_EQ(stats.rejected, 0u);
+    run.tenants.push_back(stats);
+  }
+  return run;
+}
+
 TEST(QueryServerTest, ConcurrentResultsMatchSerialReference) {
   rdf::TripleStore store = SmallLubm();
   std::vector<std::pair<rdf::QueryShape, std::string>> mix =
@@ -94,46 +151,29 @@ TEST(QueryServerTest, ConcurrentResultsMatchSerialReference) {
   for (const auto& [key, outcome] : reference) ok_count += outcome.ok;
   ASSERT_GT(ok_count, reference.size() / 2);
 
-  // Concurrent server: 8 workers, 4 tenants, every tenant submits the
-  // whole variant x shape matrix at once.
-  spark::SparkContext sc;
-  QueryServer server(&sc, QuietOptions(8));
-  ASSERT_TRUE(server.AttachDataset(store).ok());
-  constexpr int kTenants = 4;
-  std::vector<int> sessions;
-  for (int t = 0; t < kTenants; ++t) {
-    sessions.push_back(server.OpenSession("tenant" + std::to_string(t)));
-  }
-  struct Pending {
-    std::string variant;
-    std::string text;
-    std::shared_ptr<QueryServer::Ticket> ticket;
-  };
-  std::vector<Pending> pending;
-  for (int t = 0; t < kTenants; ++t) {
-    for (const auto& variant : server.variant_names()) {
-      for (const auto& [shape, text] : mix) {
-        pending.push_back(
-            {variant, text,
-             server.Submit(sessions[static_cast<size_t>(t)], variant, text)});
-      }
-    }
-  }
-  for (auto& p : pending) {
-    Outcome got = Canon(p.ticket->Wait(), store.dictionary());
-    const Outcome& want = reference.at({p.variant, p.text});
-    EXPECT_EQ(got, want) << p.variant << " diverged from the serial "
-                         << "reference on: " << p.text;
-  }
+  // The tenants' execution ledgers with every task run inline by one
+  // worker: what any pooled run must charge, bit for bit.
+  MatrixRun inline_run = ServeMatrix(store, 1, /*executor_threads=*/1);
 
-  // Every tenant's ledger adds up.
-  for (int t = 0; t < kTenants; ++t) {
-    TenantStats stats = server.tenant_stats("tenant" + std::to_string(t));
-    EXPECT_EQ(stats.submitted,
-              server.variant_names().size() * mix.size());
-    EXPECT_EQ(stats.submitted,
-              stats.completed + stats.rejected + stats.failed);
-    EXPECT_EQ(stats.rejected, 0u);
+  // Both pool regimes: 8 workers hold all 4 executor slots while the queue
+  // lasts, so helpers join only in its tail; 2 workers leave 2 slots free,
+  // so helpers join throughout and run tasks on pool threads.
+  for (int workers : {8, 2}) {
+    SCOPED_TRACE(std::to_string(workers) + " workers");
+    MatrixRun run = ServeMatrix(store, workers, /*executor_threads=*/0);
+    for (const Served& served : run.served) {
+      const Outcome& want = reference.at({served.variant, served.text});
+      EXPECT_EQ(served.outcome, want)
+          << served.variant << " diverged from the serial reference on: "
+          << served.text;
+    }
+    for (size_t t = 0; t < run.tenants.size(); ++t) {
+      EXPECT_EQ(run.tenants[t].tasks, inline_run.tenants[t].tasks)
+          << "tenant" << t;
+      EXPECT_EQ(run.tenants[t].records_processed,
+                inline_run.tenants[t].records_processed)
+          << "tenant" << t;
+    }
   }
 }
 
