@@ -20,15 +20,18 @@
 
 namespace rdfspark::bench {
 
-/// Fixed-width table printing for benchmark reports.
+/// Fixed-width table printing for benchmark reports. Each cell is printed
+/// whole and padded to its column width; a cell that fills or overflows its
+/// column is still followed by one space, so it never runs into the next.
 inline void PrintRow(const std::vector<std::string>& cells,
                      const std::vector<int>& widths) {
   std::string line;
   for (size_t i = 0; i < cells.size(); ++i) {
-    int w = i < widths.size() ? widths[i] : 16;
-    char buf[256];
-    std::snprintf(buf, sizeof(buf), "%-*s", w, cells[i].c_str());
-    line += buf;
+    size_t w = i < widths.size() ? static_cast<size_t>(widths[i]) : 16;
+    line += cells[i];
+    size_t pad = w > cells[i].size() ? w - cells[i].size() : 0;
+    if (pad == 0 && i + 1 < cells.size()) pad = 1;
+    line.append(pad, ' ');
   }
   std::printf("%s\n", line.c_str());
 }

@@ -22,9 +22,6 @@ std::string_view TrimWhitespace(std::string_view s);
 bool StartsWith(std::string_view s, std::string_view prefix);
 bool EndsWith(std::string_view s, std::string_view suffix);
 
-/// Lowercases ASCII characters only.
-std::string AsciiToLower(std::string_view s);
-
 /// Formats a byte count with binary units, e.g. "1.5 MiB".
 std::string FormatBytes(uint64_t bytes);
 

@@ -348,7 +348,6 @@ WindowedRegistry TelemetrySink::RequestWindows() const {
 
 TelemetrySink::Replay TelemetrySink::ReplayRecords() const {
   Replay replay;
-  replay.windows = RequestWindows();
   replay.cache_windows = WindowedRegistry(options_.window);
   replay.events = events_;
 
@@ -501,11 +500,12 @@ const LatencyHistogram* HistOf(const MergedWindow& w, const SeriesId& scope,
 
 }  // namespace
 
-std::string TelemetrySink::WindowsTextLocked(const Replay& replay) const {
-  std::vector<MergedWindow> windows = MergeWindows(
-      replay.windows.Snapshot(), replay.cache_windows.Snapshot());
+std::string TelemetrySink::WindowsTextLocked(const WindowedRegistry& windows,
+                                             const Replay& replay) const {
+  std::vector<MergedWindow> merged =
+      MergeWindows(windows.Snapshot(), replay.cache_windows.Snapshot());
   std::string out;
-  for (const MergedWindow& w : windows) {
+  for (const MergedWindow& w : merged) {
     out += "window [" + FormatMs(w.start_ns) + "ms, " + FormatMs(w.end_ns) +
            "ms)\n";
     AppendF(&out, "  %-22s %8s %8s %9s %9s %6s %7s %12s\n", "scope", "reqs",
@@ -546,13 +546,14 @@ std::string TelemetrySink::WindowsTextLocked(const Replay& replay) const {
                   CounterOf(w, scope, kMetricNames[kShuffleBytes])));
     }
   }
-  if (windows.empty()) out += "(no windows)\n";
+  if (merged.empty()) out += "(no windows)\n";
   return out;
 }
 
-std::string TelemetrySink::TelemetryJsonLocked(const Replay& replay) const {
-  std::vector<MergedWindow> windows = MergeWindows(
-      replay.windows.Snapshot(), replay.cache_windows.Snapshot());
+std::string TelemetrySink::TelemetryJsonLocked(const WindowedRegistry& windows,
+                                               const Replay& replay) const {
+  std::vector<MergedWindow> merged =
+      MergeWindows(windows.Snapshot(), replay.cache_windows.Snapshot());
   std::string out = "{\"window\":{\"width_ns\":" +
                     std::to_string(options_.window.width_ns) +
                     "},\"request_overhead_ns\":" +
@@ -567,7 +568,7 @@ std::string TelemetrySink::TelemetryJsonLocked(const Replay& replay) const {
                     std::to_string(replay.events.dropped()) +
                     ",\"windows\":[\n";
   bool first_window = true;
-  for (const MergedWindow& w : windows) {
+  for (const MergedWindow& w : merged) {
     if (!first_window) out += ",\n";
     first_window = false;
     out += "{\"start_ns\":" + std::to_string(w.start_ns) +
@@ -596,7 +597,8 @@ std::string TelemetrySink::TelemetryJsonLocked(const Replay& replay) const {
   return out;
 }
 
-std::string TelemetrySink::PrometheusTextLocked(const Replay& replay) const {
+std::string TelemetrySink::PrometheusTextLocked(
+    const WindowedRegistry& windows, const Replay& replay) const {
   PrometheusBuilder b;
   auto labels = [](const SeriesId& id) {
     PrometheusLabels l;
@@ -611,7 +613,7 @@ std::string TelemetrySink::PrometheusTextLocked(const Replay& replay) const {
   // Counters grouped per metric family (SeriesId sorts by scope first, so
   // regroup by metric name).
   std::map<std::string, std::vector<std::pair<SeriesId, int64_t>>> families;
-  for (const auto& [id, value] : replay.windows.CounterTotals()) {
+  for (const auto& [id, value] : windows.CounterTotals()) {
     families[id.metric].emplace_back(id, value);
   }
   for (const auto& [metric, samples] : families) {
@@ -635,7 +637,7 @@ std::string TelemetrySink::PrometheusTextLocked(const Replay& replay) const {
   {
     std::string name = "rdfspark_serve_latency_ns";
     b.Family(name, "histogram", "simulated request latency (ok requests)");
-    for (const auto& [id, hist] : replay.windows.HistogramTotals()) {
+    for (const auto& [id, hist] : windows.HistogramTotals()) {
       PrometheusLabels base = labels(id);
       uint64_t cumulative = 0;
       for (const LatencyHistogram::Bucket& bucket : hist.nonzero_buckets()) {
@@ -655,7 +657,7 @@ std::string TelemetrySink::PrometheusTextLocked(const Replay& replay) const {
 
   b.Family("rdfspark_serve_windows", "gauge", "non-empty telemetry windows");
   b.Add("rdfspark_serve_windows", {},
-        static_cast<uint64_t>(replay.windows.window_count()));
+        static_cast<uint64_t>(windows.window_count()));
   b.Family("rdfspark_serve_audit_entries", "gauge",
            "captured slow-query audit entries");
   b.Add("rdfspark_serve_audit_entries", {},
@@ -668,12 +670,12 @@ std::string TelemetrySink::PrometheusTextLocked(const Replay& replay) const {
 
 std::string TelemetrySink::PrometheusText() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return PrometheusTextLocked(ReplayRecords());
+  return PrometheusTextLocked(RequestWindows(), ReplayRecords());
 }
 
 std::string TelemetrySink::WindowsText() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return WindowsTextLocked(ReplayRecords());
+  return WindowsTextLocked(RequestWindows(), ReplayRecords());
 }
 
 std::string TelemetrySink::EventsJson() const {
@@ -688,12 +690,22 @@ std::string TelemetrySink::AuditJson() const {
 
 std::string TelemetrySink::TelemetryJson() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return TelemetryJsonLocked(ReplayRecords());
+  return TelemetryJsonLocked(RequestWindows(), ReplayRecords());
 }
 
 size_t TelemetrySink::window_count() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return RequestWindows().window_count();
+  // The windows RequestWindows() would fill, counted without building them.
+  const uint64_t width = options_.window.width_ns;
+  std::vector<uint64_t> starts;
+  starts.reserve(applied_.size());
+  for (const Applied& a : applied_) {
+    if (a.kind == Applied::Kind::kSwap) continue;
+    starts.push_back(a.end_ns - a.end_ns % width);
+  }
+  std::sort(starts.begin(), starts.end());
+  return static_cast<size_t>(
+      std::unique(starts.begin(), starts.end()) - starts.begin());
 }
 
 size_t TelemetrySink::audit_count() const {
@@ -720,16 +732,19 @@ Status TelemetrySink::WriteArtifacts(const std::string& dir) const {
     return Status::OK();
   };
   std::lock_guard<std::mutex> lock(mu_);
-  Replay replay = ReplayRecords();
-  RDFSPARK_RETURN_NOT_OK(write("metrics.prom", PrometheusTextLocked(replay),
+  const WindowedRegistry windows = RequestWindows();
+  const Replay replay = ReplayRecords();
+  RDFSPARK_RETURN_NOT_OK(write("metrics.prom",
+                               PrometheusTextLocked(windows, replay),
                                CheckPrometheusText));
   RDFSPARK_RETURN_NOT_OK(
-      write("windows.txt", WindowsTextLocked(replay), nullptr));
+      write("windows.txt", WindowsTextLocked(windows, replay), nullptr));
   RDFSPARK_RETURN_NOT_OK(
       write("events.json", replay.events.ToJson(), ValidateJson));
   RDFSPARK_RETURN_NOT_OK(write("audit.json", audit_.ToJson(), ValidateJson));
   RDFSPARK_RETURN_NOT_OK(
-      write("telemetry.json", TelemetryJsonLocked(replay), ValidateJson));
+      write("telemetry.json", TelemetryJsonLocked(windows, replay),
+            ValidateJson));
   return Status::OK();
 }
 

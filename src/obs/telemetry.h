@@ -197,9 +197,10 @@ class TelemetrySink {
   static_assert(std::is_trivially_copyable_v<Applied>);
   static_assert(sizeof(Applied) <= 96, "one compact record per request");
 
-  /// What the exports derive from the applied records.
+  /// What the exports derive from the logical cache replay. The
+  /// per-request series are built separately (RequestWindows), and only by
+  /// the exports that render them.
   struct Replay {
-    WindowedRegistry windows;        ///< The per-request series.
     WindowedRegistry cache_windows;  ///< cache_hits / misses / bypass.
     /// The ingested events with the replayed cache events merged in,
     /// bounded like the ingest-side log.
@@ -215,9 +216,12 @@ class TelemetrySink {
   /// The per-request series of every applied request, in tumbling windows.
   WindowedRegistry RequestWindows() const;
   Replay ReplayRecords() const;
-  std::string WindowsTextLocked(const Replay& replay) const;
-  std::string TelemetryJsonLocked(const Replay& replay) const;
-  std::string PrometheusTextLocked(const Replay& replay) const;
+  std::string WindowsTextLocked(const WindowedRegistry& windows,
+                                const Replay& replay) const;
+  std::string TelemetryJsonLocked(const WindowedRegistry& windows,
+                                  const Replay& replay) const;
+  std::string PrometheusTextLocked(const WindowedRegistry& windows,
+                                   const Replay& replay) const;
 
   TelemetryOptions options_;
 

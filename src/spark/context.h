@@ -47,7 +47,7 @@ struct ClusterConfig {
 /// systems rely on (SparkRDF's dynamic pre-partitioning, the hybrid engine's
 /// partitioning awareness).
 struct PartitionerInfo {
-  std::string kind;  ///< e.g. "hash", "hash-subject", "range".
+  std::string kind;  ///< e.g. "hash", "hash-subject", "semantic-class".
   int num_partitions = 0;
   uint64_t seed = 0;
 

@@ -6,11 +6,7 @@
 
 namespace rdfspark::spark::graphframes {
 
-using sql::AggOp;
-using sql::AggSpec;
-using sql::Col;
 using sql::DataFrame;
-using sql::Expr;
 
 Result<std::vector<MotifEdge>> ParseMotif(std::string_view pattern) {
   std::vector<MotifEdge> out;
@@ -167,68 +163,6 @@ Result<sql::DataFrame> GraphFrame::FindMotif(
     if (!StartsWith(f.name, "__anon")) keep.push_back(f.name);
   }
   return result.Select(keep);
-}
-
-Result<sql::DataFrame> GraphFrame::Bfs(const sql::Expr& from,
-                                       const sql::Expr& to,
-                                       int max_hops) const {
-  if (max_hops < 0) {
-    return Status::InvalidArgument("max_hops must be >= 0");
-  }
-  // End-vertex ids as a single renamed column for hit-testing.
-  DataFrame to_ids = vertices_.Filter(to).Select({"id"}).Rename({"__to"});
-
-  // Start frontier: matching vertices with columns v0 (+ attributes).
-  std::vector<std::string> start_names;
-  for (const auto& f : vertices_.schema().fields()) {
-    start_names.push_back(f.name == "id" ? "v0" : "v0." + f.name);
-  }
-  DataFrame paths = vertices_.Filter(from).Rename(start_names);
-
-  for (int hop = 0; hop <= max_hops; ++hop) {
-    std::string last = "v" + std::to_string(hop);
-    // Hit test: any path ending in a `to` vertex?
-    DataFrame hits = paths.Join(to_ids, {{last, "__to"}});
-    if (hits.NumRows() > 0) {
-      std::vector<std::string> keep;
-      for (const auto& f : hits.schema().fields()) {
-        if (f.name != "__to") keep.push_back(f.name);
-      }
-      return hits.Select(keep).Distinct();
-    }
-    if (hop == max_hops) break;
-    // Extend every path by one edge.
-    std::string next = "v" + std::to_string(hop + 1);
-    std::vector<std::string> edge_names;
-    for (const auto& f : edges_.schema().fields()) {
-      if (f.name == "src") {
-        edge_names.push_back("__src");
-      } else if (f.name == "dst") {
-        edge_names.push_back(next);
-      } else {
-        edge_names.push_back("e" + std::to_string(hop) + "." + f.name);
-      }
-    }
-    paths = paths.Join(edges_.Rename(edge_names), {{last, "__src"}});
-    std::vector<std::string> keep;
-    for (const auto& f : paths.schema().fields()) {
-      if (f.name != "__src") keep.push_back(f.name);
-    }
-    paths = paths.Select(keep);
-    if (paths.NumRows() == 0) break;  // frontier died out
-  }
-  // No path: empty frame with the start schema.
-  return vertices_.Filter(from).Rename(start_names).Limit(0);
-}
-
-sql::DataFrame GraphFrame::InDegrees() const {
-  return edges_.GroupByAgg({"dst"},
-                           {AggSpec{AggOp::kCount, "", "inDegree"}});
-}
-
-sql::DataFrame GraphFrame::OutDegrees() const {
-  return edges_.GroupByAgg({"src"},
-                           {AggSpec{AggOp::kCount, "", "outDegree"}});
 }
 
 }  // namespace rdfspark::spark::graphframes

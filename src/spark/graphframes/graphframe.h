@@ -55,27 +55,10 @@ class GraphFrame {
   Result<sql::DataFrame> FindMotif(std::string_view pattern,
                                    const MotifOptions& options) const;
 
-  /// Returns a new GraphFrame with filtered edges / vertices.
+  /// Returns a new GraphFrame with filtered edges.
   GraphFrame FilterEdges(const sql::Expr& predicate) const {
     return GraphFrame(vertices_, edges_.Filter(predicate));
   }
-  GraphFrame FilterVertices(const sql::Expr& predicate) const {
-    return GraphFrame(vertices_.Filter(predicate), edges_);
-  }
-
-  /// (id, inDegree) / (id, outDegree) tables.
-  sql::DataFrame InDegrees() const;
-  sql::DataFrame OutDegrees() const;
-
-  /// Breadth-first search (GraphFrames' bfs): shortest directed paths from
-  /// vertices satisfying `from` to vertices satisfying `to`, up to
-  /// `max_hops` edges. Returns a DataFrame with columns
-  /// "v0", "e0.<attr>", "v1", ..., "v<k>" for the first hop count k at
-  /// which any path exists (empty frame if none within the bound).
-  /// Predicates reference the endpoint columns ("v0", "v<k>") and vertex
-  /// attributes ("v0.<attr>").
-  Result<sql::DataFrame> Bfs(const sql::Expr& from, const sql::Expr& to,
-                             int max_hops) const;
 
  private:
   sql::DataFrame vertices_;

@@ -3,8 +3,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -54,22 +52,6 @@ uint64_t EstimateSize(const EdgeTriplet<VD, ED>& t) {
          EstimateSize(t.dst_attr);
 }
 
-/// How edges are assigned to partitions — GraphX's PartitionStrategy. The
-/// choice controls replication and communication, which is the substance of
-/// the paper's observation that "graph partitioning focuses on minimizing
-/// the edge-cut between partitions".
-enum class PartitionStrategy {
-  kEdgePartition1D,         // hash(src)
-  kEdgePartition2D,         // grid by (hash(src), hash(dst))
-  kRandomVertexCut,         // hash(src, dst)
-  kCanonicalRandomVertexCut  // hash(min, max) — co-locates both directions
-};
-
-const char* PartitionStrategyName(PartitionStrategy s);
-
-/// Message direction filter for AggregateMessages.
-enum class EdgeDirection { kOut, kIn, kEither };
-
 /// A property graph: a vertex RDD (id -> VD) and an edge RDD, mirroring
 /// GraphX's Graph[VD, ED] ("Resilient Distributed Graph"). All bulk
 /// operations run through the RDD layer so shuffle/messaging costs are
@@ -104,63 +86,6 @@ class Graph {
 
   uint64_t NumVertices() const { return vertices_.Count(); }
   uint64_t NumEdges() const { return edges_.Count(); }
-
-  /// Re-partitions edges under the given strategy (returns a new graph).
-  Graph PartitionBy(PartitionStrategy strategy, int num_partitions = -1) const {
-    int n = num_partitions > 0 ? num_partitions : edges_.num_partitions();
-    auto hash = [strategy, n](const Edge<ED>& e) -> uint64_t {
-      switch (strategy) {
-        case PartitionStrategy::kEdgePartition1D:
-          return MixHash64(static_cast<uint64_t>(e.src));
-        case PartitionStrategy::kEdgePartition2D: {
-          uint64_t rows = static_cast<uint64_t>(n);
-          uint64_t grid = 1;
-          while (grid * grid < rows) ++grid;
-          uint64_t r = MixHash64(static_cast<uint64_t>(e.src)) % grid;
-          uint64_t c = MixHash64(static_cast<uint64_t>(e.dst)) % grid;
-          return r * grid + c;
-        }
-        case PartitionStrategy::kRandomVertexCut:
-          return CombineHash64(MixHash64(static_cast<uint64_t>(e.src)),
-                               MixHash64(static_cast<uint64_t>(e.dst)));
-        case PartitionStrategy::kCanonicalRandomVertexCut: {
-          VertexId lo = std::min(e.src, e.dst);
-          VertexId hi = std::max(e.src, e.dst);
-          return CombineHash64(MixHash64(static_cast<uint64_t>(lo)),
-                               MixHash64(static_cast<uint64_t>(hi)));
-        }
-      }
-      return 0;
-    };
-    auto shuffled = edges_.ShuffleBy(
-        hash, n, "GraphPartitionBy",
-        PartitionerInfo{std::string("graph-") + PartitionStrategyName(strategy),
-                        n, 0});
-    return Graph(vertices_, shuffled);
-  }
-
-  /// Transforms vertex attributes.
-  template <typename F>
-  auto MapVertices(F f) const
-      -> Graph<std::invoke_result_t<F, VertexId, const VD&>, ED> {
-    using VD2 = std::invoke_result_t<F, VertexId, const VD&>;
-    auto mapped = vertices_.Map([f](const std::pair<VertexId, VD>& kv) {
-      return std::pair<VertexId, VD2>(kv.first, f(kv.first, kv.second));
-    });
-    return Graph<VD2, ED>(mapped, edges_);
-  }
-
-  /// Joins new attributes onto vertices (missing entries keep old attr).
-  template <typename U, typename F>
-  Graph JoinVertices(const Rdd<std::pair<VertexId, U>>& table, F f) const {
-    auto joined = vertices_.LeftOuterJoin(table).Map(
-        [f](const std::pair<VertexId, std::pair<VD, std::optional<U>>>& kv) {
-          const auto& [old_attr, update] = kv.second;
-          VD attr = update ? f(kv.first, old_attr, *update) : old_attr;
-          return std::pair<VertexId, VD>(kv.first, attr);
-        });
-    return Graph(joined, edges_);
-  }
 
   /// GraphX's outerJoinVertices: every vertex is rewritten, receiving the
   /// joined value as an optional; the vertex type may change.
@@ -219,68 +144,6 @@ class Graph {
           return out;
         });
     return messages.ReduceByKey(merge);
-  }
-
-  /// Pregel: iterate vertex programs until no messages flow or max_iter.
-  /// vprog(id, attr, msg) -> new attr; send(triplet) -> messages;
-  /// merge(m1, m2) -> m.
-  template <typename M, typename VProg, typename SendFn, typename MergeFn>
-  Graph Pregel(M initial_msg, int max_iterations, VProg vprog, SendFn send,
-               MergeFn merge) const {
-    // Superstep 0: deliver the initial message to every vertex. Captures
-    // are by value: the closure lives inside a lazy lineage that can
-    // outlive this call.
-    auto g = MapVertices([vprog, initial_msg](VertexId id, const VD& attr) {
-      return vprog(id, attr, initial_msg);
-    });
-    Graph current(g.vertices().Cache(), edges_);
-    for (int i = 0; i < max_iterations; ++i) {
-      auto msgs = current.template AggregateMessages<M>(send, merge);
-      if (msgs.Count() == 0) break;
-      current = current.JoinVertices(
-          msgs, [vprog](VertexId id, const VD& attr, const M& msg) {
-            return vprog(id, attr, msg);
-          });
-    }
-    return current;
-  }
-
-  /// Keeps edges whose triplet passes `edge_pred` and vertices passing
-  /// `vertex_pred`; dangling edges are dropped (GraphX subgraph semantics).
-  template <typename VPred, typename EPred>
-  Graph Subgraph(VPred vertex_pred, EPred edge_pred) const {
-    auto kept_vertices =
-        vertices_.Filter([vertex_pred](const std::pair<VertexId, VD>& kv) {
-          return vertex_pred(kv.first, kv.second);
-        });
-    auto triplets = Triplets();
-    auto kept_edges =
-        triplets
-            .Filter([vertex_pred, edge_pred](const EdgeTriplet<VD, ED>& t) {
-              return edge_pred(t) && vertex_pred(t.src, t.src_attr) &&
-                     vertex_pred(t.dst, t.dst_attr);
-            })
-            .Map([](const EdgeTriplet<VD, ED>& t) {
-              return Edge<ED>{t.src, t.dst, t.attr};
-            });
-    return Graph(kept_vertices, kept_edges);
-  }
-
-  /// Reverses every edge.
-  Graph Reverse() const {
-    auto reversed = edges_.Map([](const Edge<ED>& e) {
-      return Edge<ED>{e.dst, e.src, e.attr};
-    });
-    return Graph(vertices_, reversed);
-  }
-
-  /// Out-degree of every vertex present in the edge set.
-  Rdd<std::pair<VertexId, uint64_t>> OutDegrees() const {
-    return edges_
-        .Map([](const Edge<ED>& e) {
-          return std::pair<VertexId, uint64_t>(e.src, 1);
-        })
-        .ReduceByKey([](uint64_t a, uint64_t b) { return a + b; });
   }
 
  private:

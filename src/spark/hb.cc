@@ -29,34 +29,6 @@ namespace rdfspark::spark::hb {
 using systems::plan::Diagnostic;
 using systems::plan::Severity;
 
-const char* ObjectKindName(ObjectKind kind) {
-  switch (kind) {
-    case ObjectKind::kCacheSlot:
-      return "cache-slot";
-    case ObjectKind::kCacheFlag:
-      return "cache-flag";
-    case ObjectKind::kShuffleBuffer:
-      return "shuffle-buffer";
-    case ObjectKind::kBatchBuffer:
-      return "batch-buffer";
-    case ObjectKind::kDictionary:
-      return "dictionary";
-    case ObjectKind::kPlanCache:
-      return "plan-cache";
-    case ObjectKind::kMetrics:
-      return "metrics";
-    case ObjectKind::kPoolInit:
-      return "pool-init";
-    case ObjectKind::kBroadcast:
-      return "broadcast";
-    case ObjectKind::kAccumulator:
-      return "accumulator";
-    case ObjectKind::kContainer:
-      return "container";
-  }
-  return "unknown";
-}
-
 const char* AccessName(Access access) {
   switch (access) {
     case Access::kRead:

@@ -63,8 +63,6 @@ enum class ObjectKind : uint8_t {
   kContainer,      ///< Unordered container with an iteration boundary.
 };
 
-const char* ObjectKindName(ObjectKind kind);
-
 /// Identity of a logical shared object: kind plus up to two integers
 /// (node id, partition, instance id...). Pointer values never appear here —
 /// names must be identical across runs and thread counts.

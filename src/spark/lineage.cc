@@ -122,12 +122,6 @@ uint64_t LineageGraph::TotalRetainedBytes() const {
   return total;
 }
 
-int LineageGraph::StageCount() const {
-  int max_stage = -1;
-  for (const auto& n : nodes_) max_stage = std::max(max_stage, n.stage);
-  return max_stage + 1;
-}
-
 std::vector<Diagnostic> LineageGraph::AnalyzeRetention() const {
   std::vector<Diagnostic> out;
   // Below the floor the "dominant" share is noise: a single small cached

@@ -79,9 +79,6 @@ class LineageGraph {
   /// Total bytes retained across all captured nodes (Σ retained_bytes).
   uint64_t TotalRetainedBytes() const;
 
-  /// Number of stages in the snapshot (max stage index + 1; 0 when empty).
-  int StageCount() const;
-
   /// Tier D retention rule over the snapshot:
   ///   RS004  cache-retention footprint dominated by a never-reread RDD —
   ///          a cached node with at most one captured consumer holds more

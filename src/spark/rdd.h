@@ -5,7 +5,6 @@
 #include <cassert>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -414,129 +413,6 @@ class Rdd {
     return child;
   }
 
-  /// Deterministic sample of ~fraction of the elements.
-  Rdd<T> Sample(double fraction, uint64_t seed = 17) const {
-    auto* sc = sc_;
-    auto parent = node_;
-    auto compute = [sc, parent, fraction, seed](int p) {
-      auto in = parent->GetPartition(p);
-      sc->ChargeCompute(p, in->size());
-      std::vector<T> out;
-      uint64_t i = 0;
-      for (const T& x : *in) {
-        uint64_t h = MixHash64(seed ^ MixHash64(uint64_t(p) << 32 | i++));
-        if (static_cast<double>(h >> 11) * (1.0 / 9007199254740992.0) <
-            fraction) {
-          out.push_back(x);
-        }
-      }
-      return out;
-    };
-    return MakeChild<T>("Sample", node_->num_partitions(), false, compute,
-                        std::nullopt);
-  }
-
-  /// Distinct elements present in both RDDs (Spark's intersection).
-  Rdd<T> Intersection(const Rdd<T>& other, int num_partitions = -1) const {
-    int n = ResolvePartitions(num_partitions);
-    auto left = KeyBy([](const T& x) { return HashValue(x); })
-                    .PartitionByKey(n);
-    auto right = other.KeyBy([](const T& x) { return HashValue(x); })
-                     .PartitionByKey(n);
-    auto grouped = left.CoGroup(right, n);
-    return grouped.FlatMap(
-        [](const std::pair<uint64_t,
-                           std::pair<std::vector<T>, std::vector<T>>>& kv) {
-          std::vector<T> out;
-          // Hash buckets may mix values: verify actual membership.
-          for (const T& x : kv.second.first) {
-            bool in_right = false;
-            for (const T& y : kv.second.second) in_right |= x == y;
-            bool already = false;
-            for (const T& z : out) already |= x == z;
-            if (in_right && !already) out.push_back(x);
-          }
-          return out;
-        });
-  }
-
-  /// Elements of this RDD whose value does not occur in `other` (Spark's
-  /// subtract; duplicates of surviving values are kept).
-  Rdd<T> Subtract(const Rdd<T>& other, int num_partitions = -1) const {
-    int n = ResolvePartitions(num_partitions);
-    auto left = KeyBy([](const T& x) { return HashValue(x); })
-                    .PartitionByKey(n);
-    auto right = other.KeyBy([](const T& x) { return HashValue(x); })
-                     .PartitionByKey(n);
-    auto grouped = left.CoGroup(right, n);
-    return grouped.FlatMap(
-        [](const std::pair<uint64_t,
-                           std::pair<std::vector<T>, std::vector<T>>>& kv) {
-          std::vector<T> out;
-          for (const T& x : kv.second.first) {
-            bool in_right = false;
-            for (const T& y : kv.second.second) in_right |= x == y;
-            if (!in_right) out.push_back(x);
-          }
-          return out;
-        });
-  }
-
-  /// Pairs every element with its global index in partition order (Spark's
-  /// zipWithIndex; like Spark, this runs a job to size the partitions).
-  Rdd<std::pair<T, int64_t>> ZipWithIndex() const {
-    auto* sc = sc_;
-    auto parent = node_;
-    // Size every partition (one job, as in Spark).
-    std::vector<int64_t> offsets(static_cast<size_t>(
-                                     parent->num_partitions()) +
-                                 1,
-                                 0);
-    MaterializeShuffleDeps(parent.get());
-    sc->RecordJob();
-    sc->BeginPhase();
-    sc->RunParallel(parent->num_partitions(), [&](int p) {
-      auto part = parent->GetPartition(p);
-      sc->ChargeTask(p, part->size(), 0);
-      offsets[static_cast<size_t>(p) + 1] =
-          static_cast<int64_t>(part->size());
-    });
-    sc->EndPhase();
-    // Sizes became offsets by prefix sum (serial: offsets chain by index).
-    for (size_t p = 1; p < offsets.size(); ++p) offsets[p] += offsets[p - 1];
-    auto shared_offsets =
-        std::make_shared<const std::vector<int64_t>>(std::move(offsets));
-    auto compute = [sc, parent, shared_offsets](int p) {
-      auto in = parent->GetPartition(p);
-      sc->ChargeCompute(p, in->size());
-      std::vector<std::pair<T, int64_t>> out;
-      out.reserve(in->size());
-      int64_t index = (*shared_offsets)[static_cast<size_t>(p)];
-      for (const T& x : *in) out.emplace_back(x, index++);
-      return out;
-    };
-    return Rdd<std::pair<T, int64_t>>(
-        sc_, MakeNode<std::pair<T, int64_t>>(sc_, parent, "ZipWithIndex",
-                                             parent->num_partitions(), false,
-                                             compute, std::nullopt));
-  }
-
-  /// Aggregates with different element/accumulator types (Spark's
-  /// aggregate): seq folds elements into a per-partition accumulator,
-  /// comb merges accumulators on the driver.
-  template <typename U, typename SeqFn, typename CombFn>
-  U Aggregate(U zero, SeqFn seq, CombFn comb) const {
-    auto partials =
-        MapPartitionsWithIndex([zero, seq](int, const std::vector<T>& in) {
-          U acc = zero;
-          for (const T& x : in) acc = seq(acc, x);
-          return std::vector<U>{acc};
-        }).Collect();
-    U result = zero;
-    for (const U& part : partials) result = comb(result, part);
-    return result;
-  }
-
   /// Pairwise cartesian product. Deliberately expensive (remote partition
   /// pulls + quadratic comparisons) — this is the fallback the naive
   /// SQL translation in [21] degenerates to.
@@ -590,13 +466,6 @@ class Rdd {
   // Wide transformations (shuffles).
   // ---------------------------------------------------------------------
 
-  /// Redistributes elements into `num_partitions` by record hash.
-  Rdd<T> Repartition(int num_partitions) const {
-    return ShuffleBy(
-        [](const T& x) { return HashValue(x); }, num_partitions, "Repartition",
-        PartitionerInfo{"hash-any", num_partitions, 0});
-  }
-
   /// Removes duplicates (shuffle + local dedup). Requires operator== on T.
   Rdd<T> Distinct(int num_partitions = -1) const {
     int n = ResolvePartitions(num_partitions);
@@ -618,70 +487,6 @@ class Rdd {
     return Rdd<T>(sc_, MakeNode<T>(sc_, parent, "DistinctLocal",
                                    parent->num_partitions(), false, compute,
                                    parent->partitioner()));
-  }
-
-  /// Globally sorts by `key_fn` using a range partitioner computed from the
-  /// materialized key distribution, then sorting each partition locally.
-  template <typename F>
-  Rdd<T> SortBy(F key_fn, bool ascending = true,
-                int num_partitions = -1) const {
-    using K = std::invoke_result_t<F, const T&>;
-    int n = ResolvePartitions(num_partitions);
-    auto* sc = sc_;
-    auto parent = node_;
-    auto state = std::make_shared<ShuffleState>(n);
-    auto compute = [sc, parent, state, key_fn, ascending, n](int p) {
-      {
-        hb::TrackedLock lock(state->mu);
-        if (!state->materialized) {
-          // One phase covers both the key sampling pass and the map side.
-          sc->BeginPhase();
-          // Sample keys to pick range boundaries, then bucket. Parent
-          // partitions are scanned on the pool; per-partition key slices
-          // concatenate in partition order so bounds are deterministic.
-          int np = parent->num_partitions();
-          std::vector<std::vector<K>> keys_by_part(static_cast<size_t>(np));
-          sc->RunParallel(np, [&](int q) {
-            auto in = parent->GetPartition(q);
-            auto& slice = keys_by_part[static_cast<size_t>(q)];
-            slice.reserve(in->size());
-            for (const T& x : *in) slice.push_back(key_fn(x));
-          });
-          std::vector<K> keys;
-          for (auto& slice : keys_by_part) {
-            for (K& k : slice) keys.push_back(std::move(k));
-          }
-          std::sort(keys.begin(), keys.end());
-          if (!ascending) std::reverse(keys.begin(), keys.end());
-          std::vector<K> bounds;
-          for (int b = 1; b < n; ++b) {
-            if (!keys.empty()) {
-              bounds.push_back(keys[keys.size() * b / n]);
-            }
-          }
-          auto target = [&](const T& x) {
-            K k = key_fn(x);
-            int lo = 0;
-            for (size_t b = 0; b < bounds.size(); ++b) {
-              bool past = ascending ? (k > bounds[b]) : (k < bounds[b]);
-              if (past) lo = static_cast<int>(b) + 1;
-            }
-            return lo;
-          };
-          MaterializeShuffleInPhase<T>(sc, parent.get(), state.get(), target);
-          sc->EndPhase();
-        }
-      }
-      auto out = state->template TakeBucket<T>(sc, p);
-      std::sort(out.begin(), out.end(), [&](const T& a, const T& b) {
-        return ascending ? key_fn(a) < key_fn(b) : key_fn(b) < key_fn(a);
-      });
-      return out;
-    };
-    auto child = Rdd<T>(
-        sc_, MakeNode<T>(sc_, parent, "SortBy", n, true, compute,
-                         PartitionerInfo{"range", n, 0}));
-    return child;
   }
 
   // ---------------------------------------------------------------------
@@ -795,16 +600,6 @@ class Rdd {
                                        compute, parent->partitioner()));
   }
 
-  template <typename TT = T, typename K = typename TT::first_type>
-  Rdd<K> Keys() const {
-    return Map([](const T& kv) { return kv.first; });
-  }
-
-  template <typename TT = T, typename V = typename TT::second_type>
-  Rdd<V> Values() const {
-    return Map([](const T& kv) { return kv.second; });
-  }
-
   /// Inner hash join. Uses co-partitioned (shuffle-free) execution when both
   /// sides share a partitioner, otherwise shuffles both sides.
   template <typename W, typename TT = T, typename K = typename TT::first_type,
@@ -820,38 +615,6 @@ class Rdd {
   Rdd<std::pair<K, std::pair<V, std::optional<W>>>> LeftOuterJoin(
       const Rdd<std::pair<K, W>>& other, int num_partitions = -1) const {
     return JoinImpl<W, K, V, JoinKind::kLeftOuter>(other, num_partitions);
-  }
-
-  /// Groups both sides by key: (K, (V list, W list)).
-  template <typename W, typename TT = T, typename K = typename TT::first_type,
-            typename V = typename TT::second_type>
-  Rdd<std::pair<K, std::pair<std::vector<V>, std::vector<W>>>> CoGroup(
-      const Rdd<std::pair<K, W>>& other, int num_partitions = -1) const {
-    int n = ResolvePartitions(num_partitions);
-    auto left = PartitionByKey(n);
-    auto right = other.PartitionByKey(n);
-    auto* sc = sc_;
-    auto ln = left.node();
-    auto rn = right.node();
-    using Out = std::pair<K, std::pair<std::vector<V>, std::vector<W>>>;
-    auto compute = [sc, ln, rn](int p) {
-      auto l = ln->GetPartition(p);
-      auto r = rn->GetPartition(p);
-      sc->ChargeCompute(p, l->size() + r->size());
-      std::unordered_map<K, std::pair<std::vector<V>, std::vector<W>>,
-                         ValueHasher>
-          acc;
-      for (const auto& kv : *l) acc[kv.first].first.push_back(kv.second);
-      for (const auto& kv : *r) acc[kv.first].second.push_back(kv.second);
-      std::vector<Out> out;
-      out.reserve(acc.size());
-      for (auto& [k, vw] : acc) out.emplace_back(k, std::move(vw));
-      return out;
-    };
-    auto node = MakeNode<Out>(sc_, ln, "CoGroup", n, false, compute,
-                              PartitionerInfo{"hash", n, 0});
-    node->AddParent(rn);
-    return Rdd<Out>(sc_, node);
   }
 
   /// Map-side (broadcast) hash join against a small relation replicated to
@@ -885,34 +648,6 @@ class Rdd {
     return Rdd<Out>(sc_, MakeNode<Out>(sc_, parent, "BroadcastHashJoin",
                                        parent->num_partitions(), false,
                                        compute, parent->partitioner()));
-  }
-
-  /// Removes pairs whose key appears in `other` (used by OPTIONAL/MINUS
-  /// style evaluation).
-  template <typename W, typename TT = T, typename K = typename TT::first_type,
-            typename V = typename TT::second_type>
-  Rdd<T> SubtractByKey(const Rdd<std::pair<K, W>>& other,
-                       int num_partitions = -1) const {
-    int n = ResolvePartitions(num_partitions);
-    auto left = PartitionByKey(n);
-    auto right = other.PartitionByKey(n);
-    auto* sc = sc_;
-    auto ln = left.node();
-    auto rn = right.node();
-    auto compute = [sc, ln, rn](int p) {
-      auto l = ln->GetPartition(p);
-      auto r = rn->GetPartition(p);
-      sc->ChargeCompute(p, l->size() + r->size());
-      std::unordered_set<K, ValueHasher> keys;
-      for (const auto& kv : *r) keys.insert(kv.first);
-      std::vector<T> out;
-      for (const auto& kv : *l) {
-        if (!keys.contains(kv.first)) out.push_back(kv);
-      }
-      return out;
-    };
-    return Rdd<T>(sc_, MakeNode<T>(sc_, ln, "SubtractByKey", n, false, compute,
-                                   PartitionerInfo{"hash", n, 0}));
   }
 
   // ---------------------------------------------------------------------
@@ -968,40 +703,6 @@ class Rdd {
     uint64_t n = 0;
     for (uint64_t s : sizes) n += s;
     return n;
-  }
-
-  /// First `n` elements in partition order.
-  std::vector<T> Take(size_t n) const {
-    sc_->RecordJob();
-    sc_->BeginPhase();
-    std::vector<T> out;
-    for (int p = 0; p < node_->num_partitions() && out.size() < n; ++p) {
-      auto part = node_->GetPartition(p);
-      sc_->ChargeTask(p, part->size(), 0);
-      for (const T& x : *part) {
-        if (out.size() >= n) break;
-        out.push_back(x);
-      }
-    }
-    sc_->EndPhase();
-    return out;
-  }
-
-  /// Folds all elements with `combine`; empty RDD returns `zero`.
-  template <typename F>
-  T Fold(T zero, F combine) const {
-    auto all = Collect();
-    T acc = std::move(zero);
-    for (const T& x : all) acc = combine(acc, x);
-    return acc;
-  }
-
-  /// Counts elements per key (pair RDDs).
-  template <typename TT = T, typename K = typename TT::first_type>
-  std::map<K, uint64_t> CountByKey() const {
-    std::map<K, uint64_t> out;
-    for (const auto& kv : Collect()) ++out[kv.first];
-    return out;
   }
 
   /// Estimated resident bytes across all partitions (materializes them).
@@ -1088,8 +789,8 @@ class Rdd {
   };
 
   /// Builds a shuffled child of this RDD: records are routed to
-  /// `hash(record) % n` (via `hash_fn`). Exposed for reuse by SortBy and the
-  /// pair-RDD ops.
+  /// `hash(record) % n` (via `hash_fn`). Exposed for reuse by the pair-RDD
+  /// ops and the engines' batch kernels.
   template <typename H>
   Rdd<T> ShuffleBy(H hash_fn, int num_partitions, const std::string& name,
                    PartitionerInfo info) const {
@@ -1317,16 +1018,6 @@ Rdd<T> Parallelize(SparkContext* sc, std::vector<T> data, int num_partitions) {
                                            false, compute);
   node->SetCached(sc->config().retain_uncached_rdds);
   return Rdd<T>(sc, node);
-}
-
-/// Collects a pair RDD into a key -> values multimap (driver side). Used to
-/// build broadcast join tables.
-template <typename K, typename V>
-std::unordered_map<K, std::vector<V>, ValueHasher> CollectAsMultimap(
-    const Rdd<std::pair<K, V>>& rdd) {
-  std::unordered_map<K, std::vector<V>, ValueHasher> out;
-  for (auto& kv : rdd.Collect()) out[kv.first].push_back(kv.second);
-  return out;
 }
 
 }  // namespace rdfspark::spark

@@ -24,9 +24,6 @@ class SqlSession {
   void RegisterTable(const std::string& name, DataFrame df) {
     catalog_[name] = std::move(df);
   }
-  bool HasTable(const std::string& name) const {
-    return catalog_.contains(name);
-  }
   Result<DataFrame> Table(const std::string& name) const;
   const Catalog& catalog() const { return catalog_; }
 

@@ -34,10 +34,6 @@ const char* SparkAbstractionName(SparkAbstraction a) {
   return "unknown";
 }
 
-const char* DataModelName(DataModel m) {
-  return m == DataModel::kTriple ? "The Triple Model" : "The Graph Model";
-}
-
 const char* SparqlFragmentName(SparqlFragment f) {
   return f == SparqlFragment::kBgp ? "BGP" : "BGP+";
 }

@@ -54,8 +54,6 @@ const char* SparkAbstractionName(SparkAbstraction a);
 /// The data-model dimension of Figure 1 / Table I.
 enum class DataModel { kTriple, kGraph };
 
-const char* DataModelName(DataModel m);
-
 /// SPARQL fragment supported (Table II): plain basic graph patterns, or
 /// BGP plus further operators (FILTER, OPTIONAL, UNION, modifiers).
 enum class SparqlFragment { kBgp, kBgpPlus };

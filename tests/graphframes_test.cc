@@ -100,79 +100,6 @@ TEST(GraphFrameTest, FilterEdgesPrunesSearchSpace) {
   EXPECT_EQ(result->NumRows(), 2u);
 }
 
-TEST(GraphFrameTest, Degrees) {
-  SparkContext sc(SmallCluster());
-  auto gf = SocialGraph(&sc);
-  auto in_rows = gf.InDegrees().Collect();
-  bool carol_ok = false;
-  for (const Row& r : in_rows) {
-    if (std::get<std::string>(r[0]) == "carol") {
-      EXPECT_EQ(std::get<int64_t>(r[1]), 2);
-      carol_ok = true;
-    }
-  }
-  EXPECT_TRUE(carol_ok);
-  auto out_rows = gf.OutDegrees().Collect();
-  bool alice_ok = false;
-  for (const Row& r : out_rows) {
-    if (std::get<std::string>(r[0]) == "alice") {
-      EXPECT_EQ(std::get<int64_t>(r[1]), 2);
-      alice_ok = true;
-    }
-  }
-  EXPECT_TRUE(alice_ok);
-}
-
-TEST(GraphFrameBfsTest, FindsShortestPathLevel) {
-  SparkContext sc(SmallCluster());
-  auto gf = SocialGraph(&sc);
-  // alice -> bob -> carol: shortest alice->carol is 1 hop (likes) — the
-  // direct edge wins over the 2-hop knows chain.
-  auto direct = gf.Bfs(Col("id") == Lit("alice"), Col("id") == Lit("carol"),
-                       3);
-  ASSERT_TRUE(direct.ok()) << direct.status().ToString();
-  ASSERT_EQ(direct->NumRows(), 1u);
-  EXPECT_GE(direct->schema().Index("v1"), 0);
-  EXPECT_LT(direct->schema().Index("v2"), 0) << "must stop at first level";
-
-  // Restrict to knows-edges: now carol is 2 hops away.
-  auto knows_only = gf.FilterEdges(Col("rel") == Lit("knows"));
-  auto two_hop = knows_only.Bfs(Col("id") == Lit("alice"),
-                                Col("id") == Lit("carol"), 3);
-  ASSERT_TRUE(two_hop.ok());
-  ASSERT_EQ(two_hop->NumRows(), 1u);
-  EXPECT_GE(two_hop->schema().Index("v2"), 0);
-}
-
-TEST(GraphFrameBfsTest, ZeroHopsAndUnreachable) {
-  SparkContext sc(SmallCluster());
-  auto gf = SocialGraph(&sc);
-  // from == to: a 0-hop path.
-  auto self = gf.Bfs(Col("id") == Lit("bob"), Col("id") == Lit("bob"), 2);
-  ASSERT_TRUE(self.ok());
-  EXPECT_EQ(self->NumRows(), 1u);
-  // carol has no outgoing edges: alice unreachable from carol.
-  auto none = gf.Bfs(Col("id") == Lit("carol"), Col("id") == Lit("alice"), 4);
-  ASSERT_TRUE(none.ok());
-  EXPECT_EQ(none->NumRows(), 0u);
-  // Hop bound too small.
-  auto bounded = gf.FilterEdges(Col("rel") == Lit("knows"))
-                     .Bfs(Col("id") == Lit("alice"),
-                          Col("id") == Lit("carol"), 1);
-  ASSERT_TRUE(bounded.ok());
-  EXPECT_EQ(bounded->NumRows(), 0u);
-}
-
-TEST(GraphFrameBfsTest, AttributePredicates) {
-  SparkContext sc(SmallCluster());
-  auto gf = SocialGraph(&sc);
-  // From any vertex aged >= 30 to any vertex aged < 30 (alice -> bob).
-  auto r = gf.Bfs(Col("age") >= Lit(30), Col("age") < Lit(30), 2);
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_GE(r->NumRows(), 1u);
-  EXPECT_GE(r->schema().Index("v0.age"), 0);
-}
-
 TEST(GraphFrameTest, TriangleMotifOnCycle) {
   SparkContext sc(SmallCluster());
   Schema vschema{{Field{"id", DataType::kInt64}}};

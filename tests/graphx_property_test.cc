@@ -1,16 +1,12 @@
-// Property-based sweeps of the GraphX layer: random graphs, algorithms
-// checked against brute-force references (union-find components, exhaustive
-// triangle enumeration, BFS distances, PageRank conservation).
+// Property-based sweeps of the GraphX layer: on random graphs, an
+// aggregateMessages round must agree with a plain std:: reference.
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <map>
-#include <numeric>
 #include <set>
 
 #include "common/rng.h"
-#include "spark/graphx/algorithms.h"
 #include "spark/graphx/graph.h"
 
 namespace rdfspark::spark::graphx {
@@ -57,111 +53,26 @@ class GraphPropertyTest : public ::testing::TestWithParam<RandomGraphParam> {
   Graph<int, int> graph_;
 };
 
-TEST_P(GraphPropertyTest, ConnectedComponentsMatchUnionFind) {
-  // Union-find reference (undirected semantics, matching the algorithm).
-  std::map<VertexId, VertexId> parent;
-  std::function<VertexId(VertexId)> find = [&](VertexId x) {
-    if (!parent.count(x)) parent[x] = x;
-    return parent[x] == x ? x : parent[x] = find(parent[x]);
-  };
-  for (const auto& e : edges_) {
-    VertexId ra = find(e.src), rb = find(e.dst);
-    if (ra != rb) parent[std::max(ra, rb)] = std::min(ra, rb);
-  }
-  std::map<VertexId, std::set<VertexId>> expected_groups;
-  for (const auto& [v, p] : parent) expected_groups[find(v)].insert(v);
-
-  auto got = ConnectedComponents(graph_).Collect();
-  std::map<VertexId, std::set<VertexId>> got_groups;
-  for (const auto& [v, c] : got) got_groups[c].insert(v);
-
-  // Same partition of the vertex set (labels are min ids in both).
-  EXPECT_EQ(got_groups.size(), expected_groups.size());
-  for (const auto& [label, members] : expected_groups) {
-    EXPECT_EQ(got_groups[label], members) << "component " << label;
-  }
-}
-
-TEST_P(GraphPropertyTest, TriangleCountMatchesBruteForce) {
-  // Undirected adjacency.
-  std::map<VertexId, std::set<VertexId>> adj;
-  for (const auto& e : edges_) {
-    adj[e.src].insert(e.dst);
-    adj[e.dst].insert(e.src);
-  }
-  uint64_t expected = 0;
-  std::vector<VertexId> vertices;
-  for (const auto& [v, n] : adj) vertices.push_back(v);
-  for (size_t i = 0; i < vertices.size(); ++i) {
-    for (size_t j = i + 1; j < vertices.size(); ++j) {
-      if (!adj[vertices[i]].count(vertices[j])) continue;
-      for (size_t k = j + 1; k < vertices.size(); ++k) {
-        if (adj[vertices[i]].count(vertices[k]) &&
-            adj[vertices[j]].count(vertices[k])) {
-          ++expected;
-        }
-      }
-    }
-  }
-  EXPECT_EQ(TriangleCount(graph_), expected);
-}
-
-TEST_P(GraphPropertyTest, ShortestPathsMatchBfs) {
-  VertexId source = edges_.front().src;
-  // BFS reference over directed edges.
-  std::map<VertexId, std::vector<VertexId>> out;
-  for (const auto& e : edges_) out[e.src].push_back(e.dst);
-  std::map<VertexId, double> expected;
-  std::vector<VertexId> frontier{source};
-  expected[source] = 0;
-  while (!frontier.empty()) {
-    std::vector<VertexId> next;
-    for (VertexId v : frontier) {
-      for (VertexId w : out[v]) {
-        if (!expected.count(w)) {
-          expected[w] = expected[v] + 1;
-          next.push_back(w);
-        }
-      }
-    }
-    frontier = std::move(next);
-  }
-  auto got = ShortestPaths(graph_, source).Collect();
-  for (const auto& [v, d] : got) {
-    if (expected.count(v)) {
-      EXPECT_DOUBLE_EQ(d, expected[v]) << "vertex " << v;
-    } else {
-      EXPECT_GT(d, 1e17) << "vertex " << v << " should be unreachable";
-    }
-  }
-}
-
-TEST_P(GraphPropertyTest, PageRankIsPositiveAndBounded) {
-  auto ranks = PageRank(graph_, 25).Collect();
-  ASSERT_EQ(ranks.size(), graph_.NumVertices());
-  double total = 0;
-  for (const auto& [v, r] : ranks) {
-    EXPECT_GT(r, 0.0);
-    EXPECT_TRUE(std::isfinite(r));
-    EXPECT_GE(r, 0.15 - 1e-9);  // teleport floor
-    total += r;
-  }
-  // Rank mass is bounded by |V| (sinks leak mass, so <=).
-  EXPECT_LE(total, static_cast<double>(ranks.size()) + 1e-6);
-}
-
-TEST_P(GraphPropertyTest, ReverseTwiceIsIdentity) {
-  auto twice = graph_.Reverse().Reverse().edges().Collect();
-  std::multiset<std::pair<VertexId, VertexId>> a, b;
-  for (const auto& e : edges_) a.insert({e.src, e.dst});
-  for (const auto& e : twice) b.insert({e.src, e.dst});
-  EXPECT_EQ(a, b);
-}
-
 TEST_P(GraphPropertyTest, DegreesSumToEdgeCount) {
-  auto out_degrees = graph_.OutDegrees().Collect();
+  // Out-degrees as one aggregateMessages round: every edge sends 1 to its
+  // source.
+  auto out_degrees =
+      graph_
+          .AggregateMessages<uint64_t>(
+              [](const EdgeTriplet<int, int>& t) {
+                return std::vector<std::pair<VertexId, uint64_t>>{{t.src, 1}};
+              },
+              [](uint64_t a, uint64_t b) { return a + b; })
+          .Collect();
+  std::map<VertexId, uint64_t> expected;
+  for (const auto& e : edges_) ++expected[e.src];
+  std::map<VertexId, uint64_t> got;
   uint64_t total = 0;
-  for (const auto& [v, d] : out_degrees) total += d;
+  for (const auto& [v, d] : out_degrees) {
+    EXPECT_TRUE(got.emplace(v, d).second) << "duplicate vertex " << v;
+    total += d;
+  }
+  EXPECT_EQ(got, expected);
   EXPECT_EQ(total, edges_.size());
 }
 

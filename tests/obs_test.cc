@@ -771,6 +771,34 @@ TEST(TelemetrySinkTest, LogicalCacheReplayModelsLruAtCapacity) {
   EXPECT_NE(events.find("\"kind\":\"dataset_swap\""), std::string::npos);
 }
 
+TEST(TelemetrySinkTest, WindowCountMatchesTheRenderedWindows) {
+  // window_count() counts window starts without building the windows, so
+  // it must agree with the windows the exports render. The first swap is
+  // at t=0, in a window no request ends in: a swap is not a window.
+  TelemetryOptions opts;
+  opts.window.width_ns = 10'000'000;
+  TelemetrySink sink(opts);
+  sink.RecordDatasetSwap(1, 100);
+  // Tenant a's requests end at 15.2, 35.4 and 65.6 ms (busy + 0.2 ms).
+  sink.Ingest(MakeRecord("a", 0, "S2RDF", 15'000'000, "S2RDF\nq1"));
+  sink.Ingest(MakeRecord("a", 1, "HAQWA", 20'000'000, "HAQWA\nq2"));
+  sink.Ingest(MakeRecord("a", 2, "S2RDF", 30'000'000, "S2RDF\nq1"));
+  sink.RecordDatasetSwap(2, 100);
+  // Tenant b's ends at 45.2 ms.
+  sink.Ingest(MakeRecord("b", 0, "S2RDF", 45'000'000, "S2RDF\nq1"));
+
+  const std::string telemetry = sink.TelemetryJson();
+  ASSERT_TRUE(ValidateJson(telemetry));
+  const std::string prometheus = sink.PrometheusText();
+  const std::string gauge = "\nrdfspark_serve_windows ";
+  const size_t at = prometheus.find(gauge);
+  ASSERT_NE(at, std::string::npos) << prometheus;
+  EXPECT_EQ(sink.window_count(), 4u);
+  EXPECT_EQ(sink.window_count(), Occurrences(telemetry, "{\"start_ns\":"));
+  EXPECT_EQ(sink.window_count(),
+            std::strtoull(prometheus.c_str() + at + gauge.size(), nullptr, 10));
+}
+
 TEST(TelemetrySinkTest, AuditTriggersOnLatencyAndEstimateError) {
   TelemetryOptions opts;
   opts.audit.latency_threshold_ns = 1'000'000;

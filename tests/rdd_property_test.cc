@@ -101,19 +101,6 @@ TEST_P(RddPropertyTest, JoinMatchesNestedLoopReference) {
   EXPECT_EQ(got_set, expected);
 }
 
-TEST_P(RddPropertyTest, SortByProducesSortedOutput) {
-  auto data = RandomPairs(300, 1000);
-  auto got = Parallelize(&sc_, data, GetParam().partitions)
-                 .SortBy([](const std::pair<int64_t, int64_t>& p) {
-                   return p.first;
-                 })
-                 .Collect();
-  ASSERT_EQ(got.size(), data.size());
-  for (size_t i = 1; i < got.size(); ++i) {
-    EXPECT_LE(got[i - 1].first, got[i].first) << "unsorted at " << i;
-  }
-}
-
 TEST_P(RddPropertyTest, ShuffleConservesRecords) {
   auto data = RandomPairs(256, 64);
   auto before = sc_.metrics();
@@ -143,23 +130,6 @@ TEST_P(RddPropertyTest, EvictionIsInvisible) {
   std::multiset<std::pair<int64_t, int64_t>> a(first.begin(), first.end());
   std::multiset<std::pair<int64_t, int64_t>> b(second.begin(), second.end());
   EXPECT_EQ(a, b);
-}
-
-TEST_P(RddPropertyTest, CoGroupPartitionsAllValues) {
-  auto left = RandomPairs(90, 12);
-  auto right = RandomPairs(70, 12);
-  auto got = Parallelize(&sc_, left, GetParam().partitions)
-                 .CoGroup(Parallelize(&sc_, right, GetParam().partitions))
-                 .Collect();
-  size_t left_total = 0, right_total = 0;
-  std::set<int64_t> keys;
-  for (auto& [k, vw] : got) {
-    EXPECT_TRUE(keys.insert(k).second) << "duplicate cogroup key " << k;
-    left_total += vw.first.size();
-    right_total += vw.second.size();
-  }
-  EXPECT_EQ(left_total, left.size());
-  EXPECT_EQ(right_total, right.size());
 }
 
 INSTANTIATE_TEST_SUITE_P(

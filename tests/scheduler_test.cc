@@ -450,8 +450,9 @@ TEST(PhaseAccountingTest, ParallelChargesLandInSubmittersPhase) {
 
 // --- Serial vs parallel equivalence ---------------------------------------
 
-/// A pipeline exercising narrow chains, a shuffle (ReduceByKey), a sort and
-/// actions, returning (collected result, metrics snapshot).
+/// A pipeline exercising narrow chains, two shuffles (ReduceByKey, then a
+/// repartition to 8) and actions, returning (collected result sorted on the
+/// driver, metrics snapshot).
 std::pair<std::vector<std::pair<int, int>>, Metrics> RunRddPipeline(
     int executor_threads) {
   SparkContext sc(FourExecutors(executor_threads));
@@ -463,9 +464,8 @@ std::pair<std::vector<std::pair<int, int>>, Metrics> RunRddPipeline(
                      return kv.second % 3 != 0;
                    })
                    .ReduceByKey([](int a, int b) { return a + b; });
-  auto sorted = pairs.SortBy(
-      [](const std::pair<int, int>& kv) { return kv.first; }, true, 8);
-  auto out = sorted.Collect();
+  auto out = pairs.PartitionByKey(8).Collect();
+  std::sort(out.begin(), out.end());
   (void)pairs.Count();
   return {std::move(out), sc.metrics()};
 }
