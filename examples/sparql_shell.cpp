@@ -21,7 +21,7 @@
 // its lineage findings (LN rules, spark/lineage.h) and race & determinism
 // findings (RC/DT rules, spark/hb.h). With no argument all four tiers
 // run; `.lint A,B,D` (or `.lint bd`) selects a subset.
-// `.lineage` *executes* the buffered query's BGP, snapshots the RDD
+// `.lineage` *executes* the buffered query's plan, snapshots the RDD
 // lineage DAG it built, and prints the lineage analyzer's findings
 // (LN rules: uncached reuse, redundant shuffle, deep shuffle chains)
 // followed by a Graphviz DOT export of the DAG.
@@ -139,7 +139,7 @@ void Lint(systems::BgpEngineBase* engine, const sparql::Query& query,
     std::string envelope;
     if (tiers[0]) diags = engine->AnalyzeParsedQuery(query);
     if (tiers[3]) {
-      auto root = engine->PlanBgp(query.where.bgp);
+      auto root = engine->PlanQuery(query);
       if (!root.ok()) {
         std::printf("tier D error: %s\n", root.status().ToString().c_str());
         return;
@@ -215,9 +215,9 @@ void Inspect(systems::BgpEngineBase* engine, const std::string& command,
     return;
   }
   if (name == ".explain") {
-    // EXPLAIN covers the top-level basic graph pattern (the distributed
-    // part; FILTER/OPTIONAL/UNION and modifiers run driver-side).
-    auto root = engine->PlanBgp(query.where.bgp);
+    // EXPLAIN covers the query's one plan, FILTER/OPTIONAL/UNION included;
+    // aggregation and modifiers run driver-side after it.
+    auto root = engine->PlanQuery(query);
     if (!root.ok()) {
       std::printf("error: %s\n", root.status().ToString().c_str());
       return;

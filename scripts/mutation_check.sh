@@ -24,8 +24,12 @@ BUILD_TYPE="${RDFSPARK_MUTATION_BUILD_TYPE:-RelWithDebInfo}"
 echo "=== mutation check 0/2: clean tree is silent and deterministic ==="
 cmake -B build -S . -DCMAKE_BUILD_TYPE="${BUILD_TYPE}" >/dev/null
 cmake --build build -j --target dataflow_lint
-./build/tools/dataflow_lint --threads=1 > /tmp/mutcheck_clean_t1.txt
-./build/tools/dataflow_lint --threads=8 > /tmp/mutcheck_clean_t8.txt
+# The full four-tier matrix exits 1 by design on its two pinned RS002
+# true positives (see ci.yml's lint step), so exit 1 is not a failure here.
+./build/tools/dataflow_lint --threads=1 > /tmp/mutcheck_clean_t1.txt \
+  || test $? -eq 1
+./build/tools/dataflow_lint --threads=8 > /tmp/mutcheck_clean_t8.txt \
+  || test $? -eq 1
 diff /tmp/mutcheck_clean_t1.txt /tmp/mutcheck_clean_t8.txt
 if grep -qE "\[(RC00[123]|DT00[123])\]" /tmp/mutcheck_clean_t1.txt; then
   echo "FAIL: clean tree produced RC/DT findings"
@@ -35,7 +39,8 @@ grep -q "tier C findings: 0 error(s), 0 warning(s)" /tmp/mutcheck_clean_t1.txt
 echo "clean tree: silent, --threads=1 == --threads=8"
 
 run_mutation() {
-  local name="$1" flag="$2" pattern="$3" builddir="build-mut-${name}"
+  local name="$1" flag="$2" pattern="$3"
+  local builddir="build-mut-${name}"
   echo
   echo "=== mutation check (${name}): ${flag} must fire ${pattern} ==="
   cmake -B "${builddir}" -S . -DCMAKE_BUILD_TYPE="${BUILD_TYPE}" \

@@ -14,13 +14,13 @@
 namespace rdfspark::serving {
 
 /// Counters of one PlanCache; a consistent snapshot taken under the cache
-/// lock. hits + misses + bypasses = cacheable-path lookups issued.
+/// lock. hits + misses + bypasses = requests that reached the plan step,
+/// one each.
 struct PlanCacheStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
   /// Requests that could not use the cache at all: engines whose plans are
-  /// single-use (S2X), or queries outside the cacheable fragment (groups
-  /// with FILTER/OPTIONAL/UNION, aggregates, CONSTRUCT/DESCRIBE).
+  /// single-use (S2X), which plan afresh on every request.
   uint64_t bypasses = 0;
   uint64_t evictions = 0;
   uint64_t invalidations = 0;  ///< Entries dropped by epoch change.

@@ -1,6 +1,5 @@
 #include "serving/query_server.h"
 
-#include <optional>
 #include <utility>
 
 #include "spark/hb.h"
@@ -318,74 +317,62 @@ RequestResult QueryServer::Process(const Request& request,
   // under concurrency.
   auto op = std::make_shared<spark::OpStats>();
   sparql::BindingTable table;
-  /// Plan root the request executed (null on the bypass/Execute path) —
-  /// its cardinality estimate is the only one observable without a
-  /// re-execution, so it drives the audit's estimate-error trigger.
-  std::shared_ptr<const systems::plan::PlanNode> executed_root;
+  /// The plan the request executes. Its root's cardinality estimate is the
+  /// only one observable without a re-execution, so it drives the audit's
+  /// estimate-error trigger.
+  std::shared_ptr<const systems::plan::PlanNode> plan;
   {
     spark::OpScopeGuard scope(op);
     uint64_t epoch = dataset_epoch();
     rec->epoch = epoch;
-    // Obtain the plan: a cache hit, or PlanQuery -> envelope -> Put. Shapes
-    // outside the cacheable fragment (group patterns, aggregates) and
-    // single-use-plan engines (S2X) get no plan and bypass the cache.
-    std::shared_ptr<const systems::plan::PlanNode> plan;
-    std::optional<systems::plan::ResourceAnalysis> envelope;
+    // Obtain the plan: a cache hit, or a fresh PlanQuery plan. Engines with
+    // single-use plans (S2X) plan afresh and bypass the cache.
+    std::string normalized;
     if (engine->ReusablePlans()) {
-      std::string normalized = sparql::ToSparql(query);
+      normalized = sparql::ToSparql(query);
       plan = cache_.Get(request.variant, normalized, epoch);
       rec->cache_key = request.variant + "\n" + normalized;
       result.cache_hit = plan != nullptr;
-      if (plan == nullptr) {
-        auto planned = engine->PlanQuery(query);
-        if (planned.ok()) {
-          plan = std::move(planned).value();
-          // Insert before the gate: the plan itself is valid (another
-          // tenant with a different budget could execute it), and its
-          // envelope is exactly the byte charge the cache evicts by.
-          envelope = engine->AnalyzePlanResources(query, *plan);
-          cache_.Put(request.variant, normalized, epoch, plan,
-                     envelope->bounded ? envelope->peak_bytes : 0);
-        } else if (planned.status().code() != StatusCode::kUnsupported) {
-          // Planning itself failed (including plan-verifier rejections).
-          result.status = planned.status();
-          return result;
-        }
-      }
-    }
-    // Execute it. A planned request first passes the Tier D budget gate:
-    // pure static analysis, so rejection happens before a single operator
-    // runs and is deterministic — the same plan against the same budget
-    // always decides the same way, regardless of worker count or cache
-    // state. The envelope also feeds the telemetry calibration pair, so a
-    // cache hit analyzes it whenever the gate or telemetry is on.
-    if (plan != nullptr) {
-      if (!envelope &&
-          (options_.memory_budget_bytes != 0 || telemetry_ != nullptr)) {
-        envelope = engine->AnalyzePlanResources(query, *plan);
-      }
-      if (envelope) {
-        result.envelope_bytes = envelope->bounded ? envelope->peak_bytes : 0;
-        rec->envelope_bytes = result.envelope_bytes;
-        if (options_.memory_budget_bytes != 0 && envelope->bounded &&
-            envelope->peak_bytes > options_.memory_budget_bytes) {
-          result.status = Status::InvalidArgument(
-              "budget gate: static peak envelope of " +
-              std::to_string(envelope->peak_bytes) +
-              "B exceeds the memory budget of " +
-              std::to_string(options_.memory_budget_bytes) + "B");
-          result.rejected = true;
-          result.budget_rejected = true;
-          return result;
-        }
-      }
-      executed_root = plan;
     } else {
       result.cache_bypass = true;
       cache_.RecordBypass();
     }
-    auto executed = plan != nullptr ? engine->ExecutePlanned(query, *plan)
-                                    : engine->Execute(query);
+    if (plan == nullptr) {
+      // Fails outside the engine's fragment, on CONSTRUCT/DESCRIBE, or on a
+      // plan-verifier rejection.
+      auto planned = engine->PlanQuery(query);
+      if (!planned.ok()) {
+        result.status = planned.status();
+        return result;
+      }
+      plan = std::move(planned).value();
+    }
+    // Tier D envelope of the plan about to run: the cache's byte charge, the
+    // telemetry calibration pair and the budget gate's input. The gate is
+    // pure static analysis, so a rejection comes before a single operator
+    // runs and depends only on the plan and the budget.
+    systems::plan::ResourceAnalysis envelope =
+        engine->AnalyzePlanResources(query, *plan);
+    result.envelope_bytes = envelope.bounded ? envelope.peak_bytes : 0;
+    rec->envelope_bytes = result.envelope_bytes;
+    // Insert before the gate: the plan itself is valid (another tenant with
+    // a different budget could execute it).
+    if (!result.cache_hit && !result.cache_bypass) {
+      cache_.Put(request.variant, normalized, epoch, plan,
+                 result.envelope_bytes);
+    }
+    if (options_.memory_budget_bytes != 0 && envelope.bounded &&
+        envelope.peak_bytes > options_.memory_budget_bytes) {
+      result.status = Status::InvalidArgument(
+          "budget gate: static peak envelope of " +
+          std::to_string(envelope.peak_bytes) +
+          "B exceeds the memory budget of " +
+          std::to_string(options_.memory_budget_bytes) + "B");
+      result.rejected = true;
+      result.budget_rejected = true;
+      return result;
+    }
+    auto executed = engine->ExecutePlanned(query, *plan);
     if (!executed.ok()) {
       result.status = executed.status();
       return result;
@@ -457,10 +444,9 @@ RequestResult QueryServer::Process(const Request& request,
   // per (variant, query) within a dataset epoch — see audit_profiles_.
   if (telemetry_ != nullptr && result.status.ok()) {
     double root_err = 0.0;
-    if (executed_root != nullptr &&
-        executed_root->est_cardinality != systems::plan::kNoEstimate) {
-      root_err = systems::plan::EstimateErrorFactor(
-          executed_root->est_cardinality, rec->rows);
+    if (plan->est_cardinality != systems::plan::kNoEstimate) {
+      root_err = systems::plan::EstimateErrorFactor(plan->est_cardinality,
+                                                    rec->rows);
     }
     uint64_t sim_latency_ns =
         rec->busy_ns + telemetry_->options().request_overhead_ns;

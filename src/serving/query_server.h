@@ -31,7 +31,7 @@ struct RequestResult {
   Status status;  ///< OK, or the parse/admission/execution error.
   sparql::BindingTable table;
   bool cache_hit = false;     ///< Executed a plan another request built.
-  bool cache_bypass = false;  ///< Ran outside the plan cache entirely.
+  bool cache_bypass = false;  ///< Planned afresh, outside the cache (S2X).
   bool rejected = false;      ///< Failed admission (never planned/executed).
   bool race_rejected = false;  ///< Rejected by the Tier C race gate: the
                                ///< request's results were withheld because
@@ -90,15 +90,16 @@ struct TenantStats {
 /// spark/scheduler.h).
 ///
 /// Request path: parse → admission (Tier A query analysis, ERROR findings
-/// reject before anything is planned) → plan-cache lookup keyed by
-/// (variant, normalized query, dataset epoch) → Tier D budget gate (the
-/// plan's static peak envelope against Options::memory_budget_bytes, when
-/// set — an over-envelope query is rejected before a single operator runs)
-/// → execute. Cacheable plans are verified once at insert (when verify_plans
-/// is on), charged their envelope against the cache's byte budget, and
-/// shared by concurrent executions; non-cacheable shapes and
-/// single-use-plan engines (S2X) fall through to the engine's ordinary
-/// Execute path (which the budget gate cannot cover — no plan to analyze).
+/// reject before anything is planned) → the plan: a plan-cache hit keyed by
+/// (variant, normalized query, dataset epoch), or a fresh PlanQuery plan →
+/// Tier D budget gate (the plan's static peak envelope against
+/// Options::memory_budget_bytes, when set — an over-envelope query is
+/// rejected before a single operator runs) → ExecutePlanned. Every SELECT
+/// or ASK in the engine's fragment has one plan, FILTER/OPTIONAL/UNION
+/// included. Cached plans are verified once at insert (when verify_plans is
+/// on), charged their envelope against the cache's byte budget, and shared
+/// by concurrent executions. Single-use-plan engines (S2X) plan afresh on
+/// every request and bypass the cache, but pass the same gate.
 ///
 /// AttachDataset freezes the dataset's dictionary (query paths are
 /// read-only from then on; see rdf/dictionary.h), loads every engine, and
@@ -128,16 +129,15 @@ class QueryServer {
     /// plan's static peak envelope (bounded) exceeds this many bytes;
     /// 0 = gate off. Unbounded envelopes are admitted — the static tier
     /// already flags them as RS003, and rejecting on "no information"
-    /// would block every engine without scan annotations.
-    /// Only planned executions are gated: the bypass path (non-cacheable
-    /// shapes, single-use-plan engines) has no plan to analyze.
+    /// would block every engine without scan annotations. Every request
+    /// that reaches execution is gated, cached plan or fresh.
     uint64_t memory_budget_bytes = 0;
     /// Admission gate: run Tier A query analysis per request and reject on
     /// ERROR findings. The engines' own query gate stays off, so analysis
     /// runs once per request, not twice.
     bool verify_queries = false;
-    /// Verify cacheable plans before first execution (and every uncached
-    /// execution, via the engines' gate).
+    /// Verify every plan PlanQuery builds before it first executes: once
+    /// per cached plan, and on every request of a single-use-plan engine.
     bool verify_plans = false;
     /// Tier C gate: when on, the server owns one happens-before recorder
     /// window for its whole lifetime. Each request executes as a fresh

@@ -773,7 +773,7 @@ class Rdd {
     std::vector<std::shared_ptr<void>> buckets_void;
     std::vector<uint64_t> remote_bytes_per_target;
     /// HB identity of this shuffle's materialization buffers (0 outside a
-    /// recording window). Publication point: MaterializeShuffleInPhase.
+    /// recording window). Publication point: MaterializeShuffle.
     int64_t hb_id = hb::AssignWindowId();
 
     template <typename U>
@@ -815,24 +815,17 @@ class Rdd {
                                    std::move(info)));
   }
 
-  /// Runs the map side of a shuffle inside its own cost phase. Caller must
-  /// hold `state->mu` and have checked `state->materialized`.
+  /// Runs the map side of a shuffle inside its own cost phase: computes
+  /// parent partitions on the executor pool, buckets records with `target`,
+  /// and charges shuffle metrics. Each map task writes into its own
+  /// per-source staging area; buckets are then merged in source-partition
+  /// order, so bucket contents are byte-identical to the serial path no
+  /// matter how tasks interleave. Caller must hold `state->mu` and have
+  /// checked `state->materialized`.
   template <typename U, typename Parent, typename TargetFn>
   static void MaterializeShuffle(SparkContext* sc, Parent* parent,
                                  ShuffleState* state, TargetFn target) {
     sc->BeginPhase();
-    MaterializeShuffleInPhase<U>(sc, parent, state, target);
-    sc->EndPhase();
-  }
-
-  /// The shuffle map side proper: computes parent partitions on the
-  /// executor pool, buckets records with `target`, and charges shuffle
-  /// metrics. Each map task writes into its own per-source staging area;
-  /// buckets are then merged in source-partition order, so bucket contents
-  /// are byte-identical to the serial path no matter how tasks interleave.
-  template <typename U, typename Parent, typename TargetFn>
-  static void MaterializeShuffleInPhase(SparkContext* sc, Parent* parent,
-                                        ShuffleState* state, TargetFn target) {
     int n = static_cast<int>(state->buckets_void.size());
     int np = parent->num_partitions();
     std::vector<std::vector<std::vector<U>>> staged(
@@ -894,6 +887,7 @@ class Rdd {
     hb::RecordAccess(hb::ShuffleObject(state->hb_id), hb::Access::kWrite,
                      "MaterializeShuffle");
     hb::Publish(hb::ShuffleObject(state->hb_id));
+    sc->EndPhase();
   }
 
  private:

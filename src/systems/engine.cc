@@ -6,6 +6,7 @@
 #include "spark/hb.h"
 #include "sparql/eval.h"
 #include "sparql/parser.h"
+#include "sparql/serialize.h"
 #include "systems/graphframes_engine.h"
 #include "systems/graphx_sm.h"
 #include "systems/haqwa.h"
@@ -127,28 +128,82 @@ plan::ResourceAnalysis BgpEngineBase::AnalyzePlanResources(
   return plan::AnalyzeResources(root, profile);
 }
 
-Result<plan::PlanPtr> BgpEngineBase::PlanVerified(
-    const std::vector<sparql::TriplePattern>& bgp) {
-  RDFSPARK_ASSIGN_OR_RETURN(plan::PlanPtr root, PlanBgp(bgp));
-  if (debug_check_plans_) {
-    Status verified = plan::VerifyForExecution(*root, VerifyProfile());
-    if (!verified.ok()) return verified;
+namespace {
+
+using TableOp = sparql::BindingTable (*)(const sparql::BindingTable&,
+                                         const sparql::BindingTable&);
+
+/// A driver-side operator over its two children's binding tables. Like the
+/// reference evaluator's, it charges no simulated cost.
+plan::ExecFn OnTables(TableOp op) {
+  return [op](std::vector<plan::PlanPayload> in) -> Result<plan::PlanPayload> {
+    return plan::PlanPayload(
+        op(std::get<sparql::BindingTable>(std::move(in[0])),
+           std::get<sparql::BindingTable>(std::move(in[1]))));
+  };
+}
+
+}  // namespace
+
+Result<plan::PlanPtr> BgpEngineBase::PlanGroup(
+    const sparql::GroupPattern& group) {
+  RDFSPARK_ASSIGN_OR_RETURN(plan::PlanPtr root, PlanBgp(group.bgp));
+  for (const auto& alternatives : group.unions) {
+    plan::PlanPtr united;
+    for (const auto& alt : alternatives) {
+      RDFSPARK_ASSIGN_OR_RETURN(plan::PlanPtr planned, PlanGroup(alt));
+      united = united == nullptr
+                   ? std::move(planned)
+                   : plan::MakeBinary(plan::NodeKind::kUnion, "driver",
+                                      std::move(united), std::move(planned),
+                                      OnTables(sparql::UnionTables));
+    }
+    if (united == nullptr) return Status::InvalidArgument("empty UNION");
+    root = plan::MakeBinary(plan::NodeKind::kJoin, "driver", std::move(root),
+                            std::move(united), OnTables(sparql::HashJoin));
+  }
+  for (const auto& opt : group.optionals) {
+    RDFSPARK_ASSIGN_OR_RETURN(plan::PlanPtr optional, PlanGroup(opt));
+    root = plan::MakeBinary(plan::NodeKind::kLeftJoin, "driver",
+                            std::move(root), std::move(optional),
+                            OnTables(sparql::LeftJoin));
+  }
+  const rdf::Dictionary* dict = &dictionary();
+  for (const std::shared_ptr<sparql::FilterExpr>& expr : group.filters) {
+    // The node shares the expression: a cached plan outlives the query.
+    root = plan::MakeUnary(
+        plan::NodeKind::kFilter, "driver " + sparql::ToSparql(*expr),
+        std::move(root),
+        [expr, dict](std::vector<plan::PlanPayload> in)
+            -> Result<plan::PlanPayload> {
+          return plan::PlanPayload(sparql::ApplyFilter(
+              std::get<sparql::BindingTable>(std::move(in[0])), *expr,
+              *dict));
+        });
   }
   return root;
 }
 
 Result<plan::PlanPtr> BgpEngineBase::PlanQuery(const sparql::Query& query) {
-  if (query.form != sparql::QueryForm::kSelect &&
-      query.form != sparql::QueryForm::kAsk) {
-    return Status::Unsupported(
-        "only SELECT/ASK queries plan through PlanQuery");
+  if (query.form == sparql::QueryForm::kConstruct ||
+      query.form == sparql::QueryForm::kDescribe) {
+    return Status::InvalidArgument(
+        "CONSTRUCT/DESCRIBE produce triples; use the ExecuteConstruct / "
+        "ExecuteDescribe helpers");
   }
-  if (!query.where.IsPlainBgp() || query.IsAggregate()) {
+  if (traits().fragment == SparqlFragment::kBgp &&
+      (!query.where.IsPlainBgp() || query.IsAggregate())) {
     return Status::Unsupported(
-        "group patterns and aggregates evaluate recursively; no single "
-        "cacheable plan");
+        traits().name +
+        " supports the BGP fragment only (no FILTER/OPTIONAL/UNION/"
+        "aggregates)");
   }
-  return PlanVerified(query.where.bgp);
+  RDFSPARK_ASSIGN_OR_RETURN(plan::PlanPtr root, PlanGroup(query.where));
+  if (debug_check_plans_) {
+    Status verified = plan::VerifyForExecution(*root, VerifyProfile());
+    if (!verified.ok()) return verified;
+  }
+  return root;
 }
 
 Result<sparql::BindingTable> BgpEngineBase::ExecutePlanned(
@@ -160,7 +215,7 @@ Result<sparql::BindingTable> BgpEngineBase::ExecutePlanned(
 
 Result<plan::PlanPtr> BgpEngineBase::ExecuteAnalyzed(
     const sparql::Query& query, spark::LineageGraph* lineage) {
-  RDFSPARK_ASSIGN_OR_RETURN(plan::PlanPtr root, PlanBgp(query.where.bgp));
+  RDFSPARK_ASSIGN_OR_RETURN(plan::PlanPtr root, PlanGroup(query.where));
   plan::PlanExecutor executor(sc_, /*collect_actuals=*/true);
   RDFSPARK_ASSIGN_OR_RETURN(sparql::BindingTable table, executor.Run(*root));
   (void)table;  // Results are discarded; the annotated plan is the output.
@@ -181,36 +236,6 @@ plan::EngineProfile BgpEngineBase::VerifyProfile() const {
   return profile;
 }
 
-Result<sparql::BindingTable> BgpEngineBase::EvaluateBgp(
-    const std::vector<sparql::TriplePattern>& bgp) {
-  RDFSPARK_ASSIGN_OR_RETURN(plan::PlanPtr root, PlanVerified(bgp));
-  return plan::PlanExecutor(sc_).Run(*root);
-}
-
-Result<sparql::BindingTable> BgpEngineBase::EvaluateGroup(
-    const sparql::GroupPattern& group) {
-  RDFSPARK_ASSIGN_OR_RETURN(sparql::BindingTable table,
-                            EvaluateBgp(group.bgp));
-  for (const auto& alternatives : group.unions) {
-    sparql::BindingTable united;
-    bool first = true;
-    for (const auto& alt : alternatives) {
-      RDFSPARK_ASSIGN_OR_RETURN(sparql::BindingTable t, EvaluateGroup(alt));
-      united = first ? std::move(t) : UnionTables(united, t);
-      first = false;
-    }
-    table = HashJoin(table, united);
-  }
-  for (const auto& opt : group.optionals) {
-    RDFSPARK_ASSIGN_OR_RETURN(sparql::BindingTable t, EvaluateGroup(opt));
-    table = LeftJoin(table, t);
-  }
-  for (const auto& filter : group.filters) {
-    table = ApplyFilter(table, *filter, dictionary());
-  }
-  return table;
-}
-
 Result<sparql::BindingTable> BgpEngineBase::FinishQuery(
     const sparql::Query& query, sparql::BindingTable table) const {
   if (query.form == sparql::QueryForm::kAsk) {
@@ -225,19 +250,6 @@ Result<sparql::BindingTable> BgpEngineBase::FinishQuery(
 
 Result<sparql::BindingTable> BgpEngineBase::Execute(
     const sparql::Query& query) {
-  if (query.form == sparql::QueryForm::kConstruct ||
-      query.form == sparql::QueryForm::kDescribe) {
-    return Status::InvalidArgument(
-        "CONSTRUCT/DESCRIBE produce triples; use the ExecuteConstruct / "
-        "ExecuteDescribe helpers");
-  }
-  if (traits().fragment == SparqlFragment::kBgp &&
-      (!query.where.IsPlainBgp() || query.IsAggregate())) {
-    return Status::Unsupported(
-        traits().name +
-        " supports the BGP fragment only (no FILTER/OPTIONAL/UNION/"
-        "aggregates)");
-  }
   if (debug_check_queries_) {
     std::vector<plan::Diagnostic> errors =
         plan::ErrorsOnly(AnalyzeParsedQuery(query));
@@ -246,12 +258,13 @@ Result<sparql::BindingTable> BgpEngineBase::Execute(
                                      plan::FormatDiagnostics(errors));
     }
   }
+  RDFSPARK_ASSIGN_OR_RETURN(plan::PlanPtr root, PlanQuery(query));
   // Tier C gate: record every shared-object access this execution makes
   // and fail on unordered conflicting pairs. When an outer window is active
   // (serving layer, lint tool), owner() is false and the gate defers to it.
   spark::hb::ScopedRaceCheck race_check(debug_check_races_);
   RDFSPARK_ASSIGN_OR_RETURN(sparql::BindingTable table,
-                            EvaluateGroup(query.where));
+                            ExecutePlanned(query, *root));
   if (race_check.owner()) {
     std::vector<plan::Diagnostic> findings = race_check.Finish();
     if (plan::HasError(findings)) {
@@ -259,7 +272,7 @@ Result<sparql::BindingTable> BgpEngineBase::Execute(
                                      plan::FormatDiagnostics(findings));
     }
   }
-  return FinishQuery(query, std::move(table));
+  return table;
 }
 
 Result<std::vector<rdf::Triple>> ExecuteConstruct(

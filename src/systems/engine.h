@@ -91,24 +91,24 @@ struct LoadStats {
 /// cross-checked against the reference evaluator.
 ///
 /// Every system takes the same path (the paper's Table II): parse the SPARQL
-/// once with sparql::ParseQuery, compile its basic graph pattern to a plan
+/// once with sparql::ParseQuery, compile the whole query pattern to one plan
 /// in the shared physical algebra, then run the plan. The query surface is
 /// those stages on the parsed query; callers reuse one parsed query (and
 /// one plan) across them:
 ///
 ///   AnalyzeParsedQuery   Tier A query lint (pure)
-///   PlanBgp / PlanQuery  the physical plan (pure; EXPLAIN renders it)
+///   PlanBgp / PlanQuery  one BGP's plan / the query's one plan (pure;
+///                        EXPLAIN renders it)
 ///   AnalyzePlanResources Tier D byte envelope of a plan (pure)
 ///   ExecutePlanned       run a plan, then the driver-side tail
 ///   ExecuteAnalyzed      run with per-operator actuals (EXPLAIN ANALYZE)
 ///                        and, optionally, the RDD lineage snapshot
-///   Execute              the whole query, FILTER/OPTIONAL/UNION included
+///   Execute              PlanQuery + ExecutePlanned, inside the gates
 ///   ExecuteText          ParseQuery + Execute
 ///
 /// Subclasses provide PlanBgp() — their documented planning strategy — and
-/// Execute() hands the plan to the shared PlanExecutor, handling fragment
-/// checking, group structure and solution modifiers driver-side, as the
-/// surveyed systems do.
+/// the shared PlanExecutor runs PlanQuery's plan; aggregation and solution
+/// modifiers run driver-side after it, as the surveyed systems do.
 class BgpEngineBase {
  public:
   virtual ~BgpEngineBase() = default;
@@ -119,8 +119,8 @@ class BgpEngineBase {
   /// structures. `store` must outlive the engine.
   virtual Result<LoadStats> Load(const rdf::TripleStore& store) = 0;
 
-  /// Executes a parsed query. Engines whose fragment is kBgp reject
-  /// queries using FILTER/OPTIONAL/UNION or solution modifiers.
+  /// Executes a parsed query: PlanQuery, then ExecutePlanned, inside the
+  /// Tier A and Tier C gates when they are on.
   Result<sparql::BindingTable> Execute(const sparql::Query& query);
 
   /// Parses and executes SPARQL text.
@@ -135,18 +135,16 @@ class BgpEngineBase {
 
   /// Builds this system's physical plan for one basic graph pattern.
   /// Planning must be pure: no Spark actions, no metrics charged — the
-  /// same call backs execution and EXPLAIN (plan::Explain of the query's
-  /// top-level BGP; FILTER/OPTIONAL/UNION and modifiers run driver-side).
+  /// same call backs execution and EXPLAIN.
   virtual Result<plan::PlanPtr> PlanBgp(
       const std::vector<sparql::TriplePattern>& bgp) = 0;
 
-  /// Pure planning entry point for the serving plan cache: plans the
-  /// query's basic graph pattern without executing anything. Only plain-BGP
-  /// non-aggregate SELECT/ASK queries are plannable this way (groups with
-  /// FILTER/OPTIONAL/UNION evaluate recursively and have no single
-  /// cacheable plan) — anything else returns Unsupported and the caller
-  /// falls through to Execute. When debug_check_plans() is on, the plan is
-  /// verified here, once, instead of on every cached execution.
+  /// The one plan of a SELECT or ASK query: PlanBgp's tree, which a group
+  /// wraps in driver-side nodes (a Join over a Union per UNION block, a
+  /// LeftJoin per OPTIONAL, a Filter per FILTER). CONSTRUCT/DESCRIBE return
+  /// InvalidArgument; engines whose fragment is kBgp return Unsupported for
+  /// FILTER/OPTIONAL/UNION or aggregates. When debug_check_plans() is on,
+  /// the plan is verified here, once, instead of on every cached execution.
   Result<plan::PlanPtr> PlanQuery(const sparql::Query& query);
 
   /// Tier D of the dataflow lint: the static byte envelope of `root`, a
@@ -158,16 +156,16 @@ class BgpEngineBase {
       const sparql::Query& query, const plan::PlanNode& root) const;
 
   /// Executes a plan previously built by PlanQuery for `query`, then runs
-  /// the driver-side tail exactly like Execute (ASK collapse, solution
+  /// the driver-side tail (ASK collapse, aggregation and solution
   /// modifiers). With ReusablePlans() true the same plan may be executed
   /// repeatedly and from concurrent threads: execution reads the plan tree
   /// and charges metrics but never mutates the nodes.
   Result<sparql::BindingTable> ExecutePlanned(const sparql::Query& query,
                                               const plan::PlanNode& root);
 
-  /// Plans and executes `query`'s top-level basic graph pattern — the
-  /// distributed part whose actuals are worth attributing — with actuals
-  /// collection, returning the analyzed plan: every node carries an OpStats
+  /// Plans and executes `query`'s pattern (PlanQuery's plan, without its
+  /// form and fragment checks) with actuals collection, returning the
+  /// analyzed plan: every node carries an OpStats
   /// (node->actuals) with its runtime counters and output rows
   /// (plan::ExplainAnalyze renders it). Charges metrics like a normal
   /// execution. When `lineage` is given it receives the snapshot of the
@@ -222,21 +220,11 @@ class BgpEngineBase {
   spark::SparkContext* sc_;
 
  private:
-  /// PlanBgp plus, in debug-check mode, the verifier gate — the one
-  /// verify step PlanQuery and EvaluateBgp share.
-  Result<plan::PlanPtr> PlanVerified(
-      const std::vector<sparql::TriplePattern>& bgp);
+  /// One group's plan, the part PlanQuery and ExecuteAnalyzed share.
+  Result<plan::PlanPtr> PlanGroup(const sparql::GroupPattern& group);
 
-  /// Distributed evaluation of one basic graph pattern: plan, then run
-  /// through the shared executor.
-  Result<sparql::BindingTable> EvaluateBgp(
-      const std::vector<sparql::TriplePattern>& bgp);
-
-  Result<sparql::BindingTable> EvaluateGroup(
-      const sparql::GroupPattern& group);
-
-  /// The driver-side tail Execute and ExecutePlanned share: ASK collapse,
-  /// then solution modifiers.
+  /// ExecutePlanned's driver-side tail: ASK collapse, then aggregation and
+  /// solution modifiers.
   Result<sparql::BindingTable> FinishQuery(const sparql::Query& query,
                                            sparql::BindingTable table) const;
 

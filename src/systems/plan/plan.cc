@@ -20,6 +20,12 @@ const char* NodeKindName(NodeKind k) {
       return "Filter";
     case NodeKind::kProject:
       return "Project";
+    case NodeKind::kJoin:
+      return "Join";
+    case NodeKind::kUnion:
+      return "Union";
+    case NodeKind::kLeftJoin:
+      return "LeftJoin";
   }
   return "unknown";
 }

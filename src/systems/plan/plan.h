@@ -31,6 +31,9 @@ enum class NodeKind {
   kLocalStarMatch,       // subject-star fragment matched within a partition
   kFilter,               // row-level predicate (driver- or executor-side)
   kProject,              // final projection / conversion to a BindingTable
+  kJoin,                 // driver-side join of a group with a UNION block
+  kUnion,                // driver-side concatenation of UNION alternatives
+  kLeftJoin,             // driver-side OPTIONAL
 };
 
 const char* NodeKindName(NodeKind k);

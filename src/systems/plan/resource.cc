@@ -123,8 +123,10 @@ class ResourceAnalyzer {
   /// Sound output-row bound. Leaves prefer the planner's declared cap over
   /// its selectivity estimate; interior bounds are structural: equi-joins
   /// cannot exceed the input product, and on key-constrained inputs stay
-  /// within fanout headroom of the larger side; Cartesian products are the
-  /// product. An explicit max_cardinality tightens any derived bound.
+  /// within fanout headroom of the larger side; Cartesian products and the
+  /// driver-side Join are the product; a Union is the sum of its inputs; a
+  /// LeftJoin keeps every left row, each extended by at most max(1, right)
+  /// matches. An explicit max_cardinality tightens any derived bound.
   uint64_t RowBound(const PlanNode& node,
                     const std::vector<SubtreeFacts>& children) const {
     uint64_t derived;
@@ -140,11 +142,15 @@ class ResourceAnalyzer {
         uint64_t left = derived;
         uint64_t right = children[i].row_bound;
         uint64_t product = SatMul(left, right);
-        if (IsJoin(node.kind)) {
+        if (node.kind == NodeKind::kUnion) {
+          derived = SatAdd(left, right);
+        } else if (node.kind == NodeKind::kLeftJoin) {
+          derived = SatMul(left, std::max<uint64_t>(1, right));
+        } else if (IsJoin(node.kind)) {
           uint64_t fanout = SatMul(std::max(left, right), kJoinFanoutHeadroom);
           derived = std::min(product, fanout);
         } else {
-          derived = product;  // Cartesian (and anything unannotated).
+          derived = product;  // Cartesian, Join (and anything unannotated).
         }
       }
     }

@@ -27,11 +27,12 @@ namespace rdfspark::systems::plan {
 /// planner's sound cap (PlanNode::max_cardinality, the size of the scanned
 /// base relation) over its selectivity estimate, and interior bounds are
 /// derived structurally (equi-joins bounded by the larger input times a
-/// small fanout headroom, capped at the product; Cartesian products by the
-/// product). The soundness contract — static peak envelope >= bytes
-/// actually observed by EXPLAIN ANALYZE — is enforced as a property test
-/// over the whole LUBM corpus x all twelve engine variants, and the
-/// envelope-vs-actual ratio is gated in CI so the bounds stay useful.
+/// small fanout headroom, capped at the product; Cartesian products and the
+/// driver-side Join by the product; a Union by the sum of its inputs; a
+/// LeftJoin by left x max(1, right)). The soundness contract — static peak
+/// envelope >= bytes actually observed by EXPLAIN ANALYZE — is enforced as
+/// a property test over the LUBM corpus x all twelve engine variants, and
+/// the envelope-vs-actual ratio is gated in CI so the bounds stay useful.
 ///
 /// Rule catalog (DESIGN.md has the full symptom/term/fix table):
 ///   RS001 ERROR  broadcast replica exceeds the per-executor budget

@@ -243,6 +243,55 @@ INSTANTIATE_TEST_SUITE_P(
       return info.param.name;
     });
 
+/// Execute is PlanQuery + ExecutePlanned: every query the fragment allows,
+/// FILTER/OPTIONAL/UNION included, has one plan, and that one plan runs
+/// twice (once for S2X, whose plans are single-use) to the reference
+/// answer. BGP-only variants refuse group queries at planning, with the
+/// message Execute gives.
+TEST(OnePlanConformanceTest, PlanOnceExecuteTwiceMatchesReference) {
+  const rdf::TripleStore& store = Dataset();
+  sparql::ReferenceEvaluator reference(&store);
+  for (const auto& factory : AllEngineVariantFactories()) {
+    SparkContext sc(SmallCluster());
+    auto engine = factory.make(&sc);
+    ASSERT_TRUE(engine->Load(store).ok()) << factory.name;
+    for (const auto& tq : TestQueries()) {
+      SCOPED_TRACE(factory.name + " / " + tq.label);
+      auto query = sparql::ParseQuery(tq.text);
+      ASSERT_TRUE(query.ok());
+      auto planned = engine->PlanQuery(*query);
+      if (!query->where.IsPlainBgp() &&
+          engine->traits().fragment == SparqlFragment::kBgp) {
+        ASSERT_FALSE(planned.ok());
+        EXPECT_EQ(planned.status().code(), StatusCode::kUnsupported);
+        EXPECT_EQ(planned.status().message(),
+                  engine->traits().name +
+                      " supports the BGP fragment only (no FILTER/OPTIONAL/"
+                      "UNION/aggregates)");
+        EXPECT_EQ(engine->Execute(*query).status().ToString(),
+                  planned.status().ToString());
+        continue;
+      }
+      ASSERT_TRUE(planned.ok()) << planned.status().ToString();
+      auto expected = reference.Evaluate(*query);
+      ASSERT_TRUE(expected.ok());
+      const int runs = engine->ReusablePlans() ? 2 : 1;
+      for (int run = 0; run < runs; ++run) {
+        auto got = engine->ExecutePlanned(*query, **planned);
+        ASSERT_TRUE(got.ok()) << "run " << run << ": "
+                              << got.status().ToString();
+        if (!query->order_by.empty() || query->limit >= 0) {
+          EXPECT_EQ(got->num_rows(), expected->num_rows()) << "run " << run;
+        } else {
+          EXPECT_EQ(got->Decode(store.dictionary()),
+                    expected->Decode(store.dictionary()))
+              << "run " << run;
+        }
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Behaviour-preservation guard for the physical-plan layer: every engine's
 // results and query-time metrics must match values captured before the

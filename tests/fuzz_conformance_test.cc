@@ -12,6 +12,7 @@
 #include "rdf/store.h"
 #include "sparql/eval.h"
 #include "sparql/parser.h"
+#include "sparql/serialize.h"
 #include "systems/engine.h"
 
 namespace rdfspark::systems {
@@ -83,6 +84,41 @@ Query RandomBgpQuery(Rng* rng, const rdf::TripleStore& store) {
   return query;  // SELECT * over the pattern
 }
 
+/// Extends a random BGP with one BGP+ operator, chosen by `kind % 3`: a
+/// UNION block of two random BGPs, an OPTIONAL random BGP, or a FILTER
+/// over the BGP's variables (two variables differ, or one is bound).
+Query RandomGroupQuery(Rng* rng, const rdf::TripleStore& store, int kind) {
+  Query query = RandomBgpQuery(rng, store);
+  auto sub_group = [&] {
+    sparql::GroupPattern group;
+    group.bgp = RandomBgpQuery(rng, store).where.bgp;
+    return group;
+  };
+  switch (kind % 3) {
+    case 0:
+      query.where.unions.push_back({sub_group(), sub_group()});
+      break;
+    case 1:
+      query.where.optionals.push_back(sub_group());
+      break;
+    default: {
+      std::vector<std::string> vars = query.where.Variables();
+      if (vars.size() >= 2) {
+        query.where.filters.push_back(sparql::FilterExpr::MakeBinary(
+            sparql::ExprOp::kNe, sparql::FilterExpr::MakeVar(vars[0]),
+            sparql::FilterExpr::MakeVar(vars[1])));
+      } else {
+        auto bound = std::make_shared<sparql::FilterExpr>();
+        bound->op = sparql::ExprOp::kBound;
+        bound->var = vars.empty() ? "a" : vars[0];
+        query.where.filters.push_back(std::move(bound));
+      }
+      break;
+    }
+  }
+  return query;
+}
+
 TEST(FuzzConformanceTest, RandomBgpsMatchReferenceOnAllEngines) {
   const rdf::TripleStore& store = Dataset();
   spark::ClusterConfig cfg;
@@ -124,6 +160,52 @@ TEST(FuzzConformanceTest, RandomBgpsMatchReferenceOnAllEngines) {
   }
   // 40 rounds x 9 engines, minus skipped blow-ups.
   EXPECT_GT(checked, 250);
+}
+
+/// FILTER, OPTIONAL and UNION run as driver-side nodes of one plan: on
+/// every BGP+ variant, PlanQuery plans each random group query once and
+/// ExecutePlanned runs that plan twice (once for S2X, whose plans are
+/// single-use), each time to the reference answer.
+TEST(FuzzConformanceTest, RandomGroupsPlanOnceMatchReference) {
+  const rdf::TripleStore& store = Dataset();
+  spark::ClusterConfig cfg;
+  cfg.num_executors = 4;
+  cfg.default_parallelism = 8;
+  spark::SparkContext sc(cfg);
+  std::vector<std::pair<std::string, std::unique_ptr<BgpEngineBase>>> engines;
+  for (const auto& factory : AllEngineVariantFactories()) {
+    auto engine = factory.make(&sc);
+    if (engine->traits().fragment != SparqlFragment::kBgpPlus) continue;
+    ASSERT_TRUE(engine->Load(store).ok()) << factory.name;
+    engines.emplace_back(factory.name, std::move(engine));
+  }
+  sparql::ReferenceEvaluator reference(&store);
+
+  Rng rng(20261019);
+  int checked = 0;
+  for (int round = 0; round < 30; ++round) {
+    Query query = RandomGroupQuery(&rng, store, round);
+    auto expected = reference.Evaluate(query);
+    ASSERT_TRUE(expected.ok());
+    if (expected->num_rows() > 20000) continue;
+    auto expected_decoded = expected->Decode(store.dictionary());
+    for (auto& [name, engine] : engines) {
+      SCOPED_TRACE(name + " round " + std::to_string(round) + ":\n" +
+                   sparql::ToSparql(query));
+      auto planned = engine->PlanQuery(query);
+      ASSERT_TRUE(planned.ok()) << planned.status().ToString();
+      const int runs = engine->ReusablePlans() ? 2 : 1;
+      for (int run = 0; run < runs; ++run) {
+        auto got = engine->ExecutePlanned(query, **planned);
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        ASSERT_EQ(got->Decode(store.dictionary()), expected_decoded)
+            << "run " << run;
+        ++checked;
+      }
+    }
+  }
+  // Up to 30 rounds x (3 reusable x 2 runs + S2X), minus skipped blow-ups.
+  EXPECT_GT(checked, 150);
 }
 
 TEST(FuzzConformanceTest, RandomBgpsOnSkewedWatdivData) {

@@ -4,10 +4,12 @@
 //
 //   RDFSPARK_PRINT_EXPLAIN=1 ./plan_explain_test
 //
-// and paste the emitted table between the GOLDEN_EXPLAIN markers.
+// and paste the emitted tables between the GOLDEN_EXPLAIN markers (plain
+// BGP shapes) and the GOLDEN_GROUP_EXPLAIN markers (group queries).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <map>
 #include <string>
@@ -61,8 +63,8 @@ std::vector<ShapeQuery> ShapeQueries() {
   };
 }
 
-/// EXPLAIN: the plan of the query's top-level basic graph pattern (the
-/// distributed part; FILTER/OPTIONAL/UNION and modifiers run driver-side).
+/// EXPLAIN of the query's top-level basic graph pattern: PlanBgp's tree,
+/// which is PlanQuery's whole plan for these plain-BGP shapes.
 Result<std::string> Explain(BgpEngineBase& engine, const std::string& text) {
   RDFSPARK_ASSIGN_OR_RETURN(sparql::Query query, sparql::ParseQuery(text));
   RDFSPARK_ASSIGN_OR_RETURN(plan::PlanPtr root,
@@ -458,6 +460,172 @@ TEST(PlanExplainTest, MatchesGoldenPlans) {
   if (!print) {
     EXPECT_EQ(goldens.size(),
               AllEngineVariantFactories().size() * ShapeQueries().size());
+  }
+}
+
+/// Group queries on the BGP+ variants: EXPLAIN of PlanQuery's one plan,
+/// whose driver-side Join/Union, LeftJoin and Filter nodes sit above the
+/// engine's BGP plans.
+std::vector<ShapeQuery> GroupQueries() {
+  const std::string prologue =
+      "PREFIX ub: <" + std::string(rdf::kUbPrefix) +
+      ">\nPREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>\n";
+  return {
+      {"complex", rdf::LubmShapeQuery(rdf::QueryShape::kComplex)},
+      {"optional_union",
+       prologue +
+           "SELECT ?x ?n ?u WHERE { ?x ub:name ?n . "
+           "{ ?x rdf:type ub:FullProfessor } UNION "
+           "{ ?x rdf:type ub:AssociateProfessor } "
+           "OPTIONAL { ?x ub:doctoralDegreeFrom ?u } }"},
+  };
+}
+
+const std::map<std::string, std::string>& GoldenGroupExplains() {
+  static const std::map<std::string, std::string>* goldens =
+      new std::map<std::string, std::string>{
+          // GOLDEN_GROUP_EXPLAIN_BEGIN
+          {"HAQWA|complex",
+           R"PLAN(Filter [driver (?age > "20"^^<http://www.w3.org/2001/XMLSchema#integer>)] (est=?)
+  Project [?x ?n ?age ?c ?t ?d] (est=?)
+    PartitionedHashJoin [on ?c (re-key)] (est=?)
+      LocalStarMatch [subject-star ?t (2 patterns)] (est=12)
+      LocalStarMatch [subject-star ?x (4 patterns)] (est=60)
+)PLAN"},
+          {"HAQWA|optional_union",
+           R"PLAN(LeftJoin [driver] (est=?)
+  Join [driver] (est=?)
+    Project [?x ?n] (est=?)
+      LocalStarMatch [subject-star ?x (1 pattern)] (est=127)
+    Union [driver] (est=?)
+      Project [?x] (est=?)
+        LocalStarMatch [subject-star ?x (1 pattern)] (est=127)
+      Project [?x] (est=?)
+        LocalStarMatch [subject-star ?x (1 pattern)] (est=127)
+  Project [?x ?u] (est=?)
+    LocalStarMatch [subject-star ?x (1 pattern)] (est=12)
+)PLAN"},
+          {"SPARQLGX|complex",
+           R"PLAN(Filter [driver (?age > "20"^^<http://www.w3.org/2001/XMLSchema#integer>)] (est=?)
+  Project [?x ?n ?age ?c ?t ?d] (est=?)
+    PartitionedHashJoin [on ?x] (est=?)
+      PartitionedHashJoin [on ?t] (est=?)
+        PartitionedHashJoin [on ?c] (est=?)
+          PartitionedHashJoin [on ?x] (est=?)
+            PartitionedHashJoin [on ?x] (est=?)
+              PatternScan [vp ?x <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://lubm.example.org/univ-bench.owl#UndergraduateStudent> .] (est=2)
+              PatternScan [vp ?x <http://lubm.example.org/univ-bench.owl#age> ?age .] (est=61)
+            PatternScan [vp ?x <http://lubm.example.org/univ-bench.owl#takesCourse> ?c .] (est=105)
+          PatternScan [vp ?t <http://lubm.example.org/univ-bench.owl#teacherOf> ?c .] (est=18)
+        PatternScan [vp ?t <http://lubm.example.org/univ-bench.owl#worksFor> ?d .] (est=13)
+      PatternScan [vp ?x <http://lubm.example.org/univ-bench.owl#name> ?n .] (est=128)
+)PLAN"},
+          {"SPARQLGX|optional_union",
+           R"PLAN(LeftJoin [driver] (est=?)
+  Join [driver] (est=?)
+    Project [?x ?n] (est=?)
+      PatternScan [vp ?x <http://lubm.example.org/univ-bench.owl#name> ?n .] (est=128)
+    Union [driver] (est=?)
+      Project [?x] (est=?)
+        PatternScan [vp ?x <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://lubm.example.org/univ-bench.owl#FullProfessor> .] (est=2)
+      Project [?x] (est=?)
+        PatternScan [vp ?x <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://lubm.example.org/univ-bench.owl#AssociateProfessor> .] (est=2)
+  Project [?x ?u] (est=?)
+    PatternScan [vp ?x <http://lubm.example.org/univ-bench.owl#doctoralDegreeFrom> ?u .] (est=13)
+)PLAN"},
+          {"S2RDF|complex",
+           R"PLAN(Filter [driver (?age > "20"^^<http://www.w3.org/2001/XMLSchema#integer>)] (est=?)
+  Project [?x ?t ?d ?c ?age ?n] (est=?)
+    PartitionedHashJoin [on t5.s = t0.s] (est=?)
+      PartitionedHashJoin [on t4.s = t0.s AND t4.o = t2.o] (est=?)
+        PartitionedHashJoin [on t3.s = t0.s] (est=?)
+          PartitionedHashJoin [on t2.s = t1.s] (est=?)
+            CartesianProduct [1 = 1] (est=?)
+              PatternScan [vp vp_p1 t0] (est=127)
+              PatternScan [vp vp_p23 t1] (est=12)
+            PatternScan [vp vp_p29 t2] (est=17)
+          PatternScan [vp vp_p62 t3] (est=60)
+        PatternScan [vp vp_p66 t4] (est=104)
+      PatternScan [vp vp_p3 t5] (est=127)
+)PLAN"},
+          {"S2RDF|optional_union",
+           R"PLAN(LeftJoin [driver] (est=?)
+  Join [driver] (est=?)
+    Project [?x ?n] (est=?)
+      PatternScan [vp vp_p3 t0] (est=127)
+    Union [driver] (est=?)
+      Project [?x] (est=?)
+        PatternScan [vp vp_p1 t0] (est=127)
+      Project [?x] (est=?)
+        PatternScan [vp vp_p1 t0] (est=127)
+  Project [?x ?u] (est=?)
+    PatternScan [vp vp_p27 t0] (est=12)
+)PLAN"},
+          {"S2X|complex",
+           R"PLAN(Filter [driver (?age > "20"^^<http://www.w3.org/2001/XMLSchema#integer>)] (est=?)
+  Project [?x ?n ?age ?c ?t ?d] (est=?)
+    PartitionedHashJoin [on ?t] (est=?)
+      PartitionedHashJoin [on ?c] (est=?)
+        PartitionedHashJoin [on ?x] (est=?)
+          PartitionedHashJoin [on ?x] (est=?)
+            PartitionedHashJoin [on ?x] (est=?)
+              PatternScan [graph ?x <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://lubm.example.org/univ-bench.owl#UndergraduateStudent> . (pruned)] (est=127)
+              PatternScan [graph ?x <http://lubm.example.org/univ-bench.owl#name> ?n . (pruned)] (est=127)
+            PatternScan [graph ?x <http://lubm.example.org/univ-bench.owl#age> ?age . (pruned)] (est=60)
+          PatternScan [graph ?x <http://lubm.example.org/univ-bench.owl#takesCourse> ?c . (pruned)] (est=104)
+        PatternScan [graph ?t <http://lubm.example.org/univ-bench.owl#teacherOf> ?c . (pruned)] (est=17)
+      PatternScan [graph ?t <http://lubm.example.org/univ-bench.owl#worksFor> ?d . (pruned)] (est=12)
+)PLAN"},
+          {"S2X|optional_union",
+           R"PLAN(LeftJoin [driver] (est=?)
+  Join [driver] (est=?)
+    Project [?x ?n] (est=?)
+      PatternScan [graph ?x <http://lubm.example.org/univ-bench.owl#name> ?n . (pruned)] (est=127)
+    Union [driver] (est=?)
+      Project [?x] (est=?)
+        PatternScan [graph ?x <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://lubm.example.org/univ-bench.owl#FullProfessor> . (pruned)] (est=127)
+      Project [?x] (est=?)
+        PatternScan [graph ?x <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://lubm.example.org/univ-bench.owl#AssociateProfessor> . (pruned)] (est=127)
+  Project [?x ?u] (est=?)
+    PatternScan [graph ?x <http://lubm.example.org/univ-bench.owl#doctoralDegreeFrom> ?u . (pruned)] (est=12)
+)PLAN"},
+          // GOLDEN_GROUP_EXPLAIN_END
+      };
+  return *goldens;
+}
+
+TEST(PlanExplainTest, MatchesGoldenGroupPlans) {
+  bool print = std::getenv("RDFSPARK_PRINT_EXPLAIN") != nullptr;
+  const auto& goldens = GoldenGroupExplains();
+  const std::vector<std::string> kVariants = {"HAQWA", "SPARQLGX", "S2RDF",
+                                              "S2X"};
+  for (const auto& factory : AllEngineVariantFactories()) {
+    if (std::find(kVariants.begin(), kVariants.end(), factory.name) ==
+        kVariants.end()) {
+      continue;
+    }
+    SparkContext sc(SmallCluster());
+    auto engine = factory.make(&sc);
+    ASSERT_TRUE(engine->Load(Dataset()).ok()) << factory.name;
+    for (const auto& q : GroupQueries()) {
+      std::string key = factory.name + "|" + q.label;
+      auto query = sparql::ParseQuery(q.text);
+      ASSERT_TRUE(query.ok()) << key;
+      auto root = engine->PlanQuery(*query);
+      ASSERT_TRUE(root.ok()) << key << ": " << root.status().ToString();
+      std::string explained = plan::Explain(**root);
+      if (print) {
+        std::printf("          {\"%s\",\n           R\"PLAN(%s)PLAN\"},\n",
+                    key.c_str(), explained.c_str());
+        continue;
+      }
+      auto it = goldens.find(key);
+      ASSERT_TRUE(it != goldens.end()) << "no golden for " << key;
+      EXPECT_EQ(it->second, explained) << key;
+    }
+  }
+  if (!print) {
+    EXPECT_EQ(goldens.size(), kVariants.size() * GroupQueries().size());
   }
 }
 

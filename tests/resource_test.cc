@@ -130,6 +130,29 @@ TEST(ResourceRulesTest, Rs003UnboundedLeafUnderBlockingOperator) {
   EXPECT_EQ(analysis.peak_bytes, kUnboundedBytes);
 }
 
+TEST(ResourceRulesTest, DriverNodesBoundUnionBySumLeftJoinByProduct) {
+  // Pre-order slots: 0 LeftJoin, 1 Union, 2-3 its inputs, 4 the optional.
+  PlanPtr alt_a = Scan(30, "x");
+  PlanPtr alt_b = Scan(20, "x");
+  auto union_node = std::make_unique<PlanNode>();
+  union_node->kind = NodeKind::kUnion;
+  union_node->children.push_back(std::move(alt_a));
+  union_node->children.push_back(std::move(alt_b));
+  PlanPtr left_join = MakeBinary(NodeKind::kLeftJoin, "driver",
+                                 std::move(union_node), Scan(7, "y"), nullptr);
+  ResourceProfile profile;
+  auto analysis = AnalyzeResources(*left_join, profile);
+  ASSERT_EQ(analysis.nodes.size(), 5u);
+  EXPECT_EQ(analysis.nodes[1].row_bound, 50u);       // 30 + 20
+  EXPECT_EQ(analysis.nodes[0].row_bound, 50u * 7u);  // left x right
+  // An empty optional side keeps every left row.
+  PlanPtr no_match = MakeBinary(NodeKind::kLeftJoin, "driver", Scan(5, "x"),
+                                Scan(0, "y"), nullptr);
+  EXPECT_EQ(AnalyzeResources(*no_match, profile).nodes[0].row_bound, 5u);
+  // Neither is a shuffle barrier: the whole plan is one stage.
+  EXPECT_EQ(analysis.stages.size(), 1u);
+}
+
 TEST(ResourceRulesTest, Rs003SilentWithoutBlockingAncestor) {
   // A bare unbounded scan blocks nothing: no working set needs the bound.
   PlanPtr scan = UnboundedScan("x");
@@ -272,25 +295,35 @@ TEST(CalibrateScansTest, SkipsLeavesWithoutActualsOrBounds) {
 // ------------------------------------------- whole-corpus properties
 
 /// Soundness: for every engine variant and every LUBM corpus query, a
-/// bounded static envelope dominates what a profiled execution actually
-/// materialized — the property the CI footprint gate snapshots.
+/// bounded static envelope of the plan a profiled execution ran dominates
+/// what that execution actually materialized — the property the CI
+/// footprint gate snapshots. The OPTIONAL and UNION queries put the
+/// driver-side LeftJoin and Union bounds to the same test.
 TEST(ResourceCorpusTest, PeakEnvelopeDominatesObservedBytes) {
   rdf::TripleStore store = LintDataset();
-  auto corpus = rdf::LubmQueryMix();
+  std::vector<std::string> corpus;
+  for (const auto& [shape, text] : rdf::LubmQueryMix()) corpus.push_back(text);
+  const std::string prologue =
+      "PREFIX ub: <" + std::string(rdf::kUbPrefix) +
+      ">\nPREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>\n";
+  corpus.push_back(prologue +
+                   "SELECT ?x ?u WHERE { ?x rdf:type ub:GraduateStudent . "
+                   "OPTIONAL { ?x ub:undergraduateDegreeFrom ?u } }");
+  corpus.push_back(prologue +
+                   "SELECT ?x WHERE { { ?x rdf:type ub:FullProfessor } "
+                   "UNION { ?x rdf:type ub:AssociateProfessor } }");
   int bounded_cells = 0;
   for (const auto& factory : AllEngineVariantFactories()) {
     spark::SparkContext sc(LintCluster(/*executor_threads=*/2));
     auto engine = factory.make(&sc);
     ASSERT_TRUE(engine->Load(store).ok()) << factory.name;
-    for (const auto& [shape, text] : corpus) {
+    for (const auto& text : corpus) {
       SCOPED_TRACE(factory.name + " / " + text);
       auto query = sparql::ParseQuery(text);
       ASSERT_TRUE(query.ok());
-      auto root = engine->PlanBgp(query->where.bgp);
-      ASSERT_TRUE(root.ok());
-      auto analysis = engine->AnalyzePlanResources(*query, **root);
       auto analyzed = engine->ExecuteAnalyzed(*query);
       ASSERT_TRUE(analyzed.ok());
+      auto analysis = engine->AnalyzePlanResources(*query, **analyzed);
       auto observed = ObserveFootprint(**analyzed);
       if (!analysis.bounded) continue;
       ++bounded_cells;
@@ -298,8 +331,7 @@ TEST(ResourceCorpusTest, PeakEnvelopeDominatesObservedBytes) {
       EXPECT_GE(analysis.output_bytes, observed.output_bytes);
       // Scan calibration never exceeds the whole-plan envelope and stays
       // sound per leaf by construction.
-      auto aligned = engine->AnalyzePlanResources(*query, **analyzed);
-      auto calib = CalibrateScans(**analyzed, aligned);
+      auto calib = CalibrateScans(**analyzed, analysis);
       if (calib.leaves > 0) {
         EXPECT_GE(calib.envelope_bytes, calib.observed_bytes);
       }

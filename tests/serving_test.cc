@@ -421,6 +421,44 @@ TEST(QueryServerTest, S2xPlansBypassTheCache) {
   EXPECT_EQ(stats.entries, 0u);
 }
 
+TEST(QueryServerTest, GroupQueriesShareOneCachedPlan) {
+  // The complex shape's FILTER is a driver-side node of the query's one
+  // plan: the first request misses and plans, the second hits, and each
+  // request counts exactly once in hits + misses + bypasses.
+  rdf::TripleStore store = SmallLubm();
+  spark::SparkContext sc;
+  QueryServer::Options options = QuietOptions(1);
+  options.variants = {"HAQWA"};
+  QueryServer server(&sc, options);
+  ASSERT_TRUE(server.AttachDataset(store).ok());
+  int session = server.OpenSession("group");
+  std::string query = rdf::LubmShapeQuery(rdf::QueryShape::kComplex);
+  auto lookups = [&server] {
+    PlanCacheStats stats = server.plan_cache_stats();
+    return stats.hits + stats.misses + stats.bypasses;
+  };
+
+  RequestResult first = server.Execute(session, "HAQWA", query);
+  ASSERT_TRUE(first.status.ok()) << first.status.ToString();
+  EXPECT_FALSE(first.cache_hit);
+  EXPECT_FALSE(first.cache_bypass);
+  EXPECT_EQ(lookups(), 1u);
+
+  RequestResult second = server.Execute(session, "HAQWA", query);
+  ASSERT_TRUE(second.status.ok()) << second.status.ToString();
+  EXPECT_TRUE(second.cache_hit);
+  EXPECT_FALSE(second.cache_bypass);
+  EXPECT_EQ(lookups(), 2u);
+
+  PlanCacheStats stats = server.plan_cache_stats();
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.bypasses, 0u);
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(Canon(first, store.dictionary()),
+            Canon(second, store.dictionary()));
+}
+
 TEST(PlanCacheTest, LruEvictionAtCapacity) {
   PlanCache cache(/*capacity=*/2);
   auto plan = [] {
@@ -708,6 +746,40 @@ TEST(QueryServerBudgetTest, GateRejectsAgainstTheQuerysOwnEnvelope) {
     EXPECT_EQ(stats.budget_rejected, 0u);
     EXPECT_EQ(stats.completed, 1u);
   }
+}
+
+TEST(QueryServerBudgetTest, S2xPlansPassTheGate) {
+  // S2X plans afresh on every request and bypasses the cache, but its plan
+  // still meets the Tier D gate: a 1-byte budget rejects the request
+  // before a single task runs.
+  rdf::TripleStore store = SmallLubm();
+  spark::SparkContext sc;
+  QueryServer::Options options = QuietOptions(1);
+  options.variants = {"S2X"};
+  options.memory_budget_bytes = 1;
+  QueryServer server(&sc, options);
+  ASSERT_TRUE(server.AttachDataset(store).ok());
+  int session = server.OpenSession("s2x-budget");
+
+  spark::Metrics before = sc.metrics();
+  RequestResult result = server.Execute(
+      session, "S2X", rdf::LubmShapeQuery(rdf::QueryShape::kStar, 3));
+  spark::Metrics delta = sc.metrics() - before;
+  EXPECT_FALSE(result.status.ok());
+  EXPECT_EQ(result.status.code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(result.rejected);
+  EXPECT_TRUE(result.budget_rejected);
+  EXPECT_TRUE(result.cache_bypass);
+  EXPECT_GT(result.envelope_bytes, 1u);
+  EXPECT_EQ(delta.tasks.value(), 0u);
+
+  TenantStats stats = server.tenant_stats("s2x-budget");
+  EXPECT_EQ(stats.rejected, 1u);
+  EXPECT_EQ(stats.budget_rejected, 1u);
+  EXPECT_EQ(stats.completed, 0u);
+  PlanCacheStats cache = server.plan_cache_stats();
+  EXPECT_EQ(cache.bypasses, 1u);
+  EXPECT_EQ(cache.hits + cache.misses, 0u);
 }
 
 TEST(QueryServerBudgetTest, ConcurrentRejectsMatchSerialReference) {
