@@ -140,7 +140,8 @@ class Graph {
     auto messages = Triplets().FlatMap(
         [send, sc](const EdgeTriplet<VD, ED>& t) {
           std::vector<std::pair<VertexId, M>> out = send(t);
-          sc->RecordMessages(out.size());
+          // An empty send charges nothing: skip the call, not just the add.
+          if (!out.empty()) sc->RecordMessages(out.size());
           return out;
         });
     return messages.ReduceByKey(merge);

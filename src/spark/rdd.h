@@ -135,6 +135,18 @@ class RddNodeBase {
   std::optional<PartitionerInfo> partitioner_;
 };
 
+/// One computed partition. Immutable once computed, so lineage nodes pass
+/// it by reference: a node that hands its parent's elements on unchanged
+/// (Union, AssumePartitioner) returns the parent's partition itself, and a
+/// shuffle read returns its bucket.
+template <typename T>
+using Partition = std::shared_ptr<const std::vector<T>>;
+
+template <typename T>
+Partition<T> MakePartition(std::vector<T> data) {
+  return std::make_shared<const std::vector<T>>(std::move(data));
+}
+
 /// Concrete lineage node for element type T. Partitions are computed on
 /// demand by `compute` and retained while the cached flag holds (every RDD
 /// by default, so iterative engines behave; only Cache()d ones when the
@@ -143,7 +155,7 @@ class RddNodeBase {
 template <typename T>
 class RddNode : public RddNodeBase {
  public:
-  using ComputeFn = std::function<std::vector<T>(int)>;
+  using ComputeFn = std::function<Partition<T>(int)>;
 
   RddNode(int id, std::string name, int num_partitions, bool is_shuffle,
           ComputeFn compute)
@@ -162,7 +174,7 @@ class RddNode : public RddNodeBase {
   /// vector is retained in the slot only while `cached()` holds — a
   /// transient node (retain_uncached_rdds = false, no Cache()) recomputes
   /// for every consumer, which is what LN001 statically predicts.
-  std::shared_ptr<const std::vector<T>> GetPartition(int p) {
+  Partition<T> GetPartition(int p) {
     RDFSPARK_SLOT_LOCK(locks_[p]);
     if (cache_[p]) {
       hb::RecordAccess(hb::CacheSlotObject(id(), p), hb::Access::kRead,
@@ -176,7 +188,7 @@ class RddNode : public RddNodeBase {
     // be inside a different operator — charges still belong to the one
     // that created the lineage (Spark's withScope).
     OpScopeGuard scope(op_scope_);
-    auto data = std::make_shared<std::vector<T>>(compute_(p));
+    Partition<T> data = compute_(p);
     if (cached()) cache_[p] = data;
     return data;
   }
@@ -226,7 +238,7 @@ class RddNode : public RddNodeBase {
   ComputeFn compute_;
   /// Operator scope active when the node was created (null outside plans).
   std::shared_ptr<OpStats> op_scope_;
-  std::vector<std::shared_ptr<std::vector<T>>> cache_;
+  std::vector<Partition<T>> cache_;
   mutable std::unique_ptr<std::mutex[]> locks_;  ///< One per partition.
 };
 
@@ -292,7 +304,7 @@ class Rdd {
       std::vector<U> out;
       out.reserve(in->size());
       for (const T& x : *in) out.push_back(f(x));
-      return out;
+      return MakePartition(std::move(out));
     };
     return MakeChild<U>("Map", node_->num_partitions(), false, compute,
                         std::nullopt);
@@ -313,7 +325,7 @@ class Rdd {
         auto produced = f(x);
         for (auto& u : produced) out.push_back(std::move(u));
       }
-      return out;
+      return MakePartition(std::move(out));
     };
     return MakeChild<U>("FlatMap", node_->num_partitions(), false, compute,
                         std::nullopt);
@@ -331,7 +343,7 @@ class Rdd {
       for (const T& x : *in) {
         if (pred(x)) out.push_back(x);
       }
-      return out;
+      return MakePartition(std::move(out));
     };
     return MakeChild<T>("Filter", node_->num_partitions(), false, compute,
                         node_->partitioner());
@@ -355,7 +367,7 @@ class Rdd {
     auto compute = [sc, parent, f](int p) {
       auto in = parent->GetPartition(p);
       sc->ChargeCompute(p, in->size());
-      return f(p, *in);
+      return MakePartition(f(p, *in));
     };
     return MakeChild<U>("MapPartitions", node_->num_partitions(), false,
                         compute, std::move(info));
@@ -380,7 +392,7 @@ class Rdd {
       auto l = left->GetPartition(p);
       auto r = right->GetPartition(p);
       sc->ChargeCompute(p, l->size() + r->size());
-      return f(p, *l, *r);
+      return MakePartition(f(p, *l, *r));
     };
     auto child = MakeChild<V>("ZipPartitions", node_->num_partitions(), false,
                               compute, std::move(info));
@@ -396,7 +408,7 @@ class Rdd {
   }
 
   /// Concatenates two RDDs; partitions are appended (reads stay local, as in
-  /// Spark's UnionRDD).
+  /// Spark's UnionRDD), each handed out as its parent's partition.
   Rdd<T> Union(const Rdd<T>& other) const {
     auto* sc = sc_;
     auto a = node_;
@@ -406,7 +418,7 @@ class Rdd {
     auto compute = [sc, a, b, an](int p) {
       auto in = p < an ? a->GetPartition(p) : b->GetPartition(p - an);
       sc->ChargeCompute(p, in->size());
-      return *in;
+      return in;
     };
     auto child = MakeChild<T>("Union", total, false, compute, std::nullopt);
     child.node_->AddParent(b);
@@ -454,7 +466,7 @@ class Rdd {
       for (const T& x : *left) {
         for (const U& y : *right) out.emplace_back(x, y);
       }
-      return out;
+      return MakePartition(std::move(out));
     };
     auto child = MakeChild<std::pair<T, U>>("Cartesian", total, false, compute,
                                             std::nullopt);
@@ -482,7 +494,7 @@ class Rdd {
       for (const T& x : *in) {
         if (seen.insert(x).second) out.push_back(x);
       }
-      return out;
+      return MakePartition(std::move(out));
     };
     return Rdd<T>(sc_, MakeNode<T>(sc_, parent, "DistinctLocal",
                                    parent->num_partitions(), false, compute,
@@ -544,7 +556,8 @@ class Rdd {
           it->second = combine(it->second, kv.second);
         }
       }
-      return std::vector<std::pair<K, V>>(acc.begin(), acc.end());
+      return MakePartition(
+          std::vector<std::pair<K, V>>(acc.begin(), acc.end()));
     };
     return Rdd<std::pair<K, V>>(
         sc_, MakeNode<std::pair<K, V>>(sc_, node, "ReduceByKeyLocal", n, false,
@@ -571,7 +584,7 @@ class Rdd {
       std::vector<std::pair<K, std::vector<V>>> out;
       out.reserve(acc.size());
       for (auto& [k, vs] : acc) out.emplace_back(k, std::move(vs));
-      return out;
+      return MakePartition(std::move(out));
     };
     return Rdd<std::pair<K, std::vector<V>>>(
         sc_, MakeNode<std::pair<K, std::vector<V>>>(
@@ -592,7 +605,7 @@ class Rdd {
       std::vector<std::pair<K, W>> out;
       out.reserve(in->size());
       for (const auto& kv : *in) out.emplace_back(kv.first, f(kv.second));
-      return out;
+      return MakePartition(std::move(out));
     };
     return Rdd<std::pair<K, W>>(
         sc_, MakeNode<std::pair<K, W>>(sc_, parent, "MapValues",
@@ -643,7 +656,7 @@ class Rdd {
         }
       }
       sc->ChargeJoinComparisons(comparisons);
-      return out;
+      return MakePartition(std::move(out));
     };
     return Rdd<Out>(sc_, MakeNode<Out>(sc_, parent, "BroadcastHashJoin",
                                        parent->num_partitions(), false,
@@ -734,14 +747,11 @@ class Rdd {
   /// Declares that this RDD is partitioned per `info` without shuffling.
   /// For use by operators that provably preserve key placement (e.g. a
   /// per-partition star join over subject-hashed triples keeps rows on the
-  /// subject's partition). The caller owns the proof.
+  /// subject's partition). The caller owns the proof. Partitions are the
+  /// parent's own.
   Rdd<T> AssumePartitioner(PartitionerInfo info) const {
-    auto* sc = sc_;
     auto parent = node_;
-    auto compute = [sc, parent](int p) {
-      auto in = parent->GetPartition(p);
-      return *in;
-    };
+    auto compute = [parent](int p) { return parent->GetPartition(p); };
     return Rdd<T>(sc_, MakeNode<T>(sc_, parent, "AssumePartitioner",
                                    parent->num_partitions(), false, compute,
                                    std::move(info)));
@@ -760,7 +770,7 @@ class Rdd {
 
   struct ShuffleState {
     explicit ShuffleState(int n)
-        : buckets_void(static_cast<size_t>(n)),
+        : buckets(static_cast<size_t>(n)),
           remote_bytes_per_target(static_cast<size_t>(n), 0) {}
 
     /// Serializes materialization: the first task to need a bucket runs the
@@ -769,22 +779,23 @@ class Rdd {
     /// writes through the same mutex).
     std::mutex mu;
     bool materialized = false;
-    // Type-erased bucket storage: each slot holds a shared_ptr<vector<T>>.
-    std::vector<std::shared_ptr<void>> buckets_void;
+    /// The only copy of each bucket: a read hands it out by reference, and
+    /// it outlives evictions of the shuffle node's cached partitions.
+    std::vector<Partition<T>> buckets;
     std::vector<uint64_t> remote_bytes_per_target;
     /// HB identity of this shuffle's materialization buffers (0 outside a
     /// recording window). Publication point: MaterializeShuffle.
     int64_t hb_id = hb::AssignWindowId();
 
-    template <typename U>
-    std::vector<U> TakeBucket(SparkContext* sc, int p) {
+    /// Reads bucket `p`, charging its reduce task.
+    Partition<T> TakeBucket(SparkContext* sc, int p) {
       hb::Consume(hb::ShuffleObject(hb_id));
       hb::RecordAccess(hb::ShuffleObject(hb_id), hb::Access::kRead,
                        "ShuffleState::TakeBucket");
-      auto ptr = std::static_pointer_cast<std::vector<U>>(buckets_void[p]);
-      std::vector<U> out = ptr ? *ptr : std::vector<U>();
-      sc->ChargeTask(p, out.size(), remote_bytes_per_target[p]);
-      return out;
+      const Partition<T>& bucket = buckets[static_cast<size_t>(p)];
+      sc->ChargeTask(p, bucket->size(),
+                     remote_bytes_per_target[static_cast<size_t>(p)]);
+      return bucket;
     }
   };
 
@@ -806,10 +817,10 @@ class Rdd {
             // uint64 hash modulo a positive count: provably in [0, n).
             return static_cast<int>(hash_fn(x) % static_cast<uint64_t>(n));
           };
-          MaterializeShuffle<T>(sc, parent.get(), state.get(), target);
+          MaterializeShuffle(sc, parent.get(), state.get(), target);
         }
       }
-      return state->template TakeBucket<T>(sc, p);
+      return state->TakeBucket(sc, p);
     };
     return Rdd<T>(sc_, MakeNode<T>(sc_, parent, name, n, true, compute,
                                    std::move(info)));
@@ -822,13 +833,13 @@ class Rdd {
   /// order, so bucket contents are byte-identical to the serial path no
   /// matter how tasks interleave. Caller must hold `state->mu` and have
   /// checked `state->materialized`.
-  template <typename U, typename Parent, typename TargetFn>
-  static void MaterializeShuffle(SparkContext* sc, Parent* parent,
+  template <typename TargetFn>
+  static void MaterializeShuffle(SparkContext* sc, RddNode<T>* parent,
                                  ShuffleState* state, TargetFn target) {
     sc->BeginPhase();
-    int n = static_cast<int>(state->buckets_void.size());
+    int n = static_cast<int>(state->buckets.size());
     int np = parent->num_partitions();
-    std::vector<std::vector<std::vector<U>>> staged(
+    std::vector<std::vector<std::vector<T>>> staged(
         static_cast<size_t>(np));
     std::vector<std::vector<uint64_t>> staged_remote(
         static_cast<size_t>(np));
@@ -842,7 +853,7 @@ class Rdd {
       remote.assign(static_cast<size_t>(n), 0);
       uint64_t records = 0, bytes_total = 0, remote_bytes = 0;
       uint64_t local_reads = 0, remote_reads = 0;
-      for (const U& x : *in) {
+      for (const T& x : *in) {
         int t = target(x);
         assert(t >= 0 && t < n && "bucket index out of range");
         uint64_t bytes = EstimateSize(x);
@@ -866,13 +877,13 @@ class Rdd {
         total += staged[static_cast<size_t>(q)][static_cast<size_t>(b)]
                      .size();
       }
-      auto merged = std::make_shared<std::vector<U>>();
-      merged->reserve(total);
+      std::vector<T> merged;
+      merged.reserve(total);
       for (int q = 0; q < np; ++q) {
         auto& part = staged[static_cast<size_t>(q)][static_cast<size_t>(b)];
-        for (U& x : part) merged->push_back(std::move(x));
+        for (T& x : part) merged.push_back(std::move(x));
       }
-      state->buckets_void[static_cast<size_t>(b)] = merged;
+      state->buckets[static_cast<size_t>(b)] = MakePartition(std::move(merged));
     }
     for (int q = 0; q < np; ++q) {
       for (int t = 0; t < n; ++t) {
@@ -917,8 +928,10 @@ class Rdd {
       auto l = ln->GetPartition(p);
       auto r = rn->GetPartition(p);
       sc->ChargeCompute(p, l->size() + r->size());
-      std::unordered_map<K, std::vector<W>, ValueHasher> build;
-      for (const auto& kv : *r) build[kv.first].push_back(kv.second);
+      // The build side is indexed in place: `r` keeps its values alive, and
+      // each is copied once, into the output.
+      std::unordered_map<K, std::vector<const W*>, ValueHasher> build;
+      for (const auto& kv : *r) build[kv.first].push_back(&kv.second);
       std::vector<Out> out;
       uint64_t comparisons = 0;
       for (const auto& kv : *l) {
@@ -926,12 +939,12 @@ class Rdd {
         ++comparisons;
         if (it != build.end()) {
           comparisons += it->second.size() - 1;
-          for (const W& w : it->second) {
+          for (const W* w : it->second) {
             if constexpr (kKind == JoinKind::kInner) {
-              out.emplace_back(kv.first, std::pair<V, W>(kv.second, w));
+              out.emplace_back(kv.first, std::pair<V, W>(kv.second, *w));
             } else {
               out.emplace_back(kv.first, std::pair<V, std::optional<W>>(
-                                             kv.second, w));
+                                             kv.second, *w));
             }
           }
         } else if constexpr (kKind == JoinKind::kLeftOuter) {
@@ -940,7 +953,7 @@ class Rdd {
         }
       }
       sc->ChargeJoinComparisons(comparisons);
-      return out;
+      return MakePartition(std::move(out));
     };
     auto node = MakeNode<Out>(sc_, ln,
                               kKind == JoinKind::kInner ? "Join"
@@ -1006,7 +1019,8 @@ Rdd<T> Parallelize(SparkContext* sc, std::vector<T> data, int num_partitions) {
   auto compute = [shared, total, n](int p) {
     size_t begin = total * static_cast<size_t>(p) / static_cast<size_t>(n);
     size_t end = total * (static_cast<size_t>(p) + 1) / static_cast<size_t>(n);
-    return std::vector<T>(shared->begin() + begin, shared->begin() + end);
+    return MakePartition(
+        std::vector<T>(shared->begin() + begin, shared->begin() + end));
   };
   auto node = std::make_shared<RddNode<T>>(sc->NextNodeId(), "Parallelize", n,
                                            false, compute);

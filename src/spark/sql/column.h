@@ -25,13 +25,38 @@ class Column {
   /// Appends a value (must match the column type or be NULL).
   void Append(const Value& v);
 
+  /// Typed appends from `src`, a column of this column's type: cell `i`;
+  /// cell `i` `n` times; cells [begin, end). Each leaves the column exactly
+  /// as Append(src.Get(i)) per cell would, strings interned in the same
+  /// order, without building a Value.
+  void AppendFrom(const Column& src, size_t i);
+  void AppendFrom(const Column& src, size_t i, size_t n);
+  void AppendRange(const Column& src, size_t begin, size_t end);
+
   /// Reads a value back.
   Value Get(size_t i) const;
+
+  /// Get(i) into `out`, reusing its storage (a string keeps its buffer).
+  void GetInto(size_t i, Value* out) const;
+
+  /// EstimateSize(Get(i)), without building the Value.
+  uint64_t CellBytes(size_t i) const;
+
+  /// Get(i) == Get(j) under Value's operator== (NULL equals NULL here).
+  bool CellsEqual(size_t i, size_t j) const;
 
   /// Estimated resident bytes (dictionary counted once).
   uint64_t MemoryBytes() const;
 
+  /// Same cells in the same storage, dictionary codes included.
+  bool operator==(const Column&) const = default;
+
  private:
+  bool IsNullAt(size_t i) const {
+    return nulls_[i] != 0 || type_ == DataType::kNull;
+  }
+  int32_t Intern(const std::string& s);
+
   DataType type_;
   size_t num_values_ = 0;
   std::vector<uint8_t> nulls_;  // 1 = null
@@ -49,7 +74,10 @@ class Column {
 /// A horizontal slice of a DataFrame: one column chunk per field. One batch
 /// per partition. A zero-row batch may carry no columns at all (the slot of
 /// a task that had no rows to produce); MemoryBytes is 0 either way, and
-/// only a batch built by MakeBatch may be appended to.
+/// only a batch built by MakeBatch may be appended to. Operators move
+/// cells column to column (Column::AppendFrom/AppendRange); GetRow and
+/// AppendRow are for callers that need a Row (Collect, FromRows, Sort,
+/// GroupByAgg, Limit, ToString).
 struct RecordBatch {
   std::vector<Column> columns;
   size_t num_rows = 0;
@@ -57,6 +85,8 @@ struct RecordBatch {
   Row GetRow(size_t i) const;
   void AppendRow(const Row& row);
   uint64_t MemoryBytes() const;
+
+  bool operator==(const RecordBatch&) const = default;
 };
 
 /// Builds an empty batch matching `schema`.

@@ -11,14 +11,18 @@ namespace rdfspark::spark::sql {
 
 namespace {
 
-/// Deterministic hash/equality for rows used as keys (join keys, group
-/// keys, DISTINCT). NULLs compare equal here, matching SQL GROUP BY
-/// semantics; join code filters NULL keys out beforehand.
+uint64_t HashRowKey(const Row& key) {
+  uint64_t h = 0x2545f4914f6cdd1dULL;
+  for (const Value& v : key) h = CombineHash64(h, HashValue(v));
+  return h;
+}
+
+/// Deterministic hash for rows used as keys (join keys, group keys).
+/// NULLs hash alike, matching SQL GROUP BY semantics; join code filters
+/// NULL keys out beforehand.
 struct RowHasher {
   size_t operator()(const Row& row) const {
-    uint64_t h = 0x2545f4914f6cdd1dULL;
-    for (const Value& v : row) h = CombineHash64(h, HashValue(v));
-    return static_cast<size_t>(h);
+    return static_cast<size_t>(HashRowKey(row));
   }
 };
 
@@ -44,12 +48,6 @@ std::string DfPartitionKind(const std::vector<std::string>& columns) {
   return kind;
 }
 
-uint64_t HashRowKey(const Row& key) {
-  uint64_t h = 0x2545f4914f6cdd1dULL;
-  for (const Value& v : key) h = CombineHash64(h, HashValue(v));
-  return h;
-}
-
 bool RowHasNullKey(const Row& key) {
   for (const Value& v : key) {
     if (IsNull(v)) return true;
@@ -57,10 +55,142 @@ bool RowHasNullKey(const Row& key) {
   return false;
 }
 
+/// Schema indices of `names`, resolved once per operator.
+std::vector<int> ColumnIndices(const Schema& schema,
+                               const std::vector<std::string>& names) {
+  std::vector<int> cols;
+  cols.reserve(names.size());
+  for (const auto& name : names) cols.push_back(schema.Index(name));
+  return cols;
+}
+
+/// Reads row `i`'s `cols` cells into `key` (key[k] = cell cols[k]); the
+/// caller reuses `key` across rows.
+void LoadKey(const RecordBatch& b, size_t i, const std::vector<int>& cols,
+             Row* key) {
+  for (size_t k = 0; k < cols.size(); ++k) {
+    b.columns[static_cast<size_t>(cols[k])].GetInto(i, &(*key)[k]);
+  }
+}
+
+/// Reads the cells `expr` uses of row `i` into `row`, a buffer as wide as
+/// the bound schema that the caller reuses across rows.
+void LoadOperands(const RecordBatch& b, size_t i, const BoundExpr& expr,
+                  Row* row) {
+  for (int c : expr.columns()) {
+    auto col = static_cast<size_t>(c);
+    b.columns[col].GetInto(i, &(*row)[col]);
+  }
+}
+
+/// EstimateSize(b.GetRow(i)), without building the Row.
+uint64_t RowBytes(const RecordBatch& b, size_t i) {
+  uint64_t total = 16;
+  for (const Column& c : b.columns) total += c.CellBytes(i);
+  return total;
+}
+
+/// Appends `src`'s rows `rows`, in order, to `out` (same schema).
+void AppendRows(const RecordBatch& src, const std::vector<uint32_t>& rows,
+                RecordBatch* out) {
+  if (rows.empty()) return;
+  for (size_t c = 0; c < out->columns.size(); ++c) {
+    Column& dst = out->columns[c];
+    const Column& from = src.columns[c];
+    for (uint32_t r : rows) dst.AppendFrom(from, r);
+  }
+  out->num_rows += rows.size();
+}
+
+/// A build-side row of a hash join: (batch, row) within the build batches.
+struct RowRef {
+  uint32_t batch;
+  uint32_t row;
+};
+
+/// Build-side rows by join key. Keys with a NULL cell are left out: they
+/// never join.
+using JoinIndex = std::unordered_map<Row, std::vector<RowRef>, RowHasher,
+                                     RowKeyEqual>;
+
+JoinIndex IndexRows(const std::vector<const RecordBatch*>& batches,
+                    const std::vector<int>& key_cols) {
+  JoinIndex index;
+  Row key(key_cols.size());
+  for (size_t b = 0; b < batches.size(); ++b) {
+    const RecordBatch& batch = *batches[b];
+    for (size_t i = 0; i < batch.num_rows; ++i) {
+      LoadKey(batch, i, key_cols, &key);
+      if (RowHasNullKey(key)) continue;
+      index[key].push_back(
+          RowRef{static_cast<uint32_t>(b), static_cast<uint32_t>(i)});
+    }
+  }
+  return index;
+}
+
+/// Probes `in` against `index` and appends the joined rows to `out` (left
+/// columns, then build columns): each left row once per match, in build
+/// order, or once NULL-padded when a left-outer join finds none. Returns
+/// the candidate pairs examined.
+uint64_t ProbeRows(const RecordBatch& in, const std::vector<int>& key_cols,
+                   const JoinIndex& index,
+                   const std::vector<const RecordBatch*>& build,
+                   JoinType type, RecordBatch* out) {
+  constexpr uint32_t kNoMatch = UINT32_MAX;
+  // Matched pairs: left row `left[k].first` appears `left[k].second` times
+  // in a row, paired with the next entries of `right` in order.
+  std::vector<std::pair<uint32_t, uint32_t>> left;
+  std::vector<RowRef> right;
+  uint64_t comparisons = 0;
+  Row key(key_cols.size());
+  for (size_t i = 0; i < in.num_rows; ++i) {
+    LoadKey(in, i, key_cols, &key);
+    ++comparisons;
+    auto it = RowHasNullKey(key) ? index.end() : index.find(key);
+    if (it != index.end()) {
+      comparisons += it->second.size() - 1;
+      left.emplace_back(static_cast<uint32_t>(i),
+                        static_cast<uint32_t>(it->second.size()));
+      right.insert(right.end(), it->second.begin(), it->second.end());
+    } else if (type == JoinType::kLeftOuter) {
+      left.emplace_back(static_cast<uint32_t>(i), 1);
+      right.push_back(RowRef{kNoMatch, 0});
+    }
+  }
+  if (right.empty()) return comparisons;
+  size_t nl = in.columns.size();
+  for (size_t c = 0; c < nl; ++c) {
+    for (const auto& [row, times] : left) {
+      out->columns[c].AppendFrom(in.columns[c], row, times);
+    }
+  }
+  for (size_t c = nl; c < out->columns.size(); ++c) {
+    Column& dst = out->columns[c];
+    for (const RowRef& ref : right) {
+      if (ref.batch == kNoMatch) {
+        dst.Append(Value{});  // Left-outer NULL padding.
+      } else {
+        dst.AppendFrom(build[ref.batch]->columns[c - nl], ref.row);
+      }
+    }
+  }
+  out->num_rows += right.size();
+  return comparisons;
+}
+
+/// A task's output batch as a frame slot. A column-less zero-row batch is
+/// the null slot, so the many empty tasks of a wide operator allocate
+/// nothing; tasks share their own output, off the driver.
+std::shared_ptr<const RecordBatch> ShareBatch(RecordBatch&& batch) {
+  if (batch.num_rows == 0 && batch.columns.empty()) return nullptr;
+  return std::make_shared<const RecordBatch>(std::move(batch));
+}
+
 }  // namespace
 
 DataFrame DataFrame::Make(SparkContext* sc, Schema schema,
-                          std::vector<RecordBatch> batches,
+                          std::vector<BatchPtr> batches,
                           std::optional<PartitionerInfo> partitioner) {
   auto state = std::make_shared<State>();
   state->sc = sc;
@@ -70,6 +200,16 @@ DataFrame DataFrame::Make(SparkContext* sc, Schema schema,
   DataFrame df;
   df.state_ = std::move(state);
   return df;
+}
+
+DataFrame DataFrame::Make(SparkContext* sc, Schema schema,
+                          std::vector<RecordBatch> batches,
+                          std::optional<PartitionerInfo> partitioner) {
+  std::vector<BatchPtr> shared;
+  shared.reserve(batches.size());
+  for (RecordBatch& b : batches) shared.push_back(ShareBatch(std::move(b)));
+  return Make(sc, std::move(schema), std::move(shared),
+              std::move(partitioner));
 }
 
 DataFrame DataFrame::FromRows(SparkContext* sc, Schema schema,
@@ -92,15 +232,21 @@ DataFrame DataFrame::FromRows(SparkContext* sc, Schema schema,
   return Make(sc, std::move(schema), std::move(batches), std::nullopt);
 }
 
+const RecordBatch& DataFrame::partition(int p) const {
+  static const RecordBatch kNoRows;
+  const BatchPtr& b = state_->batches[static_cast<size_t>(p)];
+  return b ? *b : kNoRows;
+}
+
 uint64_t DataFrame::NumRows() const {
   uint64_t n = 0;
-  for (const auto& b : state_->batches) n += b.num_rows;
+  for (int p = 0; p < num_partitions(); ++p) n += partition(p).num_rows;
   return n;
 }
 
 uint64_t DataFrame::EstimatedBytes() const {
   uint64_t n = 0;
-  for (const auto& b : state_->batches) n += b.MemoryBytes();
+  for (int p = 0; p < num_partitions(); ++p) n += partition(p).MemoryBytes();
   return n;
 }
 
@@ -116,26 +262,37 @@ DataFrame DataFrame::Select(const std::vector<std::string>& columns) const {
 DataFrame DataFrame::SelectExprs(
     const std::vector<std::pair<Expr, std::string>>& projections) const {
   SparkContext* sc = state_->sc;
+  const Schema& schema = state_->schema;
+  std::vector<BoundExpr> bound;
+  bound.reserve(projections.size());
+  for (const auto& [expr, name] : projections) bound.emplace_back(expr, schema);
+  // A resolved column reference copies its column; anything else is
+  // evaluated per row.
+  std::vector<int> source(projections.size(), -1);
   // Output schema: infer types (column refs keep their type; literals and
   // arithmetic probed on first row).
   std::vector<Field> fields;
-  for (const auto& [expr, name] : projections) {
+  Row buf(schema.num_fields());
+  for (size_t k = 0; k < projections.size(); ++k) {
+    const Expr& expr = projections[k].first;
     DataType type = DataType::kString;
     if (expr.kind() == ExprKind::kColumn) {
-      int idx = state_->schema.Index(expr.column());
-      if (idx >= 0) type = state_->schema.field(static_cast<size_t>(idx)).type;
+      int idx = schema.Index(expr.column());
+      if (idx >= 0) type = schema.field(static_cast<size_t>(idx)).type;
+      source[k] = idx;
     } else if (expr.kind() == ExprKind::kLiteral) {
       type = TypeOf(expr.literal());
     } else {
       // Probe with the first available row.
-      for (const auto& b : state_->batches) {
-        if (b.num_rows > 0) {
-          type = TypeOf(expr.Eval(b.GetRow(0), state_->schema));
+      for (int p = 0; p < num_partitions(); ++p) {
+        if (partition(p).num_rows > 0) {
+          LoadOperands(partition(p), 0, bound[k], &buf);
+          type = TypeOf(bound[k].Eval(buf));
           break;
         }
       }
     }
-    fields.push_back(Field{name, type});
+    fields.push_back(Field{projections[k].second, type});
   }
   Schema out_schema{fields};
 
@@ -143,22 +300,29 @@ DataFrame DataFrame::SelectExprs(
   // Partition tasks run concurrently; each writes its own pre-sized slot.
   // Slots start column-less and zero-row, and a task without output rows
   // leaves its slot so: an empty partition costs no column headers.
-  std::vector<RecordBatch> batches(state_->batches.size());
+  std::vector<BatchPtr> batches(state_->batches.size());
   sc->RunParallel(static_cast<int>(state_->batches.size()), [&](int p) {
-    const RecordBatch& in = state_->batches[static_cast<size_t>(p)];
+    const RecordBatch& in = partition(p);
     RecordBatch out;
-    if (in.num_rows > 0) out = MakeBatch(out_schema);
-    for (size_t i = 0; i < in.num_rows; ++i) {
-      Row row = in.GetRow(i);
-      Row projected;
-      projected.reserve(projections.size());
-      for (const auto& [expr, name] : projections) {
-        projected.push_back(expr.Eval(row, state_->schema));
+    if (in.num_rows > 0) {
+      out = MakeBatch(out_schema);
+      Row row(schema.num_fields());
+      for (size_t k = 0; k < bound.size(); ++k) {
+        Column& dst = out.columns[k];
+        if (source[k] >= 0) {
+          dst.AppendRange(in.columns[static_cast<size_t>(source[k])], 0,
+                          in.num_rows);
+          continue;
+        }
+        for (size_t i = 0; i < in.num_rows; ++i) {
+          LoadOperands(in, i, bound[k], &row);
+          dst.Append(bound[k].Eval(row));
+        }
       }
-      out.AppendRow(projected);
+      out.num_rows = in.num_rows;
     }
     sc->ChargeTask(p, in.num_rows, 0);
-    batches[static_cast<size_t>(p)] = std::move(out);
+    batches[static_cast<size_t>(p)] = ShareBatch(std::move(out));
   });
   sc->EndPhase();
   // Projection preserves partition placement but may drop partition keys;
@@ -172,46 +336,48 @@ DataFrame DataFrame::Rename(const std::vector<std::string>& names) const {
   for (size_t i = 0; i < fields.size() && i < names.size(); ++i) {
     fields[i].name = names[i];
   }
-  auto state = std::make_shared<State>(*state_);
-  state->schema = Schema{fields};
-  DataFrame df;
-  df.state_ = std::move(state);
-  return df;
+  return Make(state_->sc, Schema{fields}, state_->batches,
+              state_->partitioner);
 }
 
 DataFrame DataFrame::Filter(const Expr& predicate) const {
   SparkContext* sc = state_->sc;
+  BoundExpr bound(predicate, state_->schema);
   sc->BeginPhase();
-  std::vector<RecordBatch> batches(state_->batches.size());
+  std::vector<BatchPtr> batches(state_->batches.size());
   sc->RunParallel(static_cast<int>(state_->batches.size()), [&](int p) {
-    const RecordBatch& in = state_->batches[static_cast<size_t>(p)];
+    const RecordBatch& in = partition(p);
     RecordBatch out;
-    if (in.num_rows > 0) out = MakeBatch(state_->schema);
-    for (size_t i = 0; i < in.num_rows; ++i) {
-      Row row = in.GetRow(i);
-      if (predicate.EvalPredicate(row, state_->schema)) out.AppendRow(row);
+    if (in.num_rows > 0) {
+      out = MakeBatch(state_->schema);
+      Row row(state_->schema.num_fields());
+      std::vector<uint32_t> kept;
+      for (size_t i = 0; i < in.num_rows; ++i) {
+        LoadOperands(in, i, bound, &row);
+        if (bound.EvalPredicate(row)) kept.push_back(static_cast<uint32_t>(i));
+      }
+      AppendRows(in, kept, &out);
     }
     sc->ChargeTask(p, in.num_rows, 0);
-    batches[static_cast<size_t>(p)] = std::move(out);
+    batches[static_cast<size_t>(p)] = ShareBatch(std::move(out));
   });
   sc->EndPhase();
   return Make(sc, state_->schema, std::move(batches), state_->partitioner);
 }
 
-template <typename KeyFn>
-std::vector<RecordBatch> DataFrame::ShuffleRows(const Schema& out_schema,
-                                                int num_partitions,
-                                                KeyFn key_of) const {
+std::vector<RecordBatch> DataFrame::ShuffleRows(
+    const std::vector<int>& key_cols, int num_partitions) const {
   SparkContext* sc = state_->sc;
   sc->BeginPhase();
   size_t np = state_->batches.size();
-  // Map side runs concurrently: each source partition stages its rows per
-  // target in its own slot; the merge below walks sources in partition
-  // order, so bucket row order matches the serial path exactly.
-  std::vector<std::vector<std::vector<Row>>> staged(np);
+  // Map side runs concurrently: each source partition stages the indices
+  // of its rows per target in its own slot; the merge below walks sources
+  // in partition order, so bucket row order matches the serial path
+  // exactly.
+  std::vector<std::vector<std::vector<uint32_t>>> staged(np);
   std::vector<std::vector<uint64_t>> staged_remote(np);
   sc->RunParallel(static_cast<int>(np), [&](int p) {
-    const RecordBatch& in = state_->batches[static_cast<size_t>(p)];
+    const RecordBatch& in = partition(p);
     sc->ChargeTask(p, in.num_rows, 0);
     int src_exec = sc->ExecutorOf(p);
     auto& rows = staged[static_cast<size_t>(p)];
@@ -220,11 +386,12 @@ std::vector<RecordBatch> DataFrame::ShuffleRows(const Schema& out_schema,
     remote.assign(static_cast<size_t>(num_partitions), 0);
     uint64_t shuffle_records = 0, shuffle_bytes = 0;
     uint64_t remote_shuffle_bytes = 0, remote_reads = 0, local_reads = 0;
+    Row key(key_cols.size());
     for (size_t i = 0; i < in.num_rows; ++i) {
-      Row row = in.GetRow(i);
-      int target = static_cast<int>(key_of(row) %
+      LoadKey(in, i, key_cols, &key);
+      int target = static_cast<int>(HashRowKey(key) %
                                     static_cast<uint64_t>(num_partitions));
-      uint64_t bytes = EstimateSize(row);
+      uint64_t bytes = RowBytes(in, i);
       ++shuffle_records;
       shuffle_bytes += bytes;
       if (sc->ExecutorOf(target) != src_exec) {
@@ -234,7 +401,7 @@ std::vector<RecordBatch> DataFrame::ShuffleRows(const Schema& out_schema,
       } else {
         ++local_reads;
       }
-      rows[static_cast<size_t>(target)].push_back(std::move(row));
+      rows[static_cast<size_t>(target)].push_back(static_cast<uint32_t>(i));
     }
     sc->ChargeShuffleWrite(p, shuffle_records, shuffle_bytes,
                            remote_shuffle_bytes, local_reads, remote_reads);
@@ -242,14 +409,14 @@ std::vector<RecordBatch> DataFrame::ShuffleRows(const Schema& out_schema,
   std::vector<RecordBatch> buckets;
   buckets.reserve(static_cast<size_t>(num_partitions));
   for (int i = 0; i < num_partitions; ++i) {
-    buckets.push_back(MakeBatch(out_schema));
+    buckets.push_back(MakeBatch(state_->schema));
   }
   std::vector<uint64_t> remote_bytes(static_cast<size_t>(num_partitions), 0);
   for (size_t p = 0; p < np; ++p) {
     for (int t = 0; t < num_partitions; ++t) {
-      for (const Row& row : staged[p][static_cast<size_t>(t)]) {
-        buckets[static_cast<size_t>(t)].AppendRow(row);
-      }
+      AppendRows(partition(static_cast<int>(p)),
+                 staged[p][static_cast<size_t>(t)],
+                 &buckets[static_cast<size_t>(t)]);
       remote_bytes[static_cast<size_t>(t)] +=
           staged_remote[p][static_cast<size_t>(t)];
     }
@@ -264,12 +431,9 @@ std::vector<RecordBatch> DataFrame::ShuffleRows(const Schema& out_schema,
 
 DataFrame DataFrame::AssumePartitionedBy(
     const std::vector<std::string>& columns) const {
-  auto state = std::make_shared<State>(*state_);
-  state->partitioner = PartitionerInfo{
-      DfPartitionKind(columns), static_cast<int>(state->batches.size()), 0};
-  DataFrame df;
-  df.state_ = std::move(state);
-  return df;
+  return Make(state_->sc, state_->schema, state_->batches,
+              PartitionerInfo{DfPartitionKind(columns),
+                              static_cast<int>(state_->batches.size()), 0});
 }
 
 DataFrame DataFrame::PartitionBy(const std::vector<std::string>& columns,
@@ -279,13 +443,7 @@ DataFrame DataFrame::PartitionBy(const std::vector<std::string>& columns,
                              : static_cast<int>(state_->batches.size());
   PartitionerInfo info{DfPartitionKind(columns), n, 0};
   if (state_->partitioner && *state_->partitioner == info) return *this;
-  std::vector<int> key_cols;
-  for (const auto& c : columns) key_cols.push_back(state_->schema.Index(c));
-  auto batches = ShuffleRows(state_->schema, n, [&](const Row& row) {
-    Row key;
-    for (int c : key_cols) key.push_back(row[static_cast<size_t>(c)]);
-    return HashRowKey(key);
-  });
+  auto batches = ShuffleRows(ColumnIndices(state_->schema, columns), n);
   return Make(sc, state_->schema, std::move(batches), info);
 }
 
@@ -349,58 +507,29 @@ DataFrame DataFrame::BroadcastJoin(
   // Output schema: all left columns then all right columns (callers keep
   // names unique by qualification, as SQL aliases do).
   std::vector<Field> fields = state_->schema.fields();
-  std::vector<int> right_keep;
-  for (size_t i = 0; i < right.schema().num_fields(); ++i) {
-    right_keep.push_back(static_cast<int>(i));
-    fields.push_back(right.schema().field(i));
-  }
+  for (const Field& f : right.schema().fields()) fields.push_back(f);
   Schema out_schema{fields};
 
-  // Build once (driver side).
-  std::unordered_map<Row, std::vector<Row>, RowHasher, RowKeyEqual> build;
-  for (const auto& b : right.state_->batches) {
-    for (size_t i = 0; i < b.num_rows; ++i) {
-      Row row = b.GetRow(i);
-      Row key;
-      for (int c : rcols) key.push_back(row[static_cast<size_t>(c)]);
-      if (RowHasNullKey(key)) continue;
-      build[std::move(key)].push_back(std::move(row));
-    }
+  // Build once (driver side), indexing the right side's rows in place.
+  std::vector<const RecordBatch*> build;
+  build.reserve(static_cast<size_t>(right.num_partitions()));
+  for (int p = 0; p < right.num_partitions(); ++p) {
+    build.push_back(&right.partition(p));
   }
+  JoinIndex index = IndexRows(build, rcols);
 
   sc->BeginPhase();
-  // The build table is read-only from here on; probe tasks share it and
+  // The build index is read-only from here on; probe tasks share it and
   // each writes its own output slot.
-  std::vector<RecordBatch> batches(state_->batches.size());
+  std::vector<BatchPtr> batches(state_->batches.size());
   sc->RunParallel(static_cast<int>(state_->batches.size()), [&](int p) {
-    const RecordBatch& in = state_->batches[static_cast<size_t>(p)];
+    const RecordBatch& in = partition(p);
     RecordBatch out;
     if (in.num_rows > 0) out = MakeBatch(out_schema);
-    uint64_t comparisons = 0;
-    for (size_t i = 0; i < in.num_rows; ++i) {
-      Row row = in.GetRow(i);
-      Row key;
-      for (int c : lcols) key.push_back(row[static_cast<size_t>(c)]);
-      ++comparisons;
-      auto it = RowHasNullKey(key) ? build.end() : build.find(key);
-      if (it != build.end()) {
-        comparisons += it->second.size() - 1;
-        for (const Row& rrow : it->second) {
-          Row combined = row;
-          for (int c : right_keep) {
-            combined.push_back(rrow[static_cast<size_t>(c)]);
-          }
-          out.AppendRow(combined);
-        }
-      } else if (type == JoinType::kLeftOuter) {
-        Row combined = row;
-        combined.resize(out_schema.num_fields());
-        out.AppendRow(combined);
-      }
-    }
+    uint64_t comparisons = ProbeRows(in, lcols, index, build, type, &out);
     sc->ChargeJoinComparisons(comparisons);
     sc->ChargeTask(p, in.num_rows, 0);
-    batches[static_cast<size_t>(p)] = std::move(out);
+    batches[static_cast<size_t>(p)] = ShareBatch(std::move(out));
   });
   sc->EndPhase();
   return Make(sc, std::move(out_schema), std::move(batches),
@@ -430,64 +559,28 @@ DataFrame DataFrame::ShuffleHashJoin(
   DataFrame right_part =
       copartitioned ? right : right.PartitionBy(rnames, n);
 
-  std::vector<int> lcols, rcols;
-  for (const auto& [l, r] : keys) {
-    lcols.push_back(left_part.schema().Index(l));
-    rcols.push_back(right_part.schema().Index(r));
-  }
+  std::vector<int> lcols = ColumnIndices(left_part.schema(), lnames);
+  std::vector<int> rcols = ColumnIndices(right_part.schema(), rnames);
   std::vector<Field> fields = left_part.schema().fields();
-  std::vector<int> right_keep;
-  for (size_t i = 0; i < right_part.schema().num_fields(); ++i) {
-    right_keep.push_back(static_cast<int>(i));
-    fields.push_back(right_part.schema().field(i));
-  }
+  for (const Field& f : right_part.schema().fields()) fields.push_back(f);
   Schema out_schema{fields};
 
   sc->BeginPhase();
   // Each task builds and probes its own partition pair — no shared state
   // beyond the (atomic) metric counters.
-  std::vector<RecordBatch> batches(
+  std::vector<BatchPtr> batches(
       static_cast<size_t>(left_part.num_partitions()));
   sc->RunParallel(left_part.num_partitions(), [&](int p) {
-    const RecordBatch& lb =
-        left_part.state_->batches[static_cast<size_t>(p)];
-    const RecordBatch& rb =
-        right_part.state_->batches[static_cast<size_t>(p)];
-    std::unordered_map<Row, std::vector<Row>, RowHasher, RowKeyEqual> build;
-    for (size_t i = 0; i < rb.num_rows; ++i) {
-      Row row = rb.GetRow(i);
-      Row key;
-      for (int c : rcols) key.push_back(row[static_cast<size_t>(c)]);
-      if (RowHasNullKey(key)) continue;
-      build[std::move(key)].push_back(std::move(row));
-    }
+    const RecordBatch& lb = left_part.partition(p);
+    const RecordBatch& rb = right_part.partition(p);
+    std::vector<const RecordBatch*> build{&rb};
+    JoinIndex index = IndexRows(build, rcols);
     RecordBatch out;
     if (lb.num_rows > 0) out = MakeBatch(out_schema);
-    uint64_t comparisons = 0;
-    for (size_t i = 0; i < lb.num_rows; ++i) {
-      Row row = lb.GetRow(i);
-      Row key;
-      for (int c : lcols) key.push_back(row[static_cast<size_t>(c)]);
-      ++comparisons;
-      auto it = RowHasNullKey(key) ? build.end() : build.find(key);
-      if (it != build.end()) {
-        comparisons += it->second.size() - 1;
-        for (const Row& rrow : it->second) {
-          Row combined = row;
-          for (int c : right_keep) {
-            combined.push_back(rrow[static_cast<size_t>(c)]);
-          }
-          out.AppendRow(combined);
-        }
-      } else if (type == JoinType::kLeftOuter) {
-        Row combined = row;
-        combined.resize(out_schema.num_fields());
-        out.AppendRow(combined);
-      }
-    }
+    uint64_t comparisons = ProbeRows(lb, lcols, index, build, type, &out);
     sc->ChargeJoinComparisons(comparisons);
     sc->ChargeTask(p, lb.num_rows + rb.num_rows, 0);
-    batches[static_cast<size_t>(p)] = std::move(out);
+    batches[static_cast<size_t>(p)] = ShareBatch(std::move(out));
   });
   sc->EndPhase();
   return Make(sc, std::move(out_schema), std::move(batches),
@@ -500,68 +593,97 @@ DataFrame DataFrame::CrossJoin(const DataFrame& right) const {
   std::vector<Field> fields = state_->schema.fields();
   for (const auto& f : right.schema().fields()) fields.push_back(f);
   Schema out_schema{fields};
+  size_t nl = state_->schema.num_fields();
 
   sc->BeginPhase();
   // Output partition o pairs left partition o / rn with right partition
   // o % rn — the same enumeration order as the serial nested loops.
   int rn = static_cast<int>(right.state_->batches.size());
   int total = static_cast<int>(state_->batches.size()) * rn;
-  std::vector<RecordBatch> batches(static_cast<size_t>(total));
+  std::vector<BatchPtr> batches(static_cast<size_t>(total));
   sc->RunParallel(total, [&](int out_p) {
     int lp = out_p / rn;
     int rp = out_p % rn;
-    const RecordBatch& lb = state_->batches[static_cast<size_t>(lp)];
-    const RecordBatch& rb = right.state_->batches[static_cast<size_t>(rp)];
+    const RecordBatch& lb = partition(lp);
+    const RecordBatch& rb = right.partition(rp);
     RecordBatch out;
-    if (lb.num_rows > 0 && rb.num_rows > 0) out = MakeBatch(out_schema);
     sc->ChargeJoinComparisons(lb.num_rows * rb.num_rows);
     uint64_t remote = 0;
     if (sc->ExecutorOf(out_p) != sc->ExecutorOf(rp)) {
       remote = rb.MemoryBytes();
       sc->ChargeRemoteReads(rb.num_rows);
     }
-    for (size_t i = 0; i < lb.num_rows; ++i) {
-      Row lrow = lb.GetRow(i);
-      for (size_t j = 0; j < rb.num_rows; ++j) {
-        Row combined = lrow;
-        Row rrow = rb.GetRow(j);
-        combined.insert(combined.end(), rrow.begin(), rrow.end());
-        out.AppendRow(combined);
+    if (lb.num_rows > 0 && rb.num_rows > 0) {
+      // Row (i, j) of the product is left row i then right row j, i-major:
+      // each left cell repeats once per right row, each right column
+      // repeats whole once per left row.
+      out = MakeBatch(out_schema);
+      for (size_t c = 0; c < nl; ++c) {
+        for (size_t i = 0; i < lb.num_rows; ++i) {
+          out.columns[c].AppendFrom(lb.columns[c], i, rb.num_rows);
+        }
       }
+      for (size_t c = nl; c < out.columns.size(); ++c) {
+        for (size_t i = 0; i < lb.num_rows; ++i) {
+          out.columns[c].AppendRange(rb.columns[c - nl], 0, rb.num_rows);
+        }
+      }
+      out.num_rows = lb.num_rows * rb.num_rows;
     }
     sc->ChargeTask(out_p, lb.num_rows * rb.num_rows, remote);
-    batches[static_cast<size_t>(out_p)] = std::move(out);
+    batches[static_cast<size_t>(out_p)] = ShareBatch(std::move(out));
   });
   sc->EndPhase();
   return Make(sc, std::move(out_schema), std::move(batches), std::nullopt);
 }
 
 DataFrame DataFrame::Union(const DataFrame& other) const {
-  std::vector<RecordBatch> batches = state_->batches;
-  for (const auto& b : other.state_->batches) batches.push_back(b);
+  std::vector<BatchPtr> batches = state_->batches;
+  batches.insert(batches.end(), other.state_->batches.begin(),
+                 other.state_->batches.end());
   return Make(state_->sc, state_->schema, std::move(batches), std::nullopt);
 }
 
 DataFrame DataFrame::Distinct() const {
   SparkContext* sc = state_->sc;
   int n = num_partitions();
-  auto buckets =
-      ShuffleRows(state_->schema, n, [](const Row& row) {
-        return HashRowKey(row);
-      });
+  std::vector<int> all_cols(state_->schema.num_fields());
+  for (size_t c = 0; c < all_cols.size(); ++c) {
+    all_cols[c] = static_cast<int>(c);
+  }
+  auto buckets = ShuffleRows(all_cols, n);
   sc->BeginPhase();
-  std::vector<RecordBatch> batches(static_cast<size_t>(n));
+  std::vector<BatchPtr> batches(static_cast<size_t>(n));
   sc->RunParallel(n, [&](int p) {
     const RecordBatch& in = buckets[static_cast<size_t>(p)];
     RecordBatch out;
     if (in.num_rows > 0) out = MakeBatch(state_->schema);
-    std::unordered_set<Row, RowHasher> seen;
+    // Rows by index, hashed as whole rows and compared cell by cell: the
+    // first occurrence of each distinct row is kept, in bucket order.
+    std::vector<uint64_t> hashes(in.num_rows);
+    Row row(all_cols.size());
     for (size_t i = 0; i < in.num_rows; ++i) {
-      Row row = in.GetRow(i);
-      if (seen.insert(row).second) out.AppendRow(row);
+      LoadKey(in, i, all_cols, &row);
+      hashes[i] = HashRowKey(row);
     }
+    auto hash = [&](uint32_t i) { return static_cast<size_t>(hashes[i]); };
+    auto equal = [&](uint32_t a, uint32_t b) {
+      for (const Column& c : in.columns) {
+        if (!c.CellsEqual(a, b)) return false;
+      }
+      return true;
+    };
+    std::unordered_set<uint32_t, decltype(hash), decltype(equal)> seen(
+        0, hash, equal);
+    std::vector<uint32_t> kept;
+    for (size_t i = 0; i < in.num_rows; ++i) {
+      if (seen.insert(static_cast<uint32_t>(i)).second) {
+        kept.push_back(static_cast<uint32_t>(i));
+      }
+    }
+    AppendRows(in, kept, &out);
     sc->ChargeTask(p, in.num_rows, 0);
-    batches[static_cast<size_t>(p)] = std::move(out);
+    batches[static_cast<size_t>(p)] = ShareBatch(std::move(out));
   });
   sc->EndPhase();
   return Make(sc, state_->schema, std::move(batches), std::nullopt);
@@ -574,7 +696,7 @@ DataFrame DataFrame::Sort(
   std::vector<Row> rows;
   sc->BeginPhase();
   for (size_t p = 0; p < state_->batches.size(); ++p) {
-    const RecordBatch& in = state_->batches[p];
+    const RecordBatch& in = partition(static_cast<int>(p));
     uint64_t bytes = in.MemoryBytes();
     sc->ChargeShuffleWrite(static_cast<int>(p), in.num_rows, bytes, bytes,
                            0, 0);
@@ -608,7 +730,8 @@ DataFrame DataFrame::Sort(
 
 DataFrame DataFrame::Limit(int64_t n) const {
   std::vector<Row> rows;
-  for (const auto& b : state_->batches) {
+  for (int p = 0; p < num_partitions(); ++p) {
+    const RecordBatch& b = partition(p);
     for (size_t i = 0; i < b.num_rows; ++i) {
       if (static_cast<int64_t>(rows.size()) >= n) break;
       rows.push_back(b.GetRow(i));
@@ -620,14 +743,13 @@ DataFrame DataFrame::Limit(int64_t n) const {
 DataFrame DataFrame::GroupByAgg(const std::vector<std::string>& keys,
                                 const std::vector<AggSpec>& aggs) const {
   SparkContext* sc = state_->sc;
-  std::vector<int> key_cols;
-  for (const auto& k : keys) key_cols.push_back(state_->schema.Index(k));
+  std::vector<int> key_cols = ColumnIndices(state_->schema, keys);
+  std::vector<int> agg_cols(aggs.size());
+  for (size_t a = 0; a < aggs.size(); ++a) {
+    agg_cols[a] = state_->schema.Index(aggs[a].column);
+  }
   int n = num_partitions();
-  auto buckets = ShuffleRows(state_->schema, n, [&](const Row& row) {
-    Row key;
-    for (int c : key_cols) key.push_back(row[static_cast<size_t>(c)]);
-    return HashRowKey(key);
-  });
+  auto buckets = ShuffleRows(key_cols, n);
 
   // Output schema: keys then aggregates.
   std::vector<Field> fields;
@@ -654,7 +776,7 @@ DataFrame DataFrame::GroupByAgg(const std::vector<std::string>& keys,
   };
 
   sc->BeginPhase();
-  std::vector<RecordBatch> batches(static_cast<size_t>(n));
+  std::vector<BatchPtr> batches(static_cast<size_t>(n));
   sc->RunParallel(n, [&](int p) {
     const RecordBatch& in = buckets[static_cast<size_t>(p)];
     std::unordered_map<Row, std::vector<Acc>, RowHasher> groups;
@@ -668,7 +790,7 @@ DataFrame DataFrame::GroupByAgg(const std::vector<std::string>& keys,
         Acc& acc = accs[a];
         ++acc.count;
         if (aggs[a].op == AggOp::kCount) continue;
-        int c = state_->schema.Index(aggs[a].column);
+        int c = agg_cols[a];
         if (c < 0) continue;
         const Value& v = row[static_cast<size_t>(c)];
         if (IsNull(v)) continue;
@@ -698,7 +820,7 @@ DataFrame DataFrame::GroupByAgg(const std::vector<std::string>& keys,
             row.push_back(static_cast<int64_t>(acc.count));
             break;
           case AggOp::kSum: {
-            int c = state_->schema.Index(aggs[a].column);
+            int c = agg_cols[a];
             bool is_int =
                 c >= 0 && state_->schema.field(static_cast<size_t>(c)).type ==
                               DataType::kInt64;
@@ -723,7 +845,7 @@ DataFrame DataFrame::GroupByAgg(const std::vector<std::string>& keys,
       out.AppendRow(row);
     }
     sc->ChargeTask(p, in.num_rows, 0);
-    batches[static_cast<size_t>(p)] = std::move(out);
+    batches[static_cast<size_t>(p)] = ShareBatch(std::move(out));
   });
   sc->EndPhase();
   return Make(sc, std::move(out_schema), std::move(batches), std::nullopt);
@@ -737,7 +859,7 @@ std::vector<Row> DataFrame::Collect() const {
   // Scan tasks run concurrently; the merge walks slots in partition order.
   std::vector<std::vector<Row>> parts(np);
   sc->RunParallel(static_cast<int>(np), [&](int p) {
-    const RecordBatch& b = state_->batches[static_cast<size_t>(p)];
+    const RecordBatch& b = partition(p);
     sc->ChargeTask(p, b.num_rows, b.MemoryBytes());
     auto& slot = parts[static_cast<size_t>(p)];
     slot.reserve(b.num_rows);
@@ -761,7 +883,7 @@ uint64_t DataFrame::Count() const {
   size_t np = state_->batches.size();
   std::vector<uint64_t> sizes(np, 0);
   sc->RunParallel(static_cast<int>(np), [&](int p) {
-    const RecordBatch& b = state_->batches[static_cast<size_t>(p)];
+    const RecordBatch& b = partition(p);
     sc->ChargeTask(p, b.num_rows, 0);
     sizes[static_cast<size_t>(p)] = b.num_rows;
   });
@@ -775,7 +897,8 @@ std::string DataFrame::ToString(size_t max_rows) const {
   std::ostringstream os;
   os << state_->schema.ToString() << "\n";
   size_t shown = 0;
-  for (const auto& b : state_->batches) {
+  for (int p = 0; p < num_partitions(); ++p) {
+    const RecordBatch& b = partition(p);
     for (size_t i = 0; i < b.num_rows; ++i) {
       if (shown++ >= max_rows) {
         os << "... (" << NumRows() << " rows total)\n";

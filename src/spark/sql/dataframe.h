@@ -49,6 +49,9 @@ class DataFrame {
   int num_partitions() const {
     return static_cast<int>(state_->batches.size());
   }
+  /// Partition `p`'s batch (read-only; batches may be shared between
+  /// frames, e.g. by Rename, AssumePartitionedBy and Union).
+  const RecordBatch& partition(int p) const;
   const std::optional<PartitionerInfo>& partitioner() const {
     return state_->partitioner;
   }
@@ -121,22 +124,33 @@ class DataFrame {
   std::string ToString(size_t max_rows = 20) const;
 
  private:
+  /// Batches are immutable once built, so frames that keep a parent's
+  /// rows as they are share its batches instead of copying them. A null
+  /// pointer is a column-less zero-row batch: a frame of many partitions,
+  /// most of them empty (a wide cross product), allocates nothing for
+  /// those.
+  using BatchPtr = std::shared_ptr<const RecordBatch>;
+
   struct State {
     SparkContext* sc = nullptr;
     Schema schema;
-    std::vector<RecordBatch> batches;
+    std::vector<BatchPtr> batches;
     std::optional<PartitionerInfo> partitioner;
   };
 
   static DataFrame Make(SparkContext* sc, Schema schema,
+                        std::vector<BatchPtr> batches,
+                        std::optional<PartitionerInfo> partitioner);
+  /// For batches built on the driver (FromRows, PartitionBy's buckets);
+  /// operator tasks share their own output slots.
+  static DataFrame Make(SparkContext* sc, Schema schema,
                         std::vector<RecordBatch> batches,
                         std::optional<PartitionerInfo> partitioner);
 
-  /// Shuffles rows into `num_partitions` buckets keyed by `key_of`, charging
-  /// shuffle metrics; returns per-target batches.
-  template <typename KeyFn>
-  std::vector<RecordBatch> ShuffleRows(const Schema& out_schema,
-                                       int num_partitions, KeyFn key_of) const;
+  /// Shuffles rows into `num_partitions` buckets by the hash of their
+  /// `key_cols` cells, charging shuffle metrics; returns per-target batches.
+  std::vector<RecordBatch> ShuffleRows(const std::vector<int>& key_cols,
+                                       int num_partitions) const;
 
   DataFrame ShuffleHashJoin(
       const DataFrame& right,

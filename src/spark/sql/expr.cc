@@ -110,26 +110,68 @@ Value Arith(const Value& a, const Value& b, ExprKind kind) {
 
 }  // namespace
 
-Value Expr::Eval(const Row& row, const Schema& schema) const {
-  switch (node_->kind) {
+BoundExpr::BoundExpr(const Expr& expr, const Schema& schema) {
+  Add(expr, schema);
+}
+
+int BoundExpr::Add(const Expr& expr, const Schema& schema) {
+  int n = static_cast<int>(nodes_.size());
+  nodes_.emplace_back();
+  nodes_[static_cast<size_t>(n)].kind = expr.kind();
+  switch (expr.kind()) {
     case ExprKind::kColumn: {
-      int idx = schema.Index(node_->column);
-      if (idx < 0) return Value{};
-      return row[static_cast<size_t>(idx)];
+      int idx = schema.Index(expr.column());
+      nodes_[static_cast<size_t>(n)].column = idx;
+      if (idx >= 0 &&
+          std::find(columns_.begin(), columns_.end(), idx) == columns_.end()) {
+        columns_.push_back(idx);
+      }
+      break;
     }
     case ExprKind::kLiteral:
-      return node_->literal;
+      nodes_[static_cast<size_t>(n)].literal = expr.literal();
+      break;
+    default: {
+      int lhs = Add(expr.children()[0], schema);
+      int rhs = expr.children().size() > 1 ? Add(expr.children()[1], schema)
+                                           : -1;
+      nodes_[static_cast<size_t>(n)].lhs = lhs;
+      nodes_[static_cast<size_t>(n)].rhs = rhs;
+      break;
+    }
+  }
+  return n;
+}
+
+const Value& BoundExpr::Operand(int n, const Row& row, Value* scratch) const {
+  static const Value kNull;
+  const Node& node = nodes_[static_cast<size_t>(n)];
+  if (node.kind == ExprKind::kColumn) {
+    return node.column < 0 ? kNull : row[static_cast<size_t>(node.column)];
+  }
+  if (node.kind == ExprKind::kLiteral) return node.literal;
+  *scratch = EvalNode(n, row);
+  return *scratch;
+}
+
+Value BoundExpr::EvalNode(int n, const Row& row) const {
+  const Node& node = nodes_[static_cast<size_t>(n)];
+  Value sa, sb;
+  switch (node.kind) {
+    case ExprKind::kColumn:
+    case ExprKind::kLiteral:
+      return Operand(n, row, &sa);
     case ExprKind::kEq:
     case ExprKind::kNe:
     case ExprKind::kLt:
     case ExprKind::kLe:
     case ExprKind::kGt:
     case ExprKind::kGe:
-      return CompareToBool(node_->children[0].Eval(row, schema),
-                           node_->children[1].Eval(row, schema), node_->kind);
+      return CompareToBool(Operand(node.lhs, row, &sa),
+                           Operand(node.rhs, row, &sb), node.kind);
     case ExprKind::kAnd: {
-      Value a = node_->children[0].Eval(row, schema);
-      Value b = node_->children[1].Eval(row, schema);
+      const Value& a = Operand(node.lhs, row, &sa);
+      const Value& b = Operand(node.rhs, row, &sb);
       if (TypeOf(a) == DataType::kBool && !std::get<bool>(a)) {
         return BoolValue(false);
       }
@@ -140,8 +182,8 @@ Value Expr::Eval(const Row& row, const Schema& schema) const {
       return BoolValue(std::get<bool>(a) && std::get<bool>(b));
     }
     case ExprKind::kOr: {
-      Value a = node_->children[0].Eval(row, schema);
-      Value b = node_->children[1].Eval(row, schema);
+      const Value& a = Operand(node.lhs, row, &sa);
+      const Value& b = Operand(node.rhs, row, &sb);
       if (TypeOf(a) == DataType::kBool && std::get<bool>(a)) {
         return BoolValue(true);
       }
@@ -152,23 +194,26 @@ Value Expr::Eval(const Row& row, const Schema& schema) const {
       return BoolValue(std::get<bool>(a) || std::get<bool>(b));
     }
     case ExprKind::kNot: {
-      Value a = node_->children[0].Eval(row, schema);
+      const Value& a = Operand(node.lhs, row, &sa);
       if (TypeOf(a) != DataType::kBool) return Value{};
       return BoolValue(!std::get<bool>(a));
     }
     case ExprKind::kIsNull:
-      return BoolValue(IsNull(node_->children[0].Eval(row, schema)));
+      return BoolValue(IsNull(Operand(node.lhs, row, &sa)));
     case ExprKind::kAdd:
     case ExprKind::kSub:
     case ExprKind::kMul:
-      return Arith(node_->children[0].Eval(row, schema),
-                   node_->children[1].Eval(row, schema), node_->kind);
+      return Arith(Operand(node.lhs, row, &sa), Operand(node.rhs, row, &sb),
+                   node.kind);
   }
   return Value{};
 }
 
-bool Expr::EvalPredicate(const Row& row, const Schema& schema) const {
-  Value v = Eval(row, schema);
+Value BoundExpr::Eval(const Row& row) const { return EvalNode(0, row); }
+
+bool BoundExpr::EvalPredicate(const Row& row) const {
+  Value scratch;
+  const Value& v = Operand(0, row, &scratch);
   return TypeOf(v) == DataType::kBool && std::get<bool>(v);
 }
 

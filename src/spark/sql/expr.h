@@ -40,13 +40,6 @@ class Expr {
   const std::vector<Expr>& children() const { return node_->children; }
   bool valid() const { return node_ != nullptr; }
 
-  /// Evaluates on one row. Comparison/boolean errors yield NULL (SQL
-  /// three-valued logic collapses to "row fails the predicate").
-  Value Eval(const Row& row, const Schema& schema) const;
-
-  /// True iff the predicate evaluates to boolean true.
-  bool EvalPredicate(const Row& row, const Schema& schema) const;
-
   /// Column names referenced anywhere in the tree.
   void CollectColumns(std::vector<std::string>* out) const;
 
@@ -70,6 +63,42 @@ class Expr {
   };
 
   std::shared_ptr<const Node> node_;
+};
+
+/// An Expr with its column references resolved against one schema, once:
+/// evaluation reads cells by index and never looks a name up. A column the
+/// schema lacks evaluates to NULL.
+class BoundExpr {
+ public:
+  BoundExpr(const Expr& expr, const Schema& schema);
+
+  /// Schema indices of the columns the expression reads, each once.
+  const std::vector<int>& columns() const { return columns_; }
+
+  /// Evaluates on a row laid out as the bound schema; only the cells at
+  /// columns() are read. Comparison/boolean errors yield NULL (SQL
+  /// three-valued logic collapses to "row fails the predicate").
+  Value Eval(const Row& row) const;
+
+  /// True iff the predicate evaluates to boolean true.
+  bool EvalPredicate(const Row& row) const;
+
+ private:
+  struct Node {
+    ExprKind kind = ExprKind::kLiteral;
+    int column = -1;  ///< kColumn: schema index, -1 when unresolved.
+    Value literal;
+    int lhs = -1, rhs = -1;  ///< Child node indices.
+  };
+
+  int Add(const Expr& expr, const Schema& schema);
+  Value EvalNode(int n, const Row& row) const;
+  /// A column or literal node's value in place; others evaluate into
+  /// `scratch`.
+  const Value& Operand(int n, const Row& row, Value* scratch) const;
+
+  std::vector<Node> nodes_;  ///< nodes_[0] is the root.
+  std::vector<int> columns_;
 };
 
 /// DSL shorthands.

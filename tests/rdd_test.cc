@@ -402,5 +402,101 @@ TEST(LineageTest, EvictionAfterShuffleRecomputesFromBuckets) {
   EXPECT_EQ(first, second);
 }
 
+// ---------------------------------------------------------------------------
+// Partition hand-off: nodes that pass elements on unchanged share them.
+// ---------------------------------------------------------------------------
+
+std::vector<std::pair<int, int>> Pairs(int n) {
+  std::vector<std::pair<int, int>> data;
+  for (int i = 0; i < n; ++i) data.emplace_back(i % 7, i);
+  return data;
+}
+
+TEST(PartitionSharingTest, ShuffleReadHandsOutItsBucket) {
+  SparkContext sc(SmallCluster());
+  std::atomic<int> map_calls{0};
+  auto shuffled = Parallelize(&sc, Pairs(60), 4)
+                      .Map([&map_calls](const std::pair<int, int>& kv) {
+                        ++map_calls;
+                        return kv;
+                      })
+                      .PartitionByKey(5);
+  shuffled.Count();
+  int calls = map_calls.load();
+  uint64_t shuffle_records = sc.metrics().shuffle_records;
+  for (int p = 0; p < shuffled.num_partitions(); ++p) {
+    auto first = shuffled.node()->GetPartition(p);
+    shuffled.node()->EvictPartition(p);
+    EXPECT_FALSE(shuffled.node()->IsPartitionCached(p));
+    // The re-read hands out the same bucket, and the map side does not run
+    // again.
+    auto again = shuffled.node()->GetPartition(p);
+    EXPECT_EQ(again.get(), first.get()) << "partition " << p;
+  }
+  EXPECT_EQ(map_calls.load(), calls);
+  EXPECT_EQ(sc.metrics().shuffle_records, shuffle_records);
+}
+
+TEST(PartitionSharingTest, UnionAndAssumePartitionerHandOutParentPartitions) {
+  SparkContext sc(SmallCluster());
+  auto a = Parallelize(&sc, Pairs(30), 3);
+  auto b = Parallelize(&sc, Pairs(20), 2);
+  auto u = a.Union(b);
+  for (int p = 0; p < 3; ++p) {
+    EXPECT_EQ(u.node()->GetPartition(p).get(),
+              a.node()->GetPartition(p).get());
+  }
+  for (int p = 0; p < 2; ++p) {
+    EXPECT_EQ(u.node()->GetPartition(3 + p).get(),
+              b.node()->GetPartition(p).get());
+  }
+  auto assumed = a.AssumePartitioner(PartitionerInfo{"hash-subject", 3, 0});
+  for (int p = 0; p < 3; ++p) {
+    EXPECT_EQ(assumed.node()->GetPartition(p).get(),
+              a.node()->GetPartition(p).get());
+  }
+}
+
+TEST(PartitionSharingTest, RetentionAndMetricsMatchAcrossThreadCounts) {
+  struct Outcome {
+    std::vector<uint64_t> retained;
+    std::vector<std::pair<std::string, double>> metrics;
+    std::vector<std::pair<int, std::pair<int, int>>> joined;
+  };
+  auto run = [](int threads) {
+    ClusterConfig cfg = SmallCluster();
+    cfg.executor_threads = threads;
+    SparkContext sc(cfg);
+    auto a = Parallelize(&sc, Pairs(200), 6);
+    auto b = Parallelize(&sc, Pairs(90), 3)
+                 .Map([](const std::pair<int, int>& kv) {
+                   return std::pair<int, int>(kv.first, -kv.second);
+                 });
+    auto u = a.Union(b);
+    auto by_key = u.PartitionByKey(4);
+    auto assumed = by_key.AssumePartitioner(PartitionerInfo{"hash", 4, 0});
+    auto joined = assumed.Join(b.PartitionByKey(4));
+    Outcome out;
+    out.joined = joined.Collect();
+    std::vector<const RddNodeBase*> nodes = {
+        a.node().get(),      b.node().get(),       u.node().get(),
+        by_key.node().get(), assumed.node().get(), joined.node().get()};
+    for (const RddNodeBase* n : nodes) {
+      out.retained.push_back(n->RetainedBytes());
+    }
+    sc.metrics().ForEachNumericField([&](const std::string& name, double v) {
+      out.metrics.emplace_back(name, v);
+    });
+    return out;
+  };
+  Outcome serial = run(1);
+  Outcome pooled = run(4);
+  EXPECT_EQ(serial.joined, pooled.joined);
+  EXPECT_EQ(serial.retained, pooled.retained);
+  EXPECT_EQ(serial.metrics, pooled.metrics);
+  // Shared partitions still count once per node that retains them.
+  EXPECT_EQ(serial.retained[4], serial.retained[3]);
+}
+
 }  // namespace
 }  // namespace rdfspark::spark
