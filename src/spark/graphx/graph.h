@@ -2,6 +2,7 @@
 #define RDFSPARK_SPARK_GRAPHX_GRAPH_H_
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -35,14 +36,22 @@ uint64_t EstimateSize(const Edge<ED>& e) {
   return 16 + EstimateSize(e.attr);
 }
 
+/// A vertex attribute as the graph holds it: one immutable object per
+/// vertex, referenced by every shuffle bucket, join output and triplet that
+/// carries it (GraphX ships attributes to edge partitions by reference, not
+/// one copy per edge). Shuffles and retention still charge the attribute's
+/// own size (size_estimator.h's shared_ptr overload).
+template <typename VD>
+using VertexAttr = std::shared_ptr<const VD>;
+
 /// An edge with both endpoint attributes attached (GraphX's EdgeTriplet).
 template <typename VD, typename ED>
 struct EdgeTriplet {
   VertexId src = 0;
   VertexId dst = 0;
   ED attr{};
-  VD src_attr{};
-  VD dst_attr{};
+  VertexAttr<VD> src_attr;
+  VertexAttr<VD> dst_attr;
 };
 
 template <typename VD, typename ED>
@@ -59,12 +68,14 @@ uint64_t EstimateSize(const EdgeTriplet<VD, ED>& t) {
 template <typename VD, typename ED>
 class Graph {
  public:
+  using VertexRdd = Rdd<std::pair<VertexId, VertexAttr<VD>>>;
+
   Graph() = default;
-  Graph(Rdd<std::pair<VertexId, VD>> vertices, Rdd<Edge<ED>> edges)
+  Graph(VertexRdd vertices, Rdd<Edge<ED>> edges)
       : vertices_(std::move(vertices)), edges_(std::move(edges)) {}
 
-  /// Builds a graph, deriving missing vertices from edge endpoints with
-  /// `default_attr`.
+  /// Builds a graph, deriving missing vertices from edge endpoints; they
+  /// all share one `default_attr` object.
   static Graph FromEdges(SparkContext* sc, std::vector<Edge<ED>> edges,
                          VD default_attr, int num_partitions = -1) {
     auto edge_rdd = Parallelize(sc, std::move(edges), num_partitions);
@@ -74,13 +85,15 @@ class Graph {
               return std::vector<VertexId>{e.src, e.dst};
             })
             .Distinct();
-    auto vertices = vertex_ids.Map([default_attr](const VertexId& id) {
-      return std::pair<VertexId, VD>(id, default_attr);
-    });
+    auto vertices = vertex_ids.Map(
+        [attr = std::make_shared<const VD>(std::move(default_attr))](
+            const VertexId& id) {
+          return std::pair<VertexId, VertexAttr<VD>>(id, attr);
+        });
     return Graph(vertices, edge_rdd);
   }
 
-  const Rdd<std::pair<VertexId, VD>>& vertices() const { return vertices_; }
+  const VertexRdd& vertices() const { return vertices_; }
   const Rdd<Edge<ED>>& edges() const { return edges_; }
   SparkContext* context() const { return edges_.context(); }
 
@@ -89,7 +102,8 @@ class Graph {
 
   /// GraphX's outerJoinVertices: every vertex is rewritten, receiving the
   /// joined value as an optional; the vertex type may change.
-  /// f(id, attr, optional<U>) -> VD2.
+  /// f(id, attr, optional<U>) -> VD2, which becomes the vertex's new shared
+  /// attribute.
   template <typename U, typename F>
   auto OuterJoinVertices(const Rdd<std::pair<VertexId, U>>& table, F f) const
       -> Graph<std::invoke_result_t<F, VertexId, const VD&,
@@ -98,9 +112,11 @@ class Graph {
     using VD2 = std::invoke_result_t<F, VertexId, const VD&,
                                      const std::optional<U>&>;
     auto joined = vertices_.LeftOuterJoin(table).Map(
-        [f](const std::pair<VertexId, std::pair<VD, std::optional<U>>>& kv) {
-          return std::pair<VertexId, VD2>(
-              kv.first, f(kv.first, kv.second.first, kv.second.second));
+        [f](const std::pair<VertexId,
+                            std::pair<VertexAttr<VD>, std::optional<U>>>& kv) {
+          return std::pair<VertexId, VertexAttr<VD2>>(
+              kv.first, std::make_shared<const VD2>(f(
+                            kv.first, *kv.second.first, kv.second.second)));
         });
     return Graph<VD2, ED>(joined, edges_);
   }
@@ -108,17 +124,17 @@ class Graph {
   /// The triplets view: every edge with both endpoint attributes. Costs two
   /// joins (vertex attrs ship to edge partitions), as in GraphX.
   Rdd<EdgeTriplet<VD, ED>> Triplets() const {
+    using WithSrc = std::pair<Edge<ED>, VertexAttr<VD>>;
     auto by_src = edges_.KeyBy([](const Edge<ED>& e) { return e.src; });
     auto with_src = by_src.Join(vertices_);
-    auto by_dst = with_src.Map(
-        [](const std::pair<VertexId, std::pair<Edge<ED>, VD>>& kv) {
-          return std::pair<VertexId, std::pair<Edge<ED>, VD>>(
-              kv.second.first.dst, kv.second);
+    auto by_dst =
+        with_src.Map([](const std::pair<VertexId, WithSrc>& kv) {
+          return std::pair<VertexId, WithSrc>(kv.second.first.dst, kv.second);
         });
     auto with_both = by_dst.Join(vertices_);
     return with_both.Map(
-        [](const std::pair<VertexId,
-                           std::pair<std::pair<Edge<ED>, VD>, VD>>& kv) {
+        [](const std::pair<VertexId, std::pair<WithSrc, VertexAttr<VD>>>&
+               kv) {
           EdgeTriplet<VD, ED> t;
           t.src = kv.second.first.first.src;
           t.dst = kv.second.first.first.dst;
@@ -148,7 +164,7 @@ class Graph {
   }
 
  private:
-  Rdd<std::pair<VertexId, VD>> vertices_;
+  VertexRdd vertices_;
   Rdd<Edge<ED>> edges_;
 };
 

@@ -528,16 +528,7 @@ class Rdd {
     // Map-side combine first (narrow), then shuffle, then final combine.
     auto precombined =
         MapPartitionsWithIndex([combine](int, const std::vector<T>& in) {
-          std::unordered_map<K, V, ValueHasher> acc;
-          for (const auto& kv : in) {
-            auto it = acc.find(kv.first);
-            if (it == acc.end()) {
-              acc.emplace(kv.first, kv.second);
-            } else {
-              it->second = combine(it->second, kv.second);
-            }
-          }
-          return std::vector<std::pair<K, V>>(acc.begin(), acc.end());
+          return CombinePartition(in, combine);
         });
     PartitionerInfo info{"hash", n, 0};
     auto shuffled = precombined.ShuffleBy(
@@ -547,17 +538,7 @@ class Rdd {
     auto compute = [sc, node, combine](int p) {
       auto in = node->GetPartition(p);
       sc->ChargeCompute(p, in->size());
-      std::unordered_map<K, V, ValueHasher> acc;
-      for (const auto& kv : *in) {
-        auto it = acc.find(kv.first);
-        if (it == acc.end()) {
-          acc.emplace(kv.first, kv.second);
-        } else {
-          it->second = combine(it->second, kv.second);
-        }
-      }
-      return MakePartition(
-          std::vector<std::pair<K, V>>(acc.begin(), acc.end()));
+      return MakePartition(CombinePartition(*in, combine));
     };
     return Rdd<std::pair<K, V>>(
         sc_, MakeNode<std::pair<K, V>>(sc_, node, "ReduceByKeyLocal", n, false,
@@ -829,10 +810,12 @@ class Rdd {
   /// Runs the map side of a shuffle inside its own cost phase: computes
   /// parent partitions on the executor pool, buckets records with `target`,
   /// and charges shuffle metrics. Each map task writes into its own
-  /// per-source staging area; buckets are then merged in source-partition
-  /// order, so bucket contents are byte-identical to the serial path no
-  /// matter how tasks interleave. Caller must hold `state->mu` and have
-  /// checked `state->materialized`.
+  /// per-source staging area, in two passes: the first computes every
+  /// record's target and charge, the second copies each record once into a
+  /// staging bucket reserved to its exact count. Buckets are then merged in
+  /// source-partition order, so bucket contents are byte-identical to the
+  /// serial path no matter how tasks interleave. Caller must hold
+  /// `state->mu` and have checked `state->materialized`.
   template <typename TargetFn>
   static void MaterializeShuffle(SparkContext* sc, RddNode<T>* parent,
                                  ShuffleState* state, TargetFn target) {
@@ -847,17 +830,19 @@ class Rdd {
       auto in = parent->GetPartition(q);
       sc->ChargeTask(q, in->size(), 0);
       int src_exec = sc->ExecutorOf(q);
-      auto& buckets = staged[static_cast<size_t>(q)];
       auto& remote = staged_remote[static_cast<size_t>(q)];
-      buckets.resize(static_cast<size_t>(n));
       remote.assign(static_cast<size_t>(n), 0);
-      uint64_t records = 0, bytes_total = 0, remote_bytes = 0;
+      std::vector<int> targets(in->size());
+      std::vector<size_t> counts(static_cast<size_t>(n), 0);
+      uint64_t bytes_total = 0, remote_bytes = 0;
       uint64_t local_reads = 0, remote_reads = 0;
-      for (const T& x : *in) {
+      for (size_t i = 0; i < in->size(); ++i) {
+        const T& x = (*in)[i];
         int t = target(x);
         assert(t >= 0 && t < n && "bucket index out of range");
+        targets[i] = t;
+        ++counts[static_cast<size_t>(t)];
         uint64_t bytes = EstimateSize(x);
-        ++records;
         bytes_total += bytes;
         if (sc->ExecutorOf(t) != src_exec) {
           remote_bytes += bytes;
@@ -866,9 +851,14 @@ class Rdd {
         } else {
           ++local_reads;
         }
-        buckets[static_cast<size_t>(t)].push_back(x);
       }
-      sc->ChargeShuffleWrite(q, records, bytes_total, remote_bytes,
+      auto& buckets = staged[static_cast<size_t>(q)];
+      buckets.resize(static_cast<size_t>(n));
+      for (size_t t = 0; t < counts.size(); ++t) buckets[t].reserve(counts[t]);
+      for (size_t i = 0; i < in->size(); ++i) {
+        buckets[static_cast<size_t>(targets[i])].push_back((*in)[i]);
+      }
+      sc->ChargeShuffleWrite(q, in->size(), bytes_total, remote_bytes,
                              local_reads, remote_reads);
     });
     for (int b = 0; b < n; ++b) {
@@ -902,7 +892,31 @@ class Rdd {
   }
 
  private:
+  /// Folds `in`'s values per key with `combine(std::move(acc), value)`, so
+  /// an accumulator that grows in place (a table being concatenated) is
+  /// never copied; the first value per key is copied once, from the
+  /// immutable input. Output follows the hash map's iteration order.
+  template <typename F, typename K, typename V>
+  static std::vector<std::pair<K, V>> CombinePartition(
+      const std::vector<std::pair<K, V>>& in, const F& combine) {
+    std::unordered_map<K, V, ValueHasher> acc;
+    for (const auto& kv : in) {
+      auto it = acc.find(kv.first);
+      if (it == acc.end()) {
+        acc.emplace(kv.first, kv.second);
+      } else {
+        it->second = combine(std::move(it->second), kv.second);
+      }
+    }
+    std::vector<std::pair<K, V>> out;
+    out.reserve(acc.size());
+    for (auto& [k, v] : acc) out.emplace_back(k, std::move(v));
+    return out;
+  }
+
   enum class JoinKind { kInner, kLeftOuter };
+  /// Ends a JoinImpl chain of build rows.
+  static constexpr uint32_t kEndOfChain = UINT32_MAX;
 
   template <typename W, typename K, typename V, JoinKind kKind>
   auto JoinImpl(const Rdd<std::pair<K, W>>& other, int num_partitions) const {
@@ -928,28 +942,46 @@ class Rdd {
       auto l = ln->GetPartition(p);
       auto r = rn->GetPartition(p);
       sc->ChargeCompute(p, l->size() + r->size());
-      // The build side is indexed in place: `r` keeps its values alive, and
-      // each is copied once, into the output.
-      std::unordered_map<K, std::vector<const W*>, ValueHasher> build;
-      for (const auto& kv : *r) build[kv.first].push_back(&kv.second);
+      // The build side is indexed in place, by row number into `r`:
+      // `first_row` maps each key to its first build row and `next_row`
+      // chains the key's later rows. Built back to front, so a chain walks
+      // its key's rows in build order. Each build value is copied once,
+      // into the output.
+      const std::vector<std::pair<K, W>>& build = *r;
+      assert(build.size() < kEndOfChain && "build side exceeds row index");
+      std::unordered_map<K, uint32_t, ValueHasher> first_row;
+      first_row.reserve(build.size());
+      std::vector<uint32_t> next_row(build.size(), kEndOfChain);
+      for (size_t i = build.size(); i-- > 0;) {
+        auto row = static_cast<uint32_t>(i);
+        auto [it, inserted] = first_row.try_emplace(build[i].first, row);
+        if (!inserted) {
+          next_row[i] = it->second;
+          it->second = row;
+        }
+      }
       std::vector<Out> out;
       uint64_t comparisons = 0;
+      // A probe costs max(1, matches) comparisons.
       for (const auto& kv : *l) {
-        auto it = build.find(kv.first);
-        ++comparisons;
-        if (it != build.end()) {
-          comparisons += it->second.size() - 1;
-          for (const W* w : it->second) {
-            if constexpr (kKind == JoinKind::kInner) {
-              out.emplace_back(kv.first, std::pair<V, W>(kv.second, *w));
-            } else {
-              out.emplace_back(kv.first, std::pair<V, std::optional<W>>(
-                                             kv.second, *w));
-            }
+        auto it = first_row.find(kv.first);
+        if (it == first_row.end()) {
+          ++comparisons;
+          if constexpr (kKind == JoinKind::kLeftOuter) {
+            out.emplace_back(kv.first, std::pair<V, std::optional<W>>(
+                                           kv.second, std::nullopt));
           }
-        } else if constexpr (kKind == JoinKind::kLeftOuter) {
-          out.emplace_back(kv.first, std::pair<V, std::optional<W>>(
-                                         kv.second, std::nullopt));
+          continue;
+        }
+        for (uint32_t i = it->second; i != kEndOfChain; i = next_row[i]) {
+          ++comparisons;
+          const W& w = build[i].second;
+          if constexpr (kKind == JoinKind::kInner) {
+            out.emplace_back(kv.first, std::pair<V, W>(kv.second, w));
+          } else {
+            out.emplace_back(kv.first,
+                             std::pair<V, std::optional<W>>(kv.second, w));
+          }
         }
       }
       sc->ChargeJoinComparisons(comparisons);

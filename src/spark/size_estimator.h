@@ -4,6 +4,7 @@
 #include <array>
 #include <concepts>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <tuple>
@@ -36,6 +37,8 @@ template <typename T>
 uint64_t EstimateSize(const std::vector<T>& v);
 template <typename T>
 uint64_t EstimateSize(const std::optional<T>& o);
+template <typename T>
+uint64_t EstimateSize(const std::shared_ptr<const T>& p);
 template <typename K, typename V, typename H, typename E, typename A>
 uint64_t EstimateSize(const std::unordered_map<K, V, H, E, A>& m);
 template <typename T>
@@ -83,6 +86,14 @@ uint64_t EstimateSize(const std::vector<T>& v) {
 template <typename T>
 uint64_t EstimateSize(const std::optional<T>& o) {
   return 1 + (o ? EstimateSize(*o) : 0);
+}
+
+/// A shared immutable value (a GraphX vertex attribute) is charged as the
+/// value itself: the pointer is how the simulator avoids copying it, not
+/// what Spark would serialize. `p` must be non-null.
+template <typename T>
+uint64_t EstimateSize(const std::shared_ptr<const T>& p) {
+  return EstimateSize(*p);
 }
 
 template <typename K, typename V, typename H, typename E, typename A>

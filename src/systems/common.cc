@@ -101,6 +101,11 @@ bool MergeRowsInto(sparql::IdSpan a, sparql::IdSpan b, sparql::IdTable* out) {
   return true;
 }
 
+sparql::IdTable ConcatMt(sparql::IdTable acc, const sparql::IdTable& more) {
+  acc.AppendRowsFrom(more);
+  return acc;
+}
+
 std::vector<SubjectGroup> GroupBySubject(
     const std::vector<sparql::TriplePattern>& bgp,
     const rdf::Dictionary& dict) {

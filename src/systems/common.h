@@ -89,6 +89,12 @@ sparql::BindingTable ToBindingTable(const VarSchema& schema,
 /// variable is bound to different values.
 bool MergeRowsInto(sparql::IdSpan a, sparql::IdSpan b, sparql::IdTable* out);
 
+/// Appends `more`'s rows to `acc` and returns it: the ReduceByKey merge of
+/// the graph engines' per-vertex match tables (Spar(k)ql, GraphX-SM).
+/// ReduceByKey hands the accumulator over as an rvalue, so folding k tables
+/// copies each row once.
+sparql::IdTable ConcatMt(sparql::IdTable acc, const sparql::IdTable& more);
+
 /// A star fragment: patterns sharing one subject (variable or constant).
 struct SubjectGroup {
   std::string subject_var;  // empty when the subject is a constant

@@ -53,10 +53,13 @@ Result<LoadStats> GraphxSmEngine::Load(const rdf::TripleStore& store) {
   }
   graph_ = Graph<rdf::TermId, rdf::TermId>::FromEdges(
       sc_, std::move(edges), rdf::TermId{0}, n);
+  using TermAttr = spark::graphx::VertexAttr<rdf::TermId>;
   graph_ = Graph<rdf::TermId, rdf::TermId>(
-      graph_.vertices().Map([](const std::pair<VertexId, rdf::TermId>& kv) {
-        return std::pair<VertexId, rdf::TermId>(
-            kv.first, static_cast<rdf::TermId>(kv.first));
+      graph_.vertices().Map([](const std::pair<VertexId, TermAttr>& kv) {
+        return std::pair<VertexId, TermAttr>(
+            kv.first,
+            std::make_shared<const rdf::TermId>(
+                static_cast<rdf::TermId>(kv.first)));
       }),
       graph_.edges());
 
@@ -67,16 +70,6 @@ Result<LoadStats> GraphxSmEngine::Load(const rdf::TripleStore& store) {
                        graph_.vertices().MemoryFootprint();
   return stats;
 }
-
-namespace {
-
-Mt ConcatMt(const Mt& a, const Mt& b) {
-  Mt out = a;
-  out.AppendRowsFrom(b);
-  return out;
-}
-
-}  // namespace
 
 Result<plan::PlanPtr> GraphxSmEngine::PlanBgp(
     const std::vector<sparql::TriplePattern>& bgp) {
@@ -297,14 +290,14 @@ Result<plan::PlanPtr> GraphxSmEngine::PlanBgp(
           auto installed = graph_.OuterJoinVertices(
               frontier, [](VertexId, const rdf::TermId& term,
                            const std::optional<Mt>& table) {
-                return VAttr(term, table ? *table : Mt{});
+                return VAttr(term, table.value_or(Mt{}));
               });
           auto msgs = installed.AggregateMessages<Mt>(
               [ep, pattern, schema, forward](
                   const EdgeTriplet<VAttr, rdf::TermId>& t) {
                 std::vector<std::pair<VertexId, Mt>> out;
                 const Mt& source_table =
-                    forward ? t.src_attr.second : t.dst_attr.second;
+                    forward ? t.src_attr->second : t.dst_attr->second;
                 if (source_table.empty()) return out;
                 rdf::EncodedTriple triple{static_cast<rdf::TermId>(t.src),
                                           t.attr,

@@ -46,10 +46,13 @@ Result<LoadStats> S2xEngine::Load(const rdf::TripleStore& store) {
   graph_ = Graph<rdf::TermId, rdf::TermId>::FromEdges(
       sc_, std::move(edges), rdf::TermId{0}, n);
   // Vertex attribute = the term id itself.
+  using TermAttr = spark::graphx::VertexAttr<rdf::TermId>;
   graph_ = Graph<rdf::TermId, rdf::TermId>(
-      graph_.vertices().Map([](const std::pair<VertexId, rdf::TermId>& kv) {
-        return std::pair<VertexId, rdf::TermId>(
-            kv.first, static_cast<rdf::TermId>(kv.first));
+      graph_.vertices().Map([](const std::pair<VertexId, TermAttr>& kv) {
+        return std::pair<VertexId, TermAttr>(
+            kv.first,
+            std::make_shared<const rdf::TermId>(
+                static_cast<rdf::TermId>(kv.first)));
       }),
       graph_.edges());
   uint64_t nv = graph_.NumVertices();
@@ -70,6 +73,8 @@ namespace {
 struct PatternMatches {
   sparql::IdTable rows;
   std::vector<std::pair<rdf::TermId, rdf::TermId>> endpoints;  // (s, o)
+  /// Set when the pattern's scan has handed `rows` on: a plan runs once.
+  bool spent = false;
 };
 
 /// Deferred graph-parallel matching state, shared by all scan nodes of one
@@ -228,8 +233,15 @@ Result<plan::PlanPtr> S2xEngine::PlanBgp(
         [this, state, ensure_matched, i](std::vector<plan::PlanPayload>)
             -> Result<plan::PlanPayload> {
           (*ensure_matched)();
+          PatternMatches& matches = state->matches[i];
+          if (matches.spent) {
+            return Status::InvalidArgument(
+                "S2X plans are single-use: this plan already ran; plan the "
+                "query again");
+          }
+          matches.spent = true;
           return plan::PlanPayload(
-              ParallelizeBatch(sc_, std::move(state->matches[i].rows),
+              ParallelizeBatch(sc_, std::move(matches.rows),
                                sc_->config().default_parallelism));
         });
     node->out_vars = bgp[i].Variables();

@@ -44,7 +44,8 @@ class S2xEngine : public BgpEngineBase {
   /// S2X plans defer the whole-BGP matching fixpoint into a shared
   /// MatchState that the first executed scan fills and the assembly joins
   /// consume (match rows are moved out) — a plan is good for exactly one
-  /// execution, so the serving plan cache must not reuse it.
+  /// execution, so the serving plan cache must not reuse it. Running a
+  /// spent plan again fails with InvalidArgument.
   bool ReusablePlans() const override { return false; }
 
   Result<plan::PlanPtr> PlanBgp(

@@ -26,12 +26,8 @@ namespace {
 
 /// Per-vertex sub-result table, stored as one flat fixed-width batch.
 using Mt = sparql::IdTable;
-
-Mt ConcatMt(const Mt& a, const Mt& b) {
-  Mt out = a;
-  out.AppendRowsFrom(b);
-  return out;
-}
+/// A vertex as the graph holds it: one shared, immutable node.
+using NodeAttr = spark::graphx::VertexAttr<SparkqlNode>;
 
 }  // namespace
 
@@ -111,8 +107,12 @@ Result<LoadStats> SparkqlEngine::Load(const rdf::TripleStore& store) {
       node_of(t.o);
     }
   }
-  std::vector<std::pair<VertexId, SparkqlNode>> vertex_list(nodes.begin(),
-                                                            nodes.end());
+  std::vector<std::pair<VertexId, NodeAttr>> vertex_list;
+  vertex_list.reserve(nodes.size());
+  for (auto& [id, node] : nodes) {
+    vertex_list.emplace_back(
+        id, std::make_shared<const SparkqlNode>(std::move(node)));
+  }
   graph_ = Graph<SparkqlNode, rdf::TermId>(
       Parallelize(sc_, std::move(vertex_list), n),
       Parallelize(sc_, std::move(edges), n));
@@ -236,17 +236,16 @@ Result<plan::PlanPtr> SparkqlEngine::PlanBgp(
                                         static_cast<rdf::TermId>(e.dst)};
             })
             .Union(graph_.vertices().FlatMap(
-                [has_type, type_pred](
-                    const std::pair<VertexId, SparkqlNode>& kv) {
+                [has_type, type_pred](const std::pair<VertexId, NodeAttr>& kv) {
+                  const SparkqlNode& node = *kv.second;
                   std::vector<rdf::EncodedTriple> out;
-                  for (const auto& [p, v] : kv.second.data_properties) {
-                    out.push_back(
-                        rdf::EncodedTriple{kv.second.term, p, v});
+                  for (const auto& [p, v] : node.data_properties) {
+                    out.push_back(rdf::EncodedTriple{node.term, p, v});
                   }
                   if (has_type) {
-                    for (rdf::TermId c : kv.second.types) {
-                      out.push_back(rdf::EncodedTriple{kv.second.term,
-                                                       type_pred, c});
+                    for (rdf::TermId c : node.types) {
+                      out.push_back(
+                          rdf::EncodedTriple{node.term, type_pred, c});
                     }
                   }
                   return out;
@@ -368,9 +367,9 @@ Result<plan::PlanPtr> SparkqlEngine::PlanBgp(
     rdf::TermId type_pred = type_predicate_;
     auto match_vertex =
         [patterns, encoded, schema_copy, width, var_idx, force, has_type,
-         type_pred](const std::pair<VertexId, SparkqlNode>& kv) {
+         type_pred](const std::pair<VertexId, NodeAttr>& kv) {
           std::vector<std::pair<VertexId, Mt>> out;
-          const SparkqlNode& node = kv.second;
+          const SparkqlNode& node = *kv.second;
           if (force && node.term != *force) return out;
           IdRow base(width, sparql::kUnbound);
           if (var_idx >= 0) base[static_cast<size_t>(var_idx)] = node.term;
@@ -484,7 +483,7 @@ Result<plan::PlanPtr> SparkqlEngine::PlanBgp(
             auto installed = graph_.OuterJoinVertices(
                 child_table, [](VertexId, const SparkqlNode& node,
                                 const std::optional<Mt>& t) {
-                  return std::pair<SparkqlNode, Mt>(node, t ? *t : Mt{});
+                  return std::pair<SparkqlNode, Mt>(node, t.value_or(Mt{}));
                 });
             auto msgs = installed.AggregateMessages<Mt>(
                 [pid, forward](
@@ -494,7 +493,7 @@ Result<plan::PlanPtr> SparkqlEngine::PlanBgp(
                   if (t.attr != pid) return out;
                   // forward: parent=src receives from child=dst.
                   const Mt& source =
-                      forward ? t.dst_attr.second : t.src_attr.second;
+                      forward ? t.dst_attr->second : t.src_attr->second;
                   if (source.empty()) return out;
                   out.emplace_back(forward ? t.src : t.dst, source);
                   return out;

@@ -730,6 +730,32 @@ TEST(S2xTest, LongerChainsNeedMoreIterations) {
   EXPECT_GE(long_iters, short_iters);
 }
 
+TEST(S2xTest, SpentPlanFailsInsteadOfRunningAgain) {
+  SparkContext sc(SmallCluster());
+  S2xEngine engine(&sc);
+  ASSERT_TRUE(engine.Load(Dataset()).ok());
+  EXPECT_FALSE(engine.ReusablePlans());
+  auto query =
+      sparql::ParseQuery(rdf::LubmShapeQuery(rdf::QueryShape::kStar, 3));
+  ASSERT_TRUE(query.ok());
+  auto expected = engine.Execute(*query);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  auto planned = engine.PlanQuery(*query);
+  ASSERT_TRUE(planned.ok()) << planned.status().ToString();
+  auto first = engine.ExecutePlanned(*query, **planned);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_GT(first->num_rows(), 0u);
+  EXPECT_EQ(first->Decode(Dataset().dictionary()),
+            expected->Decode(Dataset().dictionary()));
+  // The first run moved the match rows out; a second run must say so
+  // instead of reading them.
+  auto second = engine.ExecutePlanned(*query, **planned);
+  ASSERT_FALSE(second.ok());
+  EXPECT_EQ(second.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(second.status().message().find("single-use"), std::string::npos)
+      << second.status().ToString();
+}
+
 TEST(GraphxSmTest, MessagesFlowPerPattern) {
   SparkContext sc(SmallCluster());
   GraphxSmEngine engine(&sc);

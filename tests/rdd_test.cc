@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <atomic>
 #include <map>
+#include <optional>
 #include <string>
 #include <thread>
 
@@ -247,6 +248,124 @@ TEST(PairRddTest, BroadcastHashJoinShufflesNothing) {
   EXPECT_EQ(n, 20u);  // two hot keys * 10 occurrences each
   EXPECT_EQ(delta.shuffle_records, 0u);
   EXPECT_GT(sc.metrics().broadcast_bytes, 0u);
+}
+
+/// The join kernel's output order and charge: each output partition is the
+/// nested loop over its left then right bucket (matches in build order, an
+/// unmatched left row once for the outer join), and each probe charges
+/// max(1, matches) comparisons — at one executor thread and at four.
+TEST(PairRddTest, JoinMatchesNestedLoopReferencePerPartition) {
+  std::vector<std::pair<int, int>> left;
+  for (int i = 0; i < 60; ++i) left.emplace_back(i % 11, i);  // dups, 7..10
+  std::vector<std::pair<int, int>> right;                      // unmatched
+  for (int i = 0; i < 40; ++i) right.emplace_back(i % 7, -i);
+  constexpr int kParts = 4;
+  for (int threads : {1, 4}) {
+    for (bool outer : {false, true}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   (outer ? " left-outer" : " inner"));
+      ClusterConfig cfg = SmallCluster();
+      cfg.executor_threads = threads;
+      SparkContext sc(cfg);
+      auto l = Parallelize(&sc, left, 5);
+      auto r = Parallelize(&sc, right, 3);
+      // The same buckets the join's own shuffles produce.
+      auto l_parts = l.PartitionByKey(kParts);
+      auto r_parts = r.PartitionByKey(kParts);
+      l_parts.Count();
+      r_parts.Count();
+
+      using Out = std::pair<int, std::pair<int, std::optional<int>>>;
+      std::vector<std::vector<Out>> got(kParts);
+      uint64_t before = sc.metrics().join_comparisons;
+      if (outer) {
+        auto joined = l.LeftOuterJoin(r, kParts);
+        joined.Collect();
+        for (int p = 0; p < kParts; ++p) {
+          got[p] = *joined.node()->GetPartition(p);
+        }
+      } else {
+        auto joined = l.Join(r, kParts);
+        joined.Collect();
+        for (int p = 0; p < kParts; ++p) {
+          for (const auto& [k, vw] : *joined.node()->GetPartition(p)) {
+            got[p].emplace_back(k, std::make_pair(vw.first, vw.second));
+          }
+        }
+      }
+      uint64_t comparisons = sc.metrics().join_comparisons - before;
+
+      uint64_t expected_comparisons = 0;
+      for (int p = 0; p < kParts; ++p) {
+        std::vector<Out> expected;
+        const auto& probe = *l_parts.node()->GetPartition(p);
+        const auto& build = *r_parts.node()->GetPartition(p);
+        for (const auto& [lk, lv] : probe) {
+          uint64_t matches = 0;
+          for (const auto& [rk, rv] : build) {
+            if (rk != lk) continue;
+            ++matches;
+            expected.emplace_back(lk, std::make_pair(lv, rv));
+          }
+          if (matches == 0 && outer) {
+            expected.emplace_back(lk, std::make_pair(lv, std::nullopt));
+          }
+          expected_comparisons += std::max<uint64_t>(1, matches);
+        }
+        EXPECT_EQ(got[p], expected) << "partition " << p;
+      }
+      EXPECT_EQ(comparisons, expected_comparisons);
+    }
+  }
+}
+
+/// A value that counts its copies (moves are free).
+struct CopyCounted {
+  static inline std::atomic<int> copies{0};
+  std::vector<int> items;
+
+  CopyCounted() = default;
+  explicit CopyCounted(int x) : items{x} {}
+  CopyCounted(const CopyCounted& o) : items(o.items) { ++copies; }
+  CopyCounted(CopyCounted&&) noexcept = default;
+  CopyCounted& operator=(const CopyCounted& o) {
+    items = o.items;
+    ++copies;
+    return *this;
+  }
+  CopyCounted& operator=(CopyCounted&&) noexcept = default;
+
+  uint64_t EstimatedByteSize() const { return 24 + items.size() * sizeof(int); }
+};
+
+/// ReduceByKey hands the accumulator to `combine` as an rvalue on both the
+/// map and the reduce side, so folding more values per key copies nothing
+/// more: the copy count does not depend on how many values merge.
+TEST(PairRddTest, ReduceByKeyMergesWithoutCopyingTheAccumulator) {
+  auto copies_to_reduce = [](int values_per_key) {
+    SparkContext sc(SmallCluster());
+    std::vector<std::pair<int, CopyCounted>> data;
+    for (int i = 0; i < 3 * values_per_key; ++i) {
+      data.emplace_back(i % 3, CopyCounted(i));
+    }
+    auto input = Parallelize(&sc, std::move(data), 2);
+    input.Count();  // Materialize the input first; count only the reduce.
+    auto concat = [](CopyCounted acc, const CopyCounted& more) {
+      acc.items.insert(acc.items.end(), more.items.begin(), more.items.end());
+      return acc;
+    };
+    int before = CopyCounted::copies.load();
+    auto reduced = input.ReduceByKey(concat, 2).Collect();
+    int copies = CopyCounted::copies.load() - before;
+    size_t merged = 0;
+    for (const auto& [k, v] : reduced) merged += v.items.size();
+    EXPECT_EQ(merged, static_cast<size_t>(3 * values_per_key));
+    return copies;
+  };
+  int few = copies_to_reduce(2);
+  int many = copies_to_reduce(50);
+  EXPECT_GT(few, 0);
+  EXPECT_EQ(many, few);
 }
 
 TEST(PairRddTest, PartitionByKeyIsIdempotent) {
