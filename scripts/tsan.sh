@@ -2,7 +2,8 @@
 # Dedicated ThreadSanitizer pass over the concurrency-sensitive suites:
 # the scheduler/RDD runtime, the GraphX layer (whose vertex attributes
 # are shared objects that pool helpers read at once), the engines that
-# drive it, EXPLAIN ANALYZE
+# drive it (fuzz_conformance_test runs every variant's random BGPs on the
+# pool), EXPLAIN ANALYZE
 # (whose per-operator actuals must match across thread counts while
 # chunks fold their charges concurrently), the serving layer and its
 # telemetry sink (fed from several workers at once), and the
@@ -14,8 +15,8 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 SUITES=(scheduler_test rdd_test graphx_test graphx_property_test \
-  dataframe_test engines_test plan_explain_test explain_analyze_test \
-  tracing_test serving_test obs_test hb_test)
+  dataframe_test engines_test fuzz_conformance_test plan_explain_test \
+  explain_analyze_test tracing_test serving_test obs_test hb_test)
 
 echo "=== ThreadSanitizer (${SUITES[*]}) ==="
 cmake -B build-tsan -S . -DRDFSPARK_TSAN=ON >/dev/null

@@ -12,7 +12,6 @@ namespace rdfspark::systems {
 namespace {
 
 using rdf::TermId;
-using sparql::IdSpan;
 using sparql::IdTable;
 
 /// Per-key row buckets over one batch, insertion-ordered within a bucket so
@@ -244,15 +243,9 @@ spark::Rdd<KeyedBatch> JoinKeyedWithTriples(
             if (it == build.end()) continue;
             comparisons += it->second.size() - 1;
             for (size_t j : it->second) {
-              const rdf::EncodedTriple& triple = rin[j].second;
-              if (!MatchesConstants(ep, triple)) continue;
-              TermId* cells = out.rows.AppendRowUninitialized();
-              IdSpan base = lb.rows.row(i);
-              std::copy(base.begin(), base.end(), cells);
-              if (ExtendRowCells(ep.source, triple, schema, cells)) {
+              if (AppendMatch(ep, rin[j].second, schema, lb.rows.row(i),
+                              &out.rows)) {
                 out.keys.push_back(lb.keys[i]);
-              } else {
-                out.rows.PopRow();
               }
             }
           }

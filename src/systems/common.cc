@@ -1,5 +1,8 @@
 #include "systems/common.h"
 
+#include "spark/sql/dataframe.h"
+#include "systems/plan/plan.h"
+
 namespace rdfspark::systems {
 
 EncodedPattern EncodePattern(const rdf::Dictionary& dict,
@@ -25,22 +28,18 @@ EncodedPattern EncodePattern(const rdf::Dictionary& dict,
   return out;
 }
 
-bool ExtendRow(const sparql::TriplePattern& pattern,
-               const rdf::EncodedTriple& triple, const VarSchema& schema,
-               IdRow* row) {
-  auto bind = [&](const sparql::PatternTerm& slot, rdf::TermId value) {
-    if (!slot.is_variable()) return true;
-    int idx = schema.IndexOf(slot.var());
-    if (idx < 0) return true;  // variable not tracked (projection later)
-    rdf::TermId& cell = (*row)[static_cast<size_t>(idx)];
-    if (cell == sparql::kUnbound) {
-      cell = value;
-      return true;
-    }
-    return cell == value;
-  };
-  return bind(pattern.s, triple.s) && bind(pattern.p, triple.p) &&
-         bind(pattern.o, triple.o);
+VarSchema BgpSchema(const std::vector<sparql::TriplePattern>& bgp) {
+  VarSchema schema;
+  for (const auto& tp : bgp) {
+    for (const auto& v : tp.Variables()) schema.Add(v);
+  }
+  return schema;
+}
+
+std::string VarsDetail(const std::vector<std::string>& vars) {
+  std::string detail;
+  for (const auto& v : vars) detail += (detail.empty() ? "?" : " ?") + v;
+  return detail;
 }
 
 bool ExtendRowCells(const sparql::TriplePattern& pattern,
@@ -67,6 +66,85 @@ bool MatchesConstants(const EncodedPattern& encoded,
   return (!encoded.ids.s || *encoded.ids.s == triple.s) &&
          (!encoded.ids.p || *encoded.ids.p == triple.p) &&
          (!encoded.ids.o || *encoded.ids.o == triple.o);
+}
+
+bool AppendMatch(const EncodedPattern& ep, const rdf::EncodedTriple& triple,
+                 const VarSchema& schema, sparql::IdSpan base,
+                 sparql::IdTable* out) {
+  if (!MatchesConstants(ep, triple)) return false;
+  rdf::TermId* cells = out->AppendRowUninitialized();
+  size_t width = out->width();
+  if (base.empty()) {
+    std::fill(cells, cells + width, sparql::kUnbound);
+  } else {
+    std::copy(base.begin(), base.end(), cells);
+  }
+  if (ExtendRowCells(ep.source, triple, schema, cells)) return true;
+  out->PopRow();
+  return false;
+}
+
+uint64_t PredicateCount(const rdf::Dictionary& dict,
+                        const rdf::DatasetStatistics& stats,
+                        const sparql::TriplePattern& tp) {
+  if (tp.p.is_variable()) return stats.num_triples;
+  auto id = dict.Lookup(tp.p.term());
+  if (!id.ok()) return 0;
+  auto it = stats.predicate_count.find(*id);
+  return it == stats.predicate_count.end() ? 0 : it->second;
+}
+
+uint64_t DistinctCountEstimate(const rdf::Dictionary& dict,
+                               const rdf::DatasetStatistics& stats,
+                               const sparql::TriplePattern& tp) {
+  double cardinality = static_cast<double>(stats.num_triples);
+  if (!tp.p.is_variable()) {
+    auto id = dict.Lookup(tp.p.term());
+    if (!id.ok()) return 0;
+    auto it = stats.predicate_count.find(*id);
+    cardinality = it == stats.predicate_count.end()
+                      ? 0.0
+                      : static_cast<double>(it->second);
+  }
+  // Bound subject/object shrink the estimate by the distinct counts.
+  if (!tp.s.is_variable() && stats.distinct_subjects > 0) {
+    cardinality /= static_cast<double>(stats.distinct_subjects);
+  }
+  if (!tp.o.is_variable() && stats.distinct_objects > 0) {
+    cardinality /= static_cast<double>(stats.distinct_objects);
+  }
+  return static_cast<uint64_t>(cardinality) + 1;
+}
+
+void AnnotateScan(const sparql::TriplePattern& tp, uint64_t scan_bound,
+                  plan::PlanNode* node) {
+  node->out_vars = tp.Variables();
+  if (tp.s.is_variable()) node->subject_var = tp.s.var();
+  node->max_cardinality = scan_bound;
+}
+
+sparql::BindingTable DataFrameBindings(const spark::sql::DataFrame& df) {
+  std::vector<std::string> vars;
+  std::vector<int> cols;
+  for (size_t i = 0; i < df.schema().num_fields(); ++i) {
+    const std::string& name = df.schema().field(i).name;
+    if (name.rfind("v_", 0) == 0) {
+      vars.push_back(name.substr(2));
+      cols.push_back(static_cast<int>(i));
+    }
+  }
+  sparql::BindingTable table(vars);
+  sparql::IdTable* rows = table.mutable_rows();
+  for (const auto& row : df.Collect()) {
+    rdf::TermId* cells = rows->AppendRowUninitialized();
+    for (size_t i = 0; i < cols.size(); ++i) {
+      const spark::sql::Value& v = row[static_cast<size_t>(cols[i])];
+      cells[i] = spark::sql::IsNull(v)
+                     ? sparql::kUnbound
+                     : static_cast<rdf::TermId>(std::get<int64_t>(v));
+    }
+  }
+  return table;
 }
 
 std::vector<std::string> SharedVars(const sparql::TriplePattern& pattern,

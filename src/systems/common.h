@@ -13,7 +13,15 @@
 #include "sparql/ast.h"
 #include "sparql/binding.h"
 
+namespace rdfspark::spark::sql {
+class DataFrame;
+}  // namespace rdfspark::spark::sql
+
 namespace rdfspark::systems {
+
+namespace plan {
+struct PlanNode;
+}  // namespace plan
 
 /// A triple pattern with constants resolved against the dictionary.
 /// `impossible` marks patterns whose constant term does not occur in the
@@ -53,19 +61,17 @@ class VarSchema {
   std::unordered_map<std::string, int> index_;
 };
 
-/// A partial solution row, aligned with a VarSchema.
-using IdRow = std::vector<rdf::TermId>;
+/// The variables of a BGP in first-appearance order (s/p/o within a
+/// pattern): the row schema every engine's plan projects.
+VarSchema BgpSchema(const std::vector<sparql::TriplePattern>& bgp);
 
-/// Tries to extend `row` (over `schema`) with the bindings a concrete
-/// triple induces under `pattern`; returns false on conflict (repeated
-/// variable bound to a different value).
-bool ExtendRow(const sparql::TriplePattern& pattern,
-               const rdf::EncodedTriple& triple, const VarSchema& schema,
-               IdRow* row);
+/// "?a ?b" — the EXPLAIN detail of a Project over `vars`.
+std::string VarsDetail(const std::vector<std::string>& vars);
 
-/// Same extension over a raw fixed-width row (a freshly appended IdTable
-/// row whose cells are pre-filled with kUnbound). Batch kernels append a
-/// row in place, try the extension, and pop it on failure.
+/// Tries to extend a fixed-width row over `schema` with the bindings a
+/// concrete triple induces under `pattern`; returns false on conflict
+/// (repeated variable bound to a different value). Variables outside the
+/// schema are ignored.
 bool ExtendRowCells(const sparql::TriplePattern& pattern,
                     const rdf::EncodedTriple& triple, const VarSchema& schema,
                     rdf::TermId* cells);
@@ -73,6 +79,38 @@ bool ExtendRowCells(const sparql::TriplePattern& pattern,
 /// True if `triple` matches the constant slots of `encoded`.
 bool MatchesConstants(const EncodedPattern& encoded,
                       const rdf::EncodedTriple& triple);
+
+/// The one triple-pattern match of every engine: when `triple` matches
+/// `ep`'s constants, appends `base` (all kUnbound when empty) to `out`,
+/// extends it with `ep.source`'s bindings and returns true; pops the row
+/// again and returns false on a conflicting binding. `base` must not point
+/// into `out`: the append may reallocate.
+bool AppendMatch(const EncodedPattern& ep, const rdf::EncodedTriple& triple,
+                 const VarSchema& schema, sparql::IdSpan base,
+                 sparql::IdTable* out);
+
+/// Triples carrying `tp`'s predicate: all triples for a predicate
+/// variable, 0 for a predicate absent from the data.
+uint64_t PredicateCount(const rdf::Dictionary& dict,
+                        const rdf::DatasetStatistics& stats,
+                        const sparql::TriplePattern& tp);
+
+/// The distinct-count selectivity estimate (SPARQLGX's statistic, also the
+/// SPARQL-GPP planner's): PredicateCount, divided by the distinct subjects
+/// when the subject is bound and by the distinct objects when the object
+/// is, plus one; 0 for a predicate absent from the dictionary.
+uint64_t DistinctCountEstimate(const rdf::Dictionary& dict,
+                               const rdf::DatasetStatistics& stats,
+                               const sparql::TriplePattern& tp);
+
+/// Verifier schema facts of a scan leaf over one pattern: out_vars,
+/// subject_var and the sound output cap `scan_bound`.
+void AnnotateScan(const sparql::TriplePattern& tp, uint64_t scan_bound,
+                  plan::PlanNode* node);
+
+/// The rows of a result DataFrame's v_<var> columns as a binding table
+/// (nulls read as kUnbound).
+sparql::BindingTable DataFrameBindings(const spark::sql::DataFrame& df);
 
 /// Variables shared between a pattern and an existing schema.
 std::vector<std::string> SharedVars(const sparql::TriplePattern& pattern,

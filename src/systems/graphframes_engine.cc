@@ -6,6 +6,8 @@
 #include <unordered_set>
 #include <variant>
 
+#include "systems/plan/planner_utils.h"
+
 namespace rdfspark::systems {
 
 namespace sql = spark::sql;
@@ -77,44 +79,12 @@ Result<plan::PlanPtr> GraphFramesEngine::PlanBgp(
 
   // Sub-query ordering: non-descending predicate frequency, kept connected.
   auto frequency = [&](const sparql::TriplePattern& tp) -> uint64_t {
-    if (tp.p.is_variable()) return stats_.num_triples;
-    auto id = dict.Lookup(tp.p.term());
-    if (!id.ok()) return 0;
-    auto it = stats_.predicate_count.find(*id);
-    return it == stats_.predicate_count.end() ? 0 : it->second;
+    return PredicateCount(dict, stats_, tp);
   };
-  std::vector<sparql::TriplePattern> ordered = bgp;
-  if (options_.enable_frequency_ordering) {
-    std::vector<sparql::TriplePattern> result;
-    std::vector<bool> used(bgp.size(), false);
-    VarSchema seen;
-    size_t first = 0;
-    for (size_t i = 1; i < bgp.size(); ++i) {
-      if (frequency(bgp[i]) < frequency(bgp[first])) first = i;
-    }
-    auto take = [&](size_t i) {
-      used[i] = true;
-      for (const auto& v : bgp[i].Variables()) seen.Add(v);
-      result.push_back(bgp[i]);
-    };
-    take(first);
-    while (result.size() < bgp.size()) {
-      int best = -1;
-      bool best_connected = false;
-      for (size_t i = 0; i < bgp.size(); ++i) {
-        if (used[i]) continue;
-        bool connected = !SharedVars(bgp[i], seen).empty();
-        if (best < 0 || (connected && !best_connected) ||
-            (connected == best_connected &&
-             frequency(bgp[i]) < frequency(bgp[static_cast<size_t>(best)]))) {
-          best = static_cast<int>(i);
-          best_connected = connected;
-        }
-      }
-      take(static_cast<size_t>(best));
-    }
-    ordered = std::move(result);
-  }
+  std::vector<sparql::TriplePattern> ordered =
+      options_.enable_frequency_ordering
+          ? plan::GreedyConnectedOrder(bgp, frequency)
+          : bgp;
 
   // Local search space pruning: drop triples whose predicate is absent
   // from the BGP (only when all predicates are bound). The filter expression
@@ -198,9 +168,7 @@ Result<plan::PlanPtr> GraphFramesEngine::PlanBgp(
         plan::NodeKind::kPatternScan, plan::AccessPath::kGraphTraversal,
         element + " " + tp.ToString() + (do_prune ? " (pruned)" : ""),
         frequency(tp), nullptr);
-    leaf->out_vars = tp.Variables();
-    if (tp.s.is_variable()) leaf->subject_var = tp.s.var();
-    leaf->max_cardinality = PatternScanBound(store_->dictionary(), stats_, tp);
+    AnnotateScan(tp, PatternScanBound(dict, stats_, tp), leaf.get());
     if (root == nullptr) {
       root = std::move(leaf);
     } else {
@@ -247,14 +215,10 @@ Result<plan::PlanPtr> GraphFramesEngine::PlanBgp(
     }
   }
 
-  std::string project_detail;
   std::vector<std::string> project_vars;
-  for (const auto& [var, column] : var_column) {
-    project_detail += (project_detail.empty() ? "?" : " ?") + var;
-    project_vars.push_back(var);
-  }
+  for (const auto& [var, column] : var_column) project_vars.push_back(var);
   auto project = plan::MakeUnary(
-      plan::NodeKind::kProject, project_detail, std::move(root),
+      plan::NodeKind::kProject, VarsDetail(project_vars), std::move(root),
       [this, do_prune, keep, motif, motif_options, post_filters, var_column](
           std::vector<plan::PlanPayload>) -> Result<plan::PlanPayload> {
         GraphFrame graph = graph_;

@@ -78,21 +78,9 @@ Result<plan::PlanPtr> GraphxSmEngine::PlanBgp(
     return plan::ConstantResultPlan(sparql::BindingTable::Unit(), "unit");
   }
 
-  auto schema = std::make_shared<VarSchema>();
-  for (const auto& tp : bgp) {
-    for (const auto& v : tp.Variables()) schema->Add(v);
-  }
+  const rdf::Dictionary& dict = store_->dictionary();
+  auto schema = std::make_shared<const VarSchema>(BgpSchema(bgp));
   size_t width = schema->vars().size();
-
-  std::vector<sparql::TriplePattern> ordered = plan::OrderConnected(bgp, 0);
-
-  auto pattern_est = [this](const sparql::TriplePattern& tp) -> uint64_t {
-    if (tp.p.is_variable()) return stats_.num_triples;
-    auto id = store_->dictionary().Lookup(tp.p.term());
-    if (!id.ok()) return 0;
-    auto it = stats_.predicate_count.find(*id);
-    return it == stats_.predicate_count.end() ? 0 : it->second;
-  };
 
   // Frontier payload: MT tables keyed by the vertex the partial paths end
   // at. The plan below threads it through one node per pattern.
@@ -101,10 +89,9 @@ Result<plan::PlanPtr> GraphxSmEngine::PlanBgp(
   VarSchema bound;
   bool initialized = false;
 
-  for (const auto& tp : ordered) {
-    auto ep = std::make_shared<const EncodedPattern>(
-        EncodePattern(store_->dictionary(), tp));
-    auto pattern = std::make_shared<const sparql::TriplePattern>(tp);
+  for (size_t i : plan::OrderConnected(bgp, 0)) {
+    const sparql::TriplePattern& tp = bgp[i];
+    auto ep = std::make_shared<const EncodedPattern>(EncodePattern(dict, tp));
     const std::string svar = tp.s.is_variable() ? tp.s.var() : "";
     const std::string ovar = tp.o.is_variable() ? tp.o.var() : "";
 
@@ -127,33 +114,26 @@ Result<plan::PlanPtr> GraphxSmEngine::PlanBgp(
       bool anchor_at_dst = !ovar.empty();
       root = plan::MakeScan(
           plan::NodeKind::kPatternScan, plan::AccessPath::kGraphTraversal,
-          tp.ToString() + " (seed)", pattern_est(tp),
-          [this, ep, pattern, schema, width, anchor_at_dst](
+          tp.ToString() + " (seed)", PredicateCount(dict, stats_, tp),
+          [this, ep, schema, width, anchor_at_dst](
               std::vector<plan::PlanPayload>) -> Result<plan::PlanPayload> {
             auto seeded = graph_.edges().FlatMap(
-                [ep, pattern, schema, width,
+                [ep, schema, width,
                  anchor_at_dst](const Edge<rdf::TermId>& e) {
                   std::vector<std::pair<VertexId, Mt>> out;
                   rdf::EncodedTriple t{static_cast<rdf::TermId>(e.src),
                                        e.attr,
                                        static_cast<rdf::TermId>(e.dst)};
-                  if (MatchesConstants(*ep, t)) {
-                    IdRow row(width, sparql::kUnbound);
-                    if (ExtendRow(*pattern, t, *schema, &row)) {
-                      Mt one(width);
-                      one.AppendRow(row);
-                      out.emplace_back(anchor_at_dst ? e.dst : e.src,
-                                       std::move(one));
-                    }
+                  Mt one(width);
+                  if (AppendMatch(*ep, t, *schema, {}, &one)) {
+                    out.emplace_back(anchor_at_dst ? e.dst : e.src,
+                                     std::move(one));
                   }
                   return out;
                 });
             return plan::PlanPayload(seeded.ReduceByKey(ConcatMt));
           });
-      root->out_vars = tp.Variables();
-      root->subject_var = svar;
-      root->max_cardinality =
-          PatternScanBound(store_->dictionary(), stats_, tp);
+      AnnotateScan(tp, PatternScanBound(dict, stats_, tp), root.get());
       anchor = anchor_at_dst ? ovar : svar;
       initialized = true;
       for (const auto& v : tp.Variables()) bound.Add(v);
@@ -190,31 +170,24 @@ Result<plan::PlanPtr> GraphxSmEngine::PlanBgp(
       // Disconnected pattern: standalone matches, cartesian merge.
       plan::PlanPtr leaf = plan::MakeScan(
           plan::NodeKind::kPatternScan, plan::AccessPath::kGraphTraversal,
-          tp.ToString(), pattern_est(tp),
-          [this, ep, pattern, schema, width](std::vector<plan::PlanPayload>)
+          tp.ToString(), PredicateCount(dict, stats_, tp),
+          [this, ep, schema, width](std::vector<plan::PlanPayload>)
               -> Result<plan::PlanPayload> {
             return plan::PlanPayload(graph_.edges().MapPartitionsWithIndex(
-                [ep, pattern, schema, width](
-                    int, const std::vector<Edge<rdf::TermId>>& in) {
+                [ep, schema, width](int,
+                                    const std::vector<Edge<rdf::TermId>>& in) {
                   sparql::IdTable out(width);
                   for (const Edge<rdf::TermId>& e : in) {
-                    rdf::EncodedTriple t{static_cast<rdf::TermId>(e.src),
-                                         e.attr,
-                                         static_cast<rdf::TermId>(e.dst)};
-                    if (!MatchesConstants(*ep, t)) continue;
-                    rdf::TermId* cells = out.AppendRowUninitialized();
-                    std::fill(cells, cells + width, sparql::kUnbound);
-                    if (!ExtendRowCells(*pattern, t, *schema, cells)) {
-                      out.PopRow();
-                    }
+                    AppendMatch(*ep,
+                                rdf::EncodedTriple{
+                                    static_cast<rdf::TermId>(e.src), e.attr,
+                                    static_cast<rdf::TermId>(e.dst)},
+                                *schema, {}, &out);
                   }
                   return std::vector<sparql::IdTable>{std::move(out)};
                 }));
           });
-      leaf->out_vars = tp.Variables();
-      leaf->subject_var = svar;
-      leaf->max_cardinality =
-          PatternScanBound(store_->dictionary(), stats_, tp);
+      AnnotateScan(tp, PatternScanBound(dict, stats_, tp), leaf.get());
       root = plan::MakeBinary(
           plan::NodeKind::kCartesianProduct, "merge match-tracks",
           std::move(root), std::move(leaf),
@@ -259,14 +232,12 @@ Result<plan::PlanPtr> GraphxSmEngine::PlanBgp(
     if (reanchor_idx >= 0) detail += " (re-anchor ?" + need + ")";
     plan::PlanPtr leaf = plan::MakeScan(
         plan::NodeKind::kPatternScan, plan::AccessPath::kGraphTraversal,
-        tp.ToString(), pattern_est(tp), nullptr);
-    leaf->out_vars = tp.Variables();
-    leaf->subject_var = svar;
-    leaf->max_cardinality = PatternScanBound(store_->dictionary(), stats_, tp);
+        tp.ToString(), PredicateCount(dict, stats_, tp), nullptr);
+    AnnotateScan(tp, PatternScanBound(dict, stats_, tp), leaf.get());
     root = plan::MakeBinary(
         plan::NodeKind::kPartitionedHashJoin, detail, std::move(root),
         std::move(leaf),
-        [this, ep, pattern, schema, forward, reanchor_idx](
+        [this, ep, schema, forward, reanchor_idx](
             std::vector<plan::PlanPayload> in) -> Result<plan::PlanPayload> {
           auto frontier = std::get<Rdd<std::pair<VertexId, Mt>>>(
               std::move(in[0]));
@@ -293,8 +264,7 @@ Result<plan::PlanPtr> GraphxSmEngine::PlanBgp(
                 return VAttr(term, table.value_or(Mt{}));
               });
           auto msgs = installed.AggregateMessages<Mt>(
-              [ep, pattern, schema, forward](
-                  const EdgeTriplet<VAttr, rdf::TermId>& t) {
+              [ep, schema, forward](const EdgeTriplet<VAttr, rdf::TermId>& t) {
                 std::vector<std::pair<VertexId, Mt>> out;
                 const Mt& source_table =
                     forward ? t.src_attr->second : t.dst_attr->second;
@@ -305,12 +275,8 @@ Result<plan::PlanPtr> GraphxSmEngine::PlanBgp(
                 if (!MatchesConstants(*ep, triple)) return out;
                 Mt extended(source_table.width());
                 for (size_t r = 0; r < source_table.size(); ++r) {
-                  rdf::TermId* cells = extended.AppendRowUninitialized();
-                  sparql::IdSpan base = source_table.row(r);
-                  std::copy(base.begin(), base.end(), cells);
-                  if (!ExtendRowCells(*pattern, triple, *schema, cells)) {
-                    extended.PopRow();
-                  }
+                  AppendMatch(*ep, triple, *schema, source_table.row(r),
+                              &extended);
                 }
                 if (!extended.empty()) {
                   out.emplace_back(forward ? t.dst : t.src,
@@ -334,12 +300,8 @@ Result<plan::PlanPtr> GraphxSmEngine::PlanBgp(
                                     "constant-only BGP");
   }
 
-  std::string project_detail;
-  for (const auto& v : schema->vars()) {
-    project_detail += (project_detail.empty() ? "?" : " ?") + v;
-  }
   auto project = plan::MakeUnary(
-      plan::NodeKind::kProject, project_detail, std::move(root),
+      plan::NodeKind::kProject, VarsDetail(schema->vars()), std::move(root),
       [schema, width](std::vector<plan::PlanPayload> in)
           -> Result<plan::PlanPayload> {
         auto frontier =

@@ -161,26 +161,23 @@ spark::Rdd<KeyedBatch> HaqwaEngine::EvaluateStarLocal(
             by_subject;
         for (const auto& kv : part) by_subject[kv.first].push_back(kv.second);
         KeyedBatch out{{}, sparql::IdTable(width)};
+        sparql::IdTable rows(width);
+        sparql::IdTable next(width);
         for (const auto& [subject, triples] : by_subject) {
-          std::vector<IdRow> rows{IdRow(width, sparql::kUnbound)};
+          rows.Clear();
+          rows.AppendRowFilled(sparql::kUnbound);
           for (const auto& ep : *encoded) {
-            std::vector<IdRow> next;
-            for (const auto& row : rows) {
+            next.Clear();
+            for (size_t r = 0; r < rows.size(); ++r) {
               for (const auto& t : triples) {
-                if (!MatchesConstants(ep, t)) continue;
-                IdRow extended = row;
-                if (ExtendRow(ep.source, t, *schema_copy, &extended)) {
-                  next.push_back(std::move(extended));
-                }
+                AppendMatch(ep, t, *schema_copy, rows.row(r), &next);
               }
             }
-            rows = std::move(next);
+            std::swap(rows, next);
             if (rows.empty()) break;
           }
-          for (const auto& row : rows) {
-            out.keys.push_back(subject);
-            out.rows.AppendRow(row);
-          }
+          out.keys.insert(out.keys.end(), rows.size(), subject);
+          out.rows.AppendRowsFrom(rows);
         }
         return std::vector<KeyedBatch>{std::move(out)};
       });
@@ -191,17 +188,7 @@ spark::Rdd<KeyedBatch> HaqwaEngine::EvaluateStarLocal(
 uint64_t HaqwaEngine::GroupCost(const SubjectGroup& group) const {
   uint64_t best = ~0ull;
   for (const auto& tp : group.patterns) {
-    uint64_t cost = stats_.num_triples;
-    if (!tp.p.is_variable()) {
-      auto id = store_->dictionary().Lookup(tp.p.term());
-      if (id.ok()) {
-        auto it = stats_.predicate_count.find(*id);
-        cost = it == stats_.predicate_count.end() ? 0 : it->second;
-      } else {
-        cost = 0;
-      }
-    }
-    best = std::min(best, cost);
+    best = std::min(best, PredicateCount(store_->dictionary(), stats_, tp));
   }
   return best;
 }
@@ -214,10 +201,8 @@ Result<plan::PlanPtr> HaqwaEngine::PlanBgp(
   }
 
   // Fixed schema over all BGP variables.
-  auto schema = std::make_shared<VarSchema>();
-  for (const auto& tp : bgp) {
-    for (const auto& v : tp.Variables()) schema->Add(v);
-  }
+  const rdf::Dictionary& dict = store_->dictionary();
+  auto schema = std::make_shared<const VarSchema>(BgpSchema(bgp));
   size_t width = schema->vars().size();
 
   // Decompose into locally evaluable sub-queries (subject stars).
@@ -249,14 +234,9 @@ Result<plan::PlanPtr> HaqwaEngine::PlanBgp(
             -> Result<plan::PlanPayload> {
           return plan::PlanPayload(EvaluateStarLocal(*g, *schema));
         });
-    VarSchema group_vars;
-    for (const auto& tp : group.patterns) {
-      for (const auto& v : tp.Variables()) group_vars.Add(v);
-    }
-    leaf->out_vars = group_vars.vars();
+    leaf->out_vars = BgpSchema(group.patterns).vars();
     leaf->subject_var = group.subject_var;
-    leaf->max_cardinality =
-        StarScanBound(store_->dictionary(), stats_, group.patterns);
+    leaf->max_cardinality = StarScanBound(dict, stats_, group.patterns);
     return leaf;
   };
 
@@ -337,10 +317,9 @@ Result<plan::PlanPtr> HaqwaEngine::PlanBgp(
         plan::PlanPtr right = plan::MakeScan(
             plan::NodeKind::kPatternScan, plan::AccessPath::kReplica,
             group.patterns[0].ToString(), plan::kNoEstimate, nullptr);
-        right->out_vars = group.patterns[0].Variables();
-        right->subject_var = group.subject_var;
-        right->max_cardinality =
-            PatternScanBound(store_->dictionary(), stats_, group.patterns[0]);
+        AnnotateScan(group.patterns[0],
+                     PatternScanBound(dict, stats_, group.patterns[0]),
+                     right.get());
         root = plan::MakeBinary(
             plan::NodeKind::kPartitionedHashJoin,
             "on ?" + link_var + " via replica (local)", std::move(root),
@@ -382,10 +361,9 @@ Result<plan::PlanPtr> HaqwaEngine::PlanBgp(
         plan::PlanPtr right = plan::MakeScan(
             plan::NodeKind::kPatternScan, plan::AccessPath::kReplica,
             group.patterns[0].ToString(), plan::kNoEstimate, nullptr);
-        right->out_vars = group.patterns[0].Variables();
-        right->subject_var = group.subject_var;
-        right->max_cardinality =
-            PatternScanBound(store_->dictionary(), stats_, group.patterns[0]);
+        AnnotateScan(group.patterns[0],
+                     PatternScanBound(dict, stats_, group.patterns[0]),
+                     right.get());
         root = plan::MakeBinary(
             plan::NodeKind::kPartitionedHashJoin,
             "on ?" + link_var + " via object-replica (local)",
@@ -472,12 +450,8 @@ Result<plan::PlanPtr> HaqwaEngine::PlanBgp(
     }
   }
 
-  std::string project_detail;
-  for (const auto& v : schema->vars()) {
-    project_detail += (project_detail.empty() ? "?" : " ?") + v;
-  }
   auto project = plan::MakeUnary(
-      plan::NodeKind::kProject, project_detail, std::move(root),
+      plan::NodeKind::kProject, VarsDetail(schema->vars()), std::move(root),
       [schema, width](std::vector<plan::PlanPayload> in)
           -> Result<plan::PlanPayload> {
         auto current = std::get<Rdd<KeyedBatch>>(std::move(in[0]));

@@ -4,7 +4,6 @@
 #include <memory>
 #include <variant>
 
-#include "systems/batch.h"
 #include "systems/plan/planner_utils.h"
 
 namespace rdfspark::systems {
@@ -84,26 +83,6 @@ Result<LoadStats> HybridEngine::Load(const rdf::TripleStore& store) {
   stats.stored_bytes =
       rdd_by_subject_.MemoryFootprint() + df_by_subject_.EstimatedBytes();
   return stats;
-}
-
-uint64_t HybridEngine::PatternCardinality(
-    const sparql::TriplePattern& tp) const {
-  double cardinality = static_cast<double>(stats_.num_triples);
-  if (!tp.p.is_variable()) {
-    auto id = store_->dictionary().Lookup(tp.p.term());
-    if (!id.ok()) return 0;
-    auto it = stats_.predicate_count.find(*id);
-    cardinality = it == stats_.predicate_count.end()
-                      ? 0.0
-                      : static_cast<double>(it->second);
-  }
-  if (!tp.s.is_variable() && stats_.distinct_subjects > 0) {
-    cardinality /= static_cast<double>(stats_.distinct_subjects);
-  }
-  if (!tp.o.is_variable() && stats_.distinct_objects > 0) {
-    cardinality /= static_cast<double>(stats_.distinct_objects);
-  }
-  return static_cast<uint64_t>(cardinality) + 1;
 }
 
 Result<DataFrame> HybridEngine::PatternDf(const sparql::TriplePattern& tp,
@@ -201,107 +180,60 @@ DataFrame JoinOnSharedVars(const DataFrame& left, const DataFrame& right,
   return joined.Select(keep);
 }
 
-}  // namespace
-
-sparql::BindingTable HybridEngine::DfToBindings(const DataFrame& df) const {
-  std::vector<std::string> vars;
-  std::vector<int> cols;
-  for (size_t i = 0; i < df.schema().num_fields(); ++i) {
-    const std::string& name = df.schema().field(i).name;
-    if (name.rfind("v_", 0) == 0) {
-      vars.push_back(name.substr(2));
-      cols.push_back(static_cast<int>(i));
-    }
-  }
-  sparql::BindingTable table(vars);
-  sparql::IdTable* rows = table.mutable_rows();
-  for (const auto& row : df.Collect()) {
-    rdf::TermId* cells = rows->AppendRowUninitialized();
-    for (size_t i = 0; i < cols.size(); ++i) {
-      const sql::Value& v = row[static_cast<size_t>(cols[i])];
-      cells[i] = sql::IsNull(v)
-                     ? sparql::kUnbound
-                     : static_cast<rdf::TermId>(std::get<int64_t>(v));
-    }
-  }
-  return table;
-}
-
-namespace {
-
-/// Shared-variable list between a pattern and the variables bound so far,
-/// plus the running variable footprint — used by the DataFrame planners to
-/// predict join shapes without touching data.
+/// "on ?a ?b" over the shared variables ("" for a cross join).
 std::string JoinDetail(const std::vector<std::string>& shared) {
-  std::string detail;
-  for (const auto& v : shared) detail += (detail.empty() ? "on ?" : " ?") + v;
-  return detail;
-}
-
-/// Variables of the final result in DataFrame column order (first
-/// appearance across patterns, s/p/o within a pattern).
-std::string VarListDetail(const std::vector<sparql::TriplePattern>& patterns) {
-  VarSchema vars;
-  for (const auto& tp : patterns) {
-    for (const auto& v : tp.Variables()) vars.Add(v);
-  }
-  std::string detail;
-  for (const auto& v : vars.vars()) detail += (detail.empty() ? "?" : " ?") + v;
-  return detail;
+  return shared.empty() ? "" : "on " + VarsDetail(shared);
 }
 
 /// Column::MemoryBytes charges 9 bytes per int64 cell (value + null mask);
 /// the planner mirrors that to predict DataFrame sizes from row estimates.
 uint64_t EstimatedDfBytes(uint64_t rows, const sparql::TriplePattern& tp) {
-  VarSchema vars;
-  for (const auto& v : tp.Variables()) vars.Add(v);
-  uint64_t cols = std::max<uint64_t>(1, vars.vars().size());
-  return rows * cols * 9;
+  return rows * std::max<uint64_t>(1, tp.Variables().size()) * 9;
 }
 
-/// Result variables in first-appearance order (the Project's columns).
-std::vector<std::string> AllVars(
-    const std::vector<sparql::TriplePattern>& patterns) {
-  VarSchema vars;
-  for (const auto& tp : patterns) {
-    for (const auto& v : tp.Variables()) vars.Add(v);
-  }
-  return vars.vars();
-}
-
-/// Verifier schema facts for a pattern-scan leaf.
-void AnnotateScan(const sparql::TriplePattern& tp, uint64_t scan_bound,
-                  plan::PlanNode* node) {
-  node->out_vars = tp.Variables();
-  if (tp.s.is_variable()) node->subject_var = tp.s.var();
-  node->max_cardinality = scan_bound;
+/// The Project of a DataFrame plan: the result variables in DataFrame
+/// column order (first appearance across patterns, s/p/o within a
+/// pattern), rows read from the v_<var> columns.
+plan::PlanPtr ProjectDf(plan::PlanPtr root,
+                        const std::vector<sparql::TriplePattern>& patterns) {
+  std::vector<std::string> vars = BgpSchema(patterns).vars();
+  auto project = plan::MakeUnary(
+      plan::NodeKind::kProject, VarsDetail(vars), std::move(root),
+      [](std::vector<plan::PlanPayload> in) -> Result<plan::PlanPayload> {
+        return plan::PlanPayload(
+            DataFrameBindings(std::get<DataFrame>(std::move(in[0]))));
+      });
+  project->key_vars = std::move(vars);
+  return project;
 }
 
 }  // namespace
+
+plan::PlanPtr HybridEngine::DfScan(const sparql::TriplePattern& tp,
+                                   bool subject_partitioned) const {
+  const rdf::Dictionary& dict = store_->dictionary();
+  auto node = plan::MakeScan(
+      plan::NodeKind::kPatternScan, plan::AccessPath::kFullScan,
+      tp.ToString(), DistinctCountEstimate(dict, stats_, tp),
+      [this, tp, subject_partitioned](std::vector<plan::PlanPayload>)
+          -> Result<plan::PlanPayload> {
+        RDFSPARK_ASSIGN_OR_RETURN(DataFrame step,
+                                  PatternDf(tp, subject_partitioned));
+        return plan::PlanPayload(std::move(step));
+      });
+  AnnotateScan(tp, PatternScanBound(dict, stats_, tp), node.get());
+  return node;
+}
 
 Result<plan::PlanPtr> HybridEngine::PlanSqlNaive(
     const std::vector<sparql::TriplePattern>& bgp) {
   // Catalyst translation pitfall: joins between patterns carry no usable
   // equi-keys, so every step is a Cartesian product filtered afterwards.
-  auto scan = [this](const sparql::TriplePattern& tp) {
-    auto node = plan::MakeScan(
-        plan::NodeKind::kPatternScan, plan::AccessPath::kFullScan,
-        tp.ToString(), PatternCardinality(tp),
-        [this, tp](std::vector<plan::PlanPayload>) -> Result<plan::PlanPayload> {
-          RDFSPARK_ASSIGN_OR_RETURN(
-              DataFrame step, PatternDf(tp, /*subject_partitioned=*/false));
-          return plan::PlanPayload(std::move(step));
-        });
-    AnnotateScan(tp, PatternScanBound(store_->dictionary(), stats_, tp),
-                 node.get());
-    return node;
-  };
-
-  plan::PlanPtr root = scan(bgp[0]);
+  plan::PlanPtr root = DfScan(bgp[0], /*subject_partitioned=*/false);
   for (size_t i = 1; i < bgp.size(); ++i) {
     root = plan::MakeBinary(
         plan::NodeKind::kCartesianProduct, "cross-join + filter",
-        std::move(root), scan(bgp[i]),
+        std::move(root), DfScan(bgp[i], /*subject_partitioned=*/false),
         [](std::vector<plan::PlanPayload> in) -> Result<plan::PlanPayload> {
           auto result = std::get<DataFrame>(std::move(in[0]));
           auto step = std::get<DataFrame>(std::move(in[1]));
@@ -330,98 +262,36 @@ Result<plan::PlanPtr> HybridEngine::PlanSqlNaive(
           return plan::PlanPayload(crossed.Select(keep));
         });
   }
-  auto project = plan::MakeUnary(
-      plan::NodeKind::kProject, VarListDetail(bgp), std::move(root),
-      [this](std::vector<plan::PlanPayload> in) -> Result<plan::PlanPayload> {
-        auto result = std::get<DataFrame>(std::move(in[0]));
-        return plan::PlanPayload(DfToBindings(result));
-      });
-  project->key_vars = AllVars(bgp);
-  return project;
+  return ProjectDf(std::move(root), bgp);
 }
 
 Result<plan::PlanPtr> HybridEngine::PlanRdd(
     const std::vector<sparql::TriplePattern>& bgp) {
   // Input order, partitioned joins only, full scan per pattern.
-  auto schema = std::make_shared<VarSchema>();
-  for (const auto& tp : bgp) {
-    for (const auto& v : tp.Variables()) schema->Add(v);
-  }
+  const rdf::Dictionary& dict = store_->dictionary();
+  auto schema = std::make_shared<const VarSchema>(BgpSchema(bgp));
   size_t width = schema->vars().size();
-
-  auto scan = [this, schema, width](const sparql::TriplePattern& tp) {
+  return plan::BatchJoinChain(sc_, schema, bgp, [&](size_t i) {
+    const sparql::TriplePattern& tp = bgp[i];
     auto node = plan::MakeScan(
         plan::NodeKind::kPatternScan, plan::AccessPath::kFullScan,
-        tp.ToString(), PatternCardinality(tp),
+        tp.ToString(), DistinctCountEstimate(dict, stats_, tp),
         [this, schema, width, tp](std::vector<plan::PlanPayload>)
             -> Result<plan::PlanPayload> {
           auto ep = std::make_shared<const EncodedPattern>(
               EncodePattern(store_->dictionary(), tp));
-          auto pattern = std::make_shared<const sparql::TriplePattern>(tp);
           return plan::PlanPayload(rdd_by_subject_.MapPartitionsWithIndex(
-              [ep, pattern, schema,
-               width](int, const std::vector<KeyedTriple>& in) {
+              [ep, schema, width](int, const std::vector<KeyedTriple>& in) {
                 sparql::IdTable out(width);
                 for (const KeyedTriple& kv : in) {
-                  if (!MatchesConstants(*ep, kv.second)) continue;
-                  rdf::TermId* cells = out.AppendRowUninitialized();
-                  std::fill(cells, cells + width, sparql::kUnbound);
-                  if (!ExtendRowCells(*pattern, kv.second, *schema, cells)) {
-                    out.PopRow();
-                  }
+                  AppendMatch(*ep, kv.second, *schema, {}, &out);
                 }
                 return std::vector<sparql::IdTable>{std::move(out)};
               }));
         });
-    AnnotateScan(tp, PatternScanBound(store_->dictionary(), stats_, tp),
-                 node.get());
+    AnnotateScan(tp, PatternScanBound(dict, stats_, tp), node.get());
     return node;
-  };
-
-  plan::PlanPtr root = scan(bgp[0]);
-  VarSchema bound;
-  for (const auto& v : bgp[0].Variables()) bound.Add(v);
-  for (size_t i = 1; i < bgp.size(); ++i) {
-    auto shared = SharedVars(bgp[i], bound);
-    if (shared.empty()) {
-      root = plan::MakeBinary(
-          plan::NodeKind::kCartesianProduct, "merge-rows", std::move(root),
-          scan(bgp[i]),
-          [this, width](std::vector<plan::PlanPayload> in)
-              -> Result<plan::PlanPayload> {
-            auto current =
-                std::get<spark::Rdd<sparql::IdTable>>(std::move(in[0]));
-            auto rows = std::get<spark::Rdd<sparql::IdTable>>(std::move(in[1]));
-            return plan::PlanPayload(
-                CartesianMergeBatches(sc_, current, rows, width));
-          });
-    } else {
-      int key_idx = schema->IndexOf(shared[0]);
-      root = plan::MakeBinary(
-          plan::NodeKind::kPartitionedHashJoin, JoinDetail({shared[0]}),
-          std::move(root), scan(bgp[i]),
-          [this, key_idx, width](std::vector<plan::PlanPayload> in)
-              -> Result<plan::PlanPayload> {
-            auto current =
-                std::get<spark::Rdd<sparql::IdTable>>(std::move(in[0]));
-            auto rows = std::get<spark::Rdd<sparql::IdTable>>(std::move(in[1]));
-            return plan::PlanPayload(
-                JoinBatchesOn(sc_, current, rows, key_idx, width));
-          });
-      root->key_vars = {shared[0]};
-    }
-    for (const auto& v : bgp[i].Variables()) bound.Add(v);
-  }
-  auto project = plan::MakeUnary(
-      plan::NodeKind::kProject, VarListDetail(bgp), std::move(root),
-      [schema, width](std::vector<plan::PlanPayload> in)
-          -> Result<plan::PlanPayload> {
-        auto current = std::get<spark::Rdd<sparql::IdTable>>(std::move(in[0]));
-        return plan::PlanPayload(
-            ToBindingTable(*schema, CollectRows(current, width)));
-      });
-  project->key_vars = schema->vars();
-  return project;
+  });
 }
 
 Result<plan::PlanPtr> HybridEngine::PlanDataFrame(
@@ -430,34 +300,23 @@ Result<plan::PlanPtr> HybridEngine::PlanDataFrame(
   // awareness. The node kind is the planner's stats-based prediction of
   // what the auto strategy will pick; the executor defers to the runtime
   // size check, exactly as before.
-  auto scan = [this](const sparql::TriplePattern& tp) {
-    auto node = plan::MakeScan(
-        plan::NodeKind::kPatternScan, plan::AccessPath::kFullScan,
-        tp.ToString(), PatternCardinality(tp),
-        [this, tp](std::vector<plan::PlanPayload>) -> Result<plan::PlanPayload> {
-          RDFSPARK_ASSIGN_OR_RETURN(
-              DataFrame step, PatternDf(tp, /*subject_partitioned=*/false));
-          return plan::PlanPayload(std::move(step));
-        });
-    AnnotateScan(tp, PatternScanBound(store_->dictionary(), stats_, tp),
-                 node.get());
-    return node;
-  };
-
-  plan::PlanPtr root = scan(bgp[0]);
+  const rdf::Dictionary& dict = store_->dictionary();
+  plan::PlanPtr root = DfScan(bgp[0], /*subject_partitioned=*/false);
   VarSchema bound;
   for (const auto& v : bgp[0].Variables()) bound.Add(v);
   for (size_t i = 1; i < bgp.size(); ++i) {
     const auto& tp = bgp[i];
     auto shared = SharedVars(tp, bound);
-    uint64_t step_bytes = EstimatedDfBytes(PatternCardinality(tp), tp);
+    uint64_t step_bytes =
+        EstimatedDfBytes(DistinctCountEstimate(dict, stats_, tp), tp);
     plan::NodeKind kind =
         shared.empty() ? plan::NodeKind::kCartesianProduct
         : step_bytes <= sc_->config().broadcast_threshold_bytes
             ? plan::NodeKind::kBroadcastJoin
             : plan::NodeKind::kPartitionedHashJoin;
     root = plan::MakeBinary(
-        kind, JoinDetail(shared), std::move(root), scan(tp),
+        kind, JoinDetail(shared), std::move(root),
+        DfScan(tp, /*subject_partitioned=*/false),
         [](std::vector<plan::PlanPayload> in) -> Result<plan::PlanPayload> {
           auto result = std::get<DataFrame>(std::move(in[0]));
           auto step = std::get<DataFrame>(std::move(in[1]));
@@ -467,14 +326,7 @@ Result<plan::PlanPtr> HybridEngine::PlanDataFrame(
     root->key_vars = shared;
     for (const auto& v : tp.Variables()) bound.Add(v);
   }
-  auto project = plan::MakeUnary(
-      plan::NodeKind::kProject, VarListDetail(bgp), std::move(root),
-      [this](std::vector<plan::PlanPayload> in) -> Result<plan::PlanPayload> {
-        auto result = std::get<DataFrame>(std::move(in[0]));
-        return plan::PlanPayload(DfToBindings(result));
-      });
-  project->key_vars = AllVars(bgp);
-  return project;
+  return ProjectDf(std::move(root), bgp);
 }
 
 Result<plan::PlanPtr> HybridEngine::PlanHybrid(
@@ -484,39 +336,25 @@ Result<plan::PlanPtr> HybridEngine::PlanHybrid(
   // small enough. The planner predicts the broadcast-vs-partitioned choice
   // from cardinality statistics; the executor keeps the runtime
   // EstimatedBytes decision so behaviour is bit-identical.
-  std::vector<size_t> connected = plan::SortedConnectedOrder(
-      bgp,
-      [this](const sparql::TriplePattern& tp) {
-        return PatternCardinality(tp);
-      });
-
-  auto scan = [this](const sparql::TriplePattern& tp) {
-    auto node = plan::MakeScan(
-        plan::NodeKind::kPatternScan, plan::AccessPath::kFullScan,
-        tp.ToString(), PatternCardinality(tp),
-        [this, tp](std::vector<plan::PlanPayload>) -> Result<plan::PlanPayload> {
-          RDFSPARK_ASSIGN_OR_RETURN(
-              DataFrame step, PatternDf(tp, /*subject_partitioned=*/true));
-          return plan::PlanPayload(std::move(step));
-        });
-    AnnotateScan(tp, PatternScanBound(store_->dictionary(), stats_, tp),
-                 node.get());
-    return node;
+  const rdf::Dictionary& dict = store_->dictionary();
+  auto cardinality = [this, &dict](const sparql::TriplePattern& tp) {
+    return DistinctCountEstimate(dict, stats_, tp);
   };
-
   std::vector<sparql::TriplePattern> ordered;
-  for (size_t i : connected) ordered.push_back(bgp[i]);
+  for (size_t i : plan::SortedConnectedOrder(bgp, cardinality)) {
+    ordered.push_back(bgp[i]);
+  }
 
-  plan::PlanPtr root = scan(ordered[0]);
+  plan::PlanPtr root = DfScan(ordered[0], /*subject_partitioned=*/true);
   VarSchema bound;
   for (const auto& v : ordered[0].Variables()) bound.Add(v);
-  uint64_t result_est = PatternCardinality(ordered[0]);
+  uint64_t result_est = cardinality(ordered[0]);
   uint64_t result_cols =
       std::max<uint64_t>(1, ordered[0].Variables().size());
   for (size_t i = 1; i < ordered.size(); ++i) {
     const auto& tp = ordered[i];
     auto shared = SharedVars(tp, bound);
-    uint64_t step_est = PatternCardinality(tp);
+    uint64_t step_est = cardinality(tp);
     uint64_t threshold = sc_->config().broadcast_threshold_bytes;
     bool small_side =
         EstimatedDfBytes(step_est, tp) <= threshold ||
@@ -526,7 +364,8 @@ Result<plan::PlanPtr> HybridEngine::PlanHybrid(
                           : small_side ? plan::NodeKind::kBroadcastJoin
                                        : plan::NodeKind::kPartitionedHashJoin;
     plan::PlanPtr node = plan::MakeBinary(
-        kind, JoinDetail(shared), std::move(root), scan(tp),
+        kind, JoinDetail(shared), std::move(root),
+        DfScan(tp, /*subject_partitioned=*/true),
         [this](std::vector<plan::PlanPayload> in) -> Result<plan::PlanPayload> {
           auto result = std::get<DataFrame>(std::move(in[0]));
           auto step = std::get<DataFrame>(std::move(in[1]));
@@ -554,14 +393,7 @@ Result<plan::PlanPtr> HybridEngine::PlanHybrid(
     node->est_cardinality = result_est;
     root = std::move(node);
   }
-  auto project = plan::MakeUnary(
-      plan::NodeKind::kProject, VarListDetail(ordered), std::move(root),
-      [this](std::vector<plan::PlanPayload> in) -> Result<plan::PlanPayload> {
-        auto result = std::get<DataFrame>(std::move(in[0]));
-        return plan::PlanPayload(DfToBindings(result));
-      });
-  project->key_vars = AllVars(ordered);
-  return project;
+  return ProjectDf(std::move(root), ordered);
 }
 
 plan::EngineProfile HybridEngine::VerifyProfile() const {

@@ -79,10 +79,10 @@ class HybridEngine : public BgpEngineBase {
   Result<plan::PlanPtr> PlanHybrid(
       const std::vector<sparql::TriplePattern>& bgp);
 
-  /// Rows of a result DataFrame (v_<var> columns) as a binding table.
-  sparql::BindingTable DfToBindings(const spark::sql::DataFrame& df) const;
-
-  uint64_t PatternCardinality(const sparql::TriplePattern& tp) const;
+  /// The scan leaf of one pattern in the DataFrame modes: PatternDf at
+  /// execution, the distinct-count estimate and scan bound at planning.
+  plan::PlanPtr DfScan(const sparql::TriplePattern& tp,
+                       bool subject_partitioned) const;
 
   EngineTraits traits_;
   Options options_;

@@ -1,19 +1,23 @@
 #include "systems/plan/planner_utils.h"
 
 #include <algorithm>
+#include <utility>
+#include <variant>
+
+#include "systems/batch.h"
 
 namespace rdfspark::systems::plan {
 
-std::vector<sparql::TriplePattern> OrderConnected(
-    std::vector<sparql::TriplePattern> bgp, size_t first) {
-  if (bgp.empty()) return bgp;
-  std::vector<sparql::TriplePattern> out;
+std::vector<size_t> OrderConnected(
+    const std::vector<sparql::TriplePattern>& bgp, size_t first) {
+  std::vector<size_t> out;
+  if (bgp.empty()) return out;
   std::vector<bool> used(bgp.size(), false);
   VarSchema seen;
   auto take = [&](size_t i) {
     used[i] = true;
     for (const auto& v : bgp[i].Variables()) seen.Add(v);
-    out.push_back(bgp[i]);
+    out.push_back(i);
   };
   take(std::min(first, bgp.size() - 1));
   while (out.size() < bgp.size()) {
@@ -71,30 +75,58 @@ std::vector<size_t> SortedConnectedOrder(
   for (size_t i = 0; i < order.size(); ++i) order[i] = i;
   std::sort(order.begin(), order.end(),
             [&](size_t a, size_t b) { return cost(bgp[a]) < cost(bgp[b]); });
+  std::vector<sparql::TriplePattern> sorted;
+  for (size_t i : order) sorted.push_back(bgp[i]);
   std::vector<size_t> connected;
-  if (bgp.empty()) return connected;
-  std::vector<bool> used(bgp.size(), false);
-  VarSchema seen;
-  auto take = [&](size_t i) {
-    used[i] = true;
-    for (const auto& v : bgp[i].Variables()) seen.Add(v);
-    connected.push_back(i);
-  };
-  take(order[0]);
-  while (connected.size() < bgp.size()) {
-    int next = -1;
-    for (size_t k = 0; k < order.size(); ++k) {
-      size_t i = order[k];
-      if (used[i]) continue;
-      if (!SharedVars(bgp[i], seen).empty()) {
-        next = static_cast<int>(i);
-        break;
-      }
-      if (next < 0) next = static_cast<int>(i);
-    }
-    take(static_cast<size_t>(next));
-  }
+  for (size_t k : OrderConnected(sorted, 0)) connected.push_back(order[k]);
   return connected;
+}
+
+PlanPtr BatchJoinChain(spark::SparkContext* sc,
+                       std::shared_ptr<const VarSchema> schema,
+                       const std::vector<sparql::TriplePattern>& ordered,
+                       const std::function<PlanPtr(size_t)>& leaf) {
+  using spark::Rdd;
+  size_t width = schema->vars().size();
+  PlanPtr root = leaf(0);
+  VarSchema bound;
+  for (const auto& v : ordered[0].Variables()) bound.Add(v);
+  for (size_t i = 1; i < ordered.size(); ++i) {
+    auto shared = SharedVars(ordered[i], bound);
+    if (shared.empty()) {
+      // "If no common variable is found the cross product is computed."
+      root = MakeBinary(
+          NodeKind::kCartesianProduct, "merge-rows", std::move(root), leaf(i),
+          [sc, width](std::vector<PlanPayload> in) -> Result<PlanPayload> {
+            auto current = std::get<Rdd<sparql::IdTable>>(std::move(in[0]));
+            auto rows = std::get<Rdd<sparql::IdTable>>(std::move(in[1]));
+            return PlanPayload(CartesianMergeBatches(sc, current, rows, width));
+          });
+    } else {
+      int key_idx = schema->IndexOf(shared[0]);
+      root = MakeBinary(
+          NodeKind::kPartitionedHashJoin, "on ?" + shared[0], std::move(root),
+          leaf(i),
+          [sc, key_idx, width](std::vector<PlanPayload> in)
+              -> Result<PlanPayload> {
+            auto current = std::get<Rdd<sparql::IdTable>>(std::move(in[0]));
+            auto rows = std::get<Rdd<sparql::IdTable>>(std::move(in[1]));
+            return PlanPayload(
+                JoinBatchesOn(sc, current, rows, key_idx, width));
+          });
+      root->key_vars = {shared[0]};
+    }
+    for (const auto& v : ordered[i].Variables()) bound.Add(v);
+  }
+  auto project = MakeUnary(
+      NodeKind::kProject, VarsDetail(schema->vars()), std::move(root),
+      [schema, width](std::vector<PlanPayload> in) -> Result<PlanPayload> {
+        auto current = std::get<Rdd<sparql::IdTable>>(std::move(in[0]));
+        return PlanPayload(
+            ToBindingTable(*schema, CollectRows(current, width)));
+      });
+  project->key_vars = schema->vars();
+  return project;
 }
 
 }  // namespace rdfspark::systems::plan

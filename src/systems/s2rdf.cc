@@ -345,10 +345,7 @@ Result<plan::PlanPtr> S2rdfEngine::PlanBgp(
     root->key_vars = step.on_vars;
   }
 
-  std::string project_detail;
-  for (const auto& v : parts.var_order) {
-    project_detail += (project_detail.empty() ? "?" : " ?") + v;
-  }
+  std::string project_detail = VarsDetail(parts.var_order);
   if (project_detail.empty()) project_detail = "1 AS one";
 
   auto project = plan::MakeUnary(
@@ -357,28 +354,7 @@ Result<plan::PlanPtr> S2rdfEngine::PlanBgp(
           -> Result<plan::PlanPayload> {
         RDFSPARK_ASSIGN_OR_RETURN(sql::DataFrame result,
                                   session_->Sql(sql_text));
-        // Convert v_<var> columns back to a binding table.
-        std::vector<std::string> vars;
-        std::vector<int> cols;
-        for (size_t i = 0; i < result.schema().num_fields(); ++i) {
-          const std::string& name = result.schema().field(i).name;
-          if (name.rfind("v_", 0) == 0) {
-            vars.push_back(name.substr(2));
-            cols.push_back(static_cast<int>(i));
-          }
-        }
-        sparql::BindingTable table(vars);
-        sparql::IdTable* rows = table.mutable_rows();
-        for (const auto& row : result.Collect()) {
-          rdf::TermId* cells = rows->AppendRowUninitialized();
-          for (size_t i = 0; i < cols.size(); ++i) {
-            const sql::Value& v = row[static_cast<size_t>(cols[i])];
-            cells[i] = sql::IsNull(v) ? sparql::kUnbound
-                                      : static_cast<rdf::TermId>(
-                                            std::get<int64_t>(v));
-          }
-        }
-        return plan::PlanPayload(std::move(table));
+        return plan::PlanPayload(DataFrameBindings(result));
       });
   project->key_vars = parts.var_order;
   return project;

@@ -1,16 +1,15 @@
 #include "systems/s2x.h"
 
-#include "systems/batch.h"
-
 #include <functional>
 #include <memory>
 #include <unordered_map>
 #include <unordered_set>
-#include <variant>
+
+#include "systems/batch.h"
+#include "systems/plan/planner_utils.h"
 
 namespace rdfspark::systems {
 
-using spark::Rdd;
 using spark::graphx::Edge;
 using spark::graphx::Graph;
 using spark::graphx::VertexId;
@@ -95,10 +94,8 @@ Result<plan::PlanPtr> S2xEngine::PlanBgp(
     return plan::ConstantResultPlan(sparql::BindingTable::Unit(), "unit");
   }
 
-  auto schema = std::make_shared<VarSchema>();
-  for (const auto& tp : bgp) {
-    for (const auto& v : tp.Variables()) schema->Add(v);
-  }
+  const rdf::Dictionary& dict = store_->dictionary();
+  auto schema = std::make_shared<const VarSchema>(BgpSchema(bgp));
   size_t width = schema->vars().size();
   auto bgp_copy =
       std::make_shared<const std::vector<sparql::TriplePattern>>(bgp);
@@ -121,15 +118,18 @@ Result<plan::PlanPtr> S2xEngine::PlanBgp(
               EncodePattern(store_->dictionary(), bgp[i]));
           auto pattern =
               std::make_shared<const sparql::TriplePattern>(bgp[i]);
-          using MatchTuple = std::tuple<rdf::TermId, rdf::TermId, IdRow>;
+          // The match row stays a std::vector: Collect charges the
+          // estimated size of this tuple.
+          using MatchTuple =
+              std::tuple<rdf::TermId, rdf::TermId, std::vector<rdf::TermId>>;
           auto rdd = graph_.edges().FlatMap(
               [ep, pattern, schema, width](const Edge<rdf::TermId>& e) {
                 std::vector<MatchTuple> out;
                 rdf::EncodedTriple t{static_cast<rdf::TermId>(e.src), e.attr,
                                      static_cast<rdf::TermId>(e.dst)};
                 if (MatchesConstants(*ep, t)) {
-                  IdRow row(width, sparql::kUnbound);
-                  if (ExtendRow(*pattern, t, *schema, &row)) {
+                  std::vector<rdf::TermId> row(width, sparql::kUnbound);
+                  if (ExtendRowCells(*pattern, t, *schema, row.data())) {
                     out.emplace_back(t.s, t.o, std::move(row));
                   }
                 }
@@ -216,20 +216,12 @@ Result<plan::PlanPtr> S2xEngine::PlanBgp(
         last_iterations_.store(iterations, std::memory_order_relaxed);
       });
 
-  auto pattern_est = [this](const sparql::TriplePattern& tp) -> uint64_t {
-    if (tp.p.is_variable()) return stats_.num_triples;
-    auto id = store_->dictionary().Lookup(tp.p.term());
-    if (!id.ok()) return 0;
-    auto it = stats_.predicate_count.find(*id);
-    return it == stats_.predicate_count.end() ? 0 : it->second;
-  };
-
   // Scan node for pattern i: the validated (pruned) match set, parallelized
   // for the data-parallel assembly joins.
   auto scan = [&](size_t i) {
     auto node = plan::MakeScan(
         plan::NodeKind::kPatternScan, plan::AccessPath::kGraphTraversal,
-        bgp[i].ToString() + " (pruned)", pattern_est(bgp[i]),
+        bgp[i].ToString() + " (pruned)", PredicateCount(dict, stats_, bgp[i]),
         [this, state, ensure_matched, i](std::vector<plan::PlanPayload>)
             -> Result<plan::PlanPayload> {
           (*ensure_matched)();
@@ -244,77 +236,19 @@ Result<plan::PlanPtr> S2xEngine::PlanBgp(
               ParallelizeBatch(sc_, std::move(matches.rows),
                                sc_->config().default_parallelism));
         });
-    node->out_vars = bgp[i].Variables();
-    if (bgp[i].s.is_variable()) node->subject_var = bgp[i].s.var();
     // Pruning only shrinks the match set; the pattern bound still caps it.
-    node->max_cardinality =
-        PatternScanBound(store_->dictionary(), stats_, bgp[i]);
+    AnnotateScan(bgp[i], PatternScanBound(dict, stats_, bgp[i]), node.get());
     return node;
   };
 
   // Step 3: assemble the final output from the per-pattern subgraphs with
-  // data-parallel joins.
-  plan::PlanPtr root = scan(0);
-  VarSchema bound;
-  for (const auto& v : bgp[0].Variables()) bound.Add(v);
-  std::vector<bool> done(bgp.size(), false);
-  done[0] = true;
-  for (size_t step = 1; step < bgp.size(); ++step) {
-    // Next pattern sharing a variable.
-    int next_i = -1;
-    for (size_t i = 0; i < bgp.size(); ++i) {
-      if (done[i]) continue;
-      if (!SharedVars(bgp[i], bound).empty()) {
-        next_i = static_cast<int>(i);
-        break;
-      }
-      if (next_i < 0) next_i = static_cast<int>(i);
-    }
-    size_t i = static_cast<size_t>(next_i);
-    done[i] = true;
-    auto shared = SharedVars(bgp[i], bound);
-    if (shared.empty()) {
-      root = plan::MakeBinary(
-          plan::NodeKind::kCartesianProduct, "merge-rows", std::move(root),
-          scan(i),
-          [this, width](std::vector<plan::PlanPayload> in)
-              -> Result<plan::PlanPayload> {
-            auto current = std::get<Rdd<sparql::IdTable>>(std::move(in[0]));
-            auto rows = std::get<Rdd<sparql::IdTable>>(std::move(in[1]));
-            return plan::PlanPayload(
-                CartesianMergeBatches(sc_, current, rows, width));
-          });
-    } else {
-      int key_idx = schema->IndexOf(shared[0]);
-      root = plan::MakeBinary(
-          plan::NodeKind::kPartitionedHashJoin, "on ?" + shared[0],
-          std::move(root), scan(i),
-          [this, key_idx, width](std::vector<plan::PlanPayload> in)
-              -> Result<plan::PlanPayload> {
-            auto current = std::get<Rdd<sparql::IdTable>>(std::move(in[0]));
-            auto rows = std::get<Rdd<sparql::IdTable>>(std::move(in[1]));
-            return plan::PlanPayload(
-                JoinBatchesOn(sc_, current, rows, key_idx, width));
-          });
-      root->key_vars = {shared[0]};
-    }
-    for (const auto& v : bgp[i].Variables()) bound.Add(v);
-  }
-
-  std::string project_detail;
-  for (const auto& v : schema->vars()) {
-    project_detail += (project_detail.empty() ? "?" : " ?") + v;
-  }
-  auto project = plan::MakeUnary(
-      plan::NodeKind::kProject, project_detail, std::move(root),
-      [schema, width](std::vector<plan::PlanPayload> in)
-          -> Result<plan::PlanPayload> {
-        auto current = std::get<Rdd<sparql::IdTable>>(std::move(in[0]));
-        return plan::PlanPayload(
-            ToBindingTable(*schema, CollectRows(current, width)));
-      });
-  project->key_vars = schema->vars();
-  return project;
+  // data-parallel joins, each next pattern the first one connected to the
+  // rows so far.
+  std::vector<size_t> order = plan::OrderConnected(bgp, 0);
+  std::vector<sparql::TriplePattern> ordered;
+  for (size_t i : order) ordered.push_back(bgp[i]);
+  return plan::BatchJoinChain(sc_, schema, ordered,
+                              [&](size_t k) { return scan(order[k]); });
 }
 
 }  // namespace rdfspark::systems

@@ -9,6 +9,7 @@
 #include <variant>
 
 #include "systems/batch.h"
+#include "systems/plan/planner_utils.h"
 
 namespace rdfspark::systems {
 
@@ -135,18 +136,6 @@ Result<plan::PlanPtr> SparkqlEngine::PlanBgp(
   }
   const rdf::Dictionary& dict = store_->dictionary();
 
-  auto pattern_est = [this](const sparql::TriplePattern& tp) -> uint64_t {
-    if (tp.p.is_variable()) return stats_.num_triples;
-    auto id = store_->dictionary().Lookup(tp.p.term());
-    if (!id.ok()) return 0;
-    auto it = stats_.predicate_count.find(*id);
-    return it == stats_.predicate_count.end() ? 0 : it->second;
-  };
-  auto predicate_est = [this](rdf::TermId p) -> uint64_t {
-    auto it = stats_.predicate_count.find(p);
-    return it == stats_.predicate_count.end() ? 0 : it->second;
-  };
-
   // Rewrite: constant subjects/objects of object-property patterns become
   // synthetic variables with forced bindings, so the plan tree is purely
   // over variables.
@@ -209,11 +198,7 @@ Result<plan::PlanPtr> SparkqlEngine::PlanBgp(
   }
 
   if (impossible) {
-    VarSchema all;
-    for (const auto& tp : bgp) {
-      for (const auto& v : tp.Variables()) all.Add(v);
-    }
-    return plan::ConstantResultPlan(sparql::BindingTable(all.vars()),
+    return plan::ConstantResultPlan(sparql::BindingTable(BgpSchema(bgp).vars()),
                                     "impossible pattern");
   }
 
@@ -221,10 +206,7 @@ Result<plan::PlanPtr> SparkqlEngine::PlanBgp(
     // Generic fallback over "virtual triples" (edges + node properties).
     // The virtual-triple RDD is built once here (lazily) and shared by all
     // scan execs, preserving the original single lineage.
-    auto all_schema = std::make_shared<VarSchema>();
-    for (const auto& tp : bgp) {
-      for (const auto& v : tp.Variables()) all_schema->Add(v);
-    }
+    auto all_schema = std::make_shared<const VarSchema>(BgpSchema(bgp));
     size_t width = all_schema->vars().size();
     bool has_type = has_type_predicate_;
     rdf::TermId type_pred = type_predicate_;
@@ -251,84 +233,30 @@ Result<plan::PlanPtr> SparkqlEngine::PlanBgp(
                   return out;
                 }));
 
-    auto scan = [&](const sparql::TriplePattern& tp) {
-      auto ep = std::make_shared<const EncodedPattern>(
-          EncodePattern(dict, tp));
-      auto pattern = std::make_shared<const sparql::TriplePattern>(tp);
+    return plan::BatchJoinChain(sc_, all_schema, bgp, [&](size_t i) {
+      const sparql::TriplePattern& tp = bgp[i];
+      auto ep = std::make_shared<const EncodedPattern>(EncodePattern(dict, tp));
       auto node = plan::MakeScan(
           plan::NodeKind::kPatternScan, plan::AccessPath::kFullScan,
-          tp.ToString() + " (virtual triples)", pattern_est(tp),
-          [virtual_triples, ep, pattern, all_schema, width](
+          tp.ToString() + " (virtual triples)",
+          PredicateCount(dict, stats_, tp),
+          [virtual_triples, ep, all_schema, width](
               std::vector<plan::PlanPayload>) -> Result<plan::PlanPayload> {
             return plan::PlanPayload(virtual_triples.MapPartitionsWithIndex(
-                [ep, pattern, all_schema, width](
+                [ep, all_schema, width](
                     int, const std::vector<rdf::EncodedTriple>& in) {
                   sparql::IdTable out(width);
                   for (const rdf::EncodedTriple& t : in) {
-                    if (!MatchesConstants(*ep, t)) continue;
-                    rdf::TermId* cells = out.AppendRowUninitialized();
-                    std::fill(cells, cells + width, sparql::kUnbound);
-                    if (!ExtendRowCells(*pattern, t, *all_schema, cells)) {
-                      out.PopRow();
-                    }
+                    AppendMatch(*ep, t, *all_schema, {}, &out);
                   }
                   return std::vector<sparql::IdTable>{std::move(out)};
                 }));
           });
-      node->out_vars = tp.Variables();
-      if (tp.s.is_variable()) node->subject_var = tp.s.var();
       // Virtual triples reconstruct the store one triple per original
       // (edges + data properties + types), so the store-level cap holds.
-      node->max_cardinality = PatternScanBound(dict, stats_, tp);
+      AnnotateScan(tp, PatternScanBound(dict, stats_, tp), node.get());
       return node;
-    };
-
-    plan::PlanPtr root = scan(bgp[0]);
-    VarSchema bound;
-    for (const auto& v : bgp[0].Variables()) bound.Add(v);
-    for (size_t i = 1; i < bgp.size(); ++i) {
-      auto shared = SharedVars(bgp[i], bound);
-      if (shared.empty()) {
-        root = plan::MakeBinary(
-            plan::NodeKind::kCartesianProduct, "merge-rows", std::move(root),
-            scan(bgp[i]),
-            [this, width](std::vector<plan::PlanPayload> in)
-                -> Result<plan::PlanPayload> {
-              auto current = std::get<Rdd<sparql::IdTable>>(std::move(in[0]));
-              auto rows = std::get<Rdd<sparql::IdTable>>(std::move(in[1]));
-              return plan::PlanPayload(
-                  CartesianMergeBatches(sc_, current, rows, width));
-            });
-      } else {
-        int key_idx = all_schema->IndexOf(shared[0]);
-        root = plan::MakeBinary(
-            plan::NodeKind::kPartitionedHashJoin, "on ?" + shared[0],
-            std::move(root), scan(bgp[i]),
-            [this, key_idx, width](std::vector<plan::PlanPayload> in)
-                -> Result<plan::PlanPayload> {
-              auto current = std::get<Rdd<sparql::IdTable>>(std::move(in[0]));
-              auto rows = std::get<Rdd<sparql::IdTable>>(std::move(in[1]));
-              return plan::PlanPayload(
-                  JoinBatchesOn(sc_, current, rows, key_idx, width));
-            });
-        root->key_vars = {shared[0]};
-      }
-      for (const auto& v : bgp[i].Variables()) bound.Add(v);
-    }
-    std::string project_detail;
-    for (const auto& v : all_schema->vars()) {
-      project_detail += (project_detail.empty() ? "?" : " ?") + v;
-    }
-    auto project = plan::MakeUnary(
-        plan::NodeKind::kProject, project_detail, std::move(root),
-        [all_schema, width](std::vector<plan::PlanPayload> in)
-            -> Result<plan::PlanPayload> {
-          auto current = std::get<Rdd<sparql::IdTable>>(std::move(in[0]));
-          return plan::PlanPayload(
-              ToBindingTable(*all_schema, CollectRows(current, width)));
-        });
-    project->key_vars = all_schema->vars();
-    return project;
+    });
   }
 
   size_t width = schema.vars().size();
@@ -366,19 +294,19 @@ Result<plan::PlanPtr> SparkqlEngine::PlanBgp(
     bool has_type = has_type_predicate_;
     rdf::TermId type_pred = type_predicate_;
     auto match_vertex =
-        [patterns, encoded, schema_copy, width, var_idx, force, has_type,
+        [encoded, schema_copy, width, var_idx, force, has_type,
          type_pred](const std::pair<VertexId, NodeAttr>& kv) {
           std::vector<std::pair<VertexId, Mt>> out;
           const SparkqlNode& node = *kv.second;
           if (force && node.term != *force) return out;
-          IdRow base(width, sparql::kUnbound);
-          if (var_idx >= 0) base[static_cast<size_t>(var_idx)] = node.term;
-          std::vector<IdRow> rows{std::move(base)};
-          for (size_t i = 0; i < patterns->size(); ++i) {
-            const auto& p = (*patterns)[i];
-            const auto& ep = (*encoded)[i];
+          Mt rows(width);
+          rows.AppendRowFilled(sparql::kUnbound);
+          if (var_idx >= 0) {
+            rows.mutable_row(0)[static_cast<size_t>(var_idx)] = node.term;
+          }
+          Mt next(width);
+          for (const EncodedPattern& ep : *encoded) {
             if (ep.impossible) return out;
-            std::vector<IdRow> next;
             // Enumerate this node's matching property triples.
             std::vector<rdf::EncodedTriple> triples;
             bool is_type = has_type && ep.ids.p &&
@@ -393,21 +321,16 @@ Result<plan::PlanPtr> SparkqlEngine::PlanBgp(
                 triples.push_back(rdf::EncodedTriple{node.term, dp, dv});
               }
             }
-            for (const IdRow& row : rows) {
+            next.Clear();
+            for (size_t r = 0; r < rows.size(); ++r) {
               for (const auto& t : triples) {
-                if (!MatchesConstants(ep, t)) continue;
-                IdRow e = row;
-                if (ExtendRow(p, t, *schema_copy, &e)) {
-                  next.push_back(std::move(e));
-                }
+                AppendMatch(ep, t, *schema_copy, rows.row(r), &next);
               }
             }
-            rows = std::move(next);
+            std::swap(rows, next);
             if (rows.empty()) return out;
           }
-          Mt table(width);
-          for (const IdRow& row : rows) table.AppendRow(row);
-          out.emplace_back(kv.first, std::move(table));
+          out.emplace_back(kv.first, std::move(rows));
           return out;
         };
     auto node = plan::MakeScan(
@@ -516,7 +439,7 @@ Result<plan::PlanPtr> SparkqlEngine::PlanBgp(
             });
             return plan::PlanPayload(std::move(table));
           });
-      node->est_cardinality = predicate_est(pid);
+      node->est_cardinality = PredicateCount(dict, stats_, e.source);
       node->key_vars = {e.src_var, e.dst_var};
     }
     return node;
@@ -670,20 +593,10 @@ Result<plan::PlanPtr> SparkqlEngine::PlanBgp(
   }
 
   // Strip synthetic variables by projecting onto the real schema.
-  auto real_vars = std::make_shared<std::vector<std::string>>();
-  {
-    VarSchema real;
-    for (const auto& tp : bgp) {
-      for (const auto& v : tp.Variables()) real.Add(v);
-    }
-    *real_vars = real.vars();
-  }
-  std::string project_detail;
-  for (const auto& v : *real_vars) {
-    project_detail += (project_detail.empty() ? "?" : " ?") + v;
-  }
+  auto real_vars =
+      std::make_shared<const std::vector<std::string>>(BgpSchema(bgp).vars());
   auto project = plan::MakeUnary(
-      plan::NodeKind::kProject, project_detail, std::move(current),
+      plan::NodeKind::kProject, VarsDetail(*real_vars), std::move(current),
       [schema_copy, real_vars, width](std::vector<plan::PlanPayload> in)
           -> Result<plan::PlanPayload> {
         auto rows = std::get<Rdd<sparql::IdTable>>(std::move(in[0]));

@@ -153,10 +153,7 @@ Result<plan::PlanPtr> SparkRdfEngine::PlanBgp(
   }
   const rdf::Dictionary& dict = store_->dictionary();
 
-  VarSchema schema;
-  for (const auto& tp : bgp) {
-    for (const auto& v : tp.Variables()) schema.Add(v);
-  }
+  VarSchema schema = BgpSchema(bgp);
   size_t width = schema.vars().size();
   auto schema_copy = std::make_shared<const VarSchema>(schema);
 
@@ -243,31 +240,24 @@ Result<plan::PlanPtr> SparkRdfEngine::PlanBgp(
     const TripleList* file = SelectFile(tp, var_class);
     auto [access, file_kind] = file_access(tp);
     auto ep = std::make_shared<const EncodedPattern>(EncodePattern(dict, tp));
-    auto pattern = std::make_shared<const sparql::TriplePattern>(tp);
-    int key_idx = schema.IndexOf(key_var);
+    size_t key_idx = static_cast<size_t>(schema.IndexOf(key_var));
     auto node = plan::MakeScan(
         plan::NodeKind::kPatternScan, access,
         tp.ToString() + " (" + file_kind + ", partition on ?" + key_var + ")",
         file->size(),
-        [this, file, ep, pattern, schema_copy, width, key_idx, part_info](
+        [this, file, ep, schema_copy, width, key_idx, part_info](
             std::vector<plan::PlanPayload>) -> Result<plan::PlanPayload> {
           auto rows =
               Parallelize(sc_, *file, num_partitions_)
                   .MapPartitionsWithIndex(
-                      [ep, pattern, schema_copy, width, key_idx](
+                      [ep, schema_copy, width, key_idx](
                           int, const std::vector<rdf::EncodedTriple>& in) {
                         KeyedBatch out{{}, sparql::IdTable(width)};
                         for (const rdf::EncodedTriple& t : in) {
-                          if (!MatchesConstants(*ep, t)) continue;
-                          rdf::TermId* cells =
-                              out.rows.AppendRowUninitialized();
-                          std::fill(cells, cells + width, sparql::kUnbound);
-                          if (ExtendRowCells(*pattern, t, *schema_copy,
-                                             cells)) {
-                            out.keys.push_back(
-                                cells[static_cast<size_t>(key_idx)]);
-                          } else {
-                            out.rows.PopRow();
+                          if (AppendMatch(*ep, t, *schema_copy, {},
+                                          &out.rows)) {
+                            out.keys.push_back(out.rows.cell(
+                                out.rows.size() - 1, key_idx));
                           }
                         }
                         return std::vector<KeyedBatch>{std::move(out)};
@@ -275,11 +265,9 @@ Result<plan::PlanPtr> SparkRdfEngine::PlanBgp(
           return plan::PlanPayload(RepartitionKeyed(
               rows, num_partitions_, width, "PartitionByKey", part_info));
         });
-    node->out_vars = tp.Variables();
-    if (tp.s.is_variable()) node->subject_var = tp.s.var();
     // The scan filters its class-eliminated file, so the file size is a
     // sound cap (tighter than the whole-store pattern bound).
-    node->max_cardinality = file->size();
+    AnnotateScan(tp, file->size(), node.get());
     return node;
   };
 
@@ -453,12 +441,8 @@ Result<plan::PlanPtr> SparkRdfEngine::PlanBgp(
     }
   }
 
-  std::string project_detail;
-  for (const auto& v : schema.vars()) {
-    project_detail += (project_detail.empty() ? "?" : " ?") + v;
-  }
   auto project = plan::MakeUnary(
-      plan::NodeKind::kProject, project_detail, std::move(rows_plan),
+      plan::NodeKind::kProject, VarsDetail(schema.vars()), std::move(rows_plan),
       [schema_copy](std::vector<plan::PlanPayload> in)
           -> Result<plan::PlanPayload> {
         auto rows = std::get<sparql::IdTable>(std::move(in[0]));

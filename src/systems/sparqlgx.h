@@ -49,9 +49,6 @@ class SparqlgxEngine : public BgpEngineBase {
  private:
   using SoPair = std::pair<rdf::TermId, rdf::TermId>;
 
-  /// Estimated result size of a pattern (the reordering statistic).
-  uint64_t PatternSelectivity(const sparql::TriplePattern& tp) const;
-
   /// The candidate rows of one pattern as a batch RDD (one fixed-width
   /// IdTable per partition) over `schema`.
   spark::Rdd<sparql::IdTable> PatternRows(const sparql::TriplePattern& tp,

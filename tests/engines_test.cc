@@ -9,6 +9,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <tuple>
 
 #include "rdf/generator.h"
 #include "rdf/store.h"
@@ -18,6 +19,7 @@
 #include "systems/graphx_sm.h"
 #include "systems/haqwa.h"
 #include "systems/hybrid.h"
+#include "systems/plan/planner_utils.h"
 #include "systems/s2rdf.h"
 #include "systems/s2x.h"
 #include "systems/sparkql.h"
@@ -512,6 +514,285 @@ TEST(PlanRefactorEquivalenceTest, MatchesPreRefactorGoldens) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Row-order guard for the shared planning blocks: every engine variant's raw
+// result rows, in order, and the charges of every engines_test query the
+// variant can run. Regenerate the table with
+//   RDFSPARK_PRINT_GOLDEN=1 ./engines_test
+//     --gtest_filter='*MatchesRowOrderGoldens*'   (one line)
+// ---------------------------------------------------------------------------
+
+/// One captured execution: order-sensitive hash of the result's variables
+/// and raw cells, plus the charges a changed plan or row order would move.
+struct RowOrderGolden {
+  const char* variant;
+  const char* query;
+  uint64_t rows_hash;
+  uint64_t tasks;
+  uint64_t shuffle_records;
+  uint64_t join_comparisons;
+  uint64_t simulated_ns;
+};
+
+/// FNV-1a over the variable names, then every cell in row-major order.
+uint64_t HashRawRows(const sparql::BindingTable& table) {
+  uint64_t h = 1469598103934665603ull;
+  auto mix = [&h](uint64_t word) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (word >> (8 * i)) & 0xff;
+      h *= 1099511628211ull;
+    }
+  };
+  for (const auto& var : table.vars()) {
+    for (char c : var) mix(static_cast<unsigned char>(c));
+    mix(0xff);
+  }
+  mix(table.rows().size());
+  for (rdf::TermId cell : table.rows().data()) mix(cell);
+  return h;
+}
+
+const std::vector<RowOrderGolden>& RowOrderGoldens() {
+  static const std::vector<RowOrderGolden>* runs =
+      new std::vector<RowOrderGolden>{
+          // RDFSPARK_ROW_ORDER_TABLE_BEGIN
+          {"HAQWA", "star3", 0xd4bc50e5cfbf8819ull, 8ull, 0ull, 0ull, 212300ull},
+          {"HAQWA", "star5", 0xf4b1b058b1209dd0ull, 8ull, 0ull, 0ull, 213660ull},
+          {"HAQWA", "linear2", 0xfd2bad9a55a4623cull, 40ull, 19ull, 17ull, 1026110ull},
+          {"HAQWA", "linear3", 0x223a5a8a44e0f8a8ull, 72ull, 33ull, 29ull, 1841270ull},
+          {"HAQWA", "snowflake", 0x30a7e08da9508fefull, 72ull, 33ull, 29ull, 1843510ull},
+          {"HAQWA", "complex_filter", 0x3cd2e6c3cab7c96dull, 40ull, 52ull, 84ull, 1053720ull},
+          {"HAQWA", "single_pattern", 0xd4bc50e5cfbf8819ull, 8ull, 0ull, 0ull, 211500ull},
+          {"HAQWA", "constant_subject", 0xfa07c7da60d73234ull, 8ull, 0ull, 0ull, 210300ull},
+          {"HAQWA", "constant_object", 0x9d26bd6303e57983ull, 8ull, 0ull, 0ull, 210460ull},
+          {"HAQWA", "object_object", 0x5315d8c2f1f93b01ull, 40ull, 60ull, 115ull, 1050550ull},
+          {"HAQWA", "no_answers", 0x7d5e66c6b618daa4ull, 40ull, 14ull, 12ull, 1022360ull},
+          {"HAQWA", "unknown_uri", 0x7d5e66c6b618daa4ull, 8ull, 0ull, 0ull, 210300ull},
+          {"HAQWA", "optional", 0x453b0496b0450dc6ull, 16ull, 0ull, 0ull, 422200ull},
+          {"HAQWA", "union", 0x6d1731fd9fb1a3faull, 16ull, 0ull, 0ull, 421240ull},
+          {"HAQWA", "distinct_order", 0xd5c63c12e099ebacull, 8ull, 0ull, 0ull, 211500ull},
+          {"HAQWA", "ask_yes", 0x29034675a49f07c2ull, 8ull, 0ull, 0ull, 210300ull},
+          {"SPARQLGX", "star3", 0xc03dae80a857dc59ull, 13ull, 8ull, 24ull, 718590ull},
+          {"SPARQLGX", "star5", 0xada8f5d8861b5d90ull, 21ull, 12ull, 58ull, 1128040ull},
+          {"SPARQLGX", "linear2", 0x7567f30380dd90fcull, 5ull, 2ull, 17ull, 305560ull},
+          {"SPARQLGX", "linear3", 0xb7ff796cccd45c28ull, 9ull, 4ull, 29ull, 507310ull},
+          {"SPARQLGX", "snowflake", 0x482a62683bc9056full, 38ull, 27ull, 75ull, 2158910ull},
+          {"SPARQLGX", "complex_filter", 0x4ceff3a6529d502dull, 39ull, 32ull, 397ull, 2229890ull},
+          {"SPARQLGX", "single_pattern", 0x156419eab4e34099ull, 1ull, 0ull, 0ull, 102730ull},
+          {"SPARQLGX", "constant_subject", 0xfa07c7da60d73234ull, 8ull, 0ull, 0ull, 208400ull},
+          {"SPARQLGX", "constant_object", 0xc7e7574855e872e3ull, 2ull, 0ull, 0ull, 103680ull},
+          {"SPARQLGX", "object_object", 0x143afa6017383341ull, 9ull, 6ull, 115ull, 529000ull},
+          {"SPARQLGX", "no_answers", 0x7d5e66c6b618daa4ull, 9ull, 4ull, 6ull, 504930ull},
+          {"SPARQLGX", "unknown_uri", 0x7d5e66c6b618daa4ull, 1ull, 0ull, 0ull, 100210ull},
+          {"SPARQLGX", "optional", 0x7596805405c73206ull, 3ull, 0ull, 0ull, 207570ull},
+          {"SPARQLGX", "union", 0x42472c6422cc495aull, 4ull, 0ull, 0ull, 207200ull},
+          {"SPARQLGX", "distinct_order", 0xd5c63c12e099ebacull, 1ull, 0ull, 0ull, 102730ull},
+          {"SPARQLGX", "ask_yes", 0x29034675a49f07c2ull, 2ull, 0ull, 0ull, 103440ull},
+          {"S2RDF", "star3", 0x156419eab4e34099ull, 4ull, 0ull, 24ull, 411040ull},
+          {"S2RDF", "star5", 0x02c0f961ae4bccd0ull, 6ull, 0ull, 53ull, 622820ull},
+          {"S2RDF", "linear2", 0x7567f30380dd90fcull, 3ull, 0ull, 17ull, 308850ull},
+          {"S2RDF", "linear3", 0xb7ff796cccd45c28ull, 4ull, 0ull, 29ull, 412510ull},
+          {"S2RDF", "snowflake", 0xa7ebb9ae7a56dfafull, 9ull, 0ull, 75ull, 924750ull},
+          {"S2RDF", "complex_filter", 0x6140dd4a5decd6edull, 10ull, 0ull, 415ull, 1040300ull},
+          {"S2RDF", "single_pattern", 0x156419eab4e34099ull, 2ull, 0ull, 0ull, 203360ull},
+          {"S2RDF", "constant_subject", 0xfa07c7da60d73234ull, 24ull, 0ull, 0ull, 608390ull},
+          {"S2RDF", "constant_object", 0xc7e7574855e872e3ull, 6ull, 0ull, 0ull, 303960ull},
+          {"S2RDF", "object_object", 0xbea91b2bd158f081ull, 3ull, 0ull, 115ull, 362120ull},
+          {"S2RDF", "no_answers", 0x7d5e66c6b618daa4ull, 4ull, 0ull, 0ull, 402310ull},
+          {"S2RDF", "unknown_uri", 0x7d5e66c6b618daa4ull, 24ull, 0ull, 0ull, 607550ull},
+          {"S2RDF", "optional", 0x7596805405c73206ull, 8ull, 0ull, 0ull, 509300ull},
+          {"S2RDF", "union", 0x42472c6422cc495aull, 12ull, 0ull, 0ull, 607540ull},
+          {"S2RDF", "distinct_order", 0xd5c63c12e099ebacull, 2ull, 0ull, 0ull, 203360ull},
+          {"S2RDF", "ask_yes", 0x29034675a49f07c2ull, 6ull, 0ull, 0ull, 303390ull},
+          {"Hybrid_SparkSQL_naive", "star3", 0x156419eab4e34099ull, 2288ull, 0ull, 1668ull, 57272390ull},
+          {"Hybrid_SparkSQL_naive", "star5", 0x02c0f961ae4bccd0ull, 145168ull, 0ull, 2016ull, 3629300500ull},
+          {"Hybrid_SparkSQL_naive", "linear2", 0x17e15e3d8a01153cull, 288ull, 0ull, 180ull, 7223350ull},
+          {"Hybrid_SparkSQL_naive", "linear3", 0x39a80e7a75ab5828ull, 2288ull, 0ull, 225ull, 57233150ull},
+          {"Hybrid_SparkSQL_naive", "snowflake", 0xdb227d50ad061eafull, 1160992ull, 0ull, 3255ull, 29024941050ull},
+          {"Hybrid_SparkSQL_naive", "single_pattern", 0x156419eab4e34099ull, 24ull, 0ull, 0ull, 608670ull},
+          {"Hybrid_SparkSQL_naive", "constant_subject", 0xfa07c7da60d73234ull, 24ull, 0ull, 0ull, 608390ull},
+          {"Hybrid_SparkSQL_naive", "constant_object", 0xc7e7574855e872e3ull, 24ull, 0ull, 0ull, 607930ull},
+          {"Hybrid_SparkSQL_naive", "object_object", 0x88e3152e8f777441ull, 288ull, 0ull, 1768ull, 7282170ull},
+          {"Hybrid_SparkSQL_naive", "no_answers", 0x7d5e66c6b618daa4ull, 288ull, 0ull, 72ull, 7217800ull},
+          {"Hybrid_SparkSQL_naive", "unknown_uri", 0x7d5e66c6b618daa4ull, 24ull, 0ull, 0ull, 607550ull},
+          {"Hybrid_SparkSQL_naive", "distinct_order", 0xd5c63c12e099ebacull, 24ull, 0ull, 0ull, 608670ull},
+          {"Hybrid_SparkSQL_naive", "ask_yes", 0x29034675a49f07c2ull, 24ull, 0ull, 0ull, 607740ull},
+          {"Hybrid_RDD_partitioned", "star3", 0xdd46875b28a34619ull, 72ull, 26ull, 24ull, 1831900ull},
+          {"Hybrid_RDD_partitioned", "star5", 0x563c8524eaf966d0ull, 136ull, 50ull, 53ull, 3454780ull},
+          {"Hybrid_RDD_partitioned", "linear2", 0x55f45f727976433cull, 40ull, 19ull, 15ull, 1023670ull},
+          {"Hybrid_RDD_partitioned", "linear3", 0x34b4fac179a609a8ull, 72ull, 30ull, 30ull, 1836380ull},
+          {"Hybrid_RDD_partitioned", "snowflake", 0xa0025d7eb7bf394full, 168ull, 73ull, 75ull, 4269760ull},
+          {"Hybrid_RDD_partitioned", "single_pattern", 0xdd46875b28a34619ull, 8ull, 0ull, 0ull, 210620ull},
+          {"Hybrid_RDD_partitioned", "constant_subject", 0xfa07c7da60d73234ull, 8ull, 0ull, 0ull, 209820ull},
+          {"Hybrid_RDD_partitioned", "constant_object", 0x69b5d8930c3d9fc3ull, 8ull, 0ull, 0ull, 209900ull},
+          {"Hybrid_RDD_partitioned", "object_object", 0x1ad863f29875cd41ull, 40ull, 60ull, 142ull, 1041070ull},
+          {"Hybrid_RDD_partitioned", "no_answers", 0x7d5e66c6b618daa4ull, 40ull, 14ull, 12ull, 1021140ull},
+          {"Hybrid_RDD_partitioned", "unknown_uri", 0x7d5e66c6b618daa4ull, 8ull, 0ull, 0ull, 209820ull},
+          {"Hybrid_RDD_partitioned", "distinct_order", 0xd5c63c12e099ebacull, 8ull, 0ull, 0ull, 210620ull},
+          {"Hybrid_RDD_partitioned", "ask_yes", 0x29034675a49f07c2ull, 8ull, 0ull, 0ull, 209820ull},
+          {"Hybrid_DataFrame_broadcast", "star3", 0x156419eab4e34099ull, 88ull, 0ull, 24ull, 2252210ull},
+          {"Hybrid_DataFrame_broadcast", "star5", 0x02c0f961ae4bccd0ull, 152ull, 0ull, 53ull, 3875140ull},
+          {"Hybrid_DataFrame_broadcast", "linear2", 0x1d879443d67e723cull, 56ull, 0ull, 15ull, 1419340ull},
+          {"Hybrid_DataFrame_broadcast", "linear3", 0xee539bbe41557728ull, 88ull, 0ull, 30ull, 2228240ull},
+          {"Hybrid_DataFrame_broadcast", "snowflake", 0xa7ebb9ae7a56dfafull, 184ull, 0ull, 75ull, 4691870ull},
+          {"Hybrid_DataFrame_broadcast", "single_pattern", 0x156419eab4e34099ull, 24ull, 0ull, 0ull, 608670ull},
+          {"Hybrid_DataFrame_broadcast", "constant_subject", 0xfa07c7da60d73234ull, 24ull, 0ull, 0ull, 608390ull},
+          {"Hybrid_DataFrame_broadcast", "constant_object", 0xc7e7574855e872e3ull, 24ull, 0ull, 0ull, 607930ull},
+          {"Hybrid_DataFrame_broadcast", "object_object", 0xd77a7bd42eb42d01ull, 56ull, 0ull, 142ull, 1432880ull},
+          {"Hybrid_DataFrame_broadcast", "no_answers", 0x7d5e66c6b618daa4ull, 56ull, 0ull, 12ull, 1416140ull},
+          {"Hybrid_DataFrame_broadcast", "unknown_uri", 0x7d5e66c6b618daa4ull, 24ull, 0ull, 0ull, 607550ull},
+          {"Hybrid_DataFrame_broadcast", "distinct_order", 0xd5c63c12e099ebacull, 24ull, 0ull, 0ull, 608670ull},
+          {"Hybrid_DataFrame_broadcast", "ask_yes", 0x29034675a49f07c2ull, 24ull, 0ull, 0ull, 607740ull},
+          {"Hybrid_Hybrid", "star3", 0xb52e340539d80899ull, 88ull, 0ull, 24ull, 2258620ull},
+          {"Hybrid_Hybrid", "star5", 0x7b49261a95e99e90ull, 152ull, 0ull, 58ull, 3886620ull},
+          {"Hybrid_Hybrid", "linear2", 0xdcafe7d8919baefcull, 56ull, 0ull, 17ull, 1424840ull},
+          {"Hybrid_Hybrid", "linear3", 0xe9a81f1aea6c2ce8ull, 88ull, 0ull, 29ull, 2239160ull},
+          {"Hybrid_Hybrid", "snowflake", 0x4c0661bd6984decfull, 184ull, 0ull, 75ull, 4704610ull},
+          {"Hybrid_Hybrid", "single_pattern", 0xb52e340539d80899ull, 24ull, 0ull, 0ull, 610800ull},
+          {"Hybrid_Hybrid", "constant_subject", 0xfa07c7da60d73234ull, 24ull, 0ull, 0ull, 610240ull},
+          {"Hybrid_Hybrid", "constant_object", 0xee67206a193ef003ull, 24ull, 0ull, 0ull, 609970ull},
+          {"Hybrid_Hybrid", "object_object", 0xef5fc04e45c88841ull, 56ull, 0ull, 115ull, 1456940ull},
+          {"Hybrid_Hybrid", "no_answers", 0x7d5e66c6b618daa4ull, 56ull, 0ull, 6ull, 1421510ull},
+          {"Hybrid_Hybrid", "unknown_uri", 0x7d5e66c6b618daa4ull, 24ull, 0ull, 0ull, 609400ull},
+          {"Hybrid_Hybrid", "distinct_order", 0xd5c63c12e099ebacull, 24ull, 0ull, 0ull, 610800ull},
+          {"Hybrid_Hybrid", "ask_yes", 0x29034675a49f07c2ull, 24ull, 0ull, 0ull, 609590ull},
+          {"S2X", "star3", 0xdd46875b28a34619ull, 96ull, 42ull, 24ull, 2464120ull},
+          {"S2X", "star5", 0x563c8524eaf966d0ull, 176ull, 80ull, 53ull, 4505820ull},
+          {"S2X", "linear2", 0x2a91c4943aaae0fcull, 56ull, 24ull, 15ull, 1426090ull},
+          {"S2X", "linear3", 0xa077777e58638568ull, 96ull, 36ull, 30ull, 2438360ull},
+          {"S2X", "snowflake", 0xa0025d7eb7bf394full, 216ull, 103ull, 75ull, 5525750ull},
+          {"S2X", "complex_filter", 0x2522037e2b8ce92dull, 216ull, 211ull, 306ull, 5617080ull},
+          {"S2X", "single_pattern", 0x156419eab4e34099ull, 16ull, 0ull, 0ull, 411000ull},
+          {"S2X", "constant_subject", 0xfa07c7da60d73234ull, 16ull, 0ull, 0ull, 409910ull},
+          {"S2X", "constant_object", 0xc7e7574855e872e3ull, 16ull, 0ull, 0ull, 409190ull},
+          {"S2X", "object_object", 0x74c7ee9ab6429dc1ull, 56ull, 41ull, 115ull, 1459030ull},
+          {"S2X", "no_answers", 0x7d5e66c6b618daa4ull, 56ull, 0ull, 0ull, 1419530ull},
+          {"S2X", "unknown_uri", 0x7d5e66c6b618daa4ull, 16ull, 0ull, 0ull, 407970ull},
+          {"S2X", "optional", 0x7596805405c73206ull, 32ull, 0ull, 0ull, 821460ull},
+          {"S2X", "union", 0x42472c6422cc495aull, 32ull, 0ull, 0ull, 817770ull},
+          {"S2X", "distinct_order", 0xd5c63c12e099ebacull, 16ull, 0ull, 0ull, 411000ull},
+          {"S2X", "ask_yes", 0x29034675a49f07c2ull, 16ull, 0ull, 0ull, 408530ull},
+          {"GraphX_SM", "star3", 0x4e783b30902fb1d9ull, 248ull, 3639ull, 2806ull, 6717380ull},
+          {"GraphX_SM", "star5", 0x6fb6c7f79a99b050ull, 472ull, 7270ull, 5612ull, 12839300ull},
+          {"GraphX_SM", "linear2", 0xf66c4ff824e25fbcull, 120ull, 1812ull, 1403ull, 3260770ull},
+          {"GraphX_SM", "linear3", 0x69d74300fcc07ce8ull, 216ull, 3610ull, 2806ull, 5910070ull},
+          {"GraphX_SM", "snowflake", 0x888a411cf5413aafull, 552ull, 9056ull, 7015ull, 15092050ull},
+          {"GraphX_SM", "single_pattern", 0x6a57fd5fef7da499ull, 24ull, 5ull, 0ull, 609660ull},
+          {"GraphX_SM", "constant_subject", 0xe33641ca8d7d8f34ull, 24ull, 3ull, 0ull, 608750ull},
+          {"GraphX_SM", "constant_object", 0x9d26bd6303e57983ull, 24ull, 6ull, 0ull, 609800ull},
+          {"GraphX_SM", "object_object", 0x22d908c481f7aa41ull, 120ull, 1844ull, 1403ull, 3301830ull},
+          {"GraphX_SM", "no_answers", 0x7d5e66c6b618daa4ull, 120ull, 1802ull, 1403ull, 3252000ull},
+          {"GraphX_SM", "unknown_uri", 0x7d5e66c6b618daa4ull, 24ull, 0ull, 0ull, 607550ull},
+          {"GraphX_SM", "distinct_order", 0xd5c63c12e099ebacull, 24ull, 5ull, 0ull, 609660ull},
+          {"GraphX_SM", "ask_yes", 0x29034675a49f07c2ull, 24ull, 1ull, 0ull, 608390ull},
+          {"Sparkql", "star3", 0xcddb89a11a23da99ull, 136ull, 1117ull, 828ull, 3568890ull},
+          {"Sparkql", "star5", 0xf4b1b058b1209dd0ull, 360ull, 3357ull, 2109ull, 9604940ull},
+          {"Sparkql", "linear2", 0x5149b5df4c92eb7cull, 248ull, 2363ull, 1529ull, 6570080ull},
+          {"Sparkql", "linear3", 0xe08ebf636ccea768ull, 360ull, 3468ull, 2357ull, 9548710ull},
+          {"Sparkql", "snowflake", 0x08220f49ee70a9cfull, 472ull, 4489ull, 3046ull, 12556790ull},
+          {"Sparkql", "single_pattern", 0xcddb89a11a23da99ull, 136ull, 1242ull, 828ull, 3584310ull},
+          {"Sparkql", "constant_subject", 0x84fdd9673534be34ull, 16ull, 0ull, 0ull, 421910ull},
+          {"Sparkql", "constant_object", 0xb0db9d51cbc9b803ull, 8ull, 0ull, 0ull, 202770ull},
+          {"Sparkql", "object_object", 0x47d0f29aef69ba41ull, 248ull, 2368ull, 1534ull, 6580390ull},
+          {"Sparkql", "no_answers", 0x7d5e66c6b618daa4ull, 136ull, 1111ull, 697ull, 3569710ull},
+          {"Sparkql", "unknown_uri", 0x7d5e66c6b618daa4ull, 0ull, 0ull, 0ull, 0ull},
+          {"Sparkql", "distinct_order", 0xd5c63c12e099ebacull, 136ull, 1242ull, 828ull, 3584310ull},
+          {"Sparkql", "ask_yes", 0x29034675a49f07c2ull, 8ull, 0ull, 0ull, 202250ull},
+          {"GraphFrames", "star3", 0x156419eab4e34099ull, 80ull, 0ull, 24ull, 2055100ull},
+          {"GraphFrames", "star5", 0x02c0f961ae4bccd0ull, 128ull, 0ull, 58ull, 3272860ull},
+          {"GraphFrames", "linear2", 0x7567f30380dd90fcull, 56ull, 0ull, 17ull, 1415500ull},
+          {"GraphFrames", "linear3", 0xb7ff796cccd45c28ull, 80ull, 0ull, 29ull, 2020390ull},
+          {"GraphFrames", "snowflake", 0x45773560e392dcefull, 160ull, 0ull, 74ull, 4135120ull},
+          {"GraphFrames", "single_pattern", 0x156419eab4e34099ull, 32ull, 0ull, 0ull, 809230ull},
+          {"GraphFrames", "constant_subject", 0xfa07c7da60d73234ull, 24ull, 0ull, 0ull, 608660ull},
+          {"GraphFrames", "constant_object", 0xc7e7574855e872e3ull, 40ull, 0ull, 0ull, 1011790ull},
+          {"GraphFrames", "object_object", 0xbea91b2bd158f081ull, 56ull, 0ull, 115ull, 1460980ull},
+          {"GraphFrames", "no_answers", 0x7d5e66c6b618daa4ull, 64ull, 0ull, 12ull, 1646340ull},
+          {"GraphFrames", "unknown_uri", 0x7d5e66c6b618daa4ull, 32ull, 0ull, 0ull, 807550ull},
+          {"GraphFrames", "distinct_order", 0xd5c63c12e099ebacull, 32ull, 0ull, 0ull, 809230ull},
+          {"GraphFrames", "ask_yes", 0x29034675a49f07c2ull, 40ull, 0ull, 0ull, 1011420ull},
+          {"SparkRDF", "star3", 0x74874a3517ce8619ull, 328ull, 99ull, 1796ull, 8238180ull},
+          {"SparkRDF", "star5", 0x4e63b0885c540650ull, 632ull, 142ull, 2907ull, 15865680ull},
+          {"SparkRDF", "linear2", 0x6a163fd15ab014fcull, 176ull, 34ull, 244ull, 4411060ull},
+          {"SparkRDF", "linear3", 0x3cebd817ee139668ull, 208ull, 39ull, 256ull, 5215480ull},
+          {"SparkRDF", "snowflake", 0x1fef53ef9e6e236full, 392ull, 125ull, 2405ull, 9877780ull},
+          {"SparkRDF", "single_pattern", 0x156419eab4e34099ull, 24ull, 8ull, 0ull, 604160ull},
+          {"SparkRDF", "constant_subject", 0xe33641ca8d7d8f34ull, 24ull, 3ull, 0ull, 609670ull},
+          {"SparkRDF", "constant_object", 0x781b904ec7881cc3ull, 0ull, 0ull, 0ull, 0ull},
+          {"SparkRDF", "object_object", 0xe023a43d34967a81ull, 176ull, 100ull, 1832ull, 4433760ull},
+          {"SparkRDF", "no_answers", 0x7d5e66c6b618daa4ull, 24ull, 0ull, 0ull, 601000ull},
+          {"SparkRDF", "unknown_uri", 0x7d5e66c6b618daa4ull, 24ull, 0ull, 0ull, 601000ull},
+          {"SparkRDF", "distinct_order", 0xd5c63c12e099ebacull, 24ull, 8ull, 0ull, 604160ull},
+          {"SparkRDF", "ask_yes", 0x29034675a49f07c2ull, 0ull, 0ull, 0ull, 0ull},
+          // RDFSPARK_ROW_ORDER_TABLE_END
+      };
+  return *runs;
+}
+
+TEST(PlanRefactorEquivalenceTest, MatchesRowOrderGoldens) {
+  const rdf::TripleStore& store = Dataset();
+  const bool print = std::getenv("RDFSPARK_PRINT_GOLDEN") != nullptr;
+  if (!print && RowOrderGoldens().empty()) {
+    GTEST_SKIP() << "row-order table not captured yet";
+  }
+  size_t checked = 0;
+  for (const auto& factory : AllEngineVariantFactories()) {
+    SparkContext sc(SmallCluster());
+    auto engine = factory.make(&sc);
+    ASSERT_TRUE(engine->Load(store).ok()) << factory.name;
+    for (const auto& tq : TestQueries()) {
+      auto query = sparql::ParseQuery(tq.text);
+      ASSERT_TRUE(query.ok()) << tq.label;
+      if (!query->where.IsPlainBgp() &&
+          engine->traits().fragment == SparqlFragment::kBgp) {
+        continue;
+      }
+      auto before = sc.metrics();
+      auto result = engine->Execute(*query);
+      auto delta = sc.metrics() - before;
+      ASSERT_TRUE(result.ok()) << factory.name << " / " << tq.label << ": "
+                               << result.status().ToString();
+      uint64_t hash = HashRawRows(*result);
+      uint64_t tasks = delta.tasks;
+      uint64_t shuffle_records = delta.shuffle_records;
+      uint64_t join_comparisons = delta.join_comparisons;
+      uint64_t simulated_ns = delta.simulated_ms.nanos();
+      if (print) {
+        std::printf(
+            "          {\"%s\", \"%s\", 0x%016llxull, %lluull, %lluull, "
+            "%lluull, %lluull},\n",
+            factory.name.c_str(), tq.label,
+            static_cast<unsigned long long>(hash),
+            static_cast<unsigned long long>(tasks),
+            static_cast<unsigned long long>(shuffle_records),
+            static_cast<unsigned long long>(join_comparisons),
+            static_cast<unsigned long long>(simulated_ns));
+        continue;
+      }
+      auto golden = std::find_if(
+          RowOrderGoldens().begin(), RowOrderGoldens().end(),
+          [&](const RowOrderGolden& g) {
+            return factory.name == g.variant &&
+                   std::string(tq.label) == g.query;
+          });
+      ASSERT_NE(golden, RowOrderGoldens().end())
+          << "no row-order golden for " << factory.name << " / " << tq.label;
+      ++checked;
+      EXPECT_EQ(hash, golden->rows_hash) << factory.name << " / " << tq.label;
+      EXPECT_EQ(tasks, golden->tasks) << factory.name << " / " << tq.label;
+      EXPECT_EQ(shuffle_records, golden->shuffle_records)
+          << factory.name << " / " << tq.label;
+      EXPECT_EQ(join_comparisons, golden->join_comparisons)
+          << factory.name << " / " << tq.label;
+      EXPECT_EQ(simulated_ns, golden->simulated_ns)
+          << factory.name << " / " << tq.label;
+    }
+  }
+  if (!print) {
+    EXPECT_EQ(checked, RowOrderGoldens().size());
+  }
+}
+
 /// The batch data plane must not depend on task interleaving: every engine
 /// variant produces the same rows in the same order whether the executor
 /// pool has one thread or eight. Compares the raw flat buffers (variables,
@@ -550,6 +831,202 @@ TEST(PlanRefactorEquivalenceTest, ResultsBitIdenticalAcrossThreading) {
           << factory.name << " / " << label;
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Shared planning blocks (systems/common.h, systems/plan/planner_utils.h).
+// ---------------------------------------------------------------------------
+
+rdf::Term TinyUri(const std::string& name) {
+  return rdf::Term::Uri("http://tiny.example.org/" + name);
+}
+sparql::PatternTerm Var(const std::string& name) {
+  return sparql::PatternTerm::Var(name);
+}
+sparql::PatternTerm Uri(const std::string& name) {
+  return sparql::PatternTerm::Const(TinyUri(name));
+}
+
+/// a knows b, b knows c, a knows a, c likes a.
+const rdf::TripleStore& TinyStore() {
+  static rdf::TripleStore* store = [] {
+    auto* s = new rdf::TripleStore();
+    for (const auto& [subj, pred, obj] :
+         {std::tuple<const char*, const char*, const char*>{"a", "knows", "b"},
+          {"b", "knows", "c"},
+          {"a", "knows", "a"},
+          {"c", "likes", "a"}}) {
+      s->Add(rdf::Triple{TinyUri(subj), TinyUri(pred), TinyUri(obj)});
+    }
+    return s;
+  }();
+  return *store;
+}
+
+rdf::EncodedTriple TinyTriple(const char* subj, const char* pred,
+                              const char* obj) {
+  const rdf::Dictionary& dict = TinyStore().dictionary();
+  return rdf::EncodedTriple{*dict.Lookup(TinyUri(subj)),
+                            *dict.Lookup(TinyUri(pred)),
+                            *dict.Lookup(TinyUri(obj))};
+}
+
+rdf::TermId TinyId(const char* name) {
+  return *TinyStore().dictionary().Lookup(TinyUri(name));
+}
+
+VarSchema Schema(const std::vector<std::string>& vars) {
+  VarSchema schema;
+  for (const auto& v : vars) schema.Add(v);
+  return schema;
+}
+
+TEST(AppendMatchTest, ConstantMismatchAppendsNothing) {
+  EncodedPattern ep = EncodePattern(TinyStore().dictionary(),
+                                    {Var("x"), Uri("likes"), Var("y")});
+  sparql::IdTable out(2);
+  EXPECT_FALSE(AppendMatch(ep, TinyTriple("a", "knows", "b"),
+                           Schema({"x", "y"}), {}, &out));
+  EXPECT_TRUE(out.empty());
+  // A constant absent from the data matches nothing at all.
+  EncodedPattern absent = EncodePattern(
+      TinyStore().dictionary(), {Var("x"), Uri("nowhere"), Var("y")});
+  ASSERT_TRUE(absent.impossible);
+  EXPECT_FALSE(AppendMatch(absent, TinyTriple("a", "knows", "b"),
+                           Schema({"x", "y"}), {}, &out));
+  EXPECT_TRUE(out.empty());
+}
+
+TEST(AppendMatchTest, RepeatedVariablePopsTheConflictingRow) {
+  EncodedPattern ep = EncodePattern(TinyStore().dictionary(),
+                                    {Var("x"), Uri("knows"), Var("x")});
+  VarSchema schema = Schema({"x"});
+  sparql::IdTable out(1);
+  EXPECT_FALSE(
+      AppendMatch(ep, TinyTriple("a", "knows", "b"), schema, {}, &out));
+  EXPECT_TRUE(out.empty());
+  EXPECT_TRUE(
+      AppendMatch(ep, TinyTriple("a", "knows", "a"), schema, {}, &out));
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out.cell(0, 0), TinyId("a"));
+}
+
+TEST(AppendMatchTest, CopiesTheBaseRowThenExtendsIt) {
+  EncodedPattern ep = EncodePattern(TinyStore().dictionary(),
+                                    {Var("y"), Uri("knows"), Var("z")});
+  VarSchema schema = Schema({"x", "y", "z"});
+  sparql::IdTable base(3);
+  base.AppendRow(std::vector<rdf::TermId>{TinyId("c"), TinyId("a"),
+                                          sparql::kUnbound});
+  sparql::IdTable out(3);
+  out.AppendRowFilled(sparql::kUnbound);
+  EXPECT_TRUE(AppendMatch(ep, TinyTriple("a", "knows", "b"), schema,
+                          base.row(0), &out));
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out.cell(0, 0), sparql::kUnbound);  // earlier rows untouched
+  EXPECT_EQ(out.cell(1, 0), TinyId("c"));
+  EXPECT_EQ(out.cell(1, 1), TinyId("a"));
+  EXPECT_EQ(out.cell(1, 2), TinyId("b"));
+  EXPECT_EQ(base.cell(0, 2), sparql::kUnbound);  // the base stays as it was
+}
+
+TEST(AppendMatchTest, ConflictingBaseBindingIsRejected) {
+  EncodedPattern ep = EncodePattern(TinyStore().dictionary(),
+                                    {Var("x"), Uri("knows"), Var("y")});
+  sparql::IdTable base(2);
+  base.AppendRow(std::vector<rdf::TermId>{TinyId("b"), sparql::kUnbound});
+  sparql::IdTable out(2);
+  EXPECT_FALSE(AppendMatch(ep, TinyTriple("a", "knows", "b"),
+                           Schema({"x", "y"}), base.row(0), &out));
+  EXPECT_TRUE(out.empty());
+}
+
+TEST(AppendMatchTest, VariableOutsideTheSchemaIsIgnored) {
+  EncodedPattern ep = EncodePattern(TinyStore().dictionary(),
+                                    {Var("x"), Uri("knows"), Var("y")});
+  sparql::IdTable out(1);
+  EXPECT_TRUE(AppendMatch(ep, TinyTriple("a", "knows", "b"), Schema({"x"}),
+                          {}, &out));
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out.cell(0, 0), TinyId("a"));
+}
+
+TEST(PlannerUtilsTest, OrderConnectedReturnsIndices) {
+  std::vector<sparql::TriplePattern> bgp = {
+      {Var("a"), Uri("knows"), Var("b")},
+      {Var("c"), Uri("knows"), Var("d")},
+      {Var("b"), Uri("knows"), Var("c")},
+      {Var("e"), Uri("likes"), Var("f")}};
+  EXPECT_EQ(plan::OrderConnected(bgp, 0), (std::vector<size_t>{0, 2, 1, 3}));
+  EXPECT_EQ(plan::OrderConnected(bgp, 1), (std::vector<size_t>{1, 2, 0, 3}));
+  // A start past the end starts at the last pattern.
+  EXPECT_EQ(plan::OrderConnected(bgp, 9), (std::vector<size_t>{3, 0, 2, 1}));
+  EXPECT_TRUE(plan::OrderConnected({}, 0).empty());
+}
+
+TEST(PlannerUtilsTest, BatchJoinChainIsLeftDeep) {
+  SparkContext sc(SmallCluster());
+  std::vector<sparql::TriplePattern> ordered = {
+      {Var("x"), Uri("knows"), Var("y")},
+      {Var("y"), Uri("knows"), Var("z")},
+      {Var("u"), Uri("likes"), Var("v")}};
+  auto schema = std::make_shared<const VarSchema>(BgpSchema(ordered));
+  std::vector<size_t> built;
+  auto root = plan::BatchJoinChain(&sc, schema, ordered, [&](size_t i) {
+    built.push_back(i);
+    return plan::MakeScan(plan::NodeKind::kPatternScan,
+                          plan::AccessPath::kFullScan, ordered[i].ToString(),
+                          i, nullptr);
+  });
+  EXPECT_EQ(built, (std::vector<size_t>{0, 1, 2}));
+  EXPECT_EQ(plan::Explain(*root),
+            "Project [?x ?y ?z ?u ?v] (est=?)\n"
+            "  CartesianProduct [merge-rows] (est=?)\n"
+            "    PartitionedHashJoin [on ?y] (est=?)\n"
+            "      PatternScan [full-scan ?x <http://tiny.example.org/knows> "
+            "?y .] (est=0)\n"
+            "      PatternScan [full-scan ?y <http://tiny.example.org/knows> "
+            "?z .] (est=1)\n"
+            "    PatternScan [full-scan ?u <http://tiny.example.org/likes> "
+            "?v .] (est=2)\n");
+  EXPECT_EQ(root->key_vars,
+            (std::vector<std::string>{"x", "y", "z", "u", "v"}));
+  const plan::PlanNode& cartesian = *root->children[0];
+  EXPECT_TRUE(cartesian.key_vars.empty());
+  EXPECT_EQ(cartesian.children[0]->key_vars, std::vector<std::string>{"y"});
+}
+
+TEST(EstimatorTest, PredicateCount) {
+  const rdf::TripleStore& store = TinyStore();
+  rdf::DatasetStatistics stats = store.ComputeStatistics();
+  const rdf::Dictionary& dict = store.dictionary();
+  EXPECT_EQ(PredicateCount(dict, stats, {Var("x"), Var("p"), Var("y")}), 4u);
+  EXPECT_EQ(PredicateCount(dict, stats, {Var("x"), Uri("knows"), Var("y")}),
+            3u);
+  // Absent from the dictionary, or present but never a predicate.
+  EXPECT_EQ(PredicateCount(dict, stats, {Var("x"), Uri("nowhere"), Var("y")}),
+            0u);
+  EXPECT_EQ(PredicateCount(dict, stats, {Var("x"), Uri("a"), Var("y")}), 0u);
+}
+
+TEST(EstimatorTest, DistinctCountEstimate) {
+  const rdf::TripleStore& store = TinyStore();
+  rdf::DatasetStatistics stats = store.ComputeStatistics();
+  const rdf::Dictionary& dict = store.dictionary();
+  // 4 triples; 3 distinct subjects and 3 distinct objects.
+  EXPECT_EQ(
+      DistinctCountEstimate(dict, stats, {Var("x"), Var("p"), Var("y")}), 5u);
+  EXPECT_EQ(
+      DistinctCountEstimate(dict, stats, {Uri("a"), Var("p"), Var("y")}), 2u);
+  EXPECT_EQ(
+      DistinctCountEstimate(dict, stats, {Var("x"), Uri("knows"), Var("y")}),
+      4u);
+  EXPECT_EQ(
+      DistinctCountEstimate(dict, stats, {Uri("a"), Uri("knows"), Uri("b")}),
+      1u);
+  EXPECT_EQ(DistinctCountEstimate(dict, stats,
+                                  {Var("x"), Uri("nowhere"), Var("y")}),
+            0u);
 }
 
 // ---------------------------------------------------------------------------

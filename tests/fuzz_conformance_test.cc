@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <string>
+#include <utility>
 
 #include "common/rng.h"
 #include "rdf/generator.h"
@@ -119,47 +122,75 @@ Query RandomGroupQuery(Rng* rng, const rdf::TripleStore& store, int kind) {
   return query;
 }
 
+using NamedEngines =
+    std::vector<std::pair<std::string, std::unique_ptr<BgpEngineBase>>>;
+
+/// All 12 engine variants on `sc`, loaded with `store`.
+NamedEngines LoadAllVariants(spark::SparkContext* sc,
+                             const rdf::TripleStore& store) {
+  NamedEngines engines;
+  for (const auto& factory : AllEngineVariantFactories()) {
+    auto engine = factory.make(sc);
+    EXPECT_TRUE(engine->Load(store).ok()) << factory.name;
+    engines.emplace_back(factory.name, std::move(engine));
+  }
+  return engines;
+}
+
+/// Runs `query` through Execute, then plans it once with PlanQuery and runs
+/// that plan twice with ExecutePlanned (once where plans are single-use),
+/// handing every answer to `check`.
+void RunEveryPath(
+    BgpEngineBase* engine, const Query& query,
+    const std::function<void(const sparql::BindingTable&)>& check) {
+  auto got = engine->Execute(query);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  check(*got);
+  auto planned = engine->PlanQuery(query);
+  ASSERT_TRUE(planned.ok()) << planned.status().ToString();
+  const int runs = engine->ReusablePlans() ? 2 : 1;
+  for (int run = 0; run < runs; ++run) {
+    SCOPED_TRACE("planned run " + std::to_string(run));
+    auto again = engine->ExecutePlanned(query, **planned);
+    ASSERT_TRUE(again.ok()) << again.status().ToString();
+    check(*again);
+  }
+}
+
 TEST(FuzzConformanceTest, RandomBgpsMatchReferenceOnAllEngines) {
   const rdf::TripleStore& store = Dataset();
-  spark::ClusterConfig cfg;
-  cfg.num_executors = 4;
-  cfg.default_parallelism = 8;
-  spark::SparkContext sc(cfg);
-  auto engines = MakeAllEngines(&sc);
-  for (auto& engine : engines) {
-    ASSERT_TRUE(engine->Load(store).ok()) << engine->traits().name;
-  }
   sparql::ReferenceEvaluator reference(&store);
-
-  Rng rng(20260705);
   int checked = 0;
-  for (int round = 0; round < 40; ++round) {
-    Query query = RandomBgpQuery(&rng, store);
-    auto expected = reference.Evaluate(query);
-    ASSERT_TRUE(expected.ok());
-    // Keep runtimes sane: skip the rare cartesian blow-ups.
-    if (expected->num_rows() > 20000) continue;
-    auto expected_decoded = expected->Decode(store.dictionary());
-    for (auto& engine : engines) {
-      auto got = engine->Execute(query);
-      ASSERT_TRUE(got.ok())
-          << engine->traits().name << " round " << round << ": "
-          << got.status().ToString();
-      ASSERT_EQ(got->Decode(store.dictionary()), expected_decoded)
-          << engine->traits().name << " diverged on round " << round
-          << "; BGP:\n"
-          << [&] {
-               std::string s;
-               for (const auto& tp : query.where.bgp) {
-                 s += "  " + tp.ToString() + "\n";
-               }
-               return s;
-             }();
-      ++checked;
+  for (int threads : {1, 4}) {
+    spark::ClusterConfig cfg;
+    cfg.num_executors = 4;
+    cfg.default_parallelism = 8;
+    cfg.executor_threads = threads;
+    spark::SparkContext sc(cfg);
+    NamedEngines engines = LoadAllVariants(&sc, store);
+
+    Rng rng(20260705);
+    for (int round = 0; round < 40; ++round) {
+      Query query = RandomBgpQuery(&rng, store);
+      auto expected = reference.Evaluate(query);
+      ASSERT_TRUE(expected.ok());
+      // Keep runtimes sane: skip the rare cartesian blow-ups.
+      if (expected->num_rows() > 20000) continue;
+      auto expected_decoded = expected->Decode(store.dictionary());
+      for (auto& [name, engine] : engines) {
+        SCOPED_TRACE(name + " at " + std::to_string(threads) +
+                     " threads, round " + std::to_string(round) + ":\n" +
+                     sparql::ToSparql(query));
+        ASSERT_NO_FATAL_FAILURE(RunEveryPath(
+            engine.get(), query, [&](const sparql::BindingTable& got) {
+              ASSERT_EQ(got.Decode(store.dictionary()), expected_decoded);
+            }));
+        ++checked;
+      }
     }
   }
-  // 40 rounds x 9 engines, minus skipped blow-ups.
-  EXPECT_GT(checked, 250);
+  // 2 thread counts x 40 rounds x 12 variants, minus skipped blow-ups.
+  EXPECT_GT(checked, 650);
 }
 
 /// FILTER, OPTIONAL and UNION run as driver-side nodes of one plan: on
@@ -219,10 +250,7 @@ TEST(FuzzConformanceTest, RandomBgpsOnSkewedWatdivData) {
   store.Dedupe();
 
   spark::SparkContext sc(spark::ClusterConfig{});
-  auto engines = MakeAllEngines(&sc);
-  for (auto& engine : engines) {
-    ASSERT_TRUE(engine->Load(store).ok()) << engine->traits().name;
-  }
+  NamedEngines engines = LoadAllVariants(&sc, store);
   sparql::ReferenceEvaluator reference(&store);
 
   Rng rng(999);
@@ -232,11 +260,13 @@ TEST(FuzzConformanceTest, RandomBgpsOnSkewedWatdivData) {
     ASSERT_TRUE(expected.ok());
     if (expected->num_rows() > 20000) continue;
     auto expected_decoded = expected->Decode(store.dictionary());
-    for (auto& engine : engines) {
-      auto got = engine->Execute(query);
-      ASSERT_TRUE(got.ok()) << engine->traits().name;
-      ASSERT_EQ(got->Decode(store.dictionary()), expected_decoded)
-          << engine->traits().name << " diverged on watdiv round " << round;
+    for (auto& [name, engine] : engines) {
+      SCOPED_TRACE(name + " on watdiv round " + std::to_string(round) +
+                   ":\n" + sparql::ToSparql(query));
+      ASSERT_NO_FATAL_FAILURE(RunEveryPath(
+          engine.get(), query, [&](const sparql::BindingTable& got) {
+            ASSERT_EQ(got.Decode(store.dictionary()), expected_decoded);
+          }));
     }
   }
 
@@ -249,17 +279,16 @@ TEST(FuzzConformanceTest, RandomBgpsOnSkewedWatdivData) {
     auto expected = reference.Evaluate(*parsed);
     ASSERT_TRUE(expected.ok());
     auto expected_decoded = expected->Decode(store.dictionary());
-    for (auto& engine : engines) {
+    for (auto& [name, engine] : engines) {
       bool bgp_plus = !parsed->where.IsPlainBgp();
       if (bgp_plus &&
           engine->traits().fragment == SparqlFragment::kBgp) {
         continue;
       }
       auto got = engine->Execute(*parsed);
-      ASSERT_TRUE(got.ok()) << engine->traits().name;
+      ASSERT_TRUE(got.ok()) << name;
       EXPECT_EQ(got->Decode(store.dictionary()), expected_decoded)
-          << engine->traits().name << " on watdiv "
-          << rdf::QueryShapeName(shape);
+          << name << " on watdiv " << rdf::QueryShapeName(shape);
     }
   }
 }
@@ -268,10 +297,7 @@ TEST(FuzzConformanceTest, RandomProjectionsAndModifiers) {
   const rdf::TripleStore& store = Dataset();
   spark::ClusterConfig cfg;
   spark::SparkContext sc(cfg);
-  auto engines = MakeAllEngines(&sc);
-  for (auto& engine : engines) {
-    ASSERT_TRUE(engine->Load(store).ok());
-  }
+  NamedEngines engines = LoadAllVariants(&sc, store);
   sparql::ReferenceEvaluator reference(&store);
 
   Rng rng(777);
@@ -288,17 +314,18 @@ TEST(FuzzConformanceTest, RandomProjectionsAndModifiers) {
     auto expected = reference.Evaluate(query);
     ASSERT_TRUE(expected.ok());
     if (expected->num_rows() > 20000) continue;
-    for (auto& engine : engines) {
-      auto got = engine->Execute(query);
-      ASSERT_TRUE(got.ok()) << engine->traits().name;
-      if (query.limit >= 0) {
-        EXPECT_EQ(got->num_rows(), expected->num_rows())
-            << engine->traits().name << " round " << round;
-      } else {
-        EXPECT_EQ(got->Decode(store.dictionary()),
-                  expected->Decode(store.dictionary()))
-            << engine->traits().name << " round " << round;
-      }
+    for (auto& [name, engine] : engines) {
+      SCOPED_TRACE(name + " round " + std::to_string(round) + ":\n" +
+                   sparql::ToSparql(query));
+      ASSERT_NO_FATAL_FAILURE(RunEveryPath(
+          engine.get(), query, [&](const sparql::BindingTable& got) {
+            if (query.limit >= 0) {
+              EXPECT_EQ(got.num_rows(), expected->num_rows());
+            } else {
+              EXPECT_EQ(got.Decode(store.dictionary()),
+                        expected->Decode(store.dictionary()));
+            }
+          }));
     }
   }
 }
