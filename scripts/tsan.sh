@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Dedicated ThreadSanitizer pass over the concurrency-sensitive suites:
-# the scheduler/RDD runtime, the GraphX layer (whose vertex attributes
+# the scheduler/RDD runtime (rdd_property_test's cluster grid, up to 16
+# executors x 32 partitions on the pool, is the widest concurrent run of
+# the shuffle's per-source staging), the GraphX layer (whose vertex attributes
 # are shared objects that pool helpers read at once), the engines that
 # drive it (fuzz_conformance_test runs every variant's random BGPs on the
 # pool), EXPLAIN ANALYZE
@@ -14,7 +16,7 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-SUITES=(scheduler_test rdd_test graphx_test graphx_property_test \
+SUITES=(scheduler_test rdd_test rdd_property_test graphx_test graphx_property_test \
   dataframe_test engines_test fuzz_conformance_test plan_explain_test \
   explain_analyze_test tracing_test serving_test obs_test hb_test)
 

@@ -3,8 +3,10 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -16,6 +18,7 @@
 
 #include "spark/context.h"
 #include "spark/hb.h"
+#include "spark/shuffle_staging.h"
 #include "spark/size_estimator.h"
 #include "spark/value_hash.h"
 
@@ -809,77 +812,71 @@ class Rdd {
 
   /// Runs the map side of a shuffle inside its own cost phase: computes
   /// parent partitions on the executor pool, buckets records with `target`,
-  /// and charges shuffle metrics. Each map task writes into its own
-  /// per-source staging area, in two passes: the first computes every
-  /// record's target and charge, the second copies each record once into a
-  /// staging bucket reserved to its exact count. Buckets are then merged in
-  /// source-partition order, so bucket contents are byte-identical to the
-  /// serial path no matter how tasks interleave. Caller must hold
-  /// `state->mu` and have checked `state->materialized`.
+  /// and charges shuffle metrics. Each map task stages its records once,
+  /// grouped by target (StageByTarget). The driver then sums each bucket's
+  /// size, reserves it, and merges source by source, so bucket contents are
+  /// byte-identical to the serial path no matter how tasks interleave, and
+  /// the shuffle costs O(rows + touched targets), not a buffer per (source,
+  /// target). Caller must hold `state->mu` and have checked
+  /// `state->materialized`.
   template <typename TargetFn>
   static void MaterializeShuffle(SparkContext* sc, RddNode<T>* parent,
                                  ShuffleState* state, TargetFn target) {
     sc->BeginPhase();
     int n = static_cast<int>(state->buckets.size());
     int np = parent->num_partitions();
-    std::vector<std::vector<std::vector<T>>> staged(
-        static_cast<size_t>(np));
-    std::vector<std::vector<uint64_t>> staged_remote(
-        static_cast<size_t>(np));
+    struct Staged {
+      std::vector<T> records;  ///< In StagedRuns order.
+      StagedRuns runs;
+    };
+    std::vector<Staged> staged(static_cast<size_t>(np));
     sc->RunParallel(np, [&](int q) {
       auto in = parent->GetPartition(q);
       sc->ChargeTask(q, in->size(), 0);
       int src_exec = sc->ExecutorOf(q);
-      auto& remote = staged_remote[static_cast<size_t>(q)];
-      remote.assign(static_cast<size_t>(n), 0);
-      std::vector<int> targets(in->size());
-      std::vector<size_t> counts(static_cast<size_t>(n), 0);
       uint64_t bytes_total = 0, remote_bytes = 0;
       uint64_t local_reads = 0, remote_reads = 0;
-      for (size_t i = 0; i < in->size(); ++i) {
+      Staged& out = staged[static_cast<size_t>(q)];
+      out.runs = StageByTarget(in->size(), n, [&](size_t i) {
         const T& x = (*in)[i];
         int t = target(x);
-        assert(t >= 0 && t < n && "bucket index out of range");
-        targets[i] = t;
-        ++counts[static_cast<size_t>(t)];
         uint64_t bytes = EstimateSize(x);
         bytes_total += bytes;
-        if (sc->ExecutorOf(t) != src_exec) {
-          remote_bytes += bytes;
-          ++remote_reads;
-          remote[static_cast<size_t>(t)] += bytes;
-        } else {
+        if (sc->ExecutorOf(t) == src_exec) {
           ++local_reads;
+          return std::pair<int, uint64_t>(t, 0);
         }
-      }
-      auto& buckets = staged[static_cast<size_t>(q)];
-      buckets.resize(static_cast<size_t>(n));
-      for (size_t t = 0; t < counts.size(); ++t) buckets[t].reserve(counts[t]);
-      for (size_t i = 0; i < in->size(); ++i) {
-        buckets[static_cast<size_t>(targets[i])].push_back((*in)[i]);
-      }
+        remote_bytes += bytes;
+        ++remote_reads;
+        return std::pair<int, uint64_t>(t, bytes);
+      });
+      out.records.reserve(in->size());
+      for (uint32_t i : out.runs.order) out.records.push_back((*in)[i]);
       sc->ChargeShuffleWrite(q, in->size(), bytes_total, remote_bytes,
                              local_reads, remote_reads);
     });
-    for (int b = 0; b < n; ++b) {
-      size_t total = 0;
-      for (int q = 0; q < np; ++q) {
-        total += staged[static_cast<size_t>(q)][static_cast<size_t>(b)]
-                     .size();
-      }
-      std::vector<T> merged;
-      merged.reserve(total);
-      for (int q = 0; q < np; ++q) {
-        auto& part = staged[static_cast<size_t>(q)][static_cast<size_t>(b)];
-        for (T& x : part) merged.push_back(std::move(x));
-      }
-      state->buckets[static_cast<size_t>(b)] = MakePartition(std::move(merged));
+    std::vector<size_t> totals(static_cast<size_t>(n), 0);
+    for (const Staged& source : staged) {
+      source.runs.ForEachRun([&](const StagedRuns::Run& run, size_t begin) {
+        auto t = static_cast<size_t>(run.target);
+        totals[t] += run.end - begin;
+        state->remote_bytes_per_target[t] += run.remote_bytes;
+      });
     }
-    for (int q = 0; q < np; ++q) {
-      for (int t = 0; t < n; ++t) {
-        state->remote_bytes_per_target[static_cast<size_t>(t)] +=
-            staged_remote[static_cast<size_t>(q)][static_cast<size_t>(t)];
-      }
+    std::vector<std::vector<T>> merged(static_cast<size_t>(n));
+    for (size_t t = 0; t < merged.size(); ++t) merged[t].reserve(totals[t]);
+    for (Staged& source : staged) {
+      auto records = std::make_move_iterator(source.records.begin());
+      source.runs.ForEachRun([&](const StagedRuns::Run& run, size_t begin) {
+        auto& bucket = merged[static_cast<size_t>(run.target)];
+        bucket.insert(bucket.end(),
+                      records + static_cast<std::ptrdiff_t>(begin),
+                      records + static_cast<std::ptrdiff_t>(run.end));
+      });
+      source = Staged{};  // Merged: release it now.
+    }
+    for (size_t t = 0; t < merged.size(); ++t) {
+      state->buckets[t] = MakePartition(std::move(merged[t]));
     }
     state->materialized = true;
     // Publication barrier: the merged buckets become visible to readers

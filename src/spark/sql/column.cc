@@ -27,6 +27,26 @@ void Column::Append(const Value& v) {
   }
 }
 
+void Column::Reserve(size_t n) {
+  nulls_.reserve(num_values_ + n);
+  switch (type_) {
+    case DataType::kInt64:
+      ints_.reserve(num_values_ + n);
+      break;
+    case DataType::kDouble:
+      doubles_.reserve(num_values_ + n);
+      break;
+    case DataType::kBool:
+      bools_.reserve(num_values_ + n);
+      break;
+    case DataType::kString:
+      codes_.reserve(num_values_ + n);
+      break;
+    case DataType::kNull:
+      break;
+  }
+}
+
 int32_t Column::Intern(const std::string& s) {
   auto it = dict_index_.find(s);
   if (it != dict_index_.end()) return it->second;
@@ -196,6 +216,59 @@ bool Column::CellsEqual(size_t i, size_t j) const {
       return true;
   }
   return false;
+}
+
+void Column::CombineHashes(uint64_t* hashes) const {
+  auto fold = [&](auto cell_hash) {
+    for (size_t i = 0; i < num_values_; ++i) {
+      hashes[i] =
+          CombineHash64(hashes[i], nulls_[i] ? kNullHash : cell_hash(i));
+    }
+  };
+  switch (type_) {
+    case DataType::kInt64:
+      fold([this](size_t i) { return HashInt64(ints_[i]); });
+      return;
+    case DataType::kDouble:
+      fold([this](size_t i) { return HashDouble(doubles_[i]); });
+      return;
+    case DataType::kBool:
+      fold([this](size_t i) { return HashBool(bools_[i] != 0); });
+      return;
+    case DataType::kString:
+      fold([this](size_t i) {
+        return HashString(dict_[static_cast<size_t>(codes_[i])]);
+      });
+      return;
+    case DataType::kNull:
+      fold([](size_t) { return kNullHash; });
+      return;
+  }
+}
+
+bool Column::NumberAt(size_t i, double* out) const {
+  if (IsNullAt(i)) return false;
+  if (type_ == DataType::kInt64) {
+    *out = static_cast<double>(ints_[i]);
+    return true;
+  }
+  if (type_ == DataType::kDouble) {
+    *out = doubles_[i];
+    return true;
+  }
+  return false;
+}
+
+bool Column::ValueEquals(size_t i, const Column& other, size_t j) const {
+  if (IsNullAt(i) || other.IsNullAt(j)) return false;
+  double x, y;
+  if (NumberAt(i, &x) && other.NumberAt(j, &y)) return x == y;
+  if (type_ != other.type_) return false;
+  if (type_ == DataType::kString) {
+    return dict_[static_cast<size_t>(codes_[i])] ==
+           other.dict_[static_cast<size_t>(other.codes_[j])];
+  }
+  return bools_[i] == other.bools_[j];  // Both kBool.
 }
 
 uint64_t Column::MemoryBytes() const {

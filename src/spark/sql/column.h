@@ -25,6 +25,10 @@ class Column {
   /// Appends a value (must match the column type or be NULL).
   void Append(const Value& v);
 
+  /// Room for `n` more cells, so an operator that knows its output size
+  /// writes each cell once.
+  void Reserve(size_t n);
+
   /// Typed appends from `src`, a column of this column's type: cell `i`;
   /// cell `i` `n` times; cells [begin, end). Each leaves the column exactly
   /// as Append(src.Get(i)) per cell would, strings interned in the same
@@ -45,6 +49,21 @@ class Column {
   /// Get(i) == Get(j) under Value's operator== (NULL equals NULL here).
   bool CellsEqual(size_t i, size_t j) const;
 
+  /// Whether cell `i` is NULL.
+  bool IsNullAt(size_t i) const {
+    return nulls_[i] != 0 || type_ == DataType::kNull;
+  }
+
+  /// Folds every cell's HashValue(Get(i)), read in place, into its entry
+  /// of `hashes` (one per cell): hashes[i] = CombineHash64(hashes[i], h).
+  /// A whole column at a time, so rows hash independently of each other.
+  void CombineHashes(uint64_t* hashes) const;
+
+  /// ValuesEqual(Get(i), other.Get(j)), read in place: a NULL equals
+  /// nothing, int64 and double cells compare as numbers, and cells of any
+  /// other two different types never match.
+  bool ValueEquals(size_t i, const Column& other, size_t j) const;
+
   /// Estimated resident bytes (dictionary counted once).
   uint64_t MemoryBytes() const;
 
@@ -52,9 +71,8 @@ class Column {
   bool operator==(const Column&) const = default;
 
  private:
-  bool IsNullAt(size_t i) const {
-    return nulls_[i] != 0 || type_ == DataType::kNull;
-  }
+  /// Cell `i` as a number, when it is a non-NULL int64 or double.
+  bool NumberAt(size_t i, double* out) const;
   int32_t Intern(const std::string& s);
 
   DataType type_;

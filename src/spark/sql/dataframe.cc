@@ -1,43 +1,55 @@
 #include "spark/sql/dataframe.h"
 
 #include <algorithm>
+#include <cassert>
+#include <span>
 #include <sstream>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "common/hash.h"
+#include "spark/shuffle_staging.h"
 
 namespace rdfspark::spark::sql {
 
 namespace {
 
+/// Seed of a key's hash. HashRowKey hashes a key's Values and KeyHashes
+/// its cells in place; the two agree cell for cell.
+constexpr uint64_t kKeySeed = 0x2545f4914f6cdd1dULL;
+
 uint64_t HashRowKey(const Row& key) {
-  uint64_t h = 0x2545f4914f6cdd1dULL;
+  uint64_t h = kKeySeed;
   for (const Value& v : key) h = CombineHash64(h, HashValue(v));
   return h;
 }
 
-/// Deterministic hash for rows used as keys (join keys, group keys).
-/// NULLs hash alike, matching SQL GROUP BY semantics; join code filters
-/// NULL keys out beforehand.
+/// Deterministic hash for rows used as group keys. NULLs hash alike,
+/// matching SQL GROUP BY semantics.
 struct RowHasher {
   size_t operator()(const Row& row) const {
     return static_cast<size_t>(HashRowKey(row));
   }
 };
 
-/// Join-key equality with numeric coercion (2 == 2.0), matching the
-/// coercion HashValue applies. NULL keys are filtered out before build, so
-/// ValuesEqual's NULL-never-equal is safe here.
-struct RowKeyEqual {
-  bool operator()(const Row& a, const Row& b) const {
-    if (a.size() != b.size()) return false;
-    for (size_t i = 0; i < a.size(); ++i) {
-      if (!ValuesEqual(a[i], b[i])) return false;
-    }
-    return true;
+/// HashRowKey of every row's `cols` cells, read in place a column at a
+/// time.
+std::vector<uint64_t> KeyHashes(const RecordBatch& b,
+                                const std::vector<int>& cols) {
+  if (b.num_rows == 0) return {};  // The batch may carry no columns.
+  std::vector<uint64_t> hashes(b.num_rows, kKeySeed);
+  for (int c : cols) {
+    b.columns[static_cast<size_t>(c)].CombineHashes(hashes.data());
   }
-};
+  return hashes;
+}
+
+bool KeyHasNull(const RecordBatch& b, size_t i, const std::vector<int>& cols) {
+  for (int c : cols) {
+    if (b.columns[static_cast<size_t>(c)].IsNullAt(i)) return true;
+  }
+  return false;
+}
 
 std::string DfPartitionKind(const std::vector<std::string>& columns) {
   std::string kind = "df-hash";
@@ -48,13 +60,6 @@ std::string DfPartitionKind(const std::vector<std::string>& columns) {
   return kind;
 }
 
-bool RowHasNullKey(const Row& key) {
-  for (const Value& v : key) {
-    if (IsNull(v)) return true;
-  }
-  return false;
-}
-
 /// Schema indices of `names`, resolved once per operator.
 std::vector<int> ColumnIndices(const Schema& schema,
                                const std::vector<std::string>& names) {
@@ -62,15 +67,6 @@ std::vector<int> ColumnIndices(const Schema& schema,
   cols.reserve(names.size());
   for (const auto& name : names) cols.push_back(schema.Index(name));
   return cols;
-}
-
-/// Reads row `i`'s `cols` cells into `key` (key[k] = cell cols[k]); the
-/// caller reuses `key` across rows.
-void LoadKey(const RecordBatch& b, size_t i, const std::vector<int>& cols,
-             Row* key) {
-  for (size_t k = 0; k < cols.size(); ++k) {
-    b.columns[static_cast<size_t>(cols[k])].GetInto(i, &(*key)[k]);
-  }
 }
 
 /// Reads the cells `expr` uses of row `i` into `row`, a buffer as wide as
@@ -91,7 +87,7 @@ uint64_t RowBytes(const RecordBatch& b, size_t i) {
 }
 
 /// Appends `src`'s rows `rows`, in order, to `out` (same schema).
-void AppendRows(const RecordBatch& src, const std::vector<uint32_t>& rows,
+void AppendRows(const RecordBatch& src, std::span<const uint32_t> rows,
                 RecordBatch* out) {
   if (rows.empty()) return;
   for (size_t c = 0; c < out->columns.size(); ++c) {
@@ -108,57 +104,117 @@ struct RowRef {
   uint32_t row;
 };
 
-/// Build-side rows by join key. Keys with a NULL cell are left out: they
-/// never join.
-using JoinIndex = std::unordered_map<Row, std::vector<RowRef>, RowHasher,
-                                     RowKeyEqual>;
-
-JoinIndex IndexRows(const std::vector<const RecordBatch*>& batches,
-                    const std::vector<int>& key_cols) {
-  JoinIndex index;
-  Row key(key_cols.size());
-  for (size_t b = 0; b < batches.size(); ++b) {
-    const RecordBatch& batch = *batches[b];
-    for (size_t i = 0; i < batch.num_rows; ++i) {
-      LoadKey(batch, i, key_cols, &key);
-      if (RowHasNullKey(key)) continue;
-      index[key].push_back(
-          RowRef{static_cast<uint32_t>(b), static_cast<uint32_t>(i)});
+/// A hash join's build side, indexed in place by the hash of each row's
+/// key cells. Rows whose keys hash alike hang on one chain in build order
+/// (a table slot holds a hash's first row and `next_` the rest, as in
+/// Rdd::JoinImpl); a probe walks its hash's chain and keeps the rows whose
+/// key cells equal its own, so a hash collision is never a match. Rows
+/// with a NULL key cell are left out: they never join. The slots are open
+/// addressed over a power-of-two table, found by masking the hash.
+class JoinIndex {
+ public:
+  JoinIndex(std::vector<const RecordBatch*> batches, std::vector<int> key_cols)
+      : batches_(std::move(batches)), key_cols_(std::move(key_cols)) {
+    std::vector<uint64_t> hashes;
+    for (size_t b = 0; b < batches_.size(); ++b) {
+      const RecordBatch& batch = *batches_[b];
+      std::vector<uint64_t> batch_hashes = KeyHashes(batch, key_cols_);
+      for (size_t i = 0; i < batch.num_rows; ++i) {
+        if (KeyHasNull(batch, i, key_cols_)) continue;
+        rows_.push_back(
+            RowRef{static_cast<uint32_t>(b), static_cast<uint32_t>(i)});
+        hashes.push_back(batch_hashes[i]);
+      }
+    }
+    assert(rows_.size() < kEndOfChain && "build side exceeds row index");
+    next_.assign(rows_.size(), kEndOfChain);
+    size_t capacity = 1;
+    while (capacity < 2 * rows_.size()) capacity *= 2;
+    slots_.assign(capacity, Slot{0, kEndOfChain});
+    mask_ = capacity - 1;
+    // Linked back to front, so a chain walks its rows in build order.
+    for (size_t k = rows_.size(); k-- > 0;) {
+      Slot& slot = slots_[SlotOf(hashes[k])];
+      slot.hash = hashes[k];
+      next_[k] = slot.first;
+      slot.first = static_cast<uint32_t>(k);
     }
   }
-  return index;
-}
+
+  const RecordBatch& batch(uint32_t b) const { return *batches_[b]; }
+
+  /// Appends the build rows whose key equals row `i` of `probe` over
+  /// `probe_cols` to `matches`, in build order; `hash` is the row's key
+  /// hash.
+  void AppendMatches(const RecordBatch& probe, size_t i,
+                     const std::vector<int>& probe_cols, uint64_t hash,
+                     std::vector<RowRef>* matches) const {
+    if (KeyHasNull(probe, i, probe_cols)) return;
+    const Slot& slot = slots_[SlotOf(hash)];
+    for (uint32_t k = slot.first; k != kEndOfChain; k = next_[k]) {
+      const RecordBatch& build = *batches_[rows_[k].batch];
+      bool equal = true;
+      for (size_t c = 0; c < probe_cols.size() && equal; ++c) {
+        equal = probe.columns[static_cast<size_t>(probe_cols[c])].ValueEquals(
+            i, build.columns[static_cast<size_t>(key_cols_[c])], rows_[k].row);
+      }
+      if (equal) matches->push_back(rows_[k]);
+    }
+  }
+
+ private:
+  static constexpr uint32_t kEndOfChain = UINT32_MAX;
+  /// One hash's chain; `first == kEndOfChain` marks a free slot.
+  struct Slot {
+    uint64_t hash;
+    uint32_t first;
+  };
+
+  /// The slot holding `hash`, or the free slot where it would go. The
+  /// table is at most half full, so the walk ends.
+  size_t SlotOf(uint64_t hash) const {
+    size_t s = static_cast<size_t>(hash) & mask_;
+    while (slots_[s].first != kEndOfChain && slots_[s].hash != hash) {
+      s = (s + 1) & mask_;
+    }
+    return s;
+  }
+
+  std::vector<const RecordBatch*> batches_;
+  std::vector<int> key_cols_;
+  std::vector<RowRef> rows_;  ///< Indexed build rows, in build order.
+  std::vector<uint32_t> next_;
+  std::vector<Slot> slots_;
+  size_t mask_ = 0;
+};
 
 /// Probes `in` against `index` and appends the joined rows to `out` (left
 /// columns, then build columns): each left row once per match, in build
 /// order, or once NULL-padded when a left-outer join finds none. Returns
-/// the candidate pairs examined.
+/// the comparisons charged: max(1, matches) per probe.
 uint64_t ProbeRows(const RecordBatch& in, const std::vector<int>& key_cols,
-                   const JoinIndex& index,
-                   const std::vector<const RecordBatch*>& build,
-                   JoinType type, RecordBatch* out) {
+                   const JoinIndex& index, JoinType type, RecordBatch* out) {
   constexpr uint32_t kNoMatch = UINT32_MAX;
   // Matched pairs: left row `left[k].first` appears `left[k].second` times
   // in a row, paired with the next entries of `right` in order.
   std::vector<std::pair<uint32_t, uint32_t>> left;
   std::vector<RowRef> right;
   uint64_t comparisons = 0;
-  Row key(key_cols.size());
+  std::vector<uint64_t> hashes = KeyHashes(in, key_cols);
   for (size_t i = 0; i < in.num_rows; ++i) {
-    LoadKey(in, i, key_cols, &key);
-    ++comparisons;
-    auto it = RowHasNullKey(key) ? index.end() : index.find(key);
-    if (it != index.end()) {
-      comparisons += it->second.size() - 1;
-      left.emplace_back(static_cast<uint32_t>(i),
-                        static_cast<uint32_t>(it->second.size()));
-      right.insert(right.end(), it->second.begin(), it->second.end());
+    size_t before = right.size();
+    index.AppendMatches(in, i, key_cols, hashes[i], &right);
+    auto matches = static_cast<uint32_t>(right.size() - before);
+    comparisons += std::max<uint32_t>(1, matches);
+    if (matches > 0) {
+      left.emplace_back(static_cast<uint32_t>(i), matches);
     } else if (type == JoinType::kLeftOuter) {
       left.emplace_back(static_cast<uint32_t>(i), 1);
       right.push_back(RowRef{kNoMatch, 0});
     }
   }
   if (right.empty()) return comparisons;
+  for (Column& col : out->columns) col.Reserve(right.size());
   size_t nl = in.columns.size();
   for (size_t c = 0; c < nl; ++c) {
     for (const auto& [row, times] : left) {
@@ -171,7 +227,7 @@ uint64_t ProbeRows(const RecordBatch& in, const std::vector<int>& key_cols,
       if (ref.batch == kNoMatch) {
         dst.Append(Value{});  // Left-outer NULL padding.
       } else {
-        dst.AppendFrom(build[ref.batch]->columns[c - nl], ref.row);
+        dst.AppendFrom(index.batch(ref.batch).columns[c - nl], ref.row);
       }
     }
   }
@@ -371,55 +427,57 @@ std::vector<RecordBatch> DataFrame::ShuffleRows(
   sc->BeginPhase();
   size_t np = state_->batches.size();
   // Map side runs concurrently: each source partition stages the indices
-  // of its rows per target in its own slot; the merge below walks sources
-  // in partition order, so bucket row order matches the serial path
-  // exactly.
-  std::vector<std::vector<std::vector<uint32_t>>> staged(np);
-  std::vector<std::vector<uint64_t>> staged_remote(np);
+  // of its rows grouped by target (StageByTarget); the merge below walks
+  // sources in partition order, so bucket row order matches the serial
+  // path exactly.
+  std::vector<StagedRuns> staged(np);
   sc->RunParallel(static_cast<int>(np), [&](int p) {
     const RecordBatch& in = partition(p);
     sc->ChargeTask(p, in.num_rows, 0);
     int src_exec = sc->ExecutorOf(p);
-    auto& rows = staged[static_cast<size_t>(p)];
-    rows.resize(static_cast<size_t>(num_partitions));
-    auto& remote = staged_remote[static_cast<size_t>(p)];
-    remote.assign(static_cast<size_t>(num_partitions), 0);
-    uint64_t shuffle_records = 0, shuffle_bytes = 0;
-    uint64_t remote_shuffle_bytes = 0, remote_reads = 0, local_reads = 0;
-    Row key(key_cols.size());
-    for (size_t i = 0; i < in.num_rows; ++i) {
-      LoadKey(in, i, key_cols, &key);
-      int target = static_cast<int>(HashRowKey(key) %
-                                    static_cast<uint64_t>(num_partitions));
-      uint64_t bytes = RowBytes(in, i);
-      ++shuffle_records;
-      shuffle_bytes += bytes;
-      if (sc->ExecutorOf(target) != src_exec) {
-        remote_shuffle_bytes += bytes;
-        ++remote_reads;
-        remote[static_cast<size_t>(target)] += bytes;
-      } else {
-        ++local_reads;
-      }
-      rows[static_cast<size_t>(target)].push_back(static_cast<uint32_t>(i));
-    }
-    sc->ChargeShuffleWrite(p, shuffle_records, shuffle_bytes,
+    uint64_t shuffle_bytes = 0, remote_shuffle_bytes = 0;
+    uint64_t remote_reads = 0, local_reads = 0;
+    std::vector<uint64_t> hashes = KeyHashes(in, key_cols);
+    staged[static_cast<size_t>(p)] =
+        StageByTarget(in.num_rows, num_partitions, [&](size_t i) {
+          int target = static_cast<int>(
+              hashes[i] % static_cast<uint64_t>(num_partitions));
+          uint64_t bytes = RowBytes(in, i);
+          shuffle_bytes += bytes;
+          if (sc->ExecutorOf(target) == src_exec) {
+            ++local_reads;
+            return std::pair<int, uint64_t>(target, 0);
+          }
+          remote_shuffle_bytes += bytes;
+          ++remote_reads;
+          return std::pair<int, uint64_t>(target, bytes);
+        });
+    sc->ChargeShuffleWrite(p, in.num_rows, shuffle_bytes,
                            remote_shuffle_bytes, local_reads, remote_reads);
   });
+  std::vector<size_t> totals(static_cast<size_t>(num_partitions), 0);
+  std::vector<uint64_t> remote_bytes(static_cast<size_t>(num_partitions), 0);
+  for (const StagedRuns& source : staged) {
+    source.ForEachRun([&](const StagedRuns::Run& run, size_t begin) {
+      auto t = static_cast<size_t>(run.target);
+      totals[t] += run.end - begin;
+      remote_bytes[t] += run.remote_bytes;
+    });
+  }
   std::vector<RecordBatch> buckets;
   buckets.reserve(static_cast<size_t>(num_partitions));
-  for (int i = 0; i < num_partitions; ++i) {
+  for (size_t t = 0; t < totals.size(); ++t) {
     buckets.push_back(MakeBatch(state_->schema));
+    for (Column& col : buckets.back().columns) col.Reserve(totals[t]);
   }
-  std::vector<uint64_t> remote_bytes(static_cast<size_t>(num_partitions), 0);
   for (size_t p = 0; p < np; ++p) {
-    for (int t = 0; t < num_partitions; ++t) {
+    const StagedRuns& source = staged[p];
+    source.ForEachRun([&](const StagedRuns::Run& run, size_t begin) {
       AppendRows(partition(static_cast<int>(p)),
-                 staged[p][static_cast<size_t>(t)],
-                 &buckets[static_cast<size_t>(t)]);
-      remote_bytes[static_cast<size_t>(t)] +=
-          staged_remote[p][static_cast<size_t>(t)];
-    }
+                 std::span<const uint32_t>(source.order)
+                     .subspan(begin, run.end - begin),
+                 &buckets[static_cast<size_t>(run.target)]);
+    });
   }
   for (int t = 0; t < num_partitions; ++t) {
     sc->ChargeTask(t, buckets[static_cast<size_t>(t)].num_rows,
@@ -516,7 +574,7 @@ DataFrame DataFrame::BroadcastJoin(
   for (int p = 0; p < right.num_partitions(); ++p) {
     build.push_back(&right.partition(p));
   }
-  JoinIndex index = IndexRows(build, rcols);
+  JoinIndex index(std::move(build), std::move(rcols));
 
   sc->BeginPhase();
   // The build index is read-only from here on; probe tasks share it and
@@ -526,7 +584,7 @@ DataFrame DataFrame::BroadcastJoin(
     const RecordBatch& in = partition(p);
     RecordBatch out;
     if (in.num_rows > 0) out = MakeBatch(out_schema);
-    uint64_t comparisons = ProbeRows(in, lcols, index, build, type, &out);
+    uint64_t comparisons = ProbeRows(in, lcols, index, type, &out);
     sc->ChargeJoinComparisons(comparisons);
     sc->ChargeTask(p, in.num_rows, 0);
     batches[static_cast<size_t>(p)] = ShareBatch(std::move(out));
@@ -573,11 +631,10 @@ DataFrame DataFrame::ShuffleHashJoin(
   sc->RunParallel(left_part.num_partitions(), [&](int p) {
     const RecordBatch& lb = left_part.partition(p);
     const RecordBatch& rb = right_part.partition(p);
-    std::vector<const RecordBatch*> build{&rb};
-    JoinIndex index = IndexRows(build, rcols);
+    JoinIndex index({&rb}, rcols);
     RecordBatch out;
     if (lb.num_rows > 0) out = MakeBatch(out_schema);
-    uint64_t comparisons = ProbeRows(lb, lcols, index, build, type, &out);
+    uint64_t comparisons = ProbeRows(lb, lcols, index, type, &out);
     sc->ChargeJoinComparisons(comparisons);
     sc->ChargeTask(p, lb.num_rows + rb.num_rows, 0);
     batches[static_cast<size_t>(p)] = ShareBatch(std::move(out));
@@ -618,6 +675,7 @@ DataFrame DataFrame::CrossJoin(const DataFrame& right) const {
       // each left cell repeats once per right row, each right column
       // repeats whole once per left row.
       out = MakeBatch(out_schema);
+      for (Column& col : out.columns) col.Reserve(lb.num_rows * rb.num_rows);
       for (size_t c = 0; c < nl; ++c) {
         for (size_t i = 0; i < lb.num_rows; ++i) {
           out.columns[c].AppendFrom(lb.columns[c], i, rb.num_rows);
@@ -660,12 +718,7 @@ DataFrame DataFrame::Distinct() const {
     if (in.num_rows > 0) out = MakeBatch(state_->schema);
     // Rows by index, hashed as whole rows and compared cell by cell: the
     // first occurrence of each distinct row is kept, in bucket order.
-    std::vector<uint64_t> hashes(in.num_rows);
-    Row row(all_cols.size());
-    for (size_t i = 0; i < in.num_rows; ++i) {
-      LoadKey(in, i, all_cols, &row);
-      hashes[i] = HashRowKey(row);
-    }
+    std::vector<uint64_t> hashes = KeyHashes(in, all_cols);
     auto hash = [&](uint32_t i) { return static_cast<size_t>(hashes[i]); };
     auto equal = [&](uint32_t a, uint32_t b) {
       for (const Column& c : in.columns) {
@@ -824,10 +877,12 @@ DataFrame DataFrame::GroupByAgg(const std::vector<std::string>& keys,
             bool is_int =
                 c >= 0 && state_->schema.field(static_cast<size_t>(c)).type ==
                               DataType::kInt64;
+            // Built in place: GCC 12 misreads a moved temporary Value's
+            // string member as uninitialized here (-Wmaybe-uninitialized).
             if (is_int) {
-              row.push_back(static_cast<int64_t>(acc.sum));
+              row.emplace_back(static_cast<int64_t>(acc.sum));
             } else {
-              row.push_back(acc.sum);
+              row.emplace_back(acc.sum);
             }
             break;
           }

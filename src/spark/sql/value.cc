@@ -1,7 +1,5 @@
 #include "spark/sql/value.h"
 
-#include "common/hash.h"
-
 namespace rdfspark::spark::sql {
 
 const char* DataTypeName(DataType t) {
@@ -106,25 +104,15 @@ bool ValuesEqual(const Value& a, const Value& b) {
 uint64_t HashValue(const Value& v) {
   switch (v.index()) {
     case 0:
-      return 0x9e3779b97f4a7c15ULL;
+      return kNullHash;
     case 1:
-      return MixHash64(static_cast<uint64_t>(std::get<int64_t>(v)));
-    case 2: {
-      double d = std::get<double>(v);
-      // Hash doubles through their int64 value when integral so that joins
-      // between int and double columns hash consistently.
-      int64_t as_int = static_cast<int64_t>(d);
-      if (static_cast<double>(as_int) == d) {
-        return MixHash64(static_cast<uint64_t>(as_int));
-      }
-      uint64_t bits;
-      __builtin_memcpy(&bits, &d, sizeof(bits));
-      return MixHash64(bits);
-    }
+      return HashInt64(std::get<int64_t>(v));
+    case 2:
+      return HashDouble(std::get<double>(v));
     case 3:
-      return Fnv1a64(std::get<std::string>(v));
+      return HashString(std::get<std::string>(v));
     case 4:
-      return MixHash64(std::get<bool>(v) ? 1 : 2);
+      return HashBool(std::get<bool>(v));
   }
   return 0;
 }

@@ -3,9 +3,11 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/status.h"
 
 namespace rdfspark::spark::sql {
@@ -37,6 +39,25 @@ bool ValuesEqual(const Value& a, const Value& b);
 
 /// Deterministic hash for partitioning (NULL hashes to a fixed value).
 uint64_t HashValue(const Value& v);
+
+/// HashValue of a NULL, an int64, a double, a string and a bool cell. A
+/// column hashes its cells in place through these, so a cell hashes
+/// exactly as the Value read from it.
+inline constexpr uint64_t kNullHash = 0x9e3779b97f4a7c15ULL;
+inline uint64_t HashInt64(int64_t v) {
+  return MixHash64(static_cast<uint64_t>(v));
+}
+inline uint64_t HashDouble(double d) {
+  // Hash doubles through their int64 value when integral so that joins
+  // between int and double columns hash consistently.
+  auto as_int = static_cast<int64_t>(d);
+  if (static_cast<double>(as_int) == d) return HashInt64(as_int);
+  uint64_t bits;
+  __builtin_memcpy(&bits, &d, sizeof(bits));
+  return MixHash64(bits);
+}
+inline uint64_t HashString(std::string_view s) { return Fnv1a64(s); }
+inline uint64_t HashBool(bool b) { return MixHash64(b ? 1 : 2); }
 
 /// Estimated in-memory size for shuffle accounting.
 uint64_t EstimateSize(const Value& v);

@@ -55,21 +55,12 @@ spark::Rdd<IdTable> RepartitionBatches(const spark::Rdd<IdTable>& rdd,
   const int64_t hb_id = spark::hb::AssignWindowId();
   auto split = rdd.MapPartitionsWithIndex(
       [key_col, n, width, hb_id](int, const std::vector<IdTable>& in) {
-        std::vector<std::pair<int, IdTable>> out;
-        std::vector<int> slot(static_cast<size_t>(n), -1);
-        for (const IdTable& batch : in) {
-          for (size_t r = 0; r < batch.size(); ++r) {
-            uint64_t h =
-                spark::HashValue(batch.cell(r, static_cast<size_t>(key_col)));
-            int t = static_cast<int>(h % static_cast<uint64_t>(n));
-            int& s = slot[static_cast<size_t>(t)];
-            if (s < 0) {
-              s = static_cast<int>(out.size());
-              out.emplace_back(t, IdTable(width));
-            }
-            out[static_cast<size_t>(s)].second.AppendRowFrom(batch, r);
-          }
-        }
+        auto out = SplitByTarget(
+            in, n, width, [key_col, n](const IdTable& batch, size_t r) {
+              uint64_t h = spark::HashValue(
+                  batch.cell(r, static_cast<size_t>(key_col)));
+              return static_cast<int>(h % static_cast<uint64_t>(n));
+            });
         // Sibling split tasks append sub-batches for the same target
         // partition; the append itself is serialized by the shuffle
         // layer's bucket mutex (an atomic enqueue), so only the hand-off
@@ -82,19 +73,13 @@ spark::Rdd<IdTable> RepartitionBatches(const spark::Rdd<IdTable>& rdd,
         }
         return out;
       });
-  auto shuffled = split.ShuffleBy(
-      [](const std::pair<int, IdTable>& kv) {
-        return static_cast<uint64_t>(kv.first);
-      },
-      n, name, info);
+  auto shuffled = split.ShuffleBy(SubBatchTarget<IdTable>, n, name, info);
   return shuffled.MapPartitionsWithIndex(
-      [width, hb_id](int p, const std::vector<std::pair<int, IdTable>>& in) {
+      [width, hb_id](int p, const std::vector<SubBatch<IdTable>>& in) {
         spark::hb::RecordAccess(spark::hb::BatchBufferObject(hb_id, p),
                                 spark::hb::Access::kRead,
                                 "RepartitionBatches.merge");
-        IdTable merged(width);
-        for (const auto& kv : in) merged.AppendRowsFrom(kv.second);
-        return std::vector<IdTable>{std::move(merged)};
+        return std::vector<IdTable>{MergeSubBatches(in, width)};
       },
       info);
 }
@@ -214,7 +199,7 @@ spark::Rdd<KeyedBatch> JoinKeyedBatches(spark::SparkContext* sc,
 spark::Rdd<KeyedBatch> JoinKeyedWithTriples(
     spark::SparkContext* sc, const spark::Rdd<KeyedBatch>& left,
     const spark::Rdd<KeyedTriple>& right, const EncodedPattern& ep,
-    const VarSchema& schema, size_t width) {
+    size_t width) {
   int n = std::max(left.node()->num_partitions(),
                    right.node()->num_partitions());
   bool copartitioned =
@@ -227,8 +212,8 @@ spark::Rdd<KeyedBatch> JoinKeyedWithTriples(
   auto r = copartitioned ? right : right.PartitionByKey(n);
   return l.ZipPartitions(
       r,
-      [sc, ep, schema, width](int, const std::vector<KeyedBatch>& lin,
-                              const std::vector<KeyedTriple>& rin) {
+      [sc, ep, width](int, const std::vector<KeyedBatch>& lin,
+                      const std::vector<KeyedTriple>& rin) {
         std::unordered_map<TermId, std::vector<size_t>> build;
         build.reserve(rin.size() * 2 + 1);
         for (size_t j = 0; j < rin.size(); ++j) {
@@ -243,7 +228,7 @@ spark::Rdd<KeyedBatch> JoinKeyedWithTriples(
             if (it == build.end()) continue;
             comparisons += it->second.size() - 1;
             for (size_t j : it->second) {
-              if (AppendMatch(ep, rin[j].second, schema, lb.rows.row(i),
+              if (AppendMatch(ep, rin[j].second, lb.rows.row(i),
                               &out.rows)) {
                 out.keys.push_back(lb.keys[i]);
               }
@@ -261,7 +246,12 @@ spark::Rdd<IdTable> CartesianMergeBatches(spark::SparkContext* sc,
                                           size_t width) {
   return left.Cartesian(right).MapPartitionsWithIndex(
       [sc, width](int, const std::vector<std::pair<IdTable, IdTable>>& in) {
+        // Every pair merges unless a shared variable conflicts, so the
+        // product is the output's exact size in the cartesian case.
+        size_t product = 0;
+        for (const auto& ab : in) product += ab.first.size() * ab.second.size();
         IdTable out(width);
+        out.Reserve(product);
         for (const auto& ab : in) {
           sc->ChargeJoinComparisons(ab.first.size() * ab.second.size());
           for (size_t i = 0; i < ab.first.size(); ++i) {
@@ -281,7 +271,10 @@ spark::Rdd<KeyedBatch> CartesianMergeKeyed(spark::SparkContext* sc,
   return left.Cartesian(right).MapPartitionsWithIndex(
       [sc, keep_left_key, width](
           int, const std::vector<std::pair<KeyedBatch, KeyedBatch>>& in) {
+        size_t product = 0;
+        for (const auto& ab : in) product += ab.first.size() * ab.second.size();
         KeyedBatch out{{}, IdTable(width)};
+        out.Reserve(product);
         for (const auto& ab : in) {
           sc->ChargeJoinComparisons(ab.first.rows.size() *
                                     ab.second.rows.size());

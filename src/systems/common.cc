@@ -6,13 +6,14 @@
 namespace rdfspark::systems {
 
 EncodedPattern EncodePattern(const rdf::Dictionary& dict,
-                             const sparql::TriplePattern& pattern) {
+                             const sparql::TriplePattern& pattern,
+                             const VarSchema& schema) {
   EncodedPattern out;
-  out.source = pattern;
   auto resolve = [&](const sparql::PatternTerm& t,
-                     std::optional<rdf::TermId>* slot) {
+                     std::optional<rdf::TermId>* slot, int* cell) {
     if (t.is_variable()) {
       slot->reset();
+      *cell = schema.IndexOf(t.var());
       return;
     }
     auto id = dict.Lookup(t.term());
@@ -22,9 +23,9 @@ EncodedPattern EncodePattern(const rdf::Dictionary& dict,
     }
     *slot = *id;
   };
-  resolve(pattern.s, &out.ids.s);
-  resolve(pattern.p, &out.ids.p);
-  resolve(pattern.o, &out.ids.o);
+  resolve(pattern.s, &out.ids.s, &out.cells[0]);
+  resolve(pattern.p, &out.ids.p, &out.cells[1]);
+  resolve(pattern.o, &out.ids.o, &out.cells[2]);
   return out;
 }
 
@@ -42,13 +43,10 @@ std::string VarsDetail(const std::vector<std::string>& vars) {
   return detail;
 }
 
-bool ExtendRowCells(const sparql::TriplePattern& pattern,
-                    const rdf::EncodedTriple& triple, const VarSchema& schema,
+bool ExtendRowCells(const EncodedPattern& ep, const rdf::EncodedTriple& triple,
                     rdf::TermId* cells) {
-  auto bind = [&](const sparql::PatternTerm& slot, rdf::TermId value) {
-    if (!slot.is_variable()) return true;
-    int idx = schema.IndexOf(slot.var());
-    if (idx < 0) return true;  // variable not tracked (projection later)
+  auto bind = [cells](int idx, rdf::TermId value) {
+    if (idx < 0) return true;
     rdf::TermId& cell = cells[static_cast<size_t>(idx)];
     if (cell == sparql::kUnbound) {
       cell = value;
@@ -56,8 +54,8 @@ bool ExtendRowCells(const sparql::TriplePattern& pattern,
     }
     return cell == value;
   };
-  return bind(pattern.s, triple.s) && bind(pattern.p, triple.p) &&
-         bind(pattern.o, triple.o);
+  return bind(ep.cells[0], triple.s) && bind(ep.cells[1], triple.p) &&
+         bind(ep.cells[2], triple.o);
 }
 
 bool MatchesConstants(const EncodedPattern& encoded,
@@ -69,8 +67,7 @@ bool MatchesConstants(const EncodedPattern& encoded,
 }
 
 bool AppendMatch(const EncodedPattern& ep, const rdf::EncodedTriple& triple,
-                 const VarSchema& schema, sparql::IdSpan base,
-                 sparql::IdTable* out) {
+                 sparql::IdSpan base, sparql::IdTable* out) {
   if (!MatchesConstants(ep, triple)) return false;
   rdf::TermId* cells = out->AppendRowUninitialized();
   size_t width = out->width();
@@ -79,7 +76,7 @@ bool AppendMatch(const EncodedPattern& ep, const rdf::EncodedTriple& triple,
   } else {
     std::copy(base.begin(), base.end(), cells);
   }
-  if (ExtendRowCells(ep.source, triple, schema, cells)) return true;
+  if (ExtendRowCells(ep, triple, cells)) return true;
   out->PopRow();
   return false;
 }

@@ -2,6 +2,7 @@
 #define RDFSPARK_SYSTEMS_COMMON_H_
 
 #include <algorithm>
+#include <array>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -22,20 +23,6 @@ namespace rdfspark::systems {
 namespace plan {
 struct PlanNode;
 }  // namespace plan
-
-/// A triple pattern with constants resolved against the dictionary.
-/// `impossible` marks patterns whose constant term does not occur in the
-/// data at all (they match nothing).
-struct EncodedPattern {
-  rdf::IdPattern ids;
-  sparql::TriplePattern source;
-  bool impossible = false;
-};
-
-/// Resolves a pattern's constants. Never fails: unknown constants yield
-/// impossible=true.
-EncodedPattern EncodePattern(const rdf::Dictionary& dict,
-                             const sparql::TriplePattern& pattern);
 
 /// Mutable variable schema used while composing distributed joins.
 /// IndexOf is O(1): a side map mirrors the ordered variable list, so wide
@@ -61,6 +48,23 @@ class VarSchema {
   std::unordered_map<std::string, int> index_;
 };
 
+/// A triple pattern with its constants resolved against the dictionary and
+/// its variables against a row schema. `impossible` marks patterns whose
+/// constant term does not occur in the data at all (they match nothing).
+struct EncodedPattern {
+  rdf::IdPattern ids;
+  /// The row cell that s, p and o bind: -1 for a constant, or for a
+  /// variable outside the schema (projected away later).
+  std::array<int, 3> cells = {-1, -1, -1};
+  bool impossible = false;
+};
+
+/// Resolves a pattern's constants, and its variables against `schema`,
+/// once per pattern. Never fails: unknown constants yield impossible=true.
+EncodedPattern EncodePattern(const rdf::Dictionary& dict,
+                             const sparql::TriplePattern& pattern,
+                             const VarSchema& schema);
+
 /// The variables of a BGP in first-appearance order (s/p/o within a
 /// pattern): the row schema every engine's plan projects.
 VarSchema BgpSchema(const std::vector<sparql::TriplePattern>& bgp);
@@ -68,12 +72,10 @@ VarSchema BgpSchema(const std::vector<sparql::TriplePattern>& bgp);
 /// "?a ?b" — the EXPLAIN detail of a Project over `vars`.
 std::string VarsDetail(const std::vector<std::string>& vars);
 
-/// Tries to extend a fixed-width row over `schema` with the bindings a
-/// concrete triple induces under `pattern`; returns false on conflict
-/// (repeated variable bound to a different value). Variables outside the
-/// schema are ignored.
-bool ExtendRowCells(const sparql::TriplePattern& pattern,
-                    const rdf::EncodedTriple& triple, const VarSchema& schema,
+/// Tries to extend a fixed-width row with the bindings a concrete triple
+/// induces under `ep` (its resolved cells); returns false on conflict
+/// (repeated variable bound to a different value).
+bool ExtendRowCells(const EncodedPattern& ep, const rdf::EncodedTriple& triple,
                     rdf::TermId* cells);
 
 /// True if `triple` matches the constant slots of `encoded`.
@@ -82,12 +84,11 @@ bool MatchesConstants(const EncodedPattern& encoded,
 
 /// The one triple-pattern match of every engine: when `triple` matches
 /// `ep`'s constants, appends `base` (all kUnbound when empty) to `out`,
-/// extends it with `ep.source`'s bindings and returns true; pops the row
-/// again and returns false on a conflicting binding. `base` must not point
-/// into `out`: the append may reallocate.
+/// extends it with `ep`'s bindings and returns true; pops the row again and
+/// returns false on a conflicting binding. `base` must not point into
+/// `out`: the append may reallocate.
 bool AppendMatch(const EncodedPattern& ep, const rdf::EncodedTriple& triple,
-                 const VarSchema& schema, sparql::IdSpan base,
-                 sparql::IdTable* out);
+                 sparql::IdSpan base, sparql::IdTable* out);
 
 /// Triples carrying `tp`'s predicate: all triples for a predicate
 /// variable, 0 for a predicate absent from the data.

@@ -91,7 +91,8 @@ Result<plan::PlanPtr> GraphxSmEngine::PlanBgp(
 
   for (size_t i : plan::OrderConnected(bgp, 0)) {
     const sparql::TriplePattern& tp = bgp[i];
-    auto ep = std::make_shared<const EncodedPattern>(EncodePattern(dict, tp));
+    auto ep = std::make_shared<const EncodedPattern>(
+        EncodePattern(dict, tp, *schema));
     const std::string svar = tp.s.is_variable() ? tp.s.var() : "";
     const std::string ovar = tp.o.is_variable() ? tp.o.var() : "";
 
@@ -115,17 +116,16 @@ Result<plan::PlanPtr> GraphxSmEngine::PlanBgp(
       root = plan::MakeScan(
           plan::NodeKind::kPatternScan, plan::AccessPath::kGraphTraversal,
           tp.ToString() + " (seed)", PredicateCount(dict, stats_, tp),
-          [this, ep, schema, width, anchor_at_dst](
+          [this, ep, width, anchor_at_dst](
               std::vector<plan::PlanPayload>) -> Result<plan::PlanPayload> {
             auto seeded = graph_.edges().FlatMap(
-                [ep, schema, width,
-                 anchor_at_dst](const Edge<rdf::TermId>& e) {
+                [ep, width, anchor_at_dst](const Edge<rdf::TermId>& e) {
                   std::vector<std::pair<VertexId, Mt>> out;
                   rdf::EncodedTriple t{static_cast<rdf::TermId>(e.src),
                                        e.attr,
                                        static_cast<rdf::TermId>(e.dst)};
                   Mt one(width);
-                  if (AppendMatch(*ep, t, *schema, {}, &one)) {
+                  if (AppendMatch(*ep, t, {}, &one)) {
                     out.emplace_back(anchor_at_dst ? e.dst : e.src,
                                      std::move(one));
                   }
@@ -171,18 +171,17 @@ Result<plan::PlanPtr> GraphxSmEngine::PlanBgp(
       plan::PlanPtr leaf = plan::MakeScan(
           plan::NodeKind::kPatternScan, plan::AccessPath::kGraphTraversal,
           tp.ToString(), PredicateCount(dict, stats_, tp),
-          [this, ep, schema, width](std::vector<plan::PlanPayload>)
+          [this, ep, width](std::vector<plan::PlanPayload>)
               -> Result<plan::PlanPayload> {
             return plan::PlanPayload(graph_.edges().MapPartitionsWithIndex(
-                [ep, schema, width](int,
-                                    const std::vector<Edge<rdf::TermId>>& in) {
+                [ep, width](int, const std::vector<Edge<rdf::TermId>>& in) {
                   sparql::IdTable out(width);
                   for (const Edge<rdf::TermId>& e : in) {
                     AppendMatch(*ep,
                                 rdf::EncodedTriple{
                                     static_cast<rdf::TermId>(e.src), e.attr,
                                     static_cast<rdf::TermId>(e.dst)},
-                                *schema, {}, &out);
+                                {}, &out);
                   }
                   return std::vector<sparql::IdTable>{std::move(out)};
                 }));
@@ -237,7 +236,7 @@ Result<plan::PlanPtr> GraphxSmEngine::PlanBgp(
     root = plan::MakeBinary(
         plan::NodeKind::kPartitionedHashJoin, detail, std::move(root),
         std::move(leaf),
-        [this, ep, schema, forward, reanchor_idx](
+        [this, ep, forward, reanchor_idx](
             std::vector<plan::PlanPayload> in) -> Result<plan::PlanPayload> {
           auto frontier = std::get<Rdd<std::pair<VertexId, Mt>>>(
               std::move(in[0]));
@@ -264,7 +263,7 @@ Result<plan::PlanPtr> GraphxSmEngine::PlanBgp(
                 return VAttr(term, table.value_or(Mt{}));
               });
           auto msgs = installed.AggregateMessages<Mt>(
-              [ep, schema, forward](const EdgeTriplet<VAttr, rdf::TermId>& t) {
+              [ep, forward](const EdgeTriplet<VAttr, rdf::TermId>& t) {
                 std::vector<std::pair<VertexId, Mt>> out;
                 const Mt& source_table =
                     forward ? t.src_attr->second : t.dst_attr->second;
@@ -275,8 +274,7 @@ Result<plan::PlanPtr> GraphxSmEngine::PlanBgp(
                 if (!MatchesConstants(*ep, triple)) return out;
                 Mt extended(source_table.width());
                 for (size_t r = 0; r < source_table.size(); ++r) {
-                  AppendMatch(*ep, triple, *schema, source_table.row(r),
-                              &extended);
+                  AppendMatch(*ep, triple, source_table.row(r), &extended);
                 }
                 if (!extended.empty()) {
                   out.emplace_back(forward ? t.dst : t.src,

@@ -148,12 +148,11 @@ spark::Rdd<KeyedBatch> HaqwaEngine::EvaluateStarLocal(
   // Encode the group's patterns once, outside the closure.
   auto encoded = std::make_shared<std::vector<EncodedPattern>>();
   for (const auto& tp : group.patterns) {
-    encoded->push_back(EncodePattern(store_->dictionary(), tp));
+    encoded->push_back(EncodePattern(store_->dictionary(), tp, schema));
   }
-  auto schema_copy = std::make_shared<const VarSchema>(schema);
   size_t width = schema.vars().size();
   auto rows = by_subject_.MapPartitionsWithIndex(
-      [encoded, schema_copy, width](int,
+      [encoded, width](int,
                                     const std::vector<KeyedTriple>& part) {
         // Bucket the partition's triples by subject.
         std::unordered_map<rdf::TermId, std::vector<rdf::EncodedTriple>,
@@ -170,7 +169,7 @@ spark::Rdd<KeyedBatch> HaqwaEngine::EvaluateStarLocal(
             next.Clear();
             for (size_t r = 0; r < rows.size(); ++r) {
               for (const auto& t : triples) {
-                AppendMatch(ep, t, *schema_copy, rows.row(r), &next);
+                AppendMatch(ep, t, rows.row(r), &next);
               }
             }
             std::swap(rows, next);
@@ -329,10 +328,10 @@ Result<plan::PlanPtr> HaqwaEngine::PlanBgp(
               auto current = std::get<Rdd<KeyedBatch>>(std::move(in[0]));
               const auto& replica = replicas_.at(key);
               EncodedPattern ep =
-                  EncodePattern(store_->dictionary(), g->patterns[0]);
+                  EncodePattern(store_->dictionary(), g->patterns[0], *schema);
               // Co-partitioned with the replica: no shuffle.
-              auto next = JoinKeyedWithTriples(sc_, current, replica, ep,
-                                               *schema, width);
+              auto next =
+                  JoinKeyedWithTriples(sc_, current, replica, ep, width);
               // Key variable unchanged (still the link source's subject).
               if (!options_.semantic_partitioning) {
                 next = next.AssumePartitioner(subject_partitioner_);
@@ -373,10 +372,10 @@ Result<plan::PlanPtr> HaqwaEngine::PlanBgp(
               auto current = std::get<Rdd<KeyedBatch>>(std::move(in[0]));
               const auto& replica = object_replicas_.at(pb_id);
               EncodedPattern ep =
-                  EncodePattern(store_->dictionary(), g->patterns[0]);
+                  EncodePattern(store_->dictionary(), g->patterns[0], *schema);
               // Co-partitioned with the object replica: no shuffle.
-              auto next = JoinKeyedWithTriples(sc_, current, replica, ep,
-                                               *schema, width);
+              auto next =
+                  JoinKeyedWithTriples(sc_, current, replica, ep, width);
               if (!options_.semantic_partitioning) {
                 next = next.AssumePartitioner(subject_partitioner_);
               }

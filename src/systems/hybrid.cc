@@ -279,12 +279,12 @@ Result<plan::PlanPtr> HybridEngine::PlanRdd(
         [this, schema, width, tp](std::vector<plan::PlanPayload>)
             -> Result<plan::PlanPayload> {
           auto ep = std::make_shared<const EncodedPattern>(
-              EncodePattern(store_->dictionary(), tp));
+              EncodePattern(store_->dictionary(), tp, *schema));
           return plan::PlanPayload(rdd_by_subject_.MapPartitionsWithIndex(
-              [ep, schema, width](int, const std::vector<KeyedTriple>& in) {
+              [ep, width](int, const std::vector<KeyedTriple>& in) {
                 sparql::IdTable out(width);
                 for (const KeyedTriple& kv : in) {
-                  AppendMatch(*ep, kv.second, *schema, {}, &out);
+                  AppendMatch(*ep, kv.second, {}, &out);
                 }
                 return std::vector<sparql::IdTable>{std::move(out)};
               }));

@@ -115,21 +115,19 @@ Result<plan::PlanPtr> S2xEngine::PlanBgp(
         for (auto& m : matches) m.rows = sparql::IdTable(width);
         for (size_t i = 0; i < bgp.size(); ++i) {
           auto ep = std::make_shared<const EncodedPattern>(
-              EncodePattern(store_->dictionary(), bgp[i]));
-          auto pattern =
-              std::make_shared<const sparql::TriplePattern>(bgp[i]);
+              EncodePattern(store_->dictionary(), bgp[i], *schema));
           // The match row stays a std::vector: Collect charges the
           // estimated size of this tuple.
           using MatchTuple =
               std::tuple<rdf::TermId, rdf::TermId, std::vector<rdf::TermId>>;
           auto rdd = graph_.edges().FlatMap(
-              [ep, pattern, schema, width](const Edge<rdf::TermId>& e) {
+              [ep, width](const Edge<rdf::TermId>& e) {
                 std::vector<MatchTuple> out;
                 rdf::EncodedTriple t{static_cast<rdf::TermId>(e.src), e.attr,
                                      static_cast<rdf::TermId>(e.dst)};
                 if (MatchesConstants(*ep, t)) {
                   std::vector<rdf::TermId> row(width, sparql::kUnbound);
-                  if (ExtendRowCells(*pattern, t, *schema, row.data())) {
+                  if (ExtendRowCells(*ep, t, row.data())) {
                     out.emplace_back(t.s, t.o, std::move(row));
                   }
                 }

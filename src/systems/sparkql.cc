@@ -235,19 +235,19 @@ Result<plan::PlanPtr> SparkqlEngine::PlanBgp(
 
     return plan::BatchJoinChain(sc_, all_schema, bgp, [&](size_t i) {
       const sparql::TriplePattern& tp = bgp[i];
-      auto ep = std::make_shared<const EncodedPattern>(EncodePattern(dict, tp));
+      auto ep = std::make_shared<const EncodedPattern>(
+          EncodePattern(dict, tp, *all_schema));
       auto node = plan::MakeScan(
           plan::NodeKind::kPatternScan, plan::AccessPath::kFullScan,
           tp.ToString() + " (virtual triples)",
           PredicateCount(dict, stats_, tp),
-          [virtual_triples, ep, all_schema, width](
+          [virtual_triples, ep, width](
               std::vector<plan::PlanPayload>) -> Result<plan::PlanPayload> {
             return plan::PlanPayload(virtual_triples.MapPartitionsWithIndex(
-                [ep, all_schema, width](
-                    int, const std::vector<rdf::EncodedTriple>& in) {
+                [ep, width](int, const std::vector<rdf::EncodedTriple>& in) {
                   sparql::IdTable out(width);
                   for (const rdf::EncodedTriple& t : in) {
-                    AppendMatch(*ep, t, *all_schema, {}, &out);
+                    AppendMatch(*ep, t, {}, &out);
                   }
                   return std::vector<sparql::IdTable>{std::move(out)};
                 }));
@@ -286,7 +286,9 @@ Result<plan::PlanPtr> SparkqlEngine::PlanBgp(
                          : std::vector<sparql::TriplePattern>{});
     // Encode constants of the local patterns.
     auto encoded = std::make_shared<std::vector<EncodedPattern>>();
-    for (const auto& p : *patterns) encoded->push_back(EncodePattern(dict, p));
+    for (const auto& p : *patterns) {
+      encoded->push_back(EncodePattern(dict, p, schema));
+    }
     std::optional<rdf::TermId> force;
     auto fit = forced.find(var);
     if (fit != forced.end()) force = fit->second;
@@ -294,7 +296,7 @@ Result<plan::PlanPtr> SparkqlEngine::PlanBgp(
     bool has_type = has_type_predicate_;
     rdf::TermId type_pred = type_predicate_;
     auto match_vertex =
-        [encoded, schema_copy, width, var_idx, force, has_type,
+        [encoded, width, var_idx, force, has_type,
          type_pred](const std::pair<VertexId, NodeAttr>& kv) {
           std::vector<std::pair<VertexId, Mt>> out;
           const SparkqlNode& node = *kv.second;
@@ -324,7 +326,7 @@ Result<plan::PlanPtr> SparkqlEngine::PlanBgp(
             next.Clear();
             for (size_t r = 0; r < rows.size(); ++r) {
               for (const auto& t : triples) {
-                AppendMatch(ep, t, *schema_copy, rows.row(r), &next);
+                AppendMatch(ep, t, rows.row(r), &next);
               }
             }
             std::swap(rows, next);
@@ -530,38 +532,24 @@ Result<plan::PlanPtr> SparkqlEngine::PlanBgp(
           auto split = rows.MapPartitionsWithIndex(
               [a_idx, b_idx, n, width](
                   int, const std::vector<sparql::IdTable>& batches) {
-                std::vector<std::pair<int, sparql::IdTable>> out;
-                std::vector<int> slot(static_cast<size_t>(n), -1);
-                for (const sparql::IdTable& batch : batches) {
-                  for (size_t r = 0; r < batch.size(); ++r) {
-                    EdgeKey key = std::make_pair(
-                        batch.cell(r, static_cast<size_t>(a_idx)),
-                        batch.cell(r, static_cast<size_t>(b_idx)));
-                    int t = static_cast<int>(spark::HashValue(key) %
-                                             static_cast<uint64_t>(n));
-                    int& s = slot[static_cast<size_t>(t)];
-                    if (s < 0) {
-                      s = static_cast<int>(out.size());
-                      out.emplace_back(t, sparql::IdTable(width));
-                    }
-                    out[static_cast<size_t>(s)].second.AppendRowFrom(batch,
-                                                                     r);
-                  }
-                }
-                return out;
+                return SplitByTarget(
+                    batches, n, width,
+                    [a_idx, b_idx, n](const sparql::IdTable& batch,
+                                      size_t r) {
+                      EdgeKey key = std::make_pair(
+                          batch.cell(r, static_cast<size_t>(a_idx)),
+                          batch.cell(r, static_cast<size_t>(b_idx)));
+                      return static_cast<int>(spark::HashValue(key) %
+                                              static_cast<uint64_t>(n));
+                    });
               });
-          auto shuffled = split.ShuffleBy(
-              [](const std::pair<int, sparql::IdTable>& kv) {
-                return static_cast<uint64_t>(kv.first);
-              },
-              n, "PartitionByKey", info);
+          auto shuffled = split.ShuffleBy(SubBatchTarget<sparql::IdTable>, n,
+                                          "PartitionByKey", info);
           auto merged = shuffled.MapPartitionsWithIndex(
               [width](int,
-                      const std::vector<std::pair<int, sparql::IdTable>>&
-                          in_parts) {
-                sparql::IdTable out(width);
-                for (const auto& kv : in_parts) out.AppendRowsFrom(kv.second);
-                return std::vector<sparql::IdTable>{std::move(out)};
+                      const std::vector<SubBatch<sparql::IdTable>>& in_parts) {
+                return std::vector<sparql::IdTable>{
+                    MergeSubBatches(in_parts, width)};
               },
               info);
           auto* sc = sc_;

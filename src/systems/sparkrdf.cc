@@ -239,23 +239,23 @@ Result<plan::PlanPtr> SparkRdfEngine::PlanBgp(
                           const std::string& key_var) -> plan::PlanPtr {
     const TripleList* file = SelectFile(tp, var_class);
     auto [access, file_kind] = file_access(tp);
-    auto ep = std::make_shared<const EncodedPattern>(EncodePattern(dict, tp));
+    auto ep = std::make_shared<const EncodedPattern>(
+        EncodePattern(dict, tp, schema));
     size_t key_idx = static_cast<size_t>(schema.IndexOf(key_var));
     auto node = plan::MakeScan(
         plan::NodeKind::kPatternScan, access,
         tp.ToString() + " (" + file_kind + ", partition on ?" + key_var + ")",
         file->size(),
-        [this, file, ep, schema_copy, width, key_idx, part_info](
+        [this, file, ep, width, key_idx, part_info](
             std::vector<plan::PlanPayload>) -> Result<plan::PlanPayload> {
           auto rows =
               Parallelize(sc_, *file, num_partitions_)
                   .MapPartitionsWithIndex(
-                      [ep, schema_copy, width, key_idx](
+                      [ep, width, key_idx](
                           int, const std::vector<rdf::EncodedTriple>& in) {
                         KeyedBatch out{{}, sparql::IdTable(width)};
                         for (const rdf::EncodedTriple& t : in) {
-                          if (AppendMatch(*ep, t, *schema_copy, {},
-                                          &out.rows)) {
+                          if (AppendMatch(*ep, t, {}, &out.rows)) {
                             out.keys.push_back(out.rows.cell(
                                 out.rows.size() - 1, key_idx));
                           }

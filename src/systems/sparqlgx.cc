@@ -66,8 +66,7 @@ Result<LoadStats> SparqlgxEngine::Load(const rdf::TripleStore& store) {
 spark::Rdd<sparql::IdTable> SparqlgxEngine::PatternRows(
     const sparql::TriplePattern& tp, const VarSchema& schema) const {
   auto ep = std::make_shared<const EncodedPattern>(
-      EncodePattern(store_->dictionary(), tp));
-  auto schema_copy = std::make_shared<const VarSchema>(schema);
+      EncodePattern(store_->dictionary(), tp, schema));
   size_t width = schema.vars().size();
 
   if (!tp.p.is_variable()) {
@@ -84,21 +83,21 @@ spark::Rdd<sparql::IdTable> SparqlgxEngine::PatternRows(
     }
     rdf::TermId pid = *ep->ids.p;
     return it->second.MapPartitionsWithIndex(
-        [ep, schema_copy, pid, width](int, const std::vector<SoPair>& in) {
+        [ep, pid, width](int, const std::vector<SoPair>& in) {
           sparql::IdTable out(width);
           for (const SoPair& so : in) {
-            AppendMatch(*ep, rdf::EncodedTriple{so.first, pid, so.second},
-                        *schema_copy, {}, &out);
+            AppendMatch(*ep, rdf::EncodedTriple{so.first, pid, so.second}, {},
+                        &out);
           }
           return std::vector<sparql::IdTable>{std::move(out)};
         });
   }
   // Predicate variable: scan everything.
   return all_triples_.MapPartitionsWithIndex(
-      [ep, schema_copy, width](int, const std::vector<rdf::EncodedTriple>& in) {
+      [ep, width](int, const std::vector<rdf::EncodedTriple>& in) {
         sparql::IdTable out(width);
         for (const rdf::EncodedTriple& t : in) {
-          AppendMatch(*ep, t, *schema_copy, {}, &out);
+          AppendMatch(*ep, t, {}, &out);
         }
         return std::vector<sparql::IdTable>{std::move(out)};
       });

@@ -984,12 +984,50 @@ TEST(DataFrameKernelTest, SelectExprsMatchesRowReference) {
   }
 }
 
+/// A column hashes and compares its cells in place exactly as HashValue
+/// and ValuesEqual treat the Values read from it, for every pair of column
+/// types, NULL cells included.
+TEST(DataFrameKernelTest, CellHashAndEqualityMatchValues) {
+  SparkContext sc(SmallCluster());
+  const std::vector<std::pair<std::string, std::string>> columns = {
+      {"li", "ri"}, {"ld", "rd"}, {"lb", "rb"}, {"ls", "rs"}};
+  for (uint32_t seed = 1; seed <= kSeeds; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    DataFrame l = DataFrame::FromRows(
+        &sc, MixedSchema("l"), RandomFrame(&sc, "l", seed).Collect(), 1);
+    DataFrame r = DataFrame::FromRows(
+        &sc, MixedSchema("r"), RandomFrame(&sc, "r", seed + 100).Collect(), 1);
+    const RecordBatch& lb = l.partition(0);
+    const RecordBatch& rb = r.partition(0);
+    for (size_t a = 0; a < lb.columns.size(); ++a) {
+      const Column& col = lb.columns[a];
+      std::vector<uint64_t> hashes(lb.num_rows, seed);
+      col.CombineHashes(hashes.data());
+      for (size_t i = 0; i < lb.num_rows; ++i) {
+        EXPECT_EQ(hashes[i], CombineHash64(seed, HashValue(col.Get(i))))
+            << "column " << a << " row " << i;
+        for (size_t b = 0; b < rb.columns.size(); ++b) {
+          const Column& other = rb.columns[b];
+          for (size_t j = 0; j < rb.num_rows; ++j) {
+            EXPECT_EQ(col.ValueEquals(i, other, j),
+                      ValuesEqual(col.Get(i), other.Get(j)))
+                << "columns " << a << "/" << b << " rows " << i << "/" << j;
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(DataFrameKernelTest, HashJoinsMatchRowReference) {
-  // int64, string, int64 against double (2 == 2.0), and a two-column key;
-  // the random NULL cells never join.
+  // int64, string, bool, double (a non-integral value hashes by its bits),
+  // int64 against double (2 == 2.0), and a two-column key; the random NULL
+  // cells never join.
   const std::vector<Keys> key_sets = {
       {{"li", "ri"}},
       {{"ls", "rs"}},
+      {{"lb", "rb"}},
+      {{"ld", "rd"}},
       {{"li", "rd"}},
       {{"li", "ri"}, {"ls", "rs"}},
   };

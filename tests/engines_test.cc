@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
@@ -882,46 +883,44 @@ VarSchema Schema(const std::vector<std::string>& vars) {
 }
 
 TEST(AppendMatchTest, ConstantMismatchAppendsNothing) {
+  VarSchema schema = Schema({"x", "y"});
   EncodedPattern ep = EncodePattern(TinyStore().dictionary(),
-                                    {Var("x"), Uri("likes"), Var("y")});
+                                    {Var("x"), Uri("likes"), Var("y")}, schema);
   sparql::IdTable out(2);
-  EXPECT_FALSE(AppendMatch(ep, TinyTriple("a", "knows", "b"),
-                           Schema({"x", "y"}), {}, &out));
+  EXPECT_FALSE(AppendMatch(ep, TinyTriple("a", "knows", "b"), {}, &out));
   EXPECT_TRUE(out.empty());
   // A constant absent from the data matches nothing at all.
-  EncodedPattern absent = EncodePattern(
-      TinyStore().dictionary(), {Var("x"), Uri("nowhere"), Var("y")});
+  EncodedPattern absent =
+      EncodePattern(TinyStore().dictionary(),
+                    {Var("x"), Uri("nowhere"), Var("y")}, schema);
   ASSERT_TRUE(absent.impossible);
-  EXPECT_FALSE(AppendMatch(absent, TinyTriple("a", "knows", "b"),
-                           Schema({"x", "y"}), {}, &out));
+  EXPECT_FALSE(AppendMatch(absent, TinyTriple("a", "knows", "b"), {}, &out));
   EXPECT_TRUE(out.empty());
 }
 
 TEST(AppendMatchTest, RepeatedVariablePopsTheConflictingRow) {
-  EncodedPattern ep = EncodePattern(TinyStore().dictionary(),
-                                    {Var("x"), Uri("knows"), Var("x")});
-  VarSchema schema = Schema({"x"});
+  EncodedPattern ep =
+      EncodePattern(TinyStore().dictionary(),
+                    {Var("x"), Uri("knows"), Var("x")}, Schema({"x"}));
   sparql::IdTable out(1);
-  EXPECT_FALSE(
-      AppendMatch(ep, TinyTriple("a", "knows", "b"), schema, {}, &out));
+  EXPECT_FALSE(AppendMatch(ep, TinyTriple("a", "knows", "b"), {}, &out));
   EXPECT_TRUE(out.empty());
-  EXPECT_TRUE(
-      AppendMatch(ep, TinyTriple("a", "knows", "a"), schema, {}, &out));
+  EXPECT_TRUE(AppendMatch(ep, TinyTriple("a", "knows", "a"), {}, &out));
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out.cell(0, 0), TinyId("a"));
 }
 
 TEST(AppendMatchTest, CopiesTheBaseRowThenExtendsIt) {
-  EncodedPattern ep = EncodePattern(TinyStore().dictionary(),
-                                    {Var("y"), Uri("knows"), Var("z")});
-  VarSchema schema = Schema({"x", "y", "z"});
+  EncodedPattern ep =
+      EncodePattern(TinyStore().dictionary(),
+                    {Var("y"), Uri("knows"), Var("z")}, Schema({"x", "y", "z"}));
   sparql::IdTable base(3);
   base.AppendRow(std::vector<rdf::TermId>{TinyId("c"), TinyId("a"),
                                           sparql::kUnbound});
   sparql::IdTable out(3);
   out.AppendRowFilled(sparql::kUnbound);
-  EXPECT_TRUE(AppendMatch(ep, TinyTriple("a", "knows", "b"), schema,
-                          base.row(0), &out));
+  EXPECT_TRUE(
+      AppendMatch(ep, TinyTriple("a", "knows", "b"), base.row(0), &out));
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out.cell(0, 0), sparql::kUnbound);  // earlier rows untouched
   EXPECT_EQ(out.cell(1, 0), TinyId("c"));
@@ -931,22 +930,24 @@ TEST(AppendMatchTest, CopiesTheBaseRowThenExtendsIt) {
 }
 
 TEST(AppendMatchTest, ConflictingBaseBindingIsRejected) {
-  EncodedPattern ep = EncodePattern(TinyStore().dictionary(),
-                                    {Var("x"), Uri("knows"), Var("y")});
+  EncodedPattern ep =
+      EncodePattern(TinyStore().dictionary(),
+                    {Var("x"), Uri("knows"), Var("y")}, Schema({"x", "y"}));
   sparql::IdTable base(2);
   base.AppendRow(std::vector<rdf::TermId>{TinyId("b"), sparql::kUnbound});
   sparql::IdTable out(2);
-  EXPECT_FALSE(AppendMatch(ep, TinyTriple("a", "knows", "b"),
-                           Schema({"x", "y"}), base.row(0), &out));
+  EXPECT_FALSE(
+      AppendMatch(ep, TinyTriple("a", "knows", "b"), base.row(0), &out));
   EXPECT_TRUE(out.empty());
 }
 
 TEST(AppendMatchTest, VariableOutsideTheSchemaIsIgnored) {
-  EncodedPattern ep = EncodePattern(TinyStore().dictionary(),
-                                    {Var("x"), Uri("knows"), Var("y")});
+  EncodedPattern ep =
+      EncodePattern(TinyStore().dictionary(),
+                    {Var("x"), Uri("knows"), Var("y")}, Schema({"x"}));
+  EXPECT_EQ(ep.cells, (std::array<int, 3>{0, -1, -1}));
   sparql::IdTable out(1);
-  EXPECT_TRUE(AppendMatch(ep, TinyTriple("a", "knows", "b"), Schema({"x"}),
-                          {}, &out));
+  EXPECT_TRUE(AppendMatch(ep, TinyTriple("a", "knows", "b"), {}, &out));
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out.cell(0, 0), TinyId("a"));
 }

@@ -5,7 +5,9 @@
 #include <algorithm>
 #include <atomic>
 #include <map>
+#include <mutex>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
 
@@ -529,6 +531,80 @@ std::vector<std::pair<int, int>> Pairs(int n) {
   std::vector<std::pair<int, int>> data;
   for (int i = 0; i < n; ++i) data.emplace_back(i % 7, i);
   return data;
+}
+
+/// MaterializeShuffle on a sparse, wide shuffle: 24 map partitions, some
+/// empty, into 64 buckets, with each source writing at most three targets
+/// in interleaved order, so most (source, target) cells are empty and some
+/// buckets gather several sources. Against a reference that walks the
+/// sources in order: every bucket holds its records in source order, then
+/// input order, each reduce task's remote bytes sum the records that
+/// crossed executors, and the map side charges every record once — at one
+/// executor thread and at four.
+TEST(ShuffleStagingTest, SparseWideShuffleMatchesSourceOrderReference) {
+  using Rec = std::pair<int, std::string>;
+  constexpr int kSources = 24;
+  constexpr int kTargets = 64;
+  auto source = [](int q) {
+    std::vector<Rec> recs;
+    if (q % 5 == 3) return recs;
+    for (int i = 0; i < (q * 7) % 10 + 1; ++i) {
+      recs.emplace_back(q * 100 + i, std::string(size_t(i + q % 4), 'x'));
+    }
+    return recs;
+  };
+  auto target = [](const Rec& r) {
+    int q = r.first / 100;
+    int i = r.first % 100;
+    return (q * 11 + (i % 3) * 17) % kTargets;
+  };
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ClusterConfig cfg = SmallCluster();
+    cfg.executor_threads = threads;
+    SparkContext sc(cfg);
+
+    std::vector<std::vector<Rec>> want(kTargets);
+    std::vector<uint64_t> want_remote(kTargets, 0);
+    uint64_t records = 0, bytes = 0, remote_bytes = 0;
+    std::set<std::pair<int, int>> cells;
+    for (int q = 0; q < kSources; ++q) {
+      for (const Rec& r : source(q)) {
+        int t = target(r);
+        want[t].push_back(r);
+        cells.emplace(q, t);
+        ++records;
+        bytes += EstimateSize(r);
+        if (sc.ExecutorOf(t) != sc.ExecutorOf(q)) {
+          want_remote[t] += EstimateSize(r);
+          remote_bytes += EstimateSize(r);
+        }
+      }
+    }
+    // The data is as sparse and as mixed as the test needs.
+    ASSERT_LT(cells.size(), size_t{kSources * kTargets / 10});
+    std::set<int> gathered;
+    for (const auto& [q, t] : cells) {
+      if (want[t].front().first / 100 != q) gathered.insert(t);
+    }
+    ASSERT_FALSE(gathered.empty());
+
+    auto parent = Parallelize(&sc, Ints(kSources), kSources).FlatMap(source);
+    Rdd<Rec>::ShuffleState state(kTargets);
+    auto before = sc.metrics();
+    {
+      std::lock_guard<std::mutex> lock(state.mu);
+      Rdd<Rec>::MaterializeShuffle(&sc, parent.node().get(), &state, target);
+    }
+    auto delta = sc.metrics() - before;
+    for (int t = 0; t < kTargets; ++t) {
+      EXPECT_EQ(*state.buckets[t], want[t]) << "bucket " << t;
+    }
+    EXPECT_EQ(state.remote_bytes_per_target, want_remote);
+    EXPECT_EQ(delta.shuffle_records, records);
+    EXPECT_EQ(delta.shuffle_bytes, bytes);
+    EXPECT_EQ(delta.remote_shuffle_bytes, remote_bytes);
+  }
 }
 
 TEST(PartitionSharingTest, ShuffleReadHandsOutItsBucket) {
